@@ -296,11 +296,12 @@ class PaxosNode:
         if isinstance(reply, Nack):
             respond(reply, reply.wire_bytes)
             return
-        self.tracer.emit(
-            self.sim.now, "paxos",
-            f"{self.endpoint.name} accepted inst={msg.instance} "
-            f"{msg.ballot} {msg.share.value_id} share#{msg.share.index}",
-        )
+        if self.tracer.enabled:
+            self.tracer.emit(
+                self.sim.now, "paxos",
+                f"{self.endpoint.name} accepted inst={msg.instance} "
+                f"{msg.ballot} {msg.share.value_id} share#{msg.share.index}",
+            )
         self.wal.append(
             ("accept", msg.instance, msg.ballot, msg.share), durable,
             lambda: respond(reply, reply.wire_bytes),
@@ -600,10 +601,11 @@ class PaxosNode:
             share = None  # we accepted a different (losing) proposal
         rec = ChosenRecord(value_id=value_id, ballot=ballot, value=value, share=share)
         self.chosen[instance] = rec
-        self.tracer.emit(
-            self.sim.now, "paxos",
-            f"{self.endpoint.name} learned inst={instance} {value_id}",
-        )
+        if self.tracer.enabled:
+            self.tracer.emit(
+                self.sim.now, "paxos",
+                f"{self.endpoint.name} learned inst={instance} {value_id}",
+            )
         self._advance_apply()
 
     def _advance_apply(self) -> None:

@@ -13,6 +13,7 @@ job of the durable-storage layer (:mod:`repro.storage`).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable
 
 from ..sim import FifoResource, Simulator, Tracer, NULL_TRACER
@@ -20,6 +21,10 @@ from .link import LOOPBACK, LinkSpec
 from .message import Envelope
 
 Handler = Callable[[Envelope], None]
+
+#: Jitter values drawn per refill of a directed pair's block. Small: a
+#: cluster has hundreds of pairs and most carry little traffic.
+JITTER_BLOCK = 16
 
 
 class Host:
@@ -72,6 +77,8 @@ class Network:
         # the node stays reachable, it just drains its NIC queues
         # slowly. Factor 1.0 removes the entry.
         self._nic_slowdown: dict[str, float] = {}
+        # Directed pair -> pre-drawn jitter values (see _jitter).
+        self._jitter_blocks: dict[tuple[str, str], list[float]] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -91,8 +98,13 @@ class Network:
         self.hosts[name].handler = handler
 
     def set_link(self, src: str, dst: str, spec: LinkSpec) -> None:
-        """Override the link spec for the directed pair (src, dst)."""
+        """Override the link spec for the directed pair (src, dst).
+
+        Jitter already drawn for the pair under its previous spec is
+        discarded: the next message draws afresh at the new width.
+        """
         self._links[(src, dst)] = spec
+        self._jitter_blocks.pop((src, dst), None)
 
     def link(self, src: str, dst: str) -> LinkSpec:
         if src == dst:
@@ -214,6 +226,13 @@ class Network:
 
         ``size`` is the modeled payload size in bytes; the fixed header
         overhead is added internally.
+
+        A wire message costs two scheduled events: its arrival at the
+        receiver's NIC and its delivery once the ingress queue has
+        serialized it. The egress queue is FIFO, so the time the message
+        clears the sender's NIC is known here, and loss, duplication and
+        jitter are drawn here too — each pair's RNG streams still see
+        one draw per message in the order the messages leave the NIC.
         """
         if size < 0:
             raise ValueError("negative message size")
@@ -221,8 +240,7 @@ class Network:
         if not sender.up:
             return  # a crashed host sends nothing
         self._msg_seq += 1
-        env = Envelope(src=src, dst=dst, payload=payload, size=size,
-                       msg_id=self._msg_seq)
+        env = Envelope(src, dst, payload, size, self._msg_seq)
 
         if src == dst:
             # Loopback: deliver at the current instant, preserving FIFO.
@@ -232,38 +250,46 @@ class Network:
             return
 
         self.messages_sent += 1
-        sender.bytes_sent += env.wire_size
+        wire_size = env.wire_size
+        sender.bytes_sent += wire_size
         spec = self.link(src, dst)
 
-        # 1. Egress serialization (shared per-host queue).
-        ser = spec.serialization_time(env.wire_size)
+        # Egress serialization (shared per-host queue).
+        ser = spec.serialization_time(wire_size)
         ser *= self._nic_slowdown.get(src, 1.0)
-        sender.egress.submit(ser, lambda: self._propagate(env, spec))
+        sent = sender.egress.reserve(ser)
 
-    def _propagate(self, env: Envelope, spec: LinkSpec) -> None:
         # Loss / duplication coin flips, per directed pair stream.
-        stream = f"net.loss.{env.src}->{env.dst}"
+        rng = self.sim.rng
         loss_prob = min(1.0, spec.loss_prob + self.extra_loss_prob)
-        if self.sim.rng.choice_prob(stream, loss_prob):
+        if loss_prob > 0.0 and rng.choice_prob(f"net.loss.{src}->{dst}", loss_prob):
             self.messages_dropped += 1
-            self.tracer.emit(self.sim.now, "net", f"lost {env.src}->{env.dst} #{env.msg_id}")
+            self.tracer.emit(self.sim.now, "net", f"lost {src}->{dst} #{env.msg_id}")
             return
-        copies = 1
-        dup_stream = f"net.dup.{env.src}->{env.dst}"
         dup_prob = min(1.0, spec.dup_prob + self.extra_dup_prob)
-        if self.sim.rng.choice_prob(dup_stream, dup_prob):
-            copies = 2
-        for c in range(copies):
+        duplicated = dup_prob > 0.0 and rng.choice_prob(
+            f"net.dup.{src}->{dst}", dup_prob
+        )
+        for copy in (env, replace(env, dup=True)) if duplicated else (env,):
             delay = spec.delay_s
             if spec.jitter_s > 0:
-                delay += self.sim.rng.uniform(
-                    f"net.jitter.{env.src}->{env.dst}", -spec.jitter_s, spec.jitter_s
-                )
-            copy = env if c == 0 else Envelope(
-                src=env.src, dst=env.dst, payload=env.payload,
-                size=env.size, msg_id=env.msg_id, dup=True,
-            )
-            self.sim.call_after(delay, lambda e=copy: self._arrive(e, spec))
+                delay += self._jitter(src, dst, spec.jitter_s)
+            self.sim.call_at(sent + delay, lambda e=copy: self._arrive(e, spec))
+
+    def _jitter(self, src: str, dst: str, half_width: float) -> float:
+        """Next uniform ``±half_width`` draw of the pair's jitter stream.
+
+        Drawn ``JITTER_BLOCK`` at a time: one vectorized
+        ``Generator.uniform`` call yields exactly the values the same
+        number of scalar calls would, at a fraction of the per-call cost.
+        """
+        block = self._jitter_blocks.get((src, dst))
+        if not block:
+            stream = self.sim.rng.stream(f"net.jitter.{src}->{dst}")
+            block = stream.uniform(-half_width, half_width, JITTER_BLOCK).tolist()
+            block.reverse()  # consumed from the end, in draw order
+            self._jitter_blocks[(src, dst)] = block
+        return block.pop()
 
     def _arrive(self, env: Envelope, spec: LinkSpec) -> None:
         receiver = self.hosts[env.dst]
@@ -279,11 +305,12 @@ class Network:
         if env.src != env.dst:
             self.messages_delivered += 1
             receiver.bytes_received += env.wire_size
-        self.tracer.emit(
-            self.sim.now, "net",
-            f"deliver {env.src}->{env.dst} #{env.msg_id} "
-            f"{type(env.payload).__name__} {env.size}B",
-        )
+        if self.tracer.enabled:
+            self.tracer.emit(
+                self.sim.now, "net",
+                f"deliver {env.src}->{env.dst} #{env.msg_id} "
+                f"{type(env.payload).__name__} {env.size}B",
+            )
         if receiver.handler is not None:
             receiver.handler(env)
 

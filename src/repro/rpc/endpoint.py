@@ -27,9 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..net import Envelope, Network
-from ..sim import Event, Simulator
-
-_request_ids = itertools.count()
+from ..sim import Event, Gauge, Simulator
 
 
 @dataclass(slots=True)
@@ -84,7 +82,7 @@ class PeerStats:
         return PeerStats(self.ewma, self.dev, self.samples, self.rto)
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingRequest:
     dst: str
     body: Any
@@ -157,10 +155,14 @@ class RpcEndpoint:
         self._async_request_handlers: dict[
             type, Callable[[Any, str, Callable[[Any, int], None]], None]
         ] = {}
+        # Request ids only have to be unique per requester: a reply is
+        # matched against the table of the endpoint that asked.
+        self._request_ids = itertools.count()
         self._pending: dict[int, _PendingRequest] = {}
         self._batches: dict[str, list[tuple[Any, int]]] = {}
         self._batch_timers: dict[str, Event] = {}
         self._peer_stats: dict[str, PeerStats] = {}
+        self._rtt_gauges: dict[str, Gauge] = {}  # dst -> rpc.rtt.<name>.<dst>
         net.set_handler(name, self._on_envelope)
         # Accounting (per-endpoint; network keeps the global totals).
         self.requests_sent = 0
@@ -283,7 +285,12 @@ class RpcEndpoint:
             self.timeouts_adapted += 1
         st.rto = rto
         if self.metrics is not None:
-            self.metrics.gauge(f"rpc.rtt.{self.name}.{dst}").set(st.ewma)
+            gauge = self._rtt_gauges.get(dst)
+            if gauge is None:
+                gauge = self._rtt_gauges[dst] = self.metrics.gauge(
+                    f"rpc.rtt.{self.name}.{dst}"
+                )
+            gauge.set(st.ewma)
 
     def rtt_table(self) -> dict[str, float]:
         """Smoothed RTT per measured peer, for episode summaries."""
@@ -304,7 +311,6 @@ class RpcEndpoint:
         timeout: float = 0.5,
         retries: int = -1,
         on_timeout: Callable[[], None] | None = None,
-        reply_size: int = 0,
         adaptive: bool = False,
     ) -> int:
         """Send ``body`` to ``dst``; invoke ``on_reply(reply_body)`` once.
@@ -322,7 +328,7 @@ class RpcEndpoint:
 
         Returns the request id (usable with :meth:`cancel_request`).
         """
-        req_id = next(_request_ids)
+        req_id = next(self._request_ids)
         pending = _PendingRequest(
             dst=dst, body=body, size=size, on_reply=on_reply,
             on_timeout=on_timeout, timeout=timeout, retries_left=retries,

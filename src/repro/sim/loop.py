@@ -15,34 +15,26 @@ experiment seed always produces the identical trace.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from math import inf
 from typing import Callable
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class Event:
-    """Handle to a scheduled callback; supports cancellation."""
+    """A scheduled callback, and the handle that cancels it.
 
-    __slots__ = ("_ev",)
+    The heap holds ``(time, seq, event)`` tuples, so ordering is decided
+    by ``heapq``'s C tuple comparison on the first two slots — ``seq`` is
+    unique, the comparison never reaches the event — and this object is
+    both the third slot and what the scheduling calls return.
+    """
 
-    def __init__(self, ev: _Event):
-        self._ev = ev
+    __slots__ = ("time", "callback", "cancelled")
 
-    @property
-    def time(self) -> float:
-        """Simulated time at which the callback fires."""
-        return self._ev.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._ev.cancelled
+    def __init__(self, time: float, callback: Callable[[], None]):
+        #: Simulated time at which the callback fires.
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent).
@@ -50,7 +42,7 @@ class Event:
         Cancellation is O(1): the heap entry is tombstoned and skipped
         when popped.
         """
-        self._ev.cancelled = True
+        self.cancelled = True
 
 
 class SimulationError(RuntimeError):
@@ -70,7 +62,7 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self._now = 0.0
         self._seq = 0
-        self._heap: list[_Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._running = False
         self.seed = seed
         # Lazily-built named RNG substreams (see repro.sim.rng).
@@ -94,10 +86,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={when} < now={self._now}"
             )
-        ev = _Event(when, self._seq, callback)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
-        return Event(ev)
+        ev = Event(when, callback)
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (when, seq, ev))
+        return ev
 
     def call_after(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
@@ -114,51 +107,56 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the single next event. Returns False if the queue is empty."""
-        while self._heap:
-            ev = heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            self._now = ev.time
-            self.events_processed += 1
-            ev.callback()
-            return True
-        return False
+        return self._drain(None, 1) == 1
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` have been processed.
 
-        When ``until`` is given, the clock is advanced to exactly
-        ``until`` at exit (even if the queue drained earlier), so
-        metrics sampled at "end of run" are well defined.
+        When ``until`` is given and the run ends because nothing is left
+        to do before it (queue drained, or the next event lies beyond
+        ``until``), the clock is advanced to exactly ``until``, so
+        metrics sampled at "end of run" are well defined. A run cut
+        short by ``max_events`` or by an exception leaves the clock at
+        the last event fired: events earlier than ``until`` are still
+        queued, and the clock must never pass them.
         """
+        self._drain(until, max_events)
+
+    def _drain(self, until: float | None, max_events: int | None) -> int:
+        """The one event loop behind :meth:`run` and :meth:`step`;
+        returns the number of events fired."""
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        processed = 0
+        heap = self._heap
+        heappop = heapq.heappop
+        horizon = inf if until is None else until
+        fired = 0
         try:
-            while self._heap:
-                if max_events is not None and processed >= max_events:
-                    return
-                nxt = self._heap[0]
-                if nxt.cancelled:
-                    heapq.heappop(self._heap)
+            while heap:
+                if fired == max_events:  # never true for None
+                    return fired
+                when, _, ev = heap[0]
+                if ev.cancelled:
+                    heappop(heap)
                     continue
-                if until is not None and nxt.time > until:
+                if when > horizon:
                     break
-                heapq.heappop(self._heap)
-                self._now = nxt.time
-                self.events_processed += 1
-                processed += 1
-                nxt.callback()
-        finally:
+                heappop(heap)
+                self._now = when
+                fired += 1
+                ev.callback()
             if until is not None and self._now < until:
                 self._now = until
+            return fired
+        finally:
+            self.events_processed += fired
             self._running = False
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
 
     # -- misc -----------------------------------------------------------
 

@@ -14,7 +14,6 @@ evaluation needs to report device-bound vs. network-bound regimes.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
 from .loop import Simulator
@@ -23,32 +22,40 @@ from .loop import Simulator
 class FifoResource:
     """A single server with an unbounded FIFO queue.
 
-    Jobs are (service_time, callback) pairs. The callback fires when
-    the job *completes*. Service begins immediately if idle, else when
-    all earlier jobs have finished.
+    A job occupies the resource for its service time, starting
+    immediately if idle, else when all earlier jobs have finished. The
+    queue is implicit: FIFO order makes a job's completion time known
+    the moment it is enqueued, so that time is all the resource stores.
     """
 
     def __init__(self, sim: Simulator, name: str = "resource"):
         self.sim = sim
         self.name = name
-        self._queue: deque[tuple[float, Callable[[], None]]] = deque()
         self._busy_until = 0.0
         self._busy_time = 0.0  # integral of busy periods
         self.jobs_served = 0
 
-    def submit(self, service_time: float, callback: Callable[[], None]) -> float:
-        """Enqueue a job; returns its completion time.
+    def reserve(self, service_time: float) -> float:
+        """Enqueue a job and return its completion time, scheduling
+        nothing — for a caller that folds the completion into an event
+        of its own (the network adds the propagation delay and schedules
+        the arrival directly).
 
         ``service_time`` must be >= 0. Zero-time jobs still respect
         FIFO ordering.
         """
         if service_time < 0:
             raise ValueError(f"negative service time {service_time}")
-        start = max(self.sim.now, self._busy_until)
-        done = start + service_time
+        done = max(self.sim.now, self._busy_until) + service_time
         self._busy_until = done
         self._busy_time += service_time
         self.jobs_served += 1
+        return done
+
+    def submit(self, service_time: float, callback: Callable[[], None]) -> float:
+        """Enqueue a job whose ``callback`` fires when it *completes*;
+        returns the completion time."""
+        done = self.reserve(service_time)
         self.sim.call_at(done, callback)
         return done
 

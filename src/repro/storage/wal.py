@@ -34,7 +34,7 @@ that clean picture:
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Callable
 
 from ..sim import Event, Simulator
@@ -59,15 +59,37 @@ CRC_BYTES = 4
 RECORD_HEADER_BYTES = LENGTH_BYTES + LSN_BYTES + TYPE_BYTES + CRC_BYTES
 
 
+#: XORed into a stored checksum to model decayed checksum bits.
+_ROT_MASK = 0x5BD1E995
+
+
 def record_checksum(lsn: int, payload: Any) -> int:
     """CRC32 over a record's canonical serialization.
 
     The simulator never materializes real on-disk bytes, so the CRC is
-    computed over the deterministic ``repr`` of ``(lsn, payload)`` —
-    any in-place mutation of the payload (bit-rot injection) makes the
-    stored CRC stale exactly like flipped payload bits would.
+    computed over a deterministic walk of ``(lsn, payload)``: tuples and
+    dataclasses field by field, ``bytes`` fed to the CRC as they are,
+    every other leaf through its ``repr``. Replacing the payload
+    (bit-rot injection) makes a stored CRC stale exactly like flipped
+    payload bits would.
     """
-    return zlib.crc32(repr((lsn, payload)).encode("utf-8", "backslashreplace"))
+    return _fold(payload, zlib.crc32(b"%d" % lsn))
+
+
+def _fold(obj: Any, crc: int) -> int:
+    if isinstance(obj, bytes):
+        return zlib.crc32(obj, zlib.crc32(b"b%d:" % len(obj), crc))
+    if isinstance(obj, (tuple, list)):
+        crc = zlib.crc32(b"(%d:" % len(obj), crc)
+        for item in obj:
+            crc = _fold(item, crc)
+        return crc
+    if is_dataclass(obj) and not isinstance(obj, type):
+        crc = zlib.crc32(type(obj).__name__.encode(), crc)
+        for f in fields(obj):
+            crc = _fold(getattr(obj, f.name), crc)
+        return crc
+    return zlib.crc32(repr(obj).encode("utf-8", "backslashreplace"), crc)
 
 
 @dataclass(slots=True)
@@ -77,21 +99,55 @@ class WalRecord:
     ``crc`` is the payload checksum as written; ``torn`` marks a record
     whose tail was cut off by a mid-flush crash (its framing — and
     everything after it — is unreadable).
+
+    The checksum is a modelling device: it only has to make ``valid``
+    go false once the payload or the stored checksum has been tampered
+    with. Payloads are immutable values, so a record nobody has
+    tampered with is valid by construction and its checksum is computed
+    only when something reads it — never on the append path.
     """
 
     lsn: int
     payload: Any
     size: int
-    crc: int = 0
     torn: bool = False
+    # The stored checksum, once read or tampered with; None = as written.
+    _crc: int | None = field(default=None, repr=False)
+
+    @property
+    def crc(self) -> int:
+        if self._crc is None:
+            self._crc = record_checksum(self.lsn, self.payload)
+        return self._crc
 
     @property
     def valid(self) -> bool:
         """True when the stored CRC matches the payload read back."""
-        return not self.torn and self.crc == record_checksum(self.lsn, self.payload)
+        if self.torn:
+            return False
+        return self._crc is None or self._crc == record_checksum(
+            self.lsn, self.payload
+        )
+
+    def rot(self, payload: Any | None = None) -> None:
+        """Decay in place without the checksum following: swap in
+        ``payload`` under the checksum of what was written, or (None)
+        flip bits of the stored checksum itself."""
+        written = self.crc  # pin before the payload changes under it
+        if payload is not None:
+            self.payload = payload
+        else:
+            self._crc = written ^ _ROT_MASK
+
+    def rewrite(self, payload: Any, size: int) -> None:
+        """Overwrite with a fresh, intact payload and checksum."""
+        self.payload = payload
+        self.size = size
+        self.torn = False
+        self._crc = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingAppend:
     record: WalRecord
     callback: Callable[[], None]
@@ -163,7 +219,6 @@ class WriteAheadLog:
         if size < 0:
             raise ValueError("negative record size")
         rec = WalRecord(self._next_lsn, payload, size)
-        rec.crc = record_checksum(rec.lsn, payload)
         self._next_lsn += 1
         self.bytes_appended += size
         self._pending.append(_PendingAppend(rec, callback))
@@ -247,10 +302,7 @@ class WriteAheadLog:
         """
         for rec in self.durable:
             if rec.lsn == lsn:
-                if payload is not None:
-                    rec.payload = payload
-                else:
-                    rec.crc ^= 0x5BD1E995  # flip stored checksum bits
+                rec.rot(payload)
                 return True
         return False
 
@@ -396,10 +448,7 @@ class WriteAheadLog:
         """
         for rec in self.durable:
             if rec.lsn == lsn:
-                rec.payload = payload
-                rec.size = size
-                rec.crc = record_checksum(lsn, payload)
-                rec.torn = False
+                rec.rewrite(payload, size)
                 self.disk.write(
                     size + RECORD_HEADER_BYTES, callback or (lambda: None)
                 )
@@ -444,15 +493,15 @@ class WalView:
         vote metadata; the shared log's :meth:`WriteAheadLog.recover`
         has already truncated any torn tail. Each untagged record's
         ``valid`` flag mirrors the underlying record's (the stored CRC
-        covers the tagged payload, so it is re-derived here).
+        covers the tagged payload, so an invalid record is re-marked
+        here; a clean one costs nothing).
         """
         out: list[WalRecord] = []
         for rec in self._wal.recover():
             if rec.payload[0] != self.tag:
                 continue
             view_rec = WalRecord(rec.lsn, rec.payload[1], rec.size)
-            view_rec.crc = record_checksum(view_rec.lsn, view_rec.payload)
             if not rec.valid:
-                view_rec.crc ^= 0x5BD1E995  # stay checksum-invalid
+                view_rec.rot()  # stay checksum-invalid
             out.append(view_rec)
         return out

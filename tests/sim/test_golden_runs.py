@@ -1,0 +1,115 @@
+"""Golden behaviour pins: client-visible results that must not move.
+
+``test_determinism.py`` shows that two runs *of one commit* agree. These
+digests were computed on the commit before the hot-path rewrite (PR 12:
+tuple-keyed heap, two-event message hop, lazy WAL checksum) and pin the
+same property *across* commits: a host-time optimisation may not move a
+single simulated latency sample, message count, delivery or history
+entry. A legitimate behaviour change updates the digest in the same
+commit and says why.
+
+What is digested is what a client, a message handler or a checker can
+observe — results, deliveries, histories — not trace lines, whose timing
+is an implementation detail (``lost …`` is emitted when the loss is
+drawn, which PR 12 moved from egress completion to send).
+"""
+
+import hashlib
+
+import pytest
+
+from repro.chaos import ChaosRunner, ChaosSpec, ScheduleSpec
+from repro.chaos import runner as chaos_runner
+from repro.check import HistoryRecorder
+from repro.net import LinkSpec, build_network
+from repro.sim import Simulator
+
+from .test_determinism import run_cluster
+
+
+def digest(obj) -> str:
+    """BLAKE2 over ``repr``: floats round-trip exactly, so two objects
+    digest alike iff they are equal to the last bit."""
+    return hashlib.blake2b(repr(obj).encode(), digest_size=12).hexdigest()
+
+
+def lossy_duplex_deliveries(seed: int) -> list[tuple]:
+    """Every delivery of a lossy, duplicating, jittered A<->B exchange:
+    paced sends, then bursts that queue behind each other in the NIC
+    (the case where a per-pair RNG stream could be drawn out of order)."""
+    sim = Simulator(seed=seed)
+    link = LinkSpec(delay_s=0.01, jitter_s=0.004, loss_prob=0.2,
+                    dup_prob=0.15, bandwidth_bps=1e6)
+    net = build_network(sim, ["A", "B"], link)
+    seen: list[tuple] = []
+    for host in ("A", "B"):
+        net.set_handler(host, lambda env: seen.append(
+            (sim.now, env.src, env.dst, env.payload, env.msg_id, env.dup)))
+    for i in range(60):
+        sim.call_at(i * 0.003, lambda i=i: net.send("A", "B", i, size=100))
+        sim.call_at(i * 0.005, lambda i=i: net.send("B", "A", -i, size=40))
+    for burst in range(3):
+        def fire(burst=burst):
+            for j in range(20):
+                net.send("A", "B", (burst, j), size=500 + 37 * j)
+                net.send("B", "A", (burst, -j), size=10)
+        sim.call_at(0.5 + burst * 0.05, fire)
+    sim.run()
+    seen.append((net.messages_sent, net.messages_delivered,
+                 net.messages_dropped))
+    return seen
+
+
+#: Unit-test scale chaos (≈1 s wall each).
+TINY = ChaosSpec(
+    schedule=ScheduleSpec(fault_window=4.0, mean_gap=0.8),
+    settle=3.0, num_clients=2, num_keys=4,
+)
+#: Same, biased hard toward torn writes, bit-rot and forced scrubs — the
+#: episodes that exercise WAL checksums, recovery and share repair.
+STORAGE_HEAVY = ChaosSpec(
+    schedule=ScheduleSpec(fault_window=4.0, mean_gap=0.5,
+                          storage_weights=(6.0, 6.0, 3.0), rot_gap=0.8),
+    settle=3.0, num_clients=2, num_keys=4,
+)
+
+
+def chaos_history(monkeypatch, spec: ChaosSpec, seed: int):
+    """(EpisodeResult, client history) of one episode. ``run_episode``
+    keeps its recorder private, so capture the one it constructs."""
+    made: list[HistoryRecorder] = []
+
+    class Capturing(HistoryRecorder):
+        def __init__(self) -> None:
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(chaos_runner, "HistoryRecorder", Capturing)
+    result, _ = ChaosRunner(spec=spec, bundle_dir=None).run_episode(seed)
+    (recorder,) = made
+    return result, recorder.to_jsonable()
+
+
+class TestGoldenRuns:
+    def test_cluster_run(self):
+        assert digest(run_cluster(17)) == "b28e3922cc3f00b41c13dc1c"
+
+    def test_batched_cluster_run(self):
+        got = run_cluster(17, batch_max_commands=4, batch_linger=0.0005)
+        assert digest(got) == "bebd3603cde358c6c39abe68"
+
+    def test_lossy_duplicating_jittered_network(self):
+        seen = lossy_duplex_deliveries(5)
+        assert any(s[5] for s in seen[:-1])           # duplicates happened
+        assert seen[-1][2] > 0                        # losses happened
+        assert digest(seen) == "f2d4604cea9937467fad3780"
+
+    @pytest.mark.parametrize("spec,seed,want", [
+        (TINY, 9, "cc347cfd70031535fa5e2f0c"),
+        (STORAGE_HEAVY, 8, "f0d3d3450d9589f01adbf8cb"),
+    ], ids=["mixed", "storage-heavy"])
+    def test_chaos_episode(self, monkeypatch, spec, seed, want):
+        result, history = chaos_history(monkeypatch, spec, seed)
+        assert result.ok
+        assert len(history) > 100
+        assert digest((result.to_jsonable(), history)) == want

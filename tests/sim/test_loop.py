@@ -81,6 +81,28 @@ class TestRun:
         sim.run(max_events=3)
         assert len(count) == 3
 
+    def test_event_cap_does_not_jump_the_clock_past_queued_events(self):
+        # Regression: run(until=T, max_events=n) used to set now = T even
+        # when the cap ended the run, so the next run() fired the
+        # remaining events at times < now — the clock ran backwards.
+        sim = Simulator()
+        seen = []
+        for i in range(10):
+            sim.call_at(float(i), lambda: seen.append(sim.now))
+        sim.run(until=100.0, max_events=3)
+        assert seen == [0.0, 1.0, 2.0]
+        assert sim.now == 2.0
+        sim.call_at(2.5, lambda: seen.append(sim.now))  # still schedulable
+        sim.run(until=100.0)
+        assert seen == [0.0, 1.0, 2.0, 2.5] + [float(i) for i in range(3, 10)]
+        assert sim.now == 100.0
+
+    def test_event_cap_met_exactly_as_queue_drains_advances_clock(self):
+        sim = Simulator()
+        sim.call_at(1.0, lambda: None)
+        sim.run(until=5.0, max_events=1)
+        assert sim.now == 5.0  # nothing is left before ``until``
+
     def test_step(self):
         sim = Simulator()
         seen = []

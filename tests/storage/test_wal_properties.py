@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.storage import HDD, SSD, Disk, WalView, WriteAheadLog
+from repro.storage import (
+    HDD, SSD, Disk, WalView, WriteAheadLog, record_checksum,
+)
 
 
 @given(
@@ -70,3 +72,109 @@ def test_bytes_accounting(sizes):
     from repro.storage import RECORD_HEADER_BYTES
 
     assert disk.bytes_written == sum(sizes) + RECORD_HEADER_BYTES * len(sizes)
+
+
+# -- checksum semantics ---------------------------------------------------
+#
+# The record checksum is computed when something reads it, never on the
+# append path. What must hold regardless of *when* it was first read:
+
+FATES = ["clean", "rot", "swap", "rot+rewrite", "swap+rewrite"]
+
+
+def share_payload(i: int, blob: bytes):
+    """A record payload shaped like an accept: nested tuple + bytes."""
+    return ("accept", i, (3, 1), blob)
+
+
+@given(
+    plan=st.lists(
+        st.tuples(st.sampled_from(FATES), st.booleans(),
+                  st.binary(min_size=1, max_size=64)),
+        min_size=1, max_size=12,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_validity_does_not_depend_on_when_the_crc_was_read(plan):
+    sim = Simulator()
+    wal = WriteAheadLog(sim, Disk(sim, SSD), group_commit_window=0.001)
+    view = WalView(wal, "g")
+    for i, (_, _, blob) in enumerate(plan):
+        view.append(share_payload(i, blob), len(blob), lambda: None)
+    sim.run()
+    assert wal.verify() == []  # clean as written, nothing read yet
+
+    want_valid = []
+    for rec, (fate, read_first, blob) in zip(wal.durable, plan):
+        if read_first:
+            assert rec.crc == record_checksum(rec.lsn, rec.payload)
+        if fate.startswith("rot"):
+            assert wal.corrupt_record(rec.lsn)
+        elif fate.startswith("swap"):
+            flipped = bytes([blob[0] ^ 0x01]) + blob[1:]
+            tampered = ("g", share_payload(rec.lsn, flipped))
+            assert wal.corrupt_record(rec.lsn, payload=tampered)
+        if fate != "clean":
+            assert not rec.valid
+        if fate.endswith("rewrite"):
+            assert wal.rewrite_record(
+                rec.lsn, ("g", share_payload(rec.lsn, blob)), len(blob))
+        want_valid.append(fate == "clean" or fate.endswith("rewrite"))
+    sim.run()
+
+    assert [r.valid for r in wal.durable] == want_valid
+    assert [r.lsn for r in wal.verify()] == [
+        i for i, ok in enumerate(want_valid) if not ok
+    ]
+    # The view mirrors validity, record for record, payloads untagged.
+    mirrored = view.recover()
+    assert [r.valid for r in mirrored] == want_valid
+    assert wal.recovery_corrupt == want_valid.count(False)
+    for rec in mirrored:
+        assert rec.payload[0] == "accept"
+        if rec.valid:
+            assert rec.crc == record_checksum(rec.lsn, rec.payload)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=8),
+    frac=st.floats(min_value=0.05, max_value=0.95),
+    read_first=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_torn_records_are_invalid_and_hidden_from_views(n, frac, read_first):
+    sim = Simulator()
+    wal = WriteAheadLog(sim, Disk(sim, SSD), group_commit_window=0.002)
+    view = WalView(wal, "g")
+    for i in range(n):
+        view.append(share_payload(i, b"\x00" * 32), 100, lambda: None)
+    sim.run(until=0.0021)  # window closed, device op in flight
+    if read_first:
+        for p in wal._inflight_batch:
+            p.record.crc
+    wal.arm_torn_write(frac)
+    wal.crash()
+    sim.run()
+    torn = [r for r in wal.durable if r.torn]
+    assert len(torn) <= 1
+    assert all(not r.valid for r in torn)
+    assert all(r.valid for r in wal.durable if not r.torn)
+    survivors = view.recover()
+    assert [r.lsn for r in survivors] == list(range(len(survivors)))
+    assert all(r.valid for r in survivors)
+    assert wal.recovery_discarded == len(torn)
+
+
+@given(
+    blob=st.binary(min_size=1, max_size=256),
+    at=st.integers(min_value=0, max_value=255),
+    bit=st.integers(min_value=0, max_value=7),
+)
+@settings(max_examples=100, deadline=None)
+def test_checksum_covers_every_payload_byte(blob, at, bit):
+    at %= len(blob)
+    flipped = blob[:at] + bytes([blob[at] ^ (1 << bit)]) + blob[at + 1:]
+    good = record_checksum(4, share_payload(4, blob))
+    assert good == record_checksum(4, share_payload(4, bytes(blob)))
+    assert good != record_checksum(4, share_payload(4, flipped))
+    assert good != record_checksum(5, share_payload(4, blob))
