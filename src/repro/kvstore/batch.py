@@ -166,15 +166,22 @@ def decode_frame(buf: bytes) -> tuple[FramedCommand, ...]:
     return tuple(commands)
 
 
+def entry_size(key: str, client: str, value_len: int) -> int:
+    """Bytes one command adds to a frame: what :func:`encode_frame`
+    writes for it. The one definition behind :func:`frame_size` and the
+    leader's running size of its pending batch."""
+    return (
+        ENTRY_OVERHEAD
+        + len(key.encode("utf-8"))
+        + len(client.encode("utf-8"))
+        + value_len
+    )
+
+
 def frame_size(items: Iterable[BatchItem]) -> int:
     """Exact frame byte size for modeled-mode values (``data=None``):
     what :func:`encode_frame` would produce for these commands."""
     size = FRAME_OVERHEAD
     for item in items:
-        size += (
-            ENTRY_OVERHEAD
-            + len(item.key.encode("utf-8"))
-            + len(item.client.encode("utf-8"))
-            + item.size
-        )
+        size += entry_size(item.key, item.client, item.size)
     return size

@@ -145,7 +145,7 @@ class KVClient:
         msg = ClientPut(key, size, data, client=self.name,
                         op_id=next(self._op_ids), tenant=self.tenant,
                         map_version=self.map_version)
-        self._issue(msg, msg.wire_bytes, PutOk, on_done, op="put")
+        _Op(self, msg, PutOk, on_done, "put").attempt()
 
     def get(
         self, key: str, mode: str = "fast",
@@ -163,167 +163,185 @@ class KVClient:
         """
         msg = ClientGet(key, mode, tenant=self.tenant,
                         map_version=self.map_version)
-
-        def adapt(ok: bool, reply=None) -> None:
-            if on_done is not None:
-                size = reply.size if ok and isinstance(reply, GetOk) else 0
-                on_done(ok, size)
-
-        self._issue(msg, msg.wire_bytes, GetOk, adapt, op="get",
-                    raw_cb=True, fixed_target=server,
-                    rotate=(mode == "follower" and server is None))
+        _Op(self, msg, GetOk, on_done, "get", fixed_target=server,
+            rotate=(mode == "follower" and server is None)).attempt()
 
     def delete(
         self, key: str, on_done: Callable[[bool], None] | None = None
     ) -> None:
         msg = ClientDelete(key, client=self.name, op_id=next(self._op_ids),
                            tenant=self.tenant, map_version=self.map_version)
-        self._issue(msg, msg.wire_bytes, PutOk, on_done, op="delete")
+        _Op(self, msg, PutOk, on_done, "delete").attempt()
 
-    # -- engine -----------------------------------------------------------
 
-    def _issue(
-        self, msg, size: int, ok_type: type, on_done, op: str,
-        raw_cb: bool = False, fixed_target: str | None = None,
-        rotate: bool = False,
-    ) -> None:
-        start = self.sim.now
-        attempts = {"left": self.max_attempts, "retries": 0}
-        rotation = itertools.cycle(self.servers)
-        hid = None
-        if self.history is not None:
-            hid = self.history.invoke(self.name, op, msg, start)
+class _Op:
+    """One client operation in flight: its retry state, and — as bound
+    methods — every callback the operation hands out.
 
-        def note_retry(cause: str) -> None:
+    The callbacks need each other (a reply may schedule another attempt,
+    an attempt may finish the operation), so as closures they would
+    capture themselves and form a reference cycle per operation that
+    only the cyclic collector can free. As methods of one slotted object
+    they refer to each other through ``self`` instead, and the operation
+    is freed by reference counting the moment its last callback is
+    dropped (DESIGN.md §4, the op-path allocation rule).
+    """
+
+    __slots__ = ("client", "msg", "ok_type", "on_done", "op",
+                 "fixed_target", "rotate", "leader_directed", "start", "hid",
+                 "attempts_left", "retries", "next_server", "target")
+
+    def __init__(
+        self, client: KVClient, msg, ok_type: type, on_done, op: str,
+        fixed_target: str | None = None, rotate: bool = False,
+    ):
+        self.client = client
+        self.msg = msg
+        self.ok_type = ok_type
+        self.on_done = on_done
+        self.op = op
+        self.fixed_target = fixed_target
+        self.rotate = rotate
+        # Neither pinned to a server nor rotating: where such an
+        # operation succeeds becomes the cached leader, and where it
+        # times out stops being it.
+        self.leader_directed = fixed_target is None and not rotate
+        self.start = client.sim.now
+        self.attempts_left = client.max_attempts
+        self.retries = 0
+        # Cursor of this operation's own walk over the server list,
+        # used while no leader is cached.
+        self.next_server = 0
+        self.target = ""
+        self.hid = None
+        if client.history is not None:
+            self.hid = client.history.invoke(client.name, op, msg, self.start)
+
+    def _pick_target(self) -> str:
+        client = self.client
+        if self.fixed_target is not None:
+            return self.fixed_target
+        if self.rotate:
+            # Follower reads spread across the whole server list —
+            # any replica can serve them, so don't chase the leader.
+            return next(client._rotate_targets)
+        if client.leader_cache is not None:
+            return client.leader_cache
+        servers = client.servers
+        target = servers[self.next_server % len(servers)]
+        self.next_server += 1
+        return target
+
+    def _note_retry(self, cause: str) -> None:
+        if self.op == "get":
+            self.client.read_retry_causes[cause] += 1
+
+    def _retry(self, extra_wait: float = 0.0) -> None:
+        """Another attempt after one more step of backoff."""
+        self.retries += 1
+        client = self.client
+        client.sim.call_after(
+            extra_wait + client._retry_delay(self.retries), self.attempt
+        )
+
+    def _finish(self, ok: bool, reply=None) -> None:
+        client = self.client
+        op = self.op
+        now = client.sim.now
+        if ok:
+            client.ops_ok += 1
+            client.metrics.latency(f"client.{op}").record(now - self.start)
+            if client.tenant:
+                client.metrics.latency(
+                    f"tenant.{client.tenant}.{op}"
+                ).record(now - self.start)
+        else:
+            client.ops_failed += 1
+        if self.hid is not None:
+            client.history.complete(self.hid, ok, reply, now)
+        on_done = self.on_done
+        if on_done is not None:
             if op == "get":
-                self.read_retry_causes[cause] += 1
-
-        def pick_target() -> str:
-            if fixed_target is not None:
-                return fixed_target
-            if rotate:
-                # Follower reads spread across the whole server list —
-                # any replica can serve them, so don't chase the leader.
-                return next(self._rotate_targets)
-            if self.leader_cache is not None:
-                return self.leader_cache
-            return next(rotation)
-
-        def finish(ok: bool, reply=None) -> None:
-            if ok:
-                self.ops_ok += 1
-                self.metrics.latency(f"client.{op}").record(self.sim.now - start)
-                if self.tenant:
-                    self.metrics.latency(
-                        f"tenant.{self.tenant}.{op}"
-                    ).record(self.sim.now - start)
+                on_done(ok, reply.size if ok and isinstance(reply, GetOk) else 0)
             else:
-                self.ops_failed += 1
-            if hid is not None:
-                self.history.complete(hid, ok, reply, self.sim.now)
-            if on_done is not None:
-                if raw_cb:
-                    on_done(ok, reply)
-                else:
-                    on_done(ok)
+                on_done(ok)
 
-        def attempt() -> None:
-            if attempts["left"] <= 0:
-                finish(False)
-                return
-            attempts["left"] -= 1
-            target = pick_target()
+    def attempt(self) -> None:
+        if self.attempts_left <= 0:
+            self._finish(False)
+            return
+        self.attempts_left -= 1
+        self.target = self._pick_target()
+        msg = self.msg
+        client = self.client
+        client.endpoint.request(
+            self.target, msg, msg.wire_bytes,
+            on_reply=self._on_reply, timeout=client.timeout,
+            retries=0, on_timeout=self._on_timeout,
+        )
 
-            def on_reply(reply) -> None:
-                mv = getattr(reply, "map_version", 0)
-                if mv > self.map_version:
-                    self.map_version = mv
-                if isinstance(reply, ok_type):
-                    if fixed_target is None and not rotate:
-                        self.leader_cache = target
-                    finish(True, reply)
-                elif isinstance(reply, NotFound):
-                    # Key absence is a successful read of "nothing".
-                    if fixed_target is None and not rotate:
-                        self.leader_cache = target
-                    finish(False, reply)
-                elif isinstance(reply, Redirect):
-                    note_retry("not_leader")
-                    if reply.leader_hint is not None:
-                        # A concrete hint is fresh information: retry it
-                        # promptly without growing the backoff window.
-                        self.leader_cache = reply.leader_hint
-                        self.sim.call_after(self._retry_delay(0), attempt)
-                    else:
-                        self.leader_cache = None
-                        attempts["retries"] += 1
-                        self.sim.call_after(
-                            self._retry_delay(attempts["retries"]), attempt
-                        )
-                elif isinstance(reply, Busy):
-                    note_retry("busy")
-                    # Load shed: the leader is alive but at capacity.
-                    # Keep the leader cache (it IS the leader) and wait
-                    # out the server's own estimate plus client-side
-                    # jitter so shed clients do not return in lockstep.
-                    self.busy_count += 1
-                    self.busy_wait_total += reply.retry_after
-                    self.busy_wait_max = max(
-                        self.busy_wait_max, reply.retry_after
-                    )
-                    self.metrics.histogram("client.busy.retry_after").record(
-                        reply.retry_after
-                    )
-                    if self.tenant:
-                        self.metrics.histogram(
-                            f"tenant.{self.tenant}.retry_after"
-                        ).record(reply.retry_after)
-                    attempts["retries"] += 1
-                    self.sim.call_after(
-                        reply.retry_after
-                        + self._retry_delay(attempts["retries"]),
-                        attempt,
-                    )
-                elif isinstance(reply, WrongShard):
-                    note_retry("wrong_shard")
-                    self.metrics.counter("client.wrong_shard").inc(1)
-                    # This replica's shard map lags one we have already
-                    # seen: its routing is stale. Back off briefly and
-                    # try elsewhere (rotating reads advance on their
-                    # own; leader-directed ops drop the cache so the
-                    # rotation finds a caught-up replica).
-                    if fixed_target is None and not rotate:
-                        self.leader_cache = None
-                    attempts["retries"] += 1
-                    self.sim.call_after(
-                        self._retry_delay(attempts["retries"]), attempt
-                    )
-                elif isinstance(reply, NotReady):
-                    note_retry("not_ready")
-                    # Leadership transition in progress: back off
-                    # exponentially so clients don't storm the new
-                    # leader in lockstep the moment it comes up.
-                    attempts["retries"] += 1
-                    self.sim.call_after(
-                        self._retry_delay(attempts["retries"]), attempt
-                    )
-                else:
-                    attempts["retries"] += 1
-                    self.sim.call_after(
-                        self._retry_delay(attempts["retries"]), attempt
-                    )
-
-            def on_timeout() -> None:
-                # Server may be down: drop the cache and rotate.
-                note_retry("timeout")
-                if fixed_target is None and not rotate:
-                    self.leader_cache = None
-                attempt()
-
-            self.endpoint.request(
-                target, msg, size,
-                on_reply=on_reply, timeout=self.timeout,
-                retries=0, on_timeout=on_timeout,
+    def _on_reply(self, reply) -> None:
+        client = self.client
+        mv = getattr(reply, "map_version", 0)
+        if mv > client.map_version:
+            client.map_version = mv
+        if isinstance(reply, self.ok_type):
+            if self.leader_directed:
+                client.leader_cache = self.target
+            self._finish(True, reply)
+        elif isinstance(reply, NotFound):
+            # Key absence is a successful read of "nothing".
+            if self.leader_directed:
+                client.leader_cache = self.target
+            self._finish(False, reply)
+        elif isinstance(reply, Redirect):
+            self._note_retry("not_leader")
+            if reply.leader_hint is not None:
+                # A concrete hint is fresh information: retry it
+                # promptly without growing the backoff window.
+                client.leader_cache = reply.leader_hint
+                client.sim.call_after(client._retry_delay(0), self.attempt)
+            else:
+                client.leader_cache = None
+                self._retry()
+        elif isinstance(reply, Busy):
+            self._note_retry("busy")
+            # Load shed: the leader is alive but at capacity. Keep the
+            # leader cache (it IS the leader) and wait out the server's
+            # own estimate plus client-side jitter so shed clients do
+            # not return in lockstep.
+            client.busy_count += 1
+            client.busy_wait_total += reply.retry_after
+            client.busy_wait_max = max(client.busy_wait_max, reply.retry_after)
+            client.metrics.histogram("client.busy.retry_after").record(
+                reply.retry_after
             )
+            if client.tenant:
+                client.metrics.histogram(
+                    f"tenant.{client.tenant}.retry_after"
+                ).record(reply.retry_after)
+            self._retry(reply.retry_after)
+        elif isinstance(reply, WrongShard):
+            self._note_retry("wrong_shard")
+            client.metrics.counter("client.wrong_shard").inc(1)
+            # This replica's shard map lags one we have already seen:
+            # its routing is stale. Back off briefly and try elsewhere
+            # (rotating reads advance on their own; leader-directed ops
+            # drop the cache so the rotation finds a caught-up replica).
+            if self.leader_directed:
+                client.leader_cache = None
+            self._retry()
+        else:
+            if isinstance(reply, NotReady):
+                # Leadership transition in progress: back off
+                # exponentially so clients don't storm the new leader in
+                # lockstep the moment it comes up.
+                self._note_retry("not_ready")
+            self._retry()
 
-        attempt()
+    def _on_timeout(self) -> None:
+        # Server may be down: drop the cache and rotate.
+        self._note_retry("timeout")
+        if self.leader_directed:
+            self.client.leader_cache = None
+        self.attempt()

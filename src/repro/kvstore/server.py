@@ -41,13 +41,14 @@ from ..storage import (
     WriteAheadLog,
 )
 from .batch import (
+    FRAME_OVERHEAD,
     BatchItem,
     BatchMeta,
     FrameError,
     FramedCommand,
     decode_frame,
     encode_frame,
-    frame_size,
+    entry_size,
 )
 from .messages import (
     KV_META,
@@ -103,6 +104,49 @@ class _BatchEntry:
         self.op_id = op_id
         self.finish = finish    # per-command success reply (after apply)
         self.respond = respond  # raw responder, for failure paths
+
+
+class _PendingBatch:
+    """A group's not-yet-proposed batch: the parked commands and the
+    byte size of the frame they would make, kept as a running sum so a
+    batch of n commands is sized in n steps, not n²/2."""
+
+    __slots__ = ("entries", "frame_bytes")
+
+    def __init__(self):
+        self.entries: list[_BatchEntry] = []
+        self.frame_bytes = FRAME_OVERHEAD
+
+    def add(self, entry: _BatchEntry) -> None:
+        self.entries.append(entry)
+        self.frame_bytes += entry_size(entry.key, entry.client, entry.size)
+
+
+class _AdmissionSlot:
+    """One occupied slot of the admission pipeline, and — called — the
+    ``respond`` the admitted request body replies through: the first
+    reply releases the slot, every reply is passed on."""
+
+    __slots__ = ("server", "respond", "epoch", "admitted_at", "released",
+                 "svc_divisor")
+
+    def __init__(self, server: "KVServer", respond):
+        self.server = server
+        self.respond = respond
+        self.epoch = server._admission_epoch
+        self.admitted_at = server.sim.now
+        self.released = False
+        # The EWMA estimates *per-command* service time. A batched
+        # command's admit->reply span covers the whole batch's instance,
+        # so _close_batch sets this divisor to the batch size — without
+        # it, shed clients would back off ~batch-size× too long.
+        self.svc_divisor = 1
+
+    def __call__(self, reply, nbytes: int = 0) -> None:
+        if not self.released:
+            self.released = True
+            self.server._release_slot(self)
+        self.respond(reply, nbytes)
 
 
 class KVServer:
@@ -334,7 +378,7 @@ class KVServer:
         self.batch_max_commands = max(1, batch_max_commands)
         self.batch_max_bytes = batch_max_bytes
         self.batch_linger = batch_linger
-        self._pending_batch: dict[int, list] = {}
+        self._pending_batch: dict[int, _PendingBatch] = {}
         self._batch_timers: dict[int, object] = {}
         self.batches_proposed = 0
 
@@ -1280,35 +1324,20 @@ class KVServer:
         leaks no slot: the flush bumps the epoch and resets the count,
         and a late release under an old epoch is a no-op."""
         self._open_proposals += 1
-        epoch = self._admission_epoch
-        admitted_at = self.sim.now
-        state = {"released": False}
-        # The EWMA estimates *per-command* service time. A batched
-        # command's admit->reply span covers the whole batch's instance,
-        # so _close_batch sets this divisor to the batch size — without
-        # it, shed clients would back off ~batch-size× too long.
-        divisor = [1]
+        start(_AdmissionSlot(self, respond))
 
-        def release() -> None:
-            if state["released"]:
-                return
-            state["released"] = True
-            if epoch != self._admission_epoch:
-                return  # flushed since; counters already reset
-            self._open_proposals -= 1
-            svc = (self.sim.now - admitted_at) / max(1, divisor[0])
-            if self._svc_ewma == 0.0:
-                self._svc_ewma = svc
-            else:
-                self._svc_ewma += 0.2 * (svc - self._svc_ewma)
-            self._pump_admissions()
-
-        def respond_release(reply, nbytes: int = 0) -> None:
-            release()
-            respond(reply, nbytes)
-
-        respond_release.svc_divisor = divisor
-        start(respond_release)
+    def _release_slot(self, slot: _AdmissionSlot) -> None:
+        """Free ``slot`` (its first reply just fired) and feed its
+        admit->reply span to the per-command service-time EWMA."""
+        if slot.epoch != self._admission_epoch:
+            return  # flushed since; counters already reset
+        self._open_proposals -= 1
+        svc = (self.sim.now - slot.admitted_at) / max(1, slot.svc_divisor)
+        if self._svc_ewma == 0.0:
+            self._svc_ewma = svc
+        else:
+            self._svc_ewma += 0.2 * (svc - self._svc_ewma)
+        self._pump_admissions()
 
     def _pump_admissions(self) -> None:
         """Drain the per-tenant queues into free pipeline slots by
@@ -1416,8 +1445,8 @@ class KVServer:
         pending, self._pending_batch = self._pending_batch, {}
         if not self.up:
             return
-        for entries in pending.values():
-            self._fail_batch(entries)
+        for batch in pending.values():
+            self._fail_batch(batch.entries)
 
     # -- leader-side command batching ----------------------------------
 
@@ -1426,11 +1455,13 @@ class KVServer:
         the batch when full (count or framed bytes), else (re)arm the
         linger timer. linger=0 still coalesces commands arriving at the
         same sim instant: the close runs as a zero-delay event."""
-        pending = self._pending_batch.setdefault(group, [])
-        pending.append(entry)
+        pending = self._pending_batch.get(group)
+        if pending is None:
+            pending = self._pending_batch[group] = _PendingBatch()
+        pending.add(entry)
         if (
-            len(pending) >= self.batch_max_commands
-            or self._pending_frame_bytes(pending) >= self.batch_max_bytes
+            len(pending.entries) >= self.batch_max_commands
+            or pending.frame_bytes >= self.batch_max_bytes
         ):
             self._close_batch(group)
         elif group not in self._batch_timers:
@@ -1438,12 +1469,6 @@ class KVServer:
                 max(0.0, self.batch_linger),
                 lambda: self._close_batch(group),
             )
-
-    def _pending_frame_bytes(self, pending: list) -> int:
-        return frame_size(
-            BatchItem(e.op, e.key, e.size, e.client, e.op_id)
-            for e in pending
-        )
 
     def _close_batch(self, group: int) -> None:
         """Seal ``group``'s pending batch into one Paxos value and
@@ -1453,9 +1478,10 @@ class KVServer:
         timer = self._batch_timers.pop(group, None)
         if timer is not None:
             timer.cancel()
-        entries = self._pending_batch.pop(group, None)
-        if not entries or not self.up:
+        pending = self._pending_batch.pop(group, None)
+        if pending is None or not self.up:
             return
+        entries = pending.entries
         node = self.groups[group]
         if not self.is_leader_server or self._view_changing:
             self._fail_batch(entries)
@@ -1465,9 +1491,8 @@ class KVServer:
         # own admission slot until its own reply fires, but its EWMA
         # contribution is the batch service time split across the batch.
         for e in entries:
-            holder = getattr(e.respond, "svc_divisor", None)
-            if holder is not None:
-                holder[0] = n
+            if isinstance(e.respond, _AdmissionSlot):
+                e.respond.svc_divisor = n
         items = tuple(
             BatchItem(e.op, e.key, e.size, e.client, e.op_id)
             for e in entries
@@ -1483,7 +1508,7 @@ class KVServer:
             size = len(payload)
         else:
             payload = None
-            size = frame_size(items)
+            size = pending.frame_bytes
         value = Value(
             fresh_value_id(self.node_id), size, payload,
             meta=Command("batch", "", arg=BatchMeta(items),

@@ -84,6 +84,8 @@ class PeerStats:
 
 @dataclass(slots=True)
 class _PendingRequest:
+    endpoint: "RpcEndpoint"
+    req_id: int
     dst: str
     body: Any
     size: int
@@ -98,6 +100,13 @@ class _PendingRequest:
     first_tx: float = 0.0
     last_tx: float = 0.0
     cur_timeout: float = 0.0
+
+    def on_timer(self) -> None:
+        """The retransmit timer's callback: a bound method, so arming
+        the timer allocates no closure. ``timer`` points back here only
+        until the event fires or is cancelled (either drops the
+        callback), so no reference cycle outlives the request."""
+        self.endpoint._on_request_timer(self)
 
 
 class RpcEndpoint:
@@ -317,9 +326,11 @@ class RpcEndpoint:
 
         Retransmits every ``timeout`` seconds. ``retries=-1`` keeps
         retrying forever (the liveness assumption of §3.1); a
-        non-negative value bounds retransmissions, after which
-        ``on_timeout`` fires (or :class:`RequestTimeout` is raised into
-        the void if none was given).
+        non-negative value bounds retransmissions, after which the
+        request is retired — ``requests_timed_out`` is counted, a reply
+        arriving later is dropped as stale — and ``on_timeout`` fires
+        if one was given. Without an ``on_timeout`` the caller is never
+        told: nothing is raised.
 
         With ``adaptive=True`` the per-transmit timeout is derived from
         the destination's RTT estimator instead (``timeout`` remains the
@@ -330,13 +341,13 @@ class RpcEndpoint:
         """
         req_id = next(self._request_ids)
         pending = _PendingRequest(
-            dst=dst, body=body, size=size, on_reply=on_reply,
-            on_timeout=on_timeout, timeout=timeout, retries_left=retries,
-            adaptive=adaptive,
+            endpoint=self, req_id=req_id, dst=dst, body=body, size=size,
+            on_reply=on_reply, on_timeout=on_timeout, timeout=timeout,
+            retries_left=retries, adaptive=adaptive,
         )
         self._pending[req_id] = pending
         self.requests_sent += 1
-        self._transmit(req_id, pending)
+        self._transmit(pending)
         return req_id
 
     def cancel_request(self, req_id: int) -> None:
@@ -346,7 +357,7 @@ class RpcEndpoint:
             if pending.timer is not None:
                 pending.timer.cancel()
 
-    def _transmit(self, req_id: int, pending: _PendingRequest) -> None:
+    def _transmit(self, pending: _PendingRequest) -> None:
         if pending.done:
             return
         if pending.transmits == 0:
@@ -357,20 +368,20 @@ class RpcEndpoint:
             )
         pending.transmits += 1
         pending.last_tx = self.sim.now
-        self.net.send(self.name, pending.dst, Request(req_id, pending.body), pending.size)
+        self.net.send(self.name, pending.dst,
+                      Request(pending.req_id, pending.body), pending.size)
         pending.timer = self.sim.call_after(
-            pending.cur_timeout, lambda: self._on_request_timer(req_id)
+            pending.cur_timeout, pending.on_timer
         )
 
-    def _on_request_timer(self, req_id: int) -> None:
-        pending = self._pending.get(req_id)
-        if pending is None or pending.done:
+    def _on_request_timer(self, pending: _PendingRequest) -> None:
+        if pending.done:  # set by every path that retires a request
             return
         if pending.retries_left == 0:
             # Finalize *before* the continuation runs: a reply that
             # arrives from here on finds no pending entry and is
             # dropped, never dispatched to the dead continuation.
-            self._pending.pop(req_id, None)
+            self._pending.pop(pending.req_id, None)
             pending.done = True
             pending.timer = None
             self.requests_timed_out += 1
@@ -384,7 +395,7 @@ class RpcEndpoint:
             # a congested or gray-failed peer gets geometrically less
             # retransmit pressure, not a fixed-rate hammering.
             pending.cur_timeout = min(self.rto_ceil, pending.cur_timeout * 2)
-        self._transmit(req_id, pending)
+        self._transmit(pending)
 
     # -- dispatch -----------------------------------------------------------
 

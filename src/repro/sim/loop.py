@@ -28,25 +28,42 @@ class Event:
     both the third slot and what the scheduling calls return.
     """
 
-    __slots__ = ("time", "callback", "cancelled")
+    __slots__ = ("time", "callback", "cancelled", "_sim")
 
-    def __init__(self, time: float, callback: Callable[[], None]):
+    def __init__(
+        self, time: float, callback: Callable[[], None], sim: "Simulator"
+    ):
         #: Simulated time at which the callback fires.
         self.time = time
+        # None once the event has fired or been cancelled — i.e. exactly
+        # when it is no live heap entry — so a handle kept past that
+        # point pins nothing the callback captured.
         self.callback = callback
         self.cancelled = False
+        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent).
 
-        Cancellation is O(1): the heap entry is tombstoned and skipped
-        when popped.
+        Amortised O(1): the heap entry becomes a tombstone, and the
+        simulator sweeps tombstones out once they outnumber the live
+        entries. Cancelling an event that already fired changes nothing
+        but the ``cancelled`` flag.
         """
         self.cancelled = True
+        if self.callback is not None:
+            self.callback = None
+            self._sim._note_cancelled()
 
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (e.g. scheduling in the past)."""
+
+
+#: Tombstones are swept only once there are more than this many (and
+#: they outnumber the live entries): below it a sweep costs more than
+#: the dead entries do.
+_COMPACT_MIN_DEAD = 64
 
 
 class Simulator:
@@ -63,6 +80,7 @@ class Simulator:
         self._now = 0.0
         self._seq = 0
         self._heap: list[tuple[float, int, Event]] = []
+        self._dead = 0  # cancelled entries still in the heap
         self._running = False
         self.seed = seed
         # Lazily-built named RNG substreams (see repro.sim.rng).
@@ -86,7 +104,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={when} < now={self._now}"
             )
-        ev = Event(when, callback)
+        ev = Event(when, callback, self)
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._heap, (when, seq, ev))
@@ -135,28 +153,55 @@ class Simulator:
         fired = 0
         try:
             while heap:
+                when, _, ev = heap[0]
+                callback = ev.callback
+                if callback is None:  # tombstone
+                    heappop(heap)
+                    self._dead -= 1
+                    continue
+                # Checked against a live entry only: whether tombstones
+                # happen to remain must not decide if the clock advances.
                 if fired == max_events:  # never true for None
                     return fired
-                when, _, ev = heap[0]
-                if ev.cancelled:
-                    heappop(heap)
-                    continue
                 if when > horizon:
                     break
                 heappop(heap)
+                ev.callback = None  # fired: a late cancel() is no tombstone
                 self._now = when
                 fired += 1
-                ev.callback()
+                callback()
             if until is not None and self._now < until:
                 self._now = until
             return fired
         finally:
             self.events_processed += fired
             self._running = False
+            # Firing shrinks the live count without a cancel() to notice.
+            self._maybe_compact()
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
+        return len(self._heap) - self._dead
+
+    # -- cancellation ---------------------------------------------------
+
+    def _note_cancelled(self) -> None:
+        """A queued event was just cancelled (called by the event)."""
+        self._dead += 1
+        self._maybe_compact()
+
+    def _maybe_compact(self) -> None:
+        """Sweep the tombstones out once they are both numerous and the
+        majority of the heap — each sweep is O(heap) and removes more
+        than half of it, so the cost is O(1) per cancel, amortised.
+        ``(when, seq)`` keys are unique and untouched, so the order in
+        which the survivors pop cannot change. In place: the run loop
+        holds this list."""
+        heap = self._heap
+        if self._dead > _COMPACT_MIN_DEAD and self._dead * 2 > len(heap):
+            heap[:] = [e for e in heap if e[2].callback is not None]
+            heapq.heapify(heap)
+            self._dead = 0
 
     # -- misc -----------------------------------------------------------
 

@@ -11,7 +11,7 @@ never what they mean.
 from __future__ import annotations
 
 from repro.core import classic_paxos, rs_paxos
-from repro.kvstore import build_cluster
+from repro.kvstore import BatchItem, build_cluster, frame_size
 from repro.net import LinkSpec
 
 
@@ -197,6 +197,38 @@ def test_batch_close_by_bytes():
     # 1024 B values against a 2 KiB frame cap: no batch holds all 4.
     assert len(hist) >= 2
     assert hist.samples.max() < 4
+
+
+def test_batch_closes_on_bytes_where_frame_size_says():
+    """The leader sizes its pending batch with a running sum; the
+    definition of a frame's size is ``frame_size``. They must agree on
+    the command at which the byte cap is reached — keys of different
+    (and multi-byte) lengths, puts and deletes mixed — and on the size
+    of the value proposed."""
+    cap = 1500
+    c = make(32, clients=1, groups=1, batch_max_bytes=cap,
+             link=LinkSpec(delay_s=0.0001, jitter_s=0.0))
+    cl = c.clients[0]
+    # Pipelined from one client over a jitter-free link: frame order is
+    # issue order, and op ids count up from the client's first.
+    script = [("put", "k" * (1 + i % 5) + "é" * (i % 3), 90 + 37 * (i % 4))
+              if i % 4 else ("delete", f"gone-{i}", 0) for i in range(20)]
+    items = [BatchItem(op, key, size, cl.name, i + 1)
+             for i, (op, key, size) in enumerate(script)]
+    want = next(n for n in range(1, len(items) + 1)
+                if frame_size(items[:n]) >= cap)
+    assert 2 < want < len(items) - 2  # closes on bytes, not on count
+    acks: list[bool] = []
+    for op, key, size in script:
+        if op == "put":
+            cl.put(key, size, on_done=acks.append)
+        else:
+            cl.delete(key, on_done=acks.append)
+    c.run(until=c.sim.now + 1.0)
+    assert acks == [True] * len(script)
+    assert c.metrics.histograms["batch.commands"].samples[0] == want
+    assert (c.metrics.histograms["batch.bytes"].samples[0]
+            == frame_size(items[:want]))
 
 
 # -- admission budget -----------------------------------------------------

@@ -14,9 +14,9 @@ from repro.sim import Simulator, Tracer
 from repro.workload import ClosedLoopDriver, small_write
 
 
-def run_cluster(seed, **kw):
-    c = build_cluster(rs_paxos(5, 1), seed=seed, num_clients=4, num_groups=2,
-                      **kw)
+def run_cluster(seed, num_clients=4, **kw):
+    c = build_cluster(rs_paxos(5, 1), seed=seed, num_clients=num_clients,
+                      num_groups=2, **kw)
     c.start()
     c.run(until=1.0)
     drivers = [

@@ -98,6 +98,16 @@ class TestGoldenRuns:
         got = run_cluster(17, batch_max_commands=4, batch_linger=0.0005)
         assert digest(got) == "bebd3603cde358c6c39abe68"
 
+    def test_deeply_batched_cluster_run(self):
+        """64 closed-loop clients in batches of 32: thousands of RPC
+        timers armed and cancelled, so the event heap is compacted many
+        times over. Digest computed on the commit before compaction
+        (PR 14) existed."""
+        got = run_cluster(17, num_clients=64, batch_max_commands=32,
+                          batch_linger=0.0005)
+        assert got[1] > 5000                          # writes committed
+        assert digest(got) == "f3c4207a0cca9647811cf52e"
+
     def test_lossy_duplicating_jittered_network(self):
         seen = lossy_duplex_deliveries(5)
         assert any(s[5] for s in seen[:-1])           # duplicates happened

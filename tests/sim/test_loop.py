@@ -162,6 +162,87 @@ class TestCancellation:
         assert fired == []
 
 
+class TestDeadEntryAccounting:
+    """``pending()`` is ``len(heap) - dead``: the dead count must be
+    exactly the number of cancelled entries still in the heap, whatever
+    order cancels, firings and sweeps come in."""
+
+    @staticmethod
+    def exact(sim) -> bool:
+        dead = sum(1 for _, _, ev in sim._heap if ev.cancelled)
+        return sim._dead == dead and sim.pending() == len(sim._heap) - dead
+
+    def test_cancel_twice_counts_once(self):
+        sim = Simulator()
+        sim.call_at(1.0, lambda: None)
+        ev = sim.call_at(2.0, lambda: None)
+        ev.cancel()
+        ev.cancel()
+        assert (sim._dead, sim.pending()) == (1, 1)
+        sim.run()
+        assert (sim._dead, sim.pending(), len(sim._heap)) == (0, 0, 0)
+
+    def test_cancel_after_fire_is_not_a_dead_entry(self):
+        sim = Simulator()
+        ev = sim.call_at(1.0, lambda: None)
+        sim.call_at(2.0, lambda: None)
+        sim.run(until=1.5)
+        ev.cancel()
+        assert ev.cancelled
+        assert (sim._dead, sim.pending(), len(sim._heap)) == (0, 1, 1)
+
+    def test_cancel_from_inside_own_callback(self):
+        sim = Simulator()
+        handle = []
+        handle.append(sim.call_at(1.0, lambda: handle[0].cancel()))
+        sim.call_at(2.0, lambda: None)
+        sim.step()
+        assert (sim._dead, sim.pending()) == (0, 1)
+
+    def test_cancel_of_event_a_sweep_already_dropped(self):
+        sim = Simulator()
+        for _ in range(10):
+            sim.call_at(1.0, lambda: None)
+        timers = [sim.call_at(5.0, lambda: None) for _ in range(200)]
+        for ev in timers:
+            ev.cancel()
+            assert self.exact(sim)
+        # Tombstones became the majority long ago: swept, not parked.
+        assert len(sim._heap) < 100
+        for ev in timers:
+            ev.cancel()  # its heap entry is gone: must not count again
+            assert self.exact(sim)
+        assert sim.pending() == 10
+
+    def test_sweep_keeps_firing_order(self):
+        sim = Simulator()
+        order = []
+        live = [sim.call_at(1.0 + (i * 7 % 10), lambda i=i: order.append(i))
+                for i in range(50)]
+        for ev in [sim.call_at(0.5, lambda: None) for _ in range(300)]:
+            ev.cancel()
+        assert sim.pending() == 50
+        sim.run()
+        assert order == sorted(range(50), key=lambda i: (live[i].time, i))
+
+    def test_sweep_from_inside_the_run_loop(self):
+        # The run loop holds the heap list: a sweep must edit it in place.
+        sim = Simulator()
+        fired = []
+        timers = [sim.call_at(9.0, lambda: fired.append("t")) for _ in range(300)]
+
+        def cancel_all():
+            for ev in timers:
+                ev.cancel()
+            sim.call_after(1.0, lambda: fired.append("later"))
+
+        sim.call_at(1.0, cancel_all)
+        sim.call_at(3.0, lambda: fired.append("end"))
+        sim.run()
+        assert fired == ["later", "end"]
+        assert (sim._dead, sim.pending(), len(sim._heap)) == (0, 0, 0)
+
+
 class TestEventsScheduledDuringRun:
     def test_chained_events(self):
         sim = Simulator()
