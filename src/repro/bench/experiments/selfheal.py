@@ -33,7 +33,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import replace
 
-from ...chaos import ChaosRunner, ChaosSpec, ScheduleSpec
+from ...chaos import EPISODE_SERVER, ChaosRunner, ChaosSpec, ScheduleSpec
 from ...check import HistoryRecorder, check_cluster, check_history
 from ...core import rs_paxos
 from ...kvstore import build_cluster
@@ -91,7 +91,7 @@ def _fully_redundant(cluster) -> bool:
     """Every server up, rebuilt, and converged on one full-size view."""
     views = set()
     for s in cluster.servers:
-        if not s.up or s._rebuild_pending:
+        if not s.up or s.rebuilding:
             return False
         views.add((s.view_epoch, tuple(sorted(s.member_ids))))
     if len(views) != 1:
@@ -220,8 +220,7 @@ def _benign_spec(fault_window: float) -> ChaosSpec:
             partition_mix_weights=(3.0, 3.0, 2.0),
         ),
         settle=6.0,
-        auto_reconfigure=True,
-        auto_heal=True,
+        server=replace(EPISODE_SERVER, auto_reconfigure=True, auto_heal=True),
     )
 
 

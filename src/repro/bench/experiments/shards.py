@@ -169,8 +169,8 @@ def run_safety(min_migrations: int = MIN_MIGRATIONS, max_seeds: int = 16):
     spec = dataclasses.replace(
         SHORT_SPEC,
         schedule=sched,
-        dynamic_shards=True,
-        rebalance_interval=0.5,
+        server=dataclasses.replace(
+            SHORT_SPEC.server, dynamic_shards=True, rebalance_interval=0.5),
     )
     runner = ChaosRunner(spec=spec, bundle_dir=None)
     episodes = []

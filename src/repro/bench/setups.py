@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..core import LeaseConfig, classic_paxos, rs_paxos
+from ..core import classic_paxos, rs_paxos
 from ..kvstore import Cluster, build_cluster
 from ..net import LAN, WAN, LinkSpec
 from ..storage import DiskSpec, HDD, SSD
@@ -70,12 +70,12 @@ def make_cluster(
     setup: Setup,
     client_timeout: float = 60.0,
     rpc_timeout: float | None = None,
-    lease_config: LeaseConfig | None = None,
-    group_commit_window: float = 0.002,
     settle: float = 0.5,
     **kw,
 ) -> Cluster:
-    """Build and start a cluster for a setup.
+    """Build and start a cluster for a setup; ``kw`` goes to
+    :func:`build_cluster` (a ``server=ServerConfig(...)`` and/or single
+    server knobs).
 
     ``client_timeout`` defaults high: in saturation experiments queueing
     delay is real, and a spurious client timeout would re-issue (and
@@ -89,8 +89,6 @@ def make_cluster(
         link=setup.link_spec(),
         disk=setup.disk_spec(),
         seed=setup.seed,
-        lease_config=lease_config,
-        group_commit_window=group_commit_window,
         rpc_timeout=rpc_timeout
         if rpc_timeout is not None
         else (30.0 if setup.env == "lan" else 60.0),

@@ -27,16 +27,26 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..check import (
     HistoryRecorder, check_cluster, check_history, check_single_lease,
     read_availability,
 )
 from ..core import ConsistencyViolation, classic_paxos, rs_paxos
-from ..kvstore import build_cluster
+from ..kvstore import ServerConfig, build_cluster
 from ..net import LAN
 from .schedule import ChaosEvent, ScheduleSpec, arm_schedule, generate_schedule
+
+
+#: What a chaos episode changes of the server defaults: a scrub cadence
+#: small relative to the settle window, so rotten shares injected late
+#: in the fault window still get several repair attempts before the
+#: integrity probe; and a checkpoint + WAL-compaction cadence small
+#: relative to the fault window, so wiped servers rebuild from a real
+#: checkpoint (not an empty one) and the bounded-WAL probe exercises
+#: several compactions per episode.
+EPISODE_SERVER = ServerConfig(scrub_interval=0.75, checkpoint_interval=1.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,15 +61,6 @@ class ChaosSpec:
     think_time: float = 0.02
     client_timeout: float = 0.25
     client_max_attempts: int = 6
-    # Background scrub cadence on every server. Small relative to the
-    # settle window so rotten shares injected late in the fault window
-    # still get several repair attempts before the integrity probe.
-    scrub_interval: float = 0.75
-    # Checkpoint + WAL-compaction cadence. Small relative to the fault
-    # window so wiped servers rebuild from a real checkpoint (not an
-    # empty one) and the bounded-WAL probe exercises several
-    # compactions per episode.
-    checkpoint_interval: float = 1.0
     # Op mix (cumulative): write / fast read / consistent read /
     # follower read-index read / delete (the remainder). Follower reads
     # rotate across all replicas, so every episode exercises the
@@ -68,60 +69,27 @@ class ChaosSpec:
     p_fast_read: float = 0.25
     p_consistent_read: float = 0.15
     p_follower_read: float = 0.10
-    # Leader-side command batching. The default (1) is batching off —
-    # byte-for-byte the pre-batching pipeline.
-    batch_max_commands: int = 1
-    batch_linger: float = 0.001
     # Multi-tenant QoS: when non-empty, clients are tagged round-robin
-    # from this tuple and the leader runs per-tenant DRR admission with
-    # ``tenant_weights`` (missing tenants default to weight 1.0). The
-    # default () keeps every op untagged — byte-for-byte the
-    # single-queue pre-QoS episodes.
+    # from this tuple (the leader's DRR weights are
+    # ``server.tenant_weights``). The default () keeps every op
+    # untagged — byte-for-byte the single-queue pre-QoS episodes.
     tenants: tuple[str, ...] = ()
-    tenant_weights: tuple[tuple[str, float], ...] = ()
-    # Self-healing membership (accrual detector + repair controller).
-    # Off by default — byte-for-byte the fixed-membership episodes.
-    # ``auto_reconfigure`` lets leaders evict members the detector holds
-    # suspect past the grace; ``auto_heal`` additionally probes evicted
-    # slots and re-admits rebuilt spares (the provision-spare event).
-    auto_reconfigure: bool = False
-    auto_heal: bool = False
-    # Dynamic sharding (hot-shard split/merge PR). Off by default —
-    # byte-for-byte the static-hash-map episodes. When on, the cluster
-    # routes by a replicated versioned range map; ``shard_ranges``
-    # seeds the bootstrap boundaries (empty = one range owning
-    # everything), ``rebalance_interval`` > 0 arms the load-driven
-    # splitter/merger, and the schedule's ``shard_weights`` can inject
-    # split / merge / crash-mid-migration faults.
-    dynamic_shards: bool = False
+    # Bootstrap range boundaries under ``server.dynamic_shards`` (empty
+    # = one range owning everything).
     shard_ranges: tuple[str, ...] = ()
-    max_group_pipeline: int = 0
-    rebalance_interval: float = 0.0
+    # Server policy. Every optional subsystem (batching, self-healing
+    # membership, dynamic sharding) is off by default — byte-for-byte
+    # the plain episodes — except the two cadences in EPISODE_SERVER.
+    server: ServerConfig = EPISODE_SERVER
 
     @property
     def horizon(self) -> float:
         return self.schedule.end + self.settle
 
     def to_jsonable(self) -> dict:
-        return {
-            "schedule": {
-                "warmup": self.schedule.warmup,
-                "fault_window": self.schedule.fault_window,
-                "mean_gap": self.schedule.mean_gap,
-            },
-            "settle": self.settle,
-            "num_clients": self.num_clients,
-            "num_keys": self.num_keys,
-            "num_groups": self.num_groups,
-            "batch_max_commands": self.batch_max_commands,
-            "tenants": list(self.tenants),
-            "tenant_weights": dict(self.tenant_weights),
-            "auto_reconfigure": self.auto_reconfigure,
-            "auto_heal": self.auto_heal,
-            "dynamic_shards": self.dynamic_shards,
-            "shard_ranges": list(self.shard_ranges),
-            "rebalance_interval": self.rebalance_interval,
-        }
+        """Every field, nested specs included — complete by
+        construction, so a bundle records exactly the episode it ran."""
+        return json.loads(json.dumps(asdict(self)))  # tuples -> lists
 
 
 #: Fault kinds that take a host down / bring it back. Used to replay
@@ -340,18 +308,9 @@ class ChaosRunner:
             link=LAN,
             seed=seed,
             client_timeout=spec.client_timeout,
-            scrub_interval=spec.scrub_interval,
-            checkpoint_interval=spec.checkpoint_interval,
-            batch_max_commands=spec.batch_max_commands,
-            batch_linger=spec.batch_linger,
-            auto_reconfigure=spec.auto_reconfigure,
-            auto_heal=spec.auto_heal,
             client_tenants=tenants,
-            tenant_weights=dict(spec.tenant_weights) or None,
-            dynamic_shards=spec.dynamic_shards,
             shard_ranges=spec.shard_ranges or None,
-            max_group_pipeline=spec.max_group_pipeline,
-            rebalance_interval=spec.rebalance_interval,
+            server=spec.server,
             trace=trace,
         )
         sim = cluster.sim
@@ -725,9 +684,11 @@ class ChaosRunner:
                 "q_w": self.config.q_w, "x": self.config.x,
             },
             "spec": self.spec.to_jsonable(),
+            # Evaluable as written after ``from repro.chaos import *``:
+            # the spec is frozen dataclasses all the way down.
             "replay": (
-                f"ChaosRunner(protocol={self.protocol!r}).run_episode("
-                f"{result.seed})"
+                f"ChaosRunner(protocol={self.protocol!r}, "
+                f"spec={self.spec!r}).run_episode({result.seed})"
             ),
             **replay.to_jsonable(),
             "trace_tail": trace_tail,

@@ -238,7 +238,7 @@ def check_bounded_wal(servers) -> list[Violation]:
     """
     violations = []
     for srv in servers:
-        interval = getattr(srv, "checkpoint_interval", 0)
+        interval = srv.cfg.checkpoint_interval
         if not srv.up or interval <= 0:
             continue
         wal = srv.wal
@@ -295,18 +295,18 @@ def check_no_starvation(servers) -> list[Violation]:
     for srv in servers:
         if not srv.up:
             continue
-        for tenant, q in srv._admission_queues.items():
-            if q:
+        for tenant, depth in srv.admission.queue_depths().items():
+            if depth:
                 label = f"tenant {tenant!r}" if tenant else "untagged tenant"
                 violations.append(Violation(
                     "no-starvation",
-                    f"{srv.name} still holds {len(q)} queued admission(s) "
+                    f"{srv.name} still holds {depth} queued admission(s) "
                     f"for {label} at quiescence",
                 ))
-        if srv._open_proposals:
+        if srv.admission.in_flight:
             violations.append(Violation(
                 "no-starvation",
-                f"{srv.name} reports {srv._open_proposals} open "
+                f"{srv.name} reports {srv.admission.in_flight} open "
                 f"proposal slot(s) at quiescence",
             ))
     return violations
@@ -358,7 +358,7 @@ def check_view_convergence(servers) -> list[Violation]:
     settled = [
         srv for srv in servers
         if srv.up
-        and not getattr(srv, "_rebuild_pending", False)
+        and not srv.rebuilding
         and srv.node_id in srv.member_ids
     ]
     if not settled:

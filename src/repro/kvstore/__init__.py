@@ -6,6 +6,8 @@ Public API:
   deployment (§6.1 presets).
 - :class:`KVServer` — replica server: Paxos groups, local store, leader
   leases, fast/consistent/recovery reads, crash recovery, election.
+- :class:`ServerConfig` — every server tunable, validated and frozen.
+- :class:`Admission` — the DRR admission pipeline the server drives.
 - :class:`KVClient` — leader-caching client with redirect handling.
 - :class:`ShardMap` — key -> Paxos-group mapping (§4.2): static crc32
   hashing, or versioned key ranges under dynamic sharding (replicated
@@ -13,6 +15,7 @@ Public API:
 - message types in :mod:`repro.kvstore.messages`.
 """
 
+from .admission import Admission
 from .batch import (
     BatchItem,
     BatchMeta,
@@ -24,6 +27,7 @@ from .batch import (
 )
 from .client import KVClient
 from .cluster import Cluster, build_cluster
+from .config import ServerConfig
 from .messages import (
     Busy,
     CatchUp,
@@ -60,6 +64,7 @@ from .shard import ShardMap, encode_version, era_of, instance_of
 
 __all__ = [
     "AccrualFailureDetector",
+    "Admission",
     "BatchItem",
     "BatchMeta",
     "Busy",
@@ -90,6 +95,7 @@ __all__ = [
     "PutOk",
     "Redirect",
     "RepairController",
+    "ServerConfig",
     "ShardCmd",
     "ShardMap",
     "ShareReply",

@@ -8,9 +8,8 @@ given protocol configuration, link preset (LAN/WAN) and disk class
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from ..core import LeaseConfig
 from ..net import (
     FaultSchedule,
     LinkSpec,
@@ -22,6 +21,7 @@ from ..net import (
 from ..sim import MetricSet, NULL_TRACER, Simulator, Tracer
 from ..storage import DiskSpec, SSD
 from .client import KVClient
+from .config import ServerConfig
 from .server import KVServer
 from .shard import ShardMap
 
@@ -75,36 +75,12 @@ def build_cluster(
     link: LinkSpec | None = None,
     disk: DiskSpec = SSD,
     seed: int = 0,
-    lease_config: LeaseConfig | None = None,
-    group_commit_window: float = 0.002,
-    rpc_timeout: float = 0.25,
     client_timeout: float = 2.0,
-    client_max_backoff: float = 1.0,
-    codec_bw: float = 2e9,
-    initial_leader: int = 0,
-    auto_reconfigure: bool = False,
-    auto_heal: bool = False,
-    suspicion_threshold: float = 6.0,
-    evict_grace: float = 2.0,
-    scrub_interval: float = 0.0,
-    checkpoint_interval: float = 0.0,
-    admission_control: bool = True,
-    max_inflight_proposals: int = 32,
-    max_queued_requests: int = 128,
-    tenant_weights: dict[str, float] | None = None,
     client_tenants: list[str] | None = None,
-    hedge_fetches: bool = True,
-    rtt_select: bool = True,
-    batch_max_commands: int = 1,
-    batch_max_bytes: int = 256 * 1024,
-    batch_linger: float = 0.001,
-    dynamic_shards: bool = False,
     shard_ranges: tuple[str, ...] | list[str] | None = None,
-    max_group_pipeline: int = 0,
-    rebalance_interval: float = 0.0,
-    split_threshold: float = 2.0,
-    merge_threshold: float = 0.25,
     trace: bool = False,
+    server: ServerConfig | None = None,
+    **knobs,
 ) -> Cluster:
     """Wire up a complete cluster.
 
@@ -112,21 +88,22 @@ def build_cluster(
     server count unless overridden). Clock offsets are drawn
     deterministically within ±δ/2 to exercise the lease drift bound.
 
-    ``client_tenants`` assigns a QoS tenant tag to each client (same
-    order as the clients; shorter lists leave the rest untagged);
-    ``tenant_weights`` sets the leader's fair-queueing weights (any
-    tenant not listed gets weight 1).
+    Server policy is one :class:`ServerConfig`: pass it as ``server``,
+    and/or override single fields as keyword arguments
+    (``batch_max_commands=4``); an unknown knob is a ``TypeError``, an
+    illegal combination a ``ValueError``.
 
-    ``dynamic_shards`` switches from the static crc32 hash map to a
-    versioned *range* map replicated through a distinguished config
-    group: ``num_groups`` becomes the size of the data-group pool, and
-    the bootstrap map either gives group 0 the whole keyspace (the
-    default, spares await splits) or is cut at ``shard_ranges``
-    boundaries. ``rebalance_interval`` > 0 arms the leader's
-    load-driven splitter/merger; ``max_group_pipeline`` caps per-group
-    in-flight proposals (0 = uncapped) so a hot shard sheds (Busy)
-    instead of monopolizing the server.
+    ``client_tenants`` assigns a QoS tenant tag to each client (same
+    order as the clients; shorter lists leave the rest untagged).
+
+    Under ``dynamic_shards`` ``num_groups`` is the size of the
+    data-group pool, and the bootstrap map either gives group 0 the
+    whole keyspace (the default, spares await splits) or is cut at
+    ``shard_ranges`` boundaries.
     """
+    cfg = replace(server or ServerConfig(), **knobs)
+    if shard_ranges and not cfg.dynamic_shards:
+        raise ValueError("shard_ranges does nothing without dynamic_shards")
     n = num_servers or config.n
     if n != config.n:
         raise ValueError(f"server count {n} != protocol N={config.n}")
@@ -139,7 +116,7 @@ def build_cluster(
         tracer,
     )
     metrics = MetricSet()
-    if dynamic_shards:
+    if cfg.dynamic_shards:
         shard_map = (
             ShardMap.from_boundaries(num_groups, shard_ranges)
             if shard_ranges
@@ -147,43 +124,15 @@ def build_cluster(
         )
     else:
         shard_map = ShardMap(num_groups)
-    lease_cfg = lease_config or LeaseConfig()
+    max_drift = cfg.lease_config.max_drift
     peers = dict(enumerate(snames))
     drift_rng = sim.rng.stream("clock.drift")
     servers = [
         KVServer(
-            sim, net, name, i, peers, config,
+            sim, net, name, i, peers, config, cfg,
             disk_spec=disk, shard_map=shard_map,
-            lease_config=lease_cfg,
-            clock_offset=float(
-                drift_rng.uniform(-lease_cfg.max_drift / 2, lease_cfg.max_drift / 2)
-            ),
-            group_commit_window=group_commit_window,
-            rpc_timeout=rpc_timeout,
-            codec_bw=codec_bw,
-            initial_leader=initial_leader,
-            auto_reconfigure=auto_reconfigure,
-            auto_heal=auto_heal,
-            suspicion_threshold=suspicion_threshold,
-            evict_grace=evict_grace,
-            scrub_interval=scrub_interval,
-            checkpoint_interval=checkpoint_interval,
-            admission_control=admission_control,
-            max_inflight_proposals=max_inflight_proposals,
-            max_queued_requests=max_queued_requests,
-            tenant_weights=tenant_weights,
-            hedge_fetches=hedge_fetches,
-            rtt_select=rtt_select,
-            batch_max_commands=batch_max_commands,
-            batch_max_bytes=batch_max_bytes,
-            batch_linger=batch_linger,
-            dynamic_shards=dynamic_shards,
-            max_group_pipeline=max_group_pipeline,
-            rebalance_interval=rebalance_interval,
-            split_threshold=split_threshold,
-            merge_threshold=merge_threshold,
-            tracer=tracer,
-            metrics=metrics,
+            clock_offset=float(drift_rng.uniform(-max_drift / 2, max_drift / 2)),
+            tracer=tracer, metrics=metrics,
         )
         for i, name in enumerate(snames)
     ]
@@ -191,8 +140,7 @@ def build_cluster(
     tenants += [""] * (len(cnames) - len(tenants))
     clients = [
         KVClient(
-            sim, net, name, snames,
-            timeout=client_timeout, max_backoff=client_max_backoff,
+            sim, net, name, snames, timeout=client_timeout,
             metrics=metrics, tenant=tenants[i],
         )
         for i, name in enumerate(cnames)

@@ -13,7 +13,6 @@ One :class:`KVServer` per host. It owns:
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
 from ..core import (
@@ -21,7 +20,6 @@ from ..core import (
     ChosenRecord,
     CodedShare,
     Lease,
-    LeaseConfig,
     LocalClock,
     NULL_BALLOT,
     PaxosNode,
@@ -40,6 +38,7 @@ from ..storage import (
     WalView,
     WriteAheadLog,
 )
+from .admission import Admission, AdmissionSlot
 from .batch import (
     FRAME_OVERHEAD,
     BatchItem,
@@ -50,6 +49,7 @@ from .batch import (
     encode_frame,
     entry_size,
 )
+from .config import ServerConfig
 from .messages import (
     KV_META,
     Busy,
@@ -89,6 +89,14 @@ from .membership import AccrualFailureDetector, RepairController
 from .shard import ShardMap, encode_version, era_of, instance_of
 
 
+#: Load-driven rebalancer (``_rebalance``): split the hottest range
+#: into a spare group when its load EWMA exceeds SPLIT_THRESHOLD × the
+#: pool-mean load; merge the coldest into its neighbour when it falls
+#: below MERGE_THRESHOLD × the mean (and at least two ranges exist).
+SPLIT_THRESHOLD = 2.0
+MERGE_THRESHOLD = 0.25
+
+
 class _BatchEntry:
     """One admitted command parked in a leader's pending batch."""
 
@@ -122,33 +130,6 @@ class _PendingBatch:
         self.frame_bytes += entry_size(entry.key, entry.client, entry.size)
 
 
-class _AdmissionSlot:
-    """One occupied slot of the admission pipeline, and — called — the
-    ``respond`` the admitted request body replies through: the first
-    reply releases the slot, every reply is passed on."""
-
-    __slots__ = ("server", "respond", "epoch", "admitted_at", "released",
-                 "svc_divisor")
-
-    def __init__(self, server: "KVServer", respond):
-        self.server = server
-        self.respond = respond
-        self.epoch = server._admission_epoch
-        self.admitted_at = server.sim.now
-        self.released = False
-        # The EWMA estimates *per-command* service time. A batched
-        # command's admit->reply span covers the whole batch's instance,
-        # so _close_batch sets this divisor to the batch size — without
-        # it, shed clients would back off ~batch-size× too long.
-        self.svc_divisor = 1
-
-    def __call__(self, reply, nbytes: int = 0) -> None:
-        if not self.released:
-            self.released = True
-            self.server._release_slot(self)
-        self.respond(reply, nbytes)
-
-
 class KVServer:
     """One replica server hosting every shard's Paxos group."""
 
@@ -160,34 +141,10 @@ class KVServer:
         node_id: int,
         peers: dict[int, str],
         config,
+        cfg: ServerConfig,
         disk_spec: DiskSpec,
         shard_map: ShardMap,
-        lease_config: LeaseConfig | None = None,
         clock_offset: float = 0.0,
-        group_commit_window: float = 0.002,
-        rpc_timeout: float = 0.25,
-        codec_bw: float = 2e9,
-        initial_leader: int = 0,
-        auto_reconfigure: bool = False,
-        auto_heal: bool = False,
-        suspicion_threshold: float = 6.0,
-        evict_grace: float = 2.0,
-        scrub_interval: float = 0.0,
-        checkpoint_interval: float = 0.0,
-        admission_control: bool = True,
-        max_inflight_proposals: int = 32,
-        max_queued_requests: int = 128,
-        tenant_weights: dict[str, float] | None = None,
-        hedge_fetches: bool = True,
-        rtt_select: bool = True,
-        batch_max_commands: int = 1,
-        batch_max_bytes: int = 256 * 1024,
-        batch_linger: float = 0.001,
-        dynamic_shards: bool = False,
-        max_group_pipeline: int = 0,
-        rebalance_interval: float = 0.0,
-        split_threshold: float = 2.0,
-        merge_threshold: float = 0.25,
         tracer: Tracer = NULL_TRACER,
         metrics: MetricSet | None = None,
     ):
@@ -196,9 +153,9 @@ class KVServer:
         self.name = name
         self.node_id = node_id
         self.peers = dict(peers)
-        self.config = config
+        self.config = config  # the protocol's: N, quorums, coding
+        self.cfg = cfg        # this replica's policy, see config.py
         self.shard_map = shard_map
-        self.lease_config = lease_config or LeaseConfig()
         self.tracer = tracer
         self.metrics = metrics or MetricSet()
 
@@ -206,12 +163,12 @@ class KVServer:
         self.mux = ChannelMux(self.endpoint)
         self.disk = Disk(sim, disk_spec, f"{name}.disk")
         self.wal = WriteAheadLog(
-            sim, self.disk, group_commit_window=group_commit_window,
+            sim, self.disk, group_commit_window=cfg.group_commit_window,
             name=f"{name}.wal",
         )
         self.store = LocalStore(f"{name}.store")
         self.clock = LocalClock(sim, clock_offset)
-        self.lease = Lease(self.clock, self.lease_config)
+        self.lease = Lease(self.clock, cfg.lease_config)
 
         # Dynamic sharding: the full group pool (``shard_map.num_groups``
         # data groups, active or spare) plus one distinguished *config*
@@ -220,17 +177,16 @@ class KVServer:
         # install zips fixed-length group lists, so groups can never be
         # created on the fly. Static mode builds exactly the data
         # groups, byte-for-byte the original layout.
-        self.dynamic_shards = dynamic_shards
         self.cfg_group: int | None = (
-            shard_map.num_groups if dynamic_shards else None
+            shard_map.num_groups if cfg.dynamic_shards else None
         )
-        total_groups = shard_map.num_groups + (1 if dynamic_shards else 0)
+        total_groups = shard_map.num_groups + (1 if cfg.dynamic_shards else 0)
         self.groups: list[PaxosNode] = []
         for g in range(total_groups):
             node = PaxosNode(
                 sim, self.mux.channel(g), WalView(self.wal, g), config,
                 node_id=node_id, peers=peers,
-                rpc_timeout=rpc_timeout, codec_bw=codec_bw, tracer=tracer,
+                rpc_timeout=cfg.rpc_timeout, tracer=tracer,
             )
             node.on_apply = self._make_apply_hook(g)
             node.on_preempted = lambda ballot, g=g: self._on_preempted(g)
@@ -240,10 +196,13 @@ class KVServer:
 
         self.up = True
         self.is_leader_server = False
-        self.current_leader: int | None = initial_leader
+        # Node 0 elects itself at start(); a recovering server knows
+        # no leader until it hears one.
+        self.current_leader: int | None = 0
         self._electing = False
-        self._hb_timer = None
-        self._monitor_timer = None
+        # Pending background timers by job name (see _arm_background);
+        # crash() cancels whatever is in here.
+        self._timers: dict[str, object] = {}
         # Lease safety state (§4.3 done right under partitions):
         # followers only honor heartbeats at or above this ballot, and
         # the leader only treats its lease as renewed once a heartbeat
@@ -258,7 +217,6 @@ class KVServer:
         # (including itself) concur. Grants are stateless opinions, so
         # a one-way-deaf follower probing forever cannot depose a
         # healthy leader. ``_pre_vote_state`` is (round_id, grants).
-        self.rpc_timeout = rpc_timeout
         self._pre_vote_round = 0
         self._pre_vote_state: tuple[int, set[int]] | None = None
         # Check-quorum: a leader whose lease stays expired past this
@@ -266,7 +224,7 @@ class KVServer:
         # of limping on — the cluster's other side may already be
         # electing, and a deaf leader serving stale lease reads is the
         # failure mode the lease math exists to prevent.
-        self.check_quorum_grace = 2 * self.lease_config.heartbeat_interval
+        self.check_quorum_grace = 2 * cfg.lease_config.heartbeat_interval
         self._lease_lost_since: float | None = None
         # Election-churn accounting (cumulative across crashes, like
         # requests_shed): real ballot-bump elections started here, wins
@@ -313,57 +271,23 @@ class KVServer:
         self.read_index_served = 0
         self.degraded_reads = 0
 
-        # Admission control (overload protection + tenant isolation):
-        # the leader bounds its proposal pipeline. Up to
-        # ``max_inflight_proposals`` client mutations may have a Paxos
-        # instance in flight; waiting requests sit in *per-tenant*
-        # queues (each bounded by ``max_queued_requests``) drained by
-        # weighted deficit-round-robin, so one flooding tenant fills
-        # only its own queue and its own weight share of the pipeline;
-        # anything beyond a tenant's queue bound is shed with an
-        # explicit Busy(retry_after) instead of silently queueing into
-        # collapse. ``_admission_epoch`` fences stale release callbacks
-        # across crash/step-down flushes, and ``_svc_ewma`` (smoothed
-        # admit->reply service time) feeds the per-tenant retry_after
-        # estimate handed to shed clients. The untagged tenant ("") has
-        # weight 1 like any other, so single-tenant behaviour is the
-        # old FIFO pipeline exactly.
-        self.admission_control = admission_control
-        self.max_inflight_proposals = max_inflight_proposals
-        self.max_queued_requests = max_queued_requests
-        self.tenant_weights: dict[str, float] = dict(tenant_weights or {})
-        for t, w in self.tenant_weights.items():
-            if w <= 0:
-                raise ValueError(f"tenant weight must be > 0: {t!r}={w}")
-        self._open_proposals = 0
-        self._admission_queues: dict[str, deque] = {}
-        self._drr_order: list[str] = []
-        self._drr_deficit: dict[str, float] = {}
-        self._drr_cursor = 0
-        self._drr_fresh = True
-        self._pumping = False
-        self._admission_epoch = 0
-        self._svc_ewma = 0.0
-        self.requests_shed = 0
-        self.requests_shed_by_tenant: dict[str, int] = {}
+        # Admission control: policy and state live in the Admission
+        # component; the server drives it (admit / release via the slot
+        # / flush / retry_after). ``max_inflight_proposals`` bounds
+        # Paxos *instances*; each carries up to ``batch_max_commands``
+        # commands, so the command-level budget is their product.
+        self.admission = Admission(
+            sim, cfg.max_inflight_proposals * cfg.batch_max_commands,
+            cfg.max_queued_requests, dict(cfg.tenant_weights),
+        )
 
-        # Hedged share/snapshot fetches (gray-failure tolerance): a
-        # recovery read needs only X of N-1 peers, so fetches go to the
-        # X currently-fastest peers (by the RTT estimator) and a hedge
-        # is sent to the next-fastest when the primary fanout overruns
-        # its expected completion time — one slow-but-alive peer no
-        # longer gates the read tail.
-        self.hedge_fetches = hedge_fetches
+        # Share/snapshot fetch state. Hedging (``cfg.hedge_fetches``) is
+        # described at _gather_shares, source ranking by RTT estimate ×
+        # outstanding fetches (``cfg.rtt_select``) at _peers_by_latency:
+        # ``_fetch_load`` counts fetches in flight per peer,
+        # ``_select_rng`` is the baseline's seeded-random order.
         self.hedges_issued = 0
         self.hedge_wins = 0
-        # Repair-optimal share selection: every share/catch-up fetch
-        # picks its source peers by Jacobson RTT estimate *plus* the
-        # number of fetches this server already has outstanding toward
-        # the peer (an in-flight fetch is queueing delay the estimator
-        # has not seen yet). ``rtt_select=False`` is the measured
-        # baseline for the readpath gate: sources drawn in seeded
-        # random order instead.
-        self.rtt_select = rtt_select
         self._fetch_load: dict[str, int] = {}
         self._select_rng = sim.rng.stream(f"{name}.select")
 
@@ -373,11 +297,8 @@ class KVServer:
         # clock — whichever fires first. One closed batch becomes ONE
         # Paxos value (one RS encode, one WAL append, one Accept round);
         # the apply path unpacks it and releases each parked client reply
-        # individually. batch_max_commands <= 1 takes the original
+        # individually. batch_max_commands == 1 takes the original
         # single-command path untouched (bit-for-bit determinism).
-        self.batch_max_commands = max(1, batch_max_commands)
-        self.batch_max_bytes = batch_max_bytes
-        self.batch_linger = batch_linger
         self._pending_batch: dict[int, _PendingBatch] = {}
         self._batch_timers: dict[int, object] = {}
         self.batches_proposed = 0
@@ -386,8 +307,6 @@ class KVServer:
         # pass re-verifies WAL record checksums and repairs corrupt
         # coded shares from peers via the RS decoder. ``_scrubbing``
         # holds the (group, instance) pairs with a repair in flight.
-        self.scrub_interval = scrub_interval
-        self._scrub_timer = None
         self._scrubbing: set[tuple[int, int]] = set()
 
         # Checkpointing + WAL compaction (disabled when
@@ -397,9 +316,7 @@ class KVServer:
         # apply cursor the latest checkpoint captured for group ``g`` —
         # instances below it can no longer be served entry-by-entry
         # (CatchUp); a peer that far behind gets snapshot transfer.
-        self.checkpoint_interval = checkpoint_interval
         self.checkpoint_store = CheckpointStore(sim, self.disk, f"{name}.ckpt")
-        self._ckpt_timer = None
         self._ckpt_inflight = False
         self.last_checkpoint_at: float | None = None
         self.compact_floor: list[int] = [0] * len(self.groups)
@@ -413,7 +330,6 @@ class KVServer:
         self._wiped = False
         self._rebuild_pending: set[int] = set()
         self._snap_inflight: dict[int, str] = {}
-        self._rebuild_timer = None
 
         # Dynamic sharding: leader-resident rebalancer + migration
         # driver. ``max_group_pipeline`` caps how many proposals one
@@ -427,11 +343,6 @@ class KVServer:
         # is the map version a local copy driver is running for (None =
         # idle); the authoritative in-flight marker lives in the
         # replicated map itself, so a new leader resumes from it.
-        self.max_group_pipeline = max_group_pipeline
-        self.rebalance_interval = rebalance_interval
-        self.split_threshold = split_threshold
-        self.merge_threshold = merge_threshold
-        self._rebalance_timer = None
         self._group_load: list[float] = [0.0] * len(self.groups)
         self._load_ewma: list[float] = [0.0] * len(self.groups)
         self._key_freq: dict[str, int] = {}
@@ -453,8 +364,6 @@ class KVServer:
         # via reconfigure_add, restoring full redundancy.
         self.view_epoch = 0
         self.member_ids: set[int] = set(peers)
-        self.auto_reconfigure = auto_reconfigure
-        self.auto_heal = auto_heal
         self._view_changing = False
         self._last_ack: dict[int, float] = {}
         self.view_changes_completed = 0
@@ -462,16 +371,14 @@ class KVServer:
         self._last_pre_vote_seen: float | None = None
         self._last_view_sync = float("-inf")
         self.detector = AccrualFailureDetector(
-            threshold=suspicion_threshold,
-            heartbeat_interval=self.lease_config.heartbeat_interval,
+            heartbeat_interval=cfg.lease_config.heartbeat_interval,
         )
         self.repair = RepairController(
             node_id,
             self.detector,
             f=config.f,
-            evict_grace=evict_grace,
-            auto_evict=auto_reconfigure,
-            auto_heal=auto_heal,
+            auto_evict=cfg.auto_reconfigure,
+            auto_heal=cfg.auto_heal,
             evict=self.reconfigure_remove,
             restore=self.reconfigure_add,
             probe=self._probe_spare,
@@ -494,20 +401,32 @@ class KVServer:
         self.endpoint.on(InstallShare, self._on_install_share)
         self.endpoint.on_request_async(ProbeSpare, self._on_probe_spare)
 
+    # Read-only views for gates, reports and invariant probes.
+
+    @property
+    def requests_shed(self) -> int:
+        return self.admission.shed
+
+    @property
+    def requests_shed_by_tenant(self) -> dict[str, int]:
+        return self.admission.shed_by_tenant
+
+    @property
+    def rebuilding(self) -> bool:
+        """Wiped and not yet rebuilt: an observer in at least one group."""
+        return bool(self._rebuild_pending)
+
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Arm lease machinery; the configured initial leader elects
+        """Arm lease machinery and background jobs; node 0 elects
         itself immediately."""
         self.lease.renew()  # startup grace period
         if self.current_leader == self.node_id:
             self._start_election()
-        self._arm_monitor()
-        self._arm_scrubber()
-        self._arm_checkpointer()
-        self._arm_rebalancer()
+        self._arm_background()
 
     def crash(self) -> None:
         """Fail-stop: volatile state gone, host unreachable."""
@@ -542,24 +461,9 @@ class KVServer:
         # NOTE: _rebuild_pending deliberately survives a crash — a node
         # that crashed mid-rebuild is still amnesiac and must come back
         # as an observer until its rebuild completes.
-        if self._hb_timer is not None:
-            self._hb_timer.cancel()
-            self._hb_timer = None
-        if self._monitor_timer is not None:
-            self._monitor_timer.cancel()
-            self._monitor_timer = None
-        if self._scrub_timer is not None:
-            self._scrub_timer.cancel()
-            self._scrub_timer = None
-        if self._ckpt_timer is not None:
-            self._ckpt_timer.cancel()
-            self._ckpt_timer = None
-        if self._rebuild_timer is not None:
-            self._rebuild_timer.cancel()
-            self._rebuild_timer = None
-        if self._rebalance_timer is not None:
-            self._rebalance_timer.cancel()
-            self._rebalance_timer = None
+        for timer in self._timers.values():
+            timer.cancel()
+        self._timers.clear()
         # NOTE: ``shard_map`` survives a crash on purpose — applied map
         # versions were chosen by a quorum, so the in-memory map is
         # correct cluster state even if the local WAL tail was lost;
@@ -620,27 +524,50 @@ class KVServer:
         self.current_leader = None
         self.lease.invalidate()
         self.lease.renew()  # grace period before trying to elect
-        self._arm_monitor()
-        self._arm_scrubber()
-        self._arm_checkpointer()
-        self._arm_rebalancer()
+        self._arm_background()
         if self._rebuild_pending:
-            self._rebuild_timer = self.sim.call_after(1.0, self._rebuild_tick)
+            self._timers["rebuild"] = self.sim.call_after(
+                1.0, self._rebuild_tick)
         self._request_catch_up()
+
+    def _arm_background(self) -> None:
+        """(Re)start the periodic jobs: the lease monitor always; the
+        scrubber, checkpointer and rebalancer when their cadence is set
+        (0 = off), first runs staggered per server so the fleet's scrub
+        and checkpoint IO does not synchronize and follower rebalance
+        windows do not tick in lockstep with the leader's."""
+        cfg, stagger = self.cfg, self.node_id
+        beat = cfg.lease_config.heartbeat_interval
+        for name, interval, first, job in (
+            ("monitor", beat, beat, self._monitor),
+            ("scrub", cfg.scrub_interval,
+             cfg.scrub_interval * (1.0 + 0.1 * stagger), self.scrub_now),
+            ("checkpoint", cfg.checkpoint_interval,
+             cfg.checkpoint_interval * (1.0 + 0.07 * stagger),
+             self.checkpoint_now),
+            ("rebalance", cfg.rebalance_interval,
+             cfg.rebalance_interval * (1.0 + 0.1 * stagger), self._rebalance),
+        ):
+            if interval > 0:
+                self._every(name, interval, first, job)
+
+    def _every(self, name: str, interval: float, first: float, job) -> None:
+        """Run ``job`` every ``interval`` seconds while up, the first
+        time after ``first``."""
+        def tick() -> None:
+            if not self.up:
+                return
+            job()
+            self._timers[name] = self.sim.call_after(interval, tick)
+
+        self._timers[name] = self.sim.call_after(first, tick)
 
     # ------------------------------------------------------------------
     # leases, heartbeats, election
     # ------------------------------------------------------------------
 
-    def _arm_monitor(self) -> None:
-        if not self.up:
-            return
-        interval = self.lease_config.heartbeat_interval
-        self._monitor_timer = self.sim.call_after(interval, self._monitor_tick)
-
-    def _monitor_tick(self) -> None:
-        if not self.up:
-            return
+    def _monitor(self) -> None:
+        """Heartbeat-cadence lease upkeep (see _arm_background)."""
         if self.is_leader_server:
             if self._check_quorum_lapsed():
                 self._step_down("check-quorum")
@@ -652,11 +579,10 @@ class KVServer:
             last = self.current_leader if self.current_leader is not None else 0
             rank = (self.node_id - last - 1) % len(self.peers)
             self.sim.call_after(
-                rank * self.lease_config.heartbeat_interval * 0.5,
+                rank * self.cfg.lease_config.heartbeat_interval * 0.5,
                 self._maybe_elect,
             )
             self._electing = True
-        self._arm_monitor()
 
     def _maybe_elect(self) -> None:
         if not self.up or self.is_leader_server:
@@ -709,7 +635,7 @@ class KVServer:
                 self._electing = False
                 self.metrics.counter("election.pre_vote_failed").inc(1)
 
-        self.sim.call_after(self.rpc_timeout, timed_out)
+        self.sim.call_after(self.cfg.rpc_timeout, timed_out)
 
     def _on_pre_vote(self, msg: PreVote, src: str) -> None:
         if not self.up:
@@ -855,7 +781,7 @@ class KVServer:
         # Degenerate single-member group: no follower can contest.
         if self._acks_needed() == 0:
             self.lease.renew_at(sent_at)
-        if self.auto_reconfigure or self.auto_heal:
+        if self.cfg.auto_reconfigure or self.cfg.auto_heal:
             self._membership_tick()
 
     def _acks_needed(self) -> int:
@@ -1267,145 +1193,20 @@ class KVServer:
     # -- admission control (overload protection) -----------------------
 
     def _admit(self, respond, start: Callable, tenant: str = "") -> None:
-        """Gate one proposal-bearing client request through the bounded
-        pipeline. ``start(respond)`` runs the request body — immediately
-        if a slot is free and no tenant is waiting, later when the DRR
-        scheduler reaches this tenant's queue, or never (the client gets
-        Busy) when this tenant's queue and the pipeline are both full."""
-        if not self.admission_control:
+        """Gate one proposal-bearing client request through the
+        admission pipeline: ``start(respond)`` runs the request body now
+        or when the DRR scheduler reaches it; a request the pipeline
+        refuses is shed with Busy(retry_after)."""
+        if not self.cfg.admission_control:
             start(respond)
             return
-        if (
-            self._open_proposals < self._inflight_budget()
-            and not any(self._admission_queues.values())
-        ):
-            self._begin(respond, start)
+        if self.admission.admit(respond, start, tenant):
             return
-        q = self._tenant_queue(tenant)
-        if len(q) < self.max_queued_requests:
-            q.append((respond, start))
-            self._pump_admissions()
-            return
-        self.requests_shed += 1
-        self.requests_shed_by_tenant[tenant] = (
-            self.requests_shed_by_tenant.get(tenant, 0) + 1
-        )
         self.metrics.counter("admission.shed").inc(1)
         if tenant:
             self.metrics.counter(f"admission.shed.{tenant}").inc(1)
-        r = Busy(retry_after=self._retry_after(tenant))
+        r = Busy(retry_after=self.admission.retry_after(tenant))
         respond(r, r.wire_bytes)
-
-    def _tenant_queue(self, tenant: str) -> deque:
-        """This tenant's admission queue, registering the tenant with
-        the DRR scheduler on first sight."""
-        q = self._admission_queues.get(tenant)
-        if q is None:
-            q = self._admission_queues[tenant] = deque()
-            self._drr_order.append(tenant)
-            self._drr_deficit[tenant] = 0.0
-        return q
-
-    def _tenant_weight(self, tenant: str) -> float:
-        return self.tenant_weights.get(tenant, 1.0)
-
-    def _inflight_budget(self) -> int:
-        """Admitted-command budget. ``max_inflight_proposals`` bounds
-        Paxos *instances* in flight; with batching each instance carries
-        up to ``batch_max_commands`` commands, so the command-level
-        budget scales accordingly (at batch_max_commands=1 this is
-        exactly the original per-command bound)."""
-        return self.max_inflight_proposals * self.batch_max_commands
-
-    def _begin(self, respond, start: Callable) -> None:
-        """Occupy a pipeline slot; the slot is released exactly once,
-        when the wrapped respond fires (decided+applied, NotReady, ...).
-        A request whose reply never comes (leadership lost mid-flight)
-        leaks no slot: the flush bumps the epoch and resets the count,
-        and a late release under an old epoch is a no-op."""
-        self._open_proposals += 1
-        start(_AdmissionSlot(self, respond))
-
-    def _release_slot(self, slot: _AdmissionSlot) -> None:
-        """Free ``slot`` (its first reply just fired) and feed its
-        admit->reply span to the per-command service-time EWMA."""
-        if slot.epoch != self._admission_epoch:
-            return  # flushed since; counters already reset
-        self._open_proposals -= 1
-        svc = (self.sim.now - slot.admitted_at) / max(1, slot.svc_divisor)
-        if self._svc_ewma == 0.0:
-            self._svc_ewma = svc
-        else:
-            self._svc_ewma += 0.2 * (svc - self._svc_ewma)
-        self._pump_admissions()
-
-    def _pump_admissions(self) -> None:
-        """Drain the per-tenant queues into free pipeline slots by
-        weighted deficit round robin.
-
-        Each visit to a tenant adds its weight to the tenant's deficit
-        counter; the tenant dequeues one command per whole unit of
-        deficit. A tenant whose queue empties forfeits its leftover
-        deficit (standard DRR — credit does not accrue while idle).
-        When the pipeline fills mid-quantum the cursor and deficit stay
-        put, so the interrupted tenant resumes exactly where it left
-        off on the next release. The ``_pumping`` guard folds reentrant
-        calls (a synchronous respond inside ``_begin`` releasing its
-        slot) into the running drain loop."""
-        if self._pumping:
-            return
-        self._pumping = True
-        try:
-            while self._open_proposals < self._inflight_budget():
-                if not any(self._admission_queues.values()):
-                    break
-                n = len(self._drr_order)
-                t = self._drr_order[self._drr_cursor]
-                q = self._admission_queues[t]
-                if not q:
-                    self._drr_deficit[t] = 0.0
-                    self._drr_cursor = (self._drr_cursor + 1) % n
-                    self._drr_fresh = True
-                    continue
-                # The quantum is granted once per visit. A visit paused
-                # by a full pipeline (the return below) resumes with its
-                # REMAINING deficit — re-granting on every resume would
-                # hand the cursor tenant every freed slot forever.
-                if self._drr_fresh:
-                    self._drr_deficit[t] += self._tenant_weight(t)
-                    self._drr_fresh = False
-                while (
-                    q
-                    and self._drr_deficit[t] >= 1.0
-                    and self._open_proposals < self._inflight_budget()
-                ):
-                    self._drr_deficit[t] -= 1.0
-                    respond, start = q.popleft()
-                    self._begin(respond, start)
-                if not q:
-                    self._drr_deficit[t] = 0.0
-                if self._open_proposals >= self._inflight_budget():
-                    return  # paused mid-quantum; resume at this tenant
-                # Quantum spent (or queue drained): next tenant.
-                self._drr_cursor = (self._drr_cursor + 1) % n
-                self._drr_fresh = True
-        finally:
-            self._pumping = False
-
-    def _retry_after(self, tenant: str = "") -> float:
-        """Estimate when capacity frees up for this tenant: smoothed
-        per-command service time scaled by how deep the tenant's own
-        backlog is relative to its weight share of the pipeline's
-        command budget. Light tenants on a busy server get short
-        retries; the tenant causing the backlog gets long ones."""
-        est = self._svc_ewma if self._svc_ewma > 0.0 else 0.02
-        q = self._admission_queues.get(tenant)
-        backlog = len(q) if q else 0
-        known = set(self._drr_order) | {tenant}
-        total_w = sum(self._tenant_weight(t) for t in known)
-        share = self._tenant_weight(tenant) / total_w if total_w else 1.0
-        budget = max(1.0, self._inflight_budget() * share)
-        return min(1.0, max(0.02, est * (1.0 + backlog / budget)))
 
     def _flush_admissions(self) -> None:
         """Reset the admission pipeline on crash or loss of leadership.
@@ -1413,28 +1214,16 @@ class KVServer:
         Queued requests would otherwise wait on proposals this server
         can no longer drive; answer them NotReady (when still up — a
         crashed host just goes silent) so clients re-resolve the leader.
-        The epoch bump voids every outstanding release callback.
         Pending (not yet proposed) batches are failed the same way: the
         batch was never an instance, so none of its commands may be
-        acked — atomicity on step-down and crash. Tenant registration
-        (DRR order and weights) survives the flush; only the queued
-        work and deficit state reset."""
-        self._admission_epoch += 1
-        self._open_proposals = 0
-        queues, self._admission_queues = (
-            self._admission_queues,
-            {t: deque() for t in self._admission_queues},
-        )
-        self._drr_deficit = {t: 0.0 for t in self._drr_deficit}
-        self._drr_cursor = 0
-        self._drr_fresh = True
+        acked — atomicity on step-down and crash."""
+        queued = self.admission.flush()
         self._flush_batches()
         if not self.up:
             return
-        for q in queues.values():
-            for respond, _start in q:
-                r = NotReady()
-                respond(r, r.wire_bytes)
+        for respond in queued:
+            r = NotReady()
+            respond(r, r.wire_bytes)
 
     def _flush_batches(self) -> None:
         """Drop every pending batch: cancel linger timers and answer the
@@ -1460,13 +1249,13 @@ class KVServer:
             pending = self._pending_batch[group] = _PendingBatch()
         pending.add(entry)
         if (
-            len(pending.entries) >= self.batch_max_commands
-            or pending.frame_bytes >= self.batch_max_bytes
+            len(pending.entries) >= self.cfg.batch_max_commands
+            or pending.frame_bytes >= self.cfg.batch_max_bytes
         ):
             self._close_batch(group)
         elif group not in self._batch_timers:
             self._batch_timers[group] = self.sim.call_after(
-                max(0.0, self.batch_linger),
+                self.cfg.batch_linger,
                 lambda: self._close_batch(group),
             )
 
@@ -1491,7 +1280,7 @@ class KVServer:
         # own admission slot until its own reply fires, but its EWMA
         # contribution is the batch service time split across the batch.
         for e in entries:
-            if isinstance(e.respond, _AdmissionSlot):
+            if isinstance(e.respond, AdmissionSlot):
                 e.respond.svc_divisor = n
         items = tuple(
             BatchItem(e.op, e.key, e.size, e.client, e.op_id)
@@ -1541,14 +1330,24 @@ class KVServer:
 
     # -- client write/read handlers ------------------------------------
 
+    # ``_on_put``/``_on_delete`` stay the registered entry points:
+    # benchmarks/perf counts admitted requests by these span names.
     def _on_put(self, msg: ClientPut, src: str, respond) -> None:
+        self._on_write(msg, respond)
+
+    def _on_delete(self, msg: ClientDelete, src: str, respond) -> None:
+        self._on_write(msg, respond)
+
+    def _on_write(self, msg, respond) -> None:
+        """A client mutation: §4.4 "Delete = write(key, NULL)", so put
+        and delete differ only in the command name and the payload."""
         if not self._leader_guard(respond):
             return
         if not self._shard_write_ok(msg, respond):
             return
         group = self.shard_map.group_of(msg.key)
         if self._already_applied(group, msg.client, msg.op_id) or (
-            self.dynamic_shards
+            self.cfg.dynamic_shards
             and bool(msg.client)
             and (msg.client, msg.op_id) in self._applied_ids
         ):
@@ -1560,117 +1359,71 @@ class KVServer:
             reply = PutOk(msg.key, map_version=self.shard_map.version)
             respond(reply, reply.wire_bytes)
             return
-        self._admit(respond, lambda r: self._put_admitted(msg, r),
+        self._admit(respond, lambda r: self._write_admitted(msg, r),
                     tenant=msg.tenant)
 
-    def _put_admitted(self, msg: ClientPut, respond) -> None:
+    def _write_admitted(self, msg, respond) -> None:
         group = self.shard_map.group_of(msg.key)
         if self._already_applied(group, msg.client, msg.op_id):
             # Committed while this retry sat in the admission queue.
             reply = PutOk(msg.key, map_version=self.shard_map.version)
             respond(reply, reply.wire_bytes)
             return
-        start = self.sim.now
+        # Only puts are "write" samples: a delete leaves ``start`` unset.
+        # (No flag of its own, and the op is read off the message type,
+        # not passed along: each variable a per-op closure captures is
+        # one more GC-tracked cell.)
+        if isinstance(msg, ClientPut):
+            op, size, data, start = "put", msg.size, msg.data, self.sim.now
+        else:
+            op, size, data, start = "delete", 0, None, None
         self._account_write(group, msg.key)
 
         def reply_now() -> None:
             if not self.up:
                 return
-            self.metrics.latency("write").record(self.sim.now - start)
-            self.metrics.throughput("write").record(self.sim.now, msg.size)
+            if start is not None:
+                self.metrics.latency("write").record(self.sim.now - start)
+                self.metrics.throughput("write").record(self.sim.now, msg.size)
             reply = PutOk(msg.key, map_version=self.shard_map.version)
             respond(reply, reply.wire_bytes)
 
-        if self.batch_max_commands > 1:
+        if self.cfg.batch_max_commands > 1:
             self._enqueue_batched(group, _BatchEntry(
-                "put", msg.key, msg.size, msg.data, msg.client, msg.op_id,
+                op, msg.key, size, data, msg.client, msg.op_id,
                 reply_now, respond,
             ))
             return
-        node = self.groups[group]
         if not self._group_slot_ok(group, msg.tenant, respond):
             return
         value = Value(
-            fresh_value_id(self.node_id), msg.size, msg.data,
-            meta=Command("put", msg.key, client=msg.client, op_id=msg.op_id,
+            fresh_value_id(self.node_id), size, data,
+            meta=Command(op, msg.key, client=msg.client, op_id=msg.op_id,
                          mapv=self.shard_map.version),
         )
+        if self._propose_one(group, value, reply_now, respond):
+            self._maybe_fence_write(msg.key, group)
 
+    def _propose_one(self, group: int, value: Value, after_apply,
+                     respond) -> bool:
+        """Propose a single-command value in ``group``; ``after_apply``
+        runs once the decided instance is applied locally. False, having
+        answered NotReady, if this server cannot propose (any more)."""
         def decided(instance: int, v: Value) -> None:
-            if not self.up:
-                return
-            self._respond_after_apply(group, instance, reply_now)
-
-        try:
-            node.propose(value, decided)
-            self.metrics.counter("rs.encode_calls").inc(1)
-        except RuntimeError:
-            r = NotReady()
-            respond(r, r.wire_bytes)
-            return
-        self._maybe_fence_write(msg.key, group)
-
-    def _on_delete(self, msg: ClientDelete, src: str, respond) -> None:
-        if not self._leader_guard(respond):
-            return
-        if not self._shard_write_ok(msg, respond):
-            return
-        group = self.shard_map.group_of(msg.key)
-        if self._already_applied(group, msg.client, msg.op_id) or (
-            self.dynamic_shards
-            and bool(msg.client)
-            and (msg.client, msg.op_id) in self._applied_ids
-        ):
-            reply = PutOk(msg.key, map_version=self.shard_map.version)
-            respond(reply, reply.wire_bytes)
-            return
-        self._admit(respond, lambda r: self._delete_admitted(msg, r),
-                    tenant=msg.tenant)
-
-    def _delete_admitted(self, msg: ClientDelete, respond) -> None:
-        group = self.shard_map.group_of(msg.key)
-        if self._already_applied(group, msg.client, msg.op_id):
-            reply = PutOk(msg.key, map_version=self.shard_map.version)
-            respond(reply, reply.wire_bytes)
-            return
-        self._account_write(group, msg.key)
-
-        def reply_now() -> None:
             if self.up:
-                reply = PutOk(msg.key, map_version=self.shard_map.version)
-                respond(reply, reply.wire_bytes)
-
-        if self.batch_max_commands > 1:
-            self._enqueue_batched(group, _BatchEntry(
-                "delete", msg.key, 0, None, msg.client, msg.op_id,
-                reply_now, respond,
-            ))
-            return
-        node = self.groups[group]
-        if not self._group_slot_ok(group, msg.tenant, respond):
-            return
-        value = Value(
-            fresh_value_id(self.node_id), 0, None,
-            meta=Command("delete", msg.key, client=msg.client,
-                         op_id=msg.op_id, mapv=self.shard_map.version),
-        )
-
-        def decided(instance: int, v: Value) -> None:
-            if not self.up:
-                return
-            self._respond_after_apply(group, instance, reply_now)
+                self._respond_after_apply(group, instance, after_apply)
 
         try:
-            node.propose(value, decided)
+            self.groups[group].propose(value, decided)
             self.metrics.counter("rs.encode_calls").inc(1)
         except RuntimeError:
             r = NotReady()
             respond(r, r.wire_bytes)
-            return
-        self._maybe_fence_write(msg.key, group)
+            return False
+        return True
 
     def _on_get(self, msg: ClientGet, src: str, respond) -> None:
-        if self.up and self.dynamic_shards and (
+        if self.up and self.cfg.dynamic_shards and (
             msg.map_version > self.shard_map.version
         ):
             # The client has seen a newer shard map than this replica
@@ -1842,27 +1595,16 @@ class KVServer:
             if self.up:
                 self._serve_read(msg.key, start, respond)
 
-        if self.batch_max_commands > 1:
+        if self.cfg.batch_max_commands > 1:
             self._enqueue_batched(group, _BatchEntry(
                 "read", msg.key, 0, None, "", 0, serve, respond,
             ))
             return
-        node = self.groups[group]
         marker = Value(
             fresh_value_id(self.node_id), 0, None,
             meta=Command("read", msg.key),
         )
-
-        def decided(instance: int, v: Value) -> None:
-            if self.up:
-                self._respond_after_apply(group, instance, serve)
-
-        try:
-            node.propose(marker, decided)
-            self.metrics.counter("rs.encode_calls").inc(1)
-        except RuntimeError:
-            r = NotReady()
-            respond(r, r.wire_bytes)
+        self._propose_one(group, marker, serve, respond)
 
     def _serve_read(self, key: str, start: float, respond) -> None:
         entry = self.store.get(key)
@@ -1954,7 +1696,7 @@ class KVServer:
         hosts = [
             h for nid, h in sorted(self.peers.items()) if nid != self.node_id
         ]
-        if not self.rtt_select:
+        if not self.cfg.rtt_select:
             order = list(hosts)
             self._select_rng.shuffle(order)
             return order
@@ -2140,7 +1882,7 @@ class KVServer:
                 host = hosts[state["next"]]
                 state["next"] += 1
                 issue(host, hedge=False)
-            if self.hedge_fetches:
+            if self.cfg.hedge_fetches:
                 arm_hedge()
 
         if shares and len(shares) >= needed():
@@ -2182,22 +1924,6 @@ class KVServer:
     # ------------------------------------------------------------------
     # background scrubber: detect and repair rotten coded shares
     # ------------------------------------------------------------------
-
-    def _arm_scrubber(self) -> None:
-        if not self.up or self.scrub_interval <= 0:
-            return
-        # Stagger the first pass per server so the fleet's scrub IO
-        # does not synchronize.
-        delay = self.scrub_interval * (1.0 + 0.1 * self.node_id)
-        self._scrub_timer = self.sim.call_after(delay, self._scrub_tick)
-
-    def _scrub_tick(self) -> None:
-        if not self.up:
-            return
-        self.scrub_now()
-        self._scrub_timer = self.sim.call_after(
-            self.scrub_interval, self._scrub_tick
-        )
 
     def inject_bit_rot(self, rng) -> bool:
         """Silently rot one durably stored coded share on this server.
@@ -2467,7 +2193,7 @@ class KVServer:
 
         def arm_hedge() -> None:
             if (
-                not self.hedge_fetches
+                not self.cfg.hedge_fetches
                 or state["done"]
                 or hedge_timer[0] is not None
                 or not out_hosts
@@ -2547,22 +2273,6 @@ class KVServer:
     # ------------------------------------------------------------------
     # checkpointing + WAL compaction
     # ------------------------------------------------------------------
-
-    def _arm_checkpointer(self) -> None:
-        if not self.up or self.checkpoint_interval <= 0:
-            return
-        # Stagger per server so the fleet's checkpoint IO (and the
-        # brief extra disk load) does not synchronize.
-        delay = self.checkpoint_interval * (1.0 + 0.07 * self.node_id)
-        self._ckpt_timer = self.sim.call_after(delay, self._ckpt_tick)
-
-    def _ckpt_tick(self) -> None:
-        if not self.up:
-            return
-        self.checkpoint_now()
-        self._ckpt_timer = self.sim.call_after(
-            self.checkpoint_interval, self._ckpt_tick
-        )
 
     def checkpoint_now(self, on_done: Callable[[], None] | None = None) -> bool:
         """Persist applied KV state + acceptor metadata atomically, then
@@ -2647,7 +2357,7 @@ class KVServer:
         self._applied_ops = set(payload["applied_ops"])
         self._applied_ids = {
             (c, o) for (_g, c, o) in self._applied_ops
-        } if self.dynamic_shards else set()
+        } if self.cfg.dynamic_shards else set()
         self.compact_floor = list(payload["group_floors"])
         ckpt_map = payload.get("shard_map")
         if ckpt_map is not None and ckpt_map.version > self.shard_map.version:
@@ -3040,12 +2750,12 @@ class KVServer:
         catch-up broadcast can be lost wholesale to a partition, and
         the rebuilt server must not stay an observer forever."""
         if not self.up or not self._rebuild_pending:
-            self._rebuild_timer = None
+            self._timers.pop("rebuild", None)
             return
         for g in sorted(self._rebuild_pending):
             if g not in self._snap_inflight:
                 self._catch_up_group(g)
-        self._rebuild_timer = self.sim.call_after(1.0, self._rebuild_tick)
+        self._timers["rebuild"] = self.sim.call_after(1.0, self._rebuild_tick)
 
     def _make_missing_hook(self, group: int) -> Callable[[int], None]:
         """Hook for PaxosNode.on_missing_value: the apply cursor stalled
@@ -3277,7 +2987,7 @@ class KVServer:
         if reply.max_ballot is not None:
             node._max_ballot_seen = max(node._max_ballot_seen, reply.max_ballot)
         self._applied_ops.update(reply.applied_ops)
-        if self.dynamic_shards:
+        if self.cfg.dynamic_shards:
             self._applied_ids.update(
                 (c, o) for (_g, c, o) in reply.applied_ops
             )
@@ -3590,7 +3300,7 @@ class KVServer:
     def _account_write(self, group: int, key: str) -> None:
         """Per-group load window + bounded per-key write frequencies
         (the weighted-median sample for split boundaries)."""
-        if not self.dynamic_shards:
+        if not self.cfg.dynamic_shards:
             return
         self._group_load[group] += 1.0
         if key in self._key_freq or len(self._key_freq) < self._key_freq_cap:
@@ -3607,7 +3317,7 @@ class KVServer:
         predecessor's newer map would stamp it with a stale era and a
         later copy could silently supersede the acknowledged value).
         """
-        if not self.dynamic_shards:
+        if not self.cfg.dynamic_shards:
             return True
         if msg.map_version > self.shard_map.version:
             self.wrong_shard_replies += 1
@@ -3627,15 +3337,15 @@ class KVServer:
         proposal pipeline sheds (Busy) instead of queueing the whole
         server into collapse — this is what makes a hot range *leader-
         bound per group* and splitting it measurably help."""
-        if self.max_group_pipeline <= 0:
+        if self.cfg.max_group_pipeline <= 0:
             return True
         node = self.groups[group]
-        if len(node._inflight) < self.max_group_pipeline:
+        if len(node._inflight) < self.cfg.max_group_pipeline:
             return True
         self.metrics.counter("shard.group_shed").inc(1)
         if tenant:
             self.metrics.counter(f"admission.shed.{tenant}").inc(1)
-        r = Busy(retry_after=self._retry_after(tenant))
+        r = Busy(retry_after=self.admission.retry_after(tenant))
         respond(r, r.wire_bytes)
         return False
 
@@ -3646,7 +3356,7 @@ class KVServer:
         every cutover-window mutation's ordering, and any straggler
         state derived from it (catch-up of a lagging replica) cannot
         present the window as write-free."""
-        if not self.dynamic_shards:
+        if not self.cfg.dynamic_shards:
             return
         mig = self.shard_map.migrating
         if mig is None:
@@ -3708,7 +3418,7 @@ class KVServer:
         idempotent: applies are era-guarded)."""
         if (
             not self.up
-            or not self.dynamic_shards
+            or not self.cfg.dynamic_shards
             or not self.is_leader_server
             or self.shard_map.migrating is None
             or self._migration_task is not None
@@ -3916,23 +3626,10 @@ class KVServer:
 
     # -- load-driven rebalancer ----------------------------------------
 
-    def _arm_rebalancer(self) -> None:
-        if (
-            not self.up or not self.dynamic_shards
-            or self.rebalance_interval <= 0
-        ):
-            return
-        # Stagger per server like the scrubber, so follower windows do
-        # not tick in lockstep with the leader's.
-        delay = self.rebalance_interval * (1.0 + 0.1 * self.node_id)
-        self._rebalance_timer = self.sim.call_after(
-            delay, self._rebalance_tick)
-
-    def _rebalance_tick(self) -> None:
-        if not self.up:
-            return
-        self._rebalance_timer = self.sim.call_after(
-            self.rebalance_interval, self._rebalance_tick)
+    def _rebalance(self) -> None:
+        """One load-accounting window (see _arm_background): fold it
+        into the per-group EWMAs and, on the leader, split the hottest
+        range or merge the coldest."""
         window = list(self._group_load)
         self._group_load = [0.0] * len(self.groups)
         for g, n in enumerate(window):
@@ -3957,13 +3654,13 @@ class KVServer:
         hot = max(active, key=lambda g: loads[g])
         cold = min(active, key=lambda g: loads[g])
         if (
-            loads[hot] > self.split_threshold * mean
+            loads[hot] > SPLIT_THRESHOLD * mean
             and self.shard_map.spare_groups()
         ):
             boundary = self._split_boundary(hot)
             if boundary is not None and self.force_split(boundary=boundary):
                 return
-        if len(active) >= 2 and loads[cold] < self.merge_threshold * mean:
+        if len(active) >= 2 and loads[cold] < MERGE_THRESHOLD * mean:
             self.force_merge(group=cold)
 
     def _split_boundary(self, group: int) -> str | None:
@@ -3999,7 +3696,7 @@ class KVServer:
         the weighted median of the hottest range) into a spare group.
         Leader-only; True when the prepare ShardCmd was proposed."""
         if (
-            not self.up or not self.dynamic_shards
+            not self.up or not self.cfg.dynamic_shards
             or not self.is_leader_server
             or not self.shard_map.is_range_map
             or self.shard_map.migrating is not None
@@ -4036,7 +3733,7 @@ class KVServer:
         neighbour; the emptied group returns to the spare pool.
         Leader-only; True when the prepare ShardCmd was proposed."""
         if (
-            not self.up or not self.dynamic_shards
+            not self.up or not self.cfg.dynamic_shards
             or not self.is_leader_server
             or not self.shard_map.is_range_map
             or self.shard_map.migrating is not None

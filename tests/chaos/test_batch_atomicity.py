@@ -9,7 +9,9 @@ only. Crashing there must lose the whole batch, never a prefix.
 
 from __future__ import annotations
 
-from repro.chaos import ChaosRunner, ChaosSpec
+from dataclasses import replace
+
+from repro.chaos import EPISODE_SERVER, ChaosRunner, ChaosSpec
 from repro.chaos.schedule import ScheduleSpec
 from repro.check import check_durable_integrity
 from repro.core import classic_paxos, rs_paxos
@@ -21,8 +23,7 @@ BATCH_SPEC = ChaosSpec(
     settle=3.0,
     num_clients=2,
     num_keys=4,
-    batch_max_commands=4,
-    batch_linger=0.0005,
+    server=replace(EPISODE_SERVER, batch_max_commands=4, batch_linger=0.0005),
 )
 
 

@@ -6,10 +6,13 @@ worthless, so we verify a deliberately weakened quorum config
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
+import repro.chaos
 from repro.chaos import (
+    EPISODE_SERVER,
     SHORT_SPEC,
     ChaosRunner,
     ChaosSpec,
@@ -204,7 +207,8 @@ class TestEpisodes:
             schedule=ScheduleSpec(fault_window=4.0, mean_gap=0.8),
             settle=3.0, num_clients=2, num_keys=4,
             tenants=("gold", "bronze"),
-            tenant_weights=(("gold", 3.0), ("bronze", 1.0)),
+            server=replace(EPISODE_SERVER,
+                           tenant_weights={"gold": 3.0, "bronze": 1.0}),
         )
         runner = ChaosRunner(protocol="rs-paxos", spec=spec,
                              bundle_dir=None)
@@ -301,3 +305,24 @@ class TestReproBundle:
         assert bundle["schedule"]
         assert "run_episode(0)" in bundle["replay"]
         assert bundle["config"] == {"n": 5, "q_r": 3, "q_w": 4, "x": 3}
+
+    def test_bundle_replays_its_own_episode(self, tmp_path):
+        """The ``replay`` line rebuilds the runner the bundle came from —
+        spec included — so it reruns *that* episode, not the default
+        one; and the recorded spec is complete."""
+        spec = replace(SHORT_SPEC, num_keys=5, server=replace(
+            SHORT_SPEC.server, batch_max_commands=4, batch_linger=0.0005,
+            tenant_weights={"gold": 2.0}))
+        runner = ChaosRunner(protocol="rs-paxos", spec=spec,
+                             bundle_dir=str(tmp_path))
+        result, _ = runner.run_episode(3)
+        with open(runner._write_bundle(result)) as fh:
+            bundle = json.load(fh)
+        assert bundle["spec"]["server"]["batch_max_commands"] == 4
+        assert bundle["spec"]["server"]["tenant_weights"] == [["gold", 2.0]]
+        assert bundle["spec"]["schedule"]["fault_window"] == 6.0
+        assert len(bundle["spec"]["schedule"]) > 20   # not a hand-picked few
+        replayed, _ = eval(bundle["replay"], vars(repro.chaos))
+        assert replayed.to_jsonable() == result.to_jsonable()
+        default, _ = ChaosRunner(protocol="rs-paxos").run_episode(3)
+        assert default.to_jsonable() != result.to_jsonable()

@@ -171,8 +171,9 @@ class TestRandomizedMatrix:
         spec = dataclasses.replace(
             SHORT_SPEC,
             schedule=sched,
-            dynamic_shards=True,
-            rebalance_interval=0.5,
+            server=dataclasses.replace(
+                SHORT_SPEC.server, dynamic_shards=True,
+                rebalance_interval=0.5),
         )
         runner = ChaosRunner(spec=spec, bundle_dir=None)
         migrations = 0

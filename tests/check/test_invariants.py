@@ -129,7 +129,8 @@ def wal_server(
         _next_lsn=next_lsn, compaction_floor=floor,
     )
     return SimpleNamespace(
-        name=name, up=up, wal=wal, checkpoint_interval=interval,
+        name=name, up=up, wal=wal,
+        cfg=SimpleNamespace(checkpoint_interval=interval),
         last_checkpoint_at=last_ckpt, sim=SimpleNamespace(now=now),
     )
 

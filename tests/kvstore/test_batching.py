@@ -237,16 +237,16 @@ def test_batch_closes_on_bytes_where_frame_size_says():
 def test_inflight_budget_scales_with_batch_size():
     c = make(4, clients=1, max_inflight_proposals=8)
     for s in c.servers:
-        assert s._inflight_budget() == 32
+        assert s.admission.budget == 32
     c1 = make(1, clients=1, max_inflight_proposals=8)
     for s in c1.servers:
-        assert s._inflight_budget() == 8
+        assert s.admission.budget == 8
 
 
 # -- the Busy.retry_after EWMA fix ----------------------------------------
 
 
-def test_svc_ewma_is_per_command_not_per_batch():
+def test_service_time_is_per_command_not_per_batch():
     """Regression: a batch of K commands must feed the service-time
     EWMA K samples of span/K, not K samples of the full span —
     otherwise ``Busy.retry_after`` over-delays shed clients ~K×.
@@ -271,12 +271,4 @@ def test_svc_ewma_is_per_command_not_per_batch():
     # All four EWMA samples were ≈ span/4, so the smoothed value must
     # sit well below the full batch span (allow 2× margin for the
     # client-RTT share of the measured latency).
-    assert 0.0 < leader._svc_ewma < latency["t"] / 2
-
-
-def test_retry_after_uses_command_budget():
-    c = make(4, clients=1, max_inflight_proposals=8)
-    leader = c.leader()
-    leader._svc_ewma = 0.04
-    # Empty backlog: retry_after is just the per-command estimate.
-    assert abs(leader._retry_after() - 0.04) < 1e-9
+    assert 0.0 < leader.admission.service_time < latency["t"] / 2

@@ -9,7 +9,6 @@ and the client-side Busy backoff stats.
 
 import pytest
 
-from repro.check import check_no_starvation
 from repro.core import rs_paxos
 from repro.kvstore import build_cluster
 
@@ -124,55 +123,6 @@ class TestIsolation:
         assert sum(per_tenant.values()) == leader.requests_shed
         assert leader.metrics.counter("admission.shed.a").value == \
             per_tenant.get("a", 0)
-
-    def test_starvation_probe_names_the_tenant(self):
-        c = make(num_clients=1, client_tenants=["gold"])
-        leader = c.leader()
-        leader._tenant_queue("gold").append(
-            (lambda r: None, lambda r: None)
-        )
-        violations = check_no_starvation(c.servers)
-        assert len(violations) == 1
-        assert "gold" in violations[0].detail
-        leader._admission_queues["gold"].clear()
-        assert check_no_starvation(c.servers) == []
-
-
-class TestRetryAfter:
-    def test_grows_with_backlog(self):
-        c = make(num_clients=1, client_tenants=["t"])
-        leader = c.leader()
-        leader._svc_ewma = 0.05
-        empty = leader._retry_after("t")
-        for _ in range(64):
-            leader._tenant_queue("t").append(
-                (lambda r: None, lambda r: None)
-            )
-        backed_up = leader._retry_after("t")
-        assert backed_up > empty
-        leader._admission_queues["t"].clear()
-
-    def test_clamped_to_sane_range(self):
-        c = make(num_clients=1)
-        leader = c.leader()
-        leader._svc_ewma = 100.0  # absurd estimate
-        assert leader._retry_after("t") <= 1.0
-        leader._svc_ewma = 1e-9
-        assert leader._retry_after("t") >= 0.02
-
-    def test_higher_weight_means_shorter_retry(self):
-        c = make(num_clients=2, client_tenants=["big", "small"],
-                 tenant_weights={"big": 8.0, "small": 1.0})
-        leader = c.leader()
-        leader._svc_ewma = 0.05
-        for t in ("big", "small"):
-            for _ in range(32):
-                leader._tenant_queue(t).append(
-                    (lambda r: None, lambda r: None)
-                )
-        assert leader._retry_after("big") < leader._retry_after("small")
-        for t in ("big", "small"):
-            leader._admission_queues[t].clear()
 
 
 class TestClientBackoffStats:

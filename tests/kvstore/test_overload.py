@@ -81,19 +81,22 @@ class TestAdmissionControl:
         assert len(done) == 32 and all(done)
 
     def test_no_starvation_probe_flags_leaks(self):
-        c = make()
-        leader = c.leader()
-        leader._open_proposals = 3
+        c = make(max_inflight_proposals=1)
+        admission = c.leader().admission
+
+        def never_replies(slot) -> None:
+            pass
+
+        admission.admit(lambda r, n=0: None, never_replies)
         violations = check_no_starvation(c.servers)
         assert len(violations) == 1
-        assert "open" in violations[0].detail
-        leader._open_proposals = 0
-        leader._tenant_queue("gold").append((lambda r, n=0: None, lambda r: None))
-        violations = check_no_starvation(c.servers)
-        assert len(violations) == 1
-        assert "queued" in violations[0].detail
-        assert "gold" in violations[0].detail
-        leader._admission_queues["gold"].clear()
+        assert "1 open" in violations[0].detail
+        # The pipeline of one is now stuck: the next request parks.
+        admission.admit(lambda r, n=0: None, never_replies, "gold")
+        queued, _open = check_no_starvation(c.servers)
+        assert "1 queued" in queued.detail
+        assert "gold" in queued.detail      # the probe names the tenant
+        admission.flush()
         assert check_no_starvation(c.servers) == []
 
     def test_snapshot_cursor_jump_releases_parked_waiters(self):

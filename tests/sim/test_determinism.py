@@ -14,7 +14,8 @@ from repro.sim import Simulator, Tracer
 from repro.workload import ClosedLoopDriver, small_write
 
 
-def run_cluster(seed, num_clients=4, **kw):
+def drive_cluster(seed, num_clients=4, **kw):
+    """A 5 s closed-loop small-write run; returns the finished cluster."""
     c = build_cluster(rs_paxos(5, 1), seed=seed, num_clients=num_clients,
                       num_groups=2, **kw)
     c.start()
@@ -26,6 +27,10 @@ def run_cluster(seed, num_clients=4, **kw):
     for d in drivers:
         d.start()
     c.run(until=5.0)
+    return c
+
+
+def write_summary(c):
     lat = c.metrics.latency("write")
     return (
         c.metrics.throughput("write").total_bytes,
@@ -33,6 +38,10 @@ def run_cluster(seed, num_clients=4, **kw):
         tuple(lat.samples.tolist()),
         c.net.messages_sent,
     )
+
+
+def run_cluster(seed, num_clients=4, **kw):
+    return write_summary(drive_cluster(seed, num_clients, **kw))
 
 
 class TestDeterminism:

@@ -21,10 +21,12 @@ import pytest
 from repro.chaos import ChaosRunner, ChaosSpec, ScheduleSpec
 from repro.chaos import runner as chaos_runner
 from repro.check import HistoryRecorder
+from repro.core import rs_paxos
+from repro.kvstore import build_cluster
 from repro.net import LinkSpec, build_network
 from repro.sim import Simulator
 
-from .test_determinism import run_cluster
+from .test_determinism import drive_cluster, run_cluster, write_summary
 
 
 def digest(obj) -> str:
@@ -90,6 +92,34 @@ def chaos_history(monkeypatch, spec: ChaosSpec, seed: int):
     return result, recorder.to_jsonable()
 
 
+def put_delete_history(seed: int, **kw):
+    """Four closed-loop clients, each alternating puts and deletes
+    (40 % deletes) over six keys for 2 s: the client-observed history,
+    the server-side write accounting and the message count."""
+    c = build_cluster(rs_paxos(5, 1), seed=seed, num_clients=4,
+                      num_groups=2, **kw)
+    recorder = HistoryRecorder()
+    c.start()
+    c.run(until=1.0)
+    for cl in c.clients:
+        cl.history = recorder
+        rng = c.sim.rng.stream(f"golden.{cl.name}")
+        sizes = iter(range(64, 1 << 30))
+
+        def loop(*_ignored, cl=cl, rng=rng, sizes=sizes) -> None:
+            if c.sim.now >= 3.0:
+                return
+            key = f"k{int(rng.integers(6))}"
+            if float(rng.random()) < 0.4:
+                cl.delete(key, on_done=loop)
+            else:
+                cl.put(key, next(sizes), on_done=loop)
+
+        loop()
+    c.run(until=4.0)
+    return recorder.to_jsonable(), write_summary(c)
+
+
 class TestGoldenRuns:
     def test_cluster_run(self):
         assert digest(run_cluster(17)) == "b28e3922cc3f00b41c13dc1c"
@@ -107,6 +137,34 @@ class TestGoldenRuns:
                           batch_linger=0.0005)
         assert got[1] > 5000                          # writes committed
         assert digest(got) == "f3c4207a0cca9647811cf52e"
+
+    def test_queueing_and_shedding_cluster_run(self):
+        """16 clients of two tenants (weights 3:1) against a pipeline of
+        2 and per-tenant queues of 4: the one golden where the DRR
+        queues fill and requests are shed (every other run here stays
+        inside its admission budget). Digest computed on the commit
+        before admission left ``KVServer`` (PR 15)."""
+        c = drive_cluster(17, num_clients=16, max_inflight_proposals=2,
+                          max_queued_requests=4, tenant_weights={"a": 3.0},
+                          client_tenants=["a", "b"] * 8)
+        shed = [sorted(s.requests_shed_by_tenant.items()) for s in c.servers]
+        # A request is shed only when its tenant's queue is at its
+        # bound, so shedding implies the queues filled.
+        assert sum(n for per in shed for _, n in per) > 100
+        assert digest((write_summary(c), shed)) == "c66ada6c36691637b020a5a6"
+
+    @pytest.mark.parametrize("kw,want", [
+        ({}, "9710e065b90e7605f06e9f0a"),
+        ({"batch_max_commands": 4, "batch_linger": 0.0005}, "03bc34b1ebf9c207ded7c315"),
+    ], ids=["single", "batched"])
+    def test_put_delete_cluster_run(self, kw, want):
+        """Puts and deletes interleaved on the same keys, on both write
+        paths — pins the event order of the handler the two ops share
+        (digest computed while they still had one handler each)."""
+        history, summary = put_delete_history(23, **kw)
+        assert sum(1 for op in history if op["op"] == "delete") > 100
+        assert all(op["ok"] for op in history if op["response"] is not None)
+        assert digest((history, summary)) == want
 
     def test_lossy_duplicating_jittered_network(self):
         seen = lossy_duplex_deliveries(5)
