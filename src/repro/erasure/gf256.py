@@ -6,14 +6,21 @@ polynomial used by most storage-oriented RS libraries (including Zfec,
 the library the paper's prototype uses).
 
 The implementation is table-driven: one 256-entry exponential table and
-one 256-entry logarithm table are built once at import time. Scalar
-helpers operate on Python ints; the bulk kernels operate on contiguous
-``numpy.uint8`` arrays and are fully vectorized (one fancy-indexing
-gather per multiply), which is the idiomatic way to make this fast in
-pure Python + numpy.
+one 256-entry logarithm table are built once at import time, and a
+256x256 product table lazily on first use. Scalar helpers operate on
+Python ints. The one bulk kernel, :func:`lincomb`, works on ``bytes``
+rows: multiplying a row by a constant is ``row.translate(T[c])`` — one
+C pass over the row through a 256-byte table — because numpy's
+equivalent, ``table[c][row]`` with a ``uint8`` index array, first widens
+every index to ``intp`` (8 bytes per coded byte) and runs ~5x slower.
+The matrix routines (:func:`matmul`, :func:`mat_inv`, :func:`mat_rank`)
+are for the tiny X-by-X coefficient algebra only.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from functools import cache
 
 import numpy as np
 
@@ -49,21 +56,17 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
 
 EXP_TABLE, LOG_TABLE = _build_tables()
 
-# A full 256x256 multiplication table: 64 KiB, lets the matmul kernel do
-# a single gather instead of three. Built lazily on first use.
-_MUL_TABLE: np.ndarray | None = None
 
-
+@cache
 def _mul_table() -> np.ndarray:
-    global _MUL_TABLE
-    if _MUL_TABLE is None:
-        a = np.arange(256, dtype=np.int16)
-        logs = LOG_TABLE[a][:, None] + LOG_TABLE[a][None, :]
-        table = EXP_TABLE[logs]
-        table[0, :] = 0
-        table[:, 0] = 0
-        _MUL_TABLE = np.ascontiguousarray(table)
-    return _MUL_TABLE
+    """The full 256x256 multiplication table: 64 KiB, one lookup per
+    product instead of three. Built lazily on first use."""
+    a = np.arange(256, dtype=np.int16)
+    logs = LOG_TABLE[a][:, None] + LOG_TABLE[a][None, :]
+    table = EXP_TABLE[logs]
+    table[0, :] = 0
+    table[:, 0] = 0
+    return np.ascontiguousarray(table)
 
 
 # ---------------------------------------------------------------------------
@@ -133,32 +136,35 @@ def exp(i: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized kernels
+# Bulk kernel and matrix algebra
 # ---------------------------------------------------------------------------
 
-def mul_vec(a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
-    """Elementwise product of uint8 arrays (or array-by-scalar)."""
-    a = np.asarray(a, dtype=np.uint8)
-    if np.isscalar(b) or np.ndim(b) == 0:
-        return _mul_table()[a, int(b)]
-    b = np.asarray(b, dtype=np.uint8)
-    return _mul_table()[a, b]
+@cache
+def _translate_tables() -> tuple[bytes, ...]:
+    """``T[c]`` is the ``bytes.translate`` table of ``b -> c * b``: the
+    rows of the multiplication table as 256 ``bytes`` objects."""
+    return tuple(row.tobytes() for row in _mul_table())
 
 
-def addmul_vec(dst: np.ndarray, src: np.ndarray, c: int) -> None:
-    """In-place ``dst ^= c * src`` — the core row-update primitive.
+def lincomb(coeffs: Sequence[int], rows: Sequence[bytes]) -> bytes:
+    """The linear combination ``sum_j coeffs[j] * rows[j]`` over GF(2^8).
 
-    ``dst`` and ``src`` must be uint8 arrays of the same shape. This is
-    the single hottest operation in encode/decode; it performs one table
-    gather and one in-place XOR, with no temporaries beyond the gather
-    result.
+    ``rows`` are equal-length ``bytes``; the result has their length.
+    This is the only operation encode and decode perform on payload
+    bytes: one parity share, or one reconstructed data share, is one
+    call. Each term costs one ``translate`` pass (none when the
+    coefficient is 1, nothing at all when it is 0) and one XOR into the
+    output buffer; the rows themselves are never copied.
     """
-    if c == 0:
-        return
-    if c == 1:
-        np.bitwise_xor(dst, src, out=dst)
-        return
-    np.bitwise_xor(dst, _mul_table()[c][src], out=dst)
+    tables = _translate_tables()
+    out = np.zeros(len(rows[0]), dtype=np.uint8)
+    for c, row in zip(coeffs, rows, strict=True):
+        if c == 0:
+            continue
+        if c != 1:
+            row = row.translate(tables[c])
+        np.bitwise_xor(out, np.frombuffer(row, dtype=np.uint8), out=out)
+    return out.tobytes()
 
 
 def matmul(mat: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -169,15 +175,14 @@ def matmul(mat: np.ndarray, data: np.ndarray) -> np.ndarray:
     mat:
         ``(r, k)`` uint8 coefficient matrix.
     data:
-        ``(k, w)`` uint8 data matrix (each row is a data share).
+        ``(k, w)`` uint8 matrix.
 
     Returns
     -------
     ``(r, w)`` uint8 product.
 
-    The kernel iterates over the small dimension ``k`` and uses the
-    vectorized :func:`addmul_vec` update over the wide dimension ``w``,
-    so the work per output byte is one gather + one XOR per input row.
+    Meant for coefficient matrices (a few rows and columns, as in
+    :mod:`.matrix`); payload bytes go through :func:`lincomb`.
     """
     mat = np.asarray(mat, dtype=np.uint8)
     data = np.ascontiguousarray(data, dtype=np.uint8)
@@ -212,7 +217,7 @@ def mat_inv(mat: np.ndarray) -> np.ndarray:
     n, m = mat.shape
     if n != m:
         raise ValueError("matrix must be square")
-    # Augmented [mat | I] over int16 workspace (values stay < 256).
+    # Augmented [mat | I]; uint8 suffices, every entry is a field element.
     aug = np.zeros((n, 2 * n), dtype=np.uint8)
     aug[:, :n] = mat
     aug[np.arange(n), n + np.arange(n)] = 1

@@ -66,14 +66,28 @@ class ShareMismatch(ValueError):
     """Raised when offered shares disagree on config/size/length."""
 
 
+def _as_bytes(value) -> bytes:
+    """Normalise a bytes-like value at the codec boundary: the kernel
+    needs real ``bytes`` (``translate``), and ``bytes`` is not copied."""
+    return value if isinstance(value, bytes) else memoryview(value).tobytes()
+
+
+def _original(value: bytes, index: int, width: int) -> bytes:
+    """Original share ``index``: a slice of ``value`` — the one copy the
+    share keeps — zero-padded only where the value ran out."""
+    return value[index * width:(index + 1) * width].ljust(width, b"\0")
+
+
 @lru_cache(maxsize=128)
 def _encode_matrix(x: int, n: int) -> np.ndarray:
     return matrix.systematic_encode_matrix(n, x)
 
 
 @lru_cache(maxsize=4096)
-def _decode_matrix(x: int, n: int, rows: tuple[int, ...]) -> np.ndarray:
-    return matrix.decode_matrix(_encode_matrix(x, n), list(rows))
+def _decode_matrix(x: int, n: int, rows: tuple[int, ...]) -> list[list[int]]:
+    """Row i: the coefficients that rebuild original share i from the
+    shares ``rows``, as Python ints (what the kernel takes)."""
+    return matrix.decode_matrix(_encode_matrix(x, n), list(rows)).tolist()
 
 
 class RSCodec:
@@ -81,64 +95,60 @@ class RSCodec:
 
     def __init__(self, config: CodingConfig):
         self.config = config
-        self._matrix = _encode_matrix(config.x, config.n)
+        # Row i holds the X coefficients of share i, as Python ints.
+        self._coeffs: list[list[int]] = _encode_matrix(
+            config.x, config.n
+        ).tolist()
 
     # -- encode ---------------------------------------------------------
 
     def encode(self, value: bytes) -> list[Share]:
         """Encode ``value`` into N shares (X original + N-X parity)."""
         cfg = self.config
+        value = _as_bytes(value)
         size = len(value)
         width = cfg.share_size(size)
         if width == 0:
             return [Share(i, cfg, 0, b"") for i in range(cfg.n)]
-        padded = np.zeros(cfg.x * width, dtype=np.uint8)
-        padded[:size] = np.frombuffer(value, dtype=np.uint8)
-        data = padded.reshape(cfg.x, width)
+        data = [_original(value, i, width) for i in range(cfg.x)]
         if cfg.x == 1:
             # Replication fast path: every share is the value itself.
-            blob = data[0].tobytes()
-            return [Share(i, cfg, size, blob) for i in range(cfg.n)]
-        parity = gf256.matmul(self._matrix[cfg.x:], data)
-        shares = [
-            Share(i, cfg, size, data[i].tobytes()) for i in range(cfg.x)
-        ]
-        shares.extend(
-            Share(cfg.x + j, cfg, size, parity[j].tobytes())
-            for j in range(cfg.k)
-        )
-        return shares
+            payloads = data * cfg.n
+        else:
+            payloads = data + [
+                gf256.lincomb(coeffs, data) for coeffs in self._coeffs[cfg.x:]
+            ]
+        return [Share(i, cfg, size, p) for i, p in enumerate(payloads)]
 
     def encode_share(self, value: bytes, index: int) -> Share:
         """Encode only the share with the given index.
 
-        Computing one parity row costs ``X`` table-gather passes over
-        the value rather than ``N - X`` of them; the KV store uses this
-        when re-sending a single replica's share during catch-up
-        (Section 4.5).
+        An original share is one slice of the value; a parity share
+        costs one kernel call (``X`` table passes) rather than ``N - X``
+        of them. The KV store uses this when re-sending a single
+        replica's share during catch-up (Section 4.5).
         """
         cfg = self.config
         if not 0 <= index < cfg.n:
             raise ValueError(f"share index {index} out of range for N={cfg.n}")
+        value = _as_bytes(value)
         size = len(value)
         width = cfg.share_size(size)
         if width == 0:
             return Share(index, cfg, 0, b"")
-        padded = np.zeros(cfg.x * width, dtype=np.uint8)
-        padded[:size] = np.frombuffer(value, dtype=np.uint8)
-        data = padded.reshape(cfg.x, width)
         if index < cfg.x:
-            return Share(index, cfg, size, data[index].tobytes())
-        row = self._matrix[index]
-        out = np.zeros(width, dtype=np.uint8)
-        for j in range(cfg.x):
-            gf256.addmul_vec(out, data[j], int(row[j]))
-        return Share(index, cfg, size, out.tobytes())
+            return Share(index, cfg, size, _original(value, index, width))
+        data = [_original(value, i, width) for i in range(cfg.x)]
+        return Share(index, cfg, size, gf256.lincomb(self._coeffs[index], data))
 
     # -- decode ---------------------------------------------------------
 
     def decode(self, shares: list[Share]) -> bytes:
         """Reconstruct the original value from any >= X distinct shares.
+
+        Original shares that are present pass through untouched; only
+        the missing ones are solved for, from the X lowest-indexed
+        shares offered.
 
         Raises
         ------
@@ -169,17 +179,20 @@ class RSCodec:
             raise ShareMismatch("share payload length inconsistent with size")
         if size == 0:
             return b""
+        payloads = [_as_bytes(s.data) for s in chosen]
         if cfg.x == 1:
-            return chosen[0].data[:size]
-        # Fast path: all original shares present -> plain concatenation.
-        if picked == list(range(cfg.x)):
-            return b"".join(s.data for s in chosen)[:size]
-        stacked = np.frombuffer(
-            b"".join(s.data for s in chosen), dtype=np.uint8
-        ).reshape(cfg.x, width)
-        dec = _decode_matrix(cfg.x, cfg.n, tuple(picked))
-        data = gf256.matmul(dec, stacked)
-        return data.reshape(-1).tobytes()[:size]
+            return payloads[0]
+        rows = {i: d for i, d in zip(picked, payloads) if i < cfg.x}
+        if len(rows) < cfg.x:
+            dec = _decode_matrix(cfg.x, cfg.n, tuple(picked))
+            for i in range(cfg.x):
+                if i not in rows:
+                    rows[i] = gf256.lincomb(dec[i], payloads)
+        # Padding sits at the tail: trim the rows it reaches, then one
+        # join assembles the value.
+        for i in range(size // width, cfg.x):
+            rows[i] = rows[i][: max(size - i * width, 0)]
+        return b"".join(rows[i] for i in range(cfg.x))
 
     def can_decode(self, indices: set[int] | list[int]) -> bool:
         """Whether a set of share indices suffices to reconstruct."""

@@ -1,0 +1,44 @@
+"""Peak transient allocation of the coded byte path, as a multiple of
+the value size.
+
+A timing cannot gate in tier-1 — hosts are too noisy — but allocation
+sizes repeat exactly, and they are what the byte path is made of: every
+copy of a value (or of a share) is an allocation of that size. Before
+the PR 17 rewrite ``encode`` peaked at 3.35x the value (a padded
+staging copy, a 2-D parity array, N ``tobytes``) and a parity ``decode``
+at 4.0x (stacked shares, a full X-row solve, ``tobytes``, a trim copy).
+The bounds below leave room for one share-sized temporary, not for a
+value-sized one, so a reintroduced staging copy fails here.
+"""
+
+import tracemalloc
+
+from repro.erasure import CodingConfig, RSCodec
+
+from .test_share_format import seeded_value
+
+SIZE = 131_072
+
+
+def peak_ratio(fn, *args) -> float:
+    """Peak bytes allocated while ``fn(*args)`` runs, over the value
+    size (tracing starts from zero: the arguments are not counted)."""
+    fn(*args)  # warm caches: matrices, translate tables
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / SIZE
+
+
+def test_encode_peak_allocation():
+    codec = RSCodec(CodingConfig(3, 5))
+    assert peak_ratio(codec.encode, seeded_value(SIZE)) <= 2.8
+
+
+def test_parity_decode_peak_allocation():
+    codec = RSCodec(CodingConfig(3, 5))
+    shares = codec.encode(seeded_value(SIZE))
+    assert peak_ratio(codec.decode, shares[2:]) <= 2.1

@@ -1,4 +1,5 @@
-"""Unit tests for GF(2^8) scalar and vector arithmetic."""
+"""Unit tests for GF(2^8) scalar and matrix arithmetic (the bulk
+kernel is checked against the scalar ops in ``test_rs_properties``)."""
 
 import numpy as np
 import pytest
@@ -82,43 +83,6 @@ class TestScalarOps:
         # The generator's powers must enumerate all 255 nonzero elements.
         seen = {gf256.exp(i) for i in range(255)}
         assert seen == set(range(1, 256))
-
-
-class TestVectorKernels:
-    def test_mul_vec_matches_scalar(self):
-        rng = np.random.default_rng(5)
-        a = rng.integers(0, 256, 500).astype(np.uint8)
-        b = rng.integers(0, 256, 500).astype(np.uint8)
-        out = gf256.mul_vec(a, b)
-        for i in range(len(a)):
-            assert out[i] == gf256.mul(int(a[i]), int(b[i]))
-
-    def test_mul_vec_scalar_arg(self):
-        a = np.arange(256, dtype=np.uint8)
-        out = gf256.mul_vec(a, 3)
-        for i in range(256):
-            assert out[i] == gf256.mul(i, 3)
-
-    def test_addmul_vec(self):
-        rng = np.random.default_rng(6)
-        dst = rng.integers(0, 256, 300).astype(np.uint8)
-        src = rng.integers(0, 256, 300).astype(np.uint8)
-        expected = dst ^ gf256.mul_vec(src, 7)
-        gf256.addmul_vec(dst, src, 7)
-        assert np.array_equal(dst, expected)
-
-    def test_addmul_vec_c_zero_is_noop(self):
-        dst = np.arange(10, dtype=np.uint8)
-        before = dst.copy()
-        gf256.addmul_vec(dst, np.full(10, 9, np.uint8), 0)
-        assert np.array_equal(dst, before)
-
-    def test_addmul_vec_c_one_is_xor(self):
-        dst = np.arange(10, dtype=np.uint8)
-        src = np.full(10, 3, np.uint8)
-        expected = dst ^ src
-        gf256.addmul_vec(dst, src, 1)
-        assert np.array_equal(dst, expected)
 
 
 class TestMatrixOps:

@@ -4,11 +4,12 @@ These check the MDS contract — any X distinct shares reconstruct the
 value — and algebraic field laws, over randomized inputs.
 """
 
+import functools
 import itertools
+import operator
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.erasure import CodingConfig, RSCodec, codec_for
@@ -92,16 +93,48 @@ def test_inverse_law(a):
     assert gf256.mul(a, gf256.inv(a)) == 1
 
 
-@given(
-    st.lists(st.integers(0, 255), min_size=16, max_size=16),
-    st.lists(st.integers(0, 255), min_size=16, max_size=16),
-    st.integers(0, 255),
-)
-def test_addmul_matches_scalar(dst_l, src_l, c):
-    dst = np.array(dst_l, dtype=np.uint8)
-    src = np.array(src_l, dtype=np.uint8)
-    expected = np.array(
-        [d ^ gf256.mul(s, c) for d, s in zip(dst_l, src_l)], dtype=np.uint8
+@st.composite
+def coeffs_and_rows(draw):
+    k = draw(st.integers(min_value=1, max_value=5))
+    width = draw(st.integers(min_value=0, max_value=64))
+    # 0 (term skipped) and 1 (term not translated) are the kernel's two
+    # special cases: draw them far more often than 2 in 256.
+    coeff = st.one_of(st.sampled_from([0, 1]), st.integers(0, 255))
+    coeffs = draw(st.lists(coeff, min_size=k, max_size=k))
+    rows = draw(st.lists(st.binary(min_size=width, max_size=width),
+                         min_size=k, max_size=k))
+    return coeffs, rows
+
+
+@given(coeffs_and_rows())
+@example(([0, 0, 0], [b"abc", b"def", b"ghi"]))  # all-zero coefficients
+@example(([7, 1, 0], [b"", b"", b""]))  # empty rows
+@settings(max_examples=200, deadline=None)
+def test_addmul_matches_scalar(case):
+    """The bulk kernel — every coded byte is an XOR-accumulated product
+    (add-mul) computed by ``gf256.lincomb`` — against scalar ``mul``."""
+    coeffs, rows = case
+    expected = bytes(
+        functools.reduce(
+            operator.xor, (gf256.mul(c, row[b]) for c, row in zip(coeffs, rows))
+        )
+        for b in range(len(rows[0]))
     )
-    gf256.addmul_vec(dst, src, c)
-    assert np.array_equal(dst, expected)
+    out = gf256.lincomb(coeffs, rows)
+    assert type(out) is bytes
+    assert out == expected
+
+
+@given(config_value_subset())
+@settings(max_examples=100, deadline=None)
+def test_bytes_like_inputs_encode_identically(case):
+    """``bytes``, ``bytearray`` and ``memoryview`` values produce the
+    same shares, and a share's payload is always real ``bytes``."""
+    cfg, value, _ = case
+    codec = codec_for(cfg)
+    want = codec.encode(value)
+    assert all(type(s.data) is bytes for s in want)
+    for like in (bytearray(value), memoryview(value)):
+        assert codec.encode(like) == want
+        for i in range(cfg.n):
+            assert codec.encode_share(like, i) == want[i]

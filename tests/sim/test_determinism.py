@@ -44,6 +44,14 @@ def run_cluster(seed, num_clients=4, **kw):
     return write_summary(drive_cluster(seed, num_clients, **kw))
 
 
+@pytest.fixture(scope="module")
+def baseline():
+    """``run_cluster(17)``, run once for the tests that compare some
+    *other* run against it. That the run repeats at all is what
+    ``test_full_cluster_run_identical`` checks, with two fresh runs."""
+    return run_cluster(17)
+
+
 class TestDeterminism:
     def test_network_trace_identical(self):
         def trace(seed):
@@ -66,23 +74,23 @@ class TestDeterminism:
     def test_full_cluster_run_identical(self):
         assert run_cluster(17) == run_cluster(17)
 
-    def test_different_seeds_differ(self):
-        assert run_cluster(17) != run_cluster(18)
+    def test_different_seeds_differ(self, baseline):
+        assert baseline != run_cluster(18)
 
-    def test_batching_off_is_bit_for_bit_the_old_pipeline(self):
+    def test_batching_off_is_bit_for_bit_the_old_pipeline(self, baseline):
         """``batch_max_commands=1`` must not merely be equivalent — it
         must reproduce the unbatched run *exactly*: same metrics, same
         latency samples, same message count. The batching layer is
         provably dormant at batch size 1."""
-        assert run_cluster(17, batch_max_commands=1) == run_cluster(17)
+        assert run_cluster(17, batch_max_commands=1) == baseline
 
-    def test_batched_run_is_deterministic(self):
+    def test_batched_run_is_deterministic(self, baseline):
         a = run_cluster(17, batch_max_commands=4, batch_linger=0.0005)
         b = run_cluster(17, batch_max_commands=4, batch_linger=0.0005)
         assert a == b
         # ... and batching genuinely changes the schedule (fewer
         # messages per command), so this is not a vacuous equality.
-        assert a != run_cluster(17)
+        assert a != baseline
 
     def test_failover_timeline_deterministic(self):
         from repro.bench import Setup, measure_failover
