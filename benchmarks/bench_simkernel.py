@@ -9,6 +9,7 @@ import pytest
 
 from repro.bench import Setup, make_cluster
 from repro.net import LAN, build_network
+from repro.rpc import RpcEndpoint
 from repro.sim import FifoResource, Simulator
 from repro.workload import ClosedLoopDriver, fixed_size_writes
 
@@ -76,6 +77,40 @@ def test_network_single_hop(benchmark):
     assert delivered == 5_000
     # The 5 000 send triggers, plus two events per message hop.
     assert events == 5_000 + 2 * 5_000
+
+
+def test_rpc_round_trip(benchmark):
+    """The message hop's constant factor without a cluster: request ->
+    async handler -> reply across ``Network`` + ``RpcEndpoint`` on the
+    LAN link, adaptive timeout as the Paxos rounds use it. Closed loop,
+    one request in flight, so every exchange is an RTT sample."""
+    rounds = 2_000
+
+    def run_round_trips():
+        sim = Simulator()
+        net = build_network(sim, ["A", "B"], LAN)
+        a, b = RpcEndpoint(sim, net, "A"), RpcEndpoint(sim, net, "B")
+        b.on_request_async(int, lambda n, src, respond: respond(n, 48))
+        done = []
+
+        def on_reply(n):
+            done.append(n)
+            if n + 1 < rounds:
+                a.request("B", n + 1, 4096, on_reply, timeout=0.25,
+                          adaptive=True)
+
+        a.request("B", 0, 4096, on_reply, timeout=0.25, adaptive=True)
+        sim.run()
+        return len(done), sim.events_processed
+
+    replies, events = benchmark(run_round_trips)
+    assert replies == rounds
+    # Two events per wire message, two messages per round trip; the
+    # retransmit timer is cancelled, so it never fires.
+    assert events == 4 * rounds
+    benchmark.extra_info["events_per_round_trip"] = events / rounds
+    benchmark.extra_info["us_per_round_trip"] = (
+        benchmark.stats.stats.median / rounds * 1e6)
 
 
 def test_fifo_resource_throughput(benchmark):

@@ -64,20 +64,6 @@ class Acceptor:
         self.node_id = node_id
         self.state = AcceptorState()
 
-    # -- helpers ---------------------------------------------------------
-
-    def _inst(self, instance: int) -> AcceptorInstance:
-        st = self.state.instances.get(instance)
-        if st is None:
-            st = AcceptorInstance()
-            self.state.instances[instance] = st
-        return st
-
-    def _effective_promised(self, instance: int) -> Ballot:
-        st = self.state.instances.get(instance)
-        per_inst = st.promised if st is not None else NULL_BALLOT
-        return max(per_inst, self.state.floor)
-
     # -- phase 1 -----------------------------------------------------------
 
     def on_prepare(self, msg: Prepare) -> tuple[Promise | Nack, int]:
@@ -119,11 +105,18 @@ class Acceptor:
         Accepts unless a strictly greater ballot has been promised
         (an equal ballot is the proposer exercising its own promise).
         """
-        promised = self._effective_promised(msg.instance)
+        state = self.state
+        st = state.instances.get(msg.instance)
+        # Effective promise: the higher of the instance's own and the
+        # range floor (an instance never voted in has only the floor).
+        promised = state.floor
+        if st is not None and st.promised >= promised:
+            promised = st.promised
         if msg.ballot < promised:
             return Nack(instance=msg.instance, promised=promised), 0
-        st = self._inst(msg.instance)
-        st.promised = max(promised, msg.ballot)
+        if st is None:
+            st = state.instances[msg.instance] = AcceptorInstance()
+        st.promised = msg.ballot  # >= promised, past the check above
         st.accepted_ballot = msg.ballot
         st.accepted_share = msg.share
         reply = Accepted(

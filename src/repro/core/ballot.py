@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class Ballot:
     """Totally ordered, globally unique ballot id."""
 
@@ -20,6 +20,34 @@ class Ballot:
     def __post_init__(self) -> None:
         if self.round < 0:
             raise ValueError("ballot round must be non-negative")
+
+    # The order of the tuple (round, proposer), spelled out: several
+    # ballots are compared per message, and ``dataclass(order=True)``
+    # builds two tuples for each comparison.
+
+    def __lt__(self, other: "Ballot") -> bool:
+        if other.__class__ is not Ballot:
+            return NotImplemented
+        return self.round < other.round or (
+            self.round == other.round and self.proposer < other.proposer)
+
+    def __le__(self, other: "Ballot") -> bool:
+        if other.__class__ is not Ballot:
+            return NotImplemented
+        return self.round < other.round or (
+            self.round == other.round and self.proposer <= other.proposer)
+
+    def __gt__(self, other: "Ballot") -> bool:
+        if other.__class__ is not Ballot:
+            return NotImplemented
+        return self.round > other.round or (
+            self.round == other.round and self.proposer > other.proposer)
+
+    def __ge__(self, other: "Ballot") -> bool:
+        if other.__class__ is not Ballot:
+            return NotImplemented
+        return self.round > other.round or (
+            self.round == other.round and self.proposer >= other.proposer)
 
     def next(self, proposer: int) -> "Ballot":
         """The smallest ballot for ``proposer`` greater than this one."""

@@ -116,6 +116,7 @@ class PaxosNode:
         self.config = config
         self.node_id = node_id
         self.peers = dict(peers)
+        self.members = tuple(sorted(peers))  # share i goes to members[i]
         self.rpc_timeout = rpc_timeout
         self.commit_interval = commit_interval
         self.codec_bw = codec_bw
@@ -131,7 +132,6 @@ class PaxosNode:
         self.is_leader = False
         self.leader_ballot: Ballot | None = None
         self._max_ballot_seen: Ballot = NULL_BALLOT
-        self._votes: dict[int, VoteTracker] = {}
         self._inflight: dict[int, Value] = {}
         self._decide_cbs: dict[int, Callable[[int, Value], None]] = {}
         self._pending_commits: list[Commit] = []
@@ -175,7 +175,6 @@ class PaxosNode:
         self.wal.crash()
         self.acceptor = Acceptor(self.node_id)
         self.chosen.clear()
-        self._votes.clear()
         self._inflight.clear()
         self._decide_cbs.clear()
         self._pending_commits.clear()
@@ -511,13 +510,13 @@ class PaxosNode:
             return
         if self.leader_ballot is not None and ballot != self.leader_ballot:
             return  # stale leader round (canonical rounds pass through)
-        members = tuple(sorted(self.peers))
+        members = self.members
         shares = encode_value(value, self.config.coding, members)
+        # Owned by on_reply alone, so it dies with the round's requests.
         tracker = VoteTracker(
             instance=instance, ballot=ballot,
             value_id=value.value_id, quorum=self.config.q_w,
         )
-        self._votes[instance] = tracker
 
         def on_reply(reply) -> None:
             if self._down:
@@ -528,10 +527,10 @@ class PaxosNode:
             if isinstance(reply, Accepted) and tracker.record(reply):
                 self._on_chosen_at_leader(instance, ballot, value)
 
-        for rank, node_id in enumerate(members):
-            msg = Accept(instance=instance, ballot=ballot, share=shares[rank])
+        for node_id, share in zip(members, shares):
             self.endpoint.request(
-                self.peers[node_id], msg, msg.wire_bytes,
+                self.peers[node_id], Accept(instance, ballot, share),
+                META_BYTES + share.size,  # Accept.wire_bytes, size in hand
                 on_reply=on_reply,
                 timeout=self.rpc_timeout, retries=-1, adaptive=True,
             )
@@ -657,13 +656,13 @@ class PaxosNode:
             for inst in list(self._inflight):
                 self._inflight.pop(inst, None)
                 self._decide_cbs.pop(inst, None)
-                self._votes.pop(inst, None)
         if self.node_id not in peers:
             raise ValueError("apply_view on a non-member; use retire()")
         if len(peers) != config.n:
             raise ValueError(f"{len(peers)} peers != configured N={config.n}")
         self.config = config
         self.peers = dict(peers)
+        self.members = tuple(sorted(peers))
         # A node that was retired by an earlier view and is a member of
         # this one has been re-admitted (reconfigure-add): un-retire it.
         # Observer mode, if set, stays until the rebuild completes.
@@ -719,10 +718,10 @@ class PaxosNode:
         # hold even across view changes.
         if rec.share is not None:
             coding = rec.share.config
-            members = rec.share.members or tuple(sorted(self.peers))
+            members = rec.share.members or self.members
         else:
             coding = self.config.coding
-            members = tuple(sorted(self.peers))
+            members = self.members
         if target_node not in members:
             return None
         index = members.index(target_node)

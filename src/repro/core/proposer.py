@@ -124,7 +124,7 @@ def scan_promises(
     return {inst: scan_instance(acc) for inst, acc in per_instance.items()}
 
 
-@dataclass
+@dataclass(slots=True)
 class VoteTracker:
     """Counts phase-2(b) votes for one instance until QW is reached."""
 
@@ -155,7 +155,7 @@ class VoteTracker:
         return len(self.voters) >= self.quorum
 
 
-@dataclass
+@dataclass(slots=True)
 class PromiseTracker:
     """Counts phase-1(b) promises until QR is reached."""
 

@@ -81,6 +81,13 @@ class CodedShare:
     and uncoded meta are checksummed separately and small — but its
     coded payload must not feed the decoder, so :func:`decode_value`
     excludes corrupt shares from the ≥X distinct-index count.
+
+    ``size`` is the modeled share size in bytes,
+    ``config.share_size(value_size)``: read on every hop that charges
+    the share to a wire or a disk, so it is stored, not derived per read.
+    It is filled in here unless the constructor's caller, having it in
+    hand already, passes it (a copy that changes ``config`` or
+    ``value_size`` passes ``size=-1`` to have it derived afresh).
     """
 
     value_id: str
@@ -91,17 +98,18 @@ class CodedShare:
     meta: Any = None
     members: tuple[int, ...] | None = None
     corrupt: bool = False
+    size: int = -1
 
-    @property
-    def size(self) -> int:
-        """Modeled share size in bytes."""
-        return self.config.share_size(self.value_size)
+    def __post_init__(self) -> None:
+        if self.size < 0:
+            object.__setattr__(
+                self, "size", self.config.share_size(self.value_size))
 
     def corrupted(self) -> "CodedShare":
         """This share with its coded payload marked rotten."""
         return CodedShare(
             self.value_id, self.index, self.config, self.value_size,
-            self.data, self.meta, self.members, corrupt=True,
+            self.data, self.meta, self.members, corrupt=True, size=self.size,
         )
 
     def repaired(self, data: bytes | None = None) -> "CodedShare":
@@ -109,7 +117,7 @@ class CodedShare:
         return CodedShare(
             self.value_id, self.index, self.config, self.value_size,
             data if data is not None else self.data,
-            self.meta, self.members, corrupt=False,
+            self.meta, self.members, corrupt=False, size=self.size,
         )
 
 
@@ -124,16 +132,17 @@ def encode_value(
     size-only shares. ``members`` (sorted replica ids, one per share)
     is stamped on every share for view-change-proof re-coding.
     """
+    size = config.share_size(value.size)
     if value.data is None:
         return [
             CodedShare(value.value_id, i, config, value.size,
-                       meta=value.meta, members=members)
+                       meta=value.meta, members=members, size=size)
             for i in range(config.n)
         ]
     shares = codec_for(config).encode(value.data)
     return [
         CodedShare(value.value_id, s.index, config, value.size, s.data,
-                   value.meta, members)
+                   value.meta, members, size=size)
         for s in shares
     ]
 

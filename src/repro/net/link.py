@@ -18,6 +18,7 @@ substreams so experiments are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,8 +58,12 @@ class LinkSpec:
             raise ValueError("probabilities must be in [0, 1]")
 
     def serialization_time(self, nbytes: int) -> float:
-        """Seconds the NIC is occupied transmitting ``nbytes``."""
-        if self.bandwidth_bps == float("inf"):
+        """Seconds the NIC is occupied transmitting ``nbytes``.
+
+        ``Network.send`` inlines this expression on its per-message path
+        (``tests/net/test_net_properties.py`` holds the two bit-equal).
+        """
+        if self.bandwidth_bps == inf:
             return 0.0
         return nbytes * 8 / self.bandwidth_bps
 

@@ -44,8 +44,3 @@ class Envelope:
     size: int
     msg_id: int = 0
     dup: bool = False
-
-    @property
-    def wire_size(self) -> int:
-        """Bytes occupying links: payload + fixed header."""
-        return self.size + HEADER_BYTES

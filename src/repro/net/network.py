@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 from ..sim import FifoResource, Simulator, Tracer, NULL_TRACER
 from .link import LOOPBACK, LinkSpec
-from .message import Envelope
+from .message import HEADER_BYTES, Envelope
 
 Handler = Callable[[Envelope], None]
 
@@ -77,7 +77,7 @@ class Network:
         # the node stays reachable, it just drains its NIC queues
         # slowly. Factor 1.0 removes the entry.
         self._nic_slowdown: dict[str, float] = {}
-        # Directed pair -> pre-drawn jitter values (see _jitter).
+        # Directed pair -> pre-drawn jitter values (see _refill_jitter).
         self._jitter_blocks: dict[tuple[str, str], list[float]] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -250,52 +250,67 @@ class Network:
             return
 
         self.messages_sent += 1
-        wire_size = env.wire_size
-        sender.bytes_sent += wire_size
-        spec = self.link(src, dst)
+        wire = size + HEADER_BYTES
+        sender.bytes_sent += wire
+        pair = (src, dst)
+        spec = self._links.get(pair) or self.default_link
 
-        # Egress serialization (shared per-host queue).
-        ser = spec.serialization_time(wire_size)
-        ser *= self._nic_slowdown.get(src, 1.0)
-        sent = sender.egress.reserve(ser)
+        # NIC serialization: ``spec.serialization_time(wire)``, inlined
+        # (÷ inf is 0.0). Paid at the egress queue here (shared per
+        # host) and again at the receiver's ingress queue on arrival.
+        ser = wire * 8 / spec.bandwidth_bps
+        slow = self._nic_slowdown  # empty outside slow-node chaos
+        sent = sender.egress.reserve(ser * slow.get(src, 1.0) if slow else ser)
 
-        # Loss / duplication coin flips, per directed pair stream.
-        rng = self.sim.rng
-        loss_prob = min(1.0, spec.loss_prob + self.extra_loss_prob)
-        if loss_prob > 0.0 and rng.choice_prob(f"net.loss.{src}->{dst}", loss_prob):
-            self.messages_dropped += 1
-            self.tracer.emit(self.sim.now, "net", f"lost {src}->{dst} #{env.msg_id}")
-            return
-        dup_prob = min(1.0, spec.dup_prob + self.extra_dup_prob)
-        duplicated = dup_prob > 0.0 and rng.choice_prob(
-            f"net.dup.{src}->{dst}", dup_prob
-        )
+        # Loss / duplication coin flips, per directed pair stream. With
+        # all four probabilities zero (every run but the lossy ones)
+        # there is nothing to clamp and nothing to draw; when any is
+        # non-zero the draws are the ones below, in this order.
+        duplicated = False
+        if (spec.loss_prob or spec.dup_prob
+                or self.extra_loss_prob or self.extra_dup_prob):
+            rng = self.sim.rng
+            loss_prob = min(1.0, spec.loss_prob + self.extra_loss_prob)
+            if loss_prob > 0.0 and rng.choice_prob(
+                f"net.loss.{src}->{dst}", loss_prob
+            ):
+                self.messages_dropped += 1
+                self.tracer.emit(
+                    self.sim.now, "net", f"lost {src}->{dst} #{env.msg_id}")
+                return
+            dup_prob = min(1.0, spec.dup_prob + self.extra_dup_prob)
+            duplicated = dup_prob > 0.0 and rng.choice_prob(
+                f"net.dup.{src}->{dst}", dup_prob
+            )
         for copy in (env, replace(env, dup=True)) if duplicated else (env,):
             delay = spec.delay_s
             if spec.jitter_s > 0:
-                delay += self._jitter(src, dst, spec.jitter_s)
-            self.sim.call_at(sent + delay, lambda e=copy: self._arrive(e, spec))
+                block = self._jitter_blocks.get(pair) or self._refill_jitter(
+                    pair, spec.jitter_s)
+                delay += block.pop()
+            self.sim.call_at(sent + delay, lambda e=copy: self._arrive(e, ser))
 
-    def _jitter(self, src: str, dst: str, half_width: float) -> float:
-        """Next uniform ``±half_width`` draw of the pair's jitter stream.
+    def _refill_jitter(
+        self, pair: tuple[str, str], half_width: float
+    ) -> list[float]:
+        """Refill the pair's block of uniform ``±half_width`` jitter
+        draws; ``send`` pops them from the end, in draw order.
 
         Drawn ``JITTER_BLOCK`` at a time: one vectorized
         ``Generator.uniform`` call yields exactly the values the same
         number of scalar calls would, at a fraction of the per-call cost.
         """
-        block = self._jitter_blocks.get((src, dst))
-        if not block:
-            stream = self.sim.rng.stream(f"net.jitter.{src}->{dst}")
-            block = stream.uniform(-half_width, half_width, JITTER_BLOCK).tolist()
-            block.reverse()  # consumed from the end, in draw order
-            self._jitter_blocks[(src, dst)] = block
-        return block.pop()
+        stream = self.sim.rng.stream(f"net.jitter.{pair[0]}->{pair[1]}")
+        block = stream.uniform(-half_width, half_width, JITTER_BLOCK).tolist()
+        block.reverse()
+        self._jitter_blocks[pair] = block
+        return block
 
-    def _arrive(self, env: Envelope, spec: LinkSpec) -> None:
-        receiver = self.hosts[env.dst]
-        ser = spec.serialization_time(env.wire_size)
-        ser *= self._nic_slowdown.get(env.dst, 1.0)
-        receiver.ingress.submit(ser, lambda: self._deliver(env))
+    def _arrive(self, env: Envelope, ser: float) -> None:
+        slow = self._nic_slowdown
+        if slow:
+            ser *= slow.get(env.dst, 1.0)
+        self.hosts[env.dst].ingress.submit(ser, lambda: self._deliver(env))
 
     def _deliver(self, env: Envelope) -> None:
         receiver = self.hosts[env.dst]
@@ -304,7 +319,7 @@ class Network:
             return
         if env.src != env.dst:
             self.messages_delivered += 1
-            receiver.bytes_received += env.wire_size
+            receiver.bytes_received += env.size + HEADER_BYTES
         if self.tracer.enabled:
             self.tracer.emit(
                 self.sim.now, "net",

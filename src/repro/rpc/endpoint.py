@@ -272,9 +272,6 @@ class RpcEndpoint:
         st = self._peer_stats.get(dst)
         if st is None or st.samples == 0:
             return fallback
-        return self._derived_rto(st)
-
-    def _derived_rto(self, st: PeerStats) -> float:
         return min(self.rto_ceil, max(self.rto_floor, st.ewma + self.rto_k * st.dev))
 
     def _record_rtt(self, dst: str, sample: float) -> None:
@@ -289,7 +286,13 @@ class RpcEndpoint:
             st.ewma += self.RTO_ALPHA * err
             st.dev += self.RTO_BETA * (abs(err) - st.dev)
         st.samples += 1
-        rto = self._derived_rto(st)
+        # What rto() derives, stored so that _transmit need not: the
+        # clamps are fixed at construction and every sample lands here.
+        rto = st.ewma + self.rto_k * st.dev
+        if rto < self.rto_floor:
+            rto = self.rto_floor
+        if rto > self.rto_ceil:
+            rto = self.rto_ceil
         if st.rto > 0.0 and abs(rto - st.rto) > 0.25 * st.rto:
             self.timeouts_adapted += 1
         st.rto = rto
@@ -360,18 +363,20 @@ class RpcEndpoint:
     def _transmit(self, pending: _PendingRequest) -> None:
         if pending.done:
             return
+        now = self.sim.now
         if pending.transmits == 0:
-            pending.first_tx = self.sim.now
-            pending.cur_timeout = (
-                self.rto(pending.dst, pending.timeout)
-                if pending.adaptive else pending.timeout
-            )
+            pending.first_tx = now
+            pending.cur_timeout = pending.timeout
+            if pending.adaptive:  # rto(dst, timeout), read not re-derived
+                st = self._peer_stats.get(pending.dst)
+                if st is not None and st.samples:
+                    pending.cur_timeout = st.rto
         pending.transmits += 1
-        pending.last_tx = self.sim.now
+        pending.last_tx = now
         self.net.send(self.name, pending.dst,
                       Request(pending.req_id, pending.body), pending.size)
-        pending.timer = self.sim.call_after(
-            pending.cur_timeout, pending.on_timer
+        pending.timer = self.sim.call_at(
+            now + pending.cur_timeout, pending.on_timer
         )
 
     def _on_request_timer(self, pending: _PendingRequest) -> None:
@@ -403,11 +408,10 @@ class RpcEndpoint:
         self._dispatch(env.payload, env.src)
 
     def _dispatch(self, payload: Any, src: str) -> None:
-        if isinstance(payload, Batch):
-            for item in payload.items:
-                self._dispatch(item, src)
-            return
-        if isinstance(payload, Request):
+        # Exact-type tests, commonest first: none of the three wire
+        # wrappers is subclassed, and handlers are keyed by exact type.
+        kind = type(payload)
+        if kind is Request:
             async_handler = self._async_request_handlers.get(type(payload.body))
             if async_handler is not None:
                 req_id = payload.req_id
@@ -427,7 +431,7 @@ class RpcEndpoint:
                 )
                 self.net.send(self.name, src, Reply(payload.req_id, body), size)
             return
-        if isinstance(payload, Reply):
+        if kind is Reply:
             pending = self._pending.pop(payload.req_id, None)
             if pending is None or pending.done:
                 # Duplicate delivery, or a reply landing after the final
@@ -459,6 +463,10 @@ class RpcEndpoint:
                     self._record_rtt(pending.dst, sample)
             pending.on_reply(payload.body)
             return
-        handler = self._handlers.get(type(payload))
+        if kind is Batch:
+            for item in payload.items:
+                self._dispatch(item, src)
+            return
+        handler = self._handlers.get(kind)
         if handler is not None:
             handler(payload, src)

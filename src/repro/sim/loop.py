@@ -74,10 +74,14 @@ class Simulator:
         sim = Simulator(seed=7)
         sim.call_at(1.0, lambda: print("hello at t=1"))
         sim.run(until=10.0)
+
+    ``now`` is the current simulated time in seconds. It is a plain
+    attribute because everything reads it on every message hop — and
+    read-only by contract: only the event loop (:meth:`_drain`) assigns it.
     """
 
     def __init__(self, seed: int = 0):
-        self._now = 0.0
+        self.now = 0.0
         self._seq = 0
         self._heap: list[tuple[float, int, Event]] = []
         self._dead = 0  # cancelled entries still in the heap
@@ -89,20 +93,13 @@ class Simulator:
         self.rng = RngRegistry(seed)
         self.events_processed = 0
 
-    # -- clock ----------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     # -- scheduling -----------------------------------------------------
 
     def call_at(self, when: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run at absolute time ``when``."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at t={when} < now={self._now}"
+                f"cannot schedule at t={when} < now={self.now}"
             )
         ev = Event(when, callback, self)
         seq = self._seq
@@ -114,12 +111,12 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.call_at(self._now + delay, callback)
+        return self.call_at(self.now + delay, callback)
 
     def call_soon(self, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at the current instant (after events
         already queued for this instant)."""
-        return self.call_at(self._now, callback)
+        return self.call_at(self.now, callback)
 
     # -- running --------------------------------------------------------
 
@@ -167,11 +164,11 @@ class Simulator:
                     break
                 heappop(heap)
                 ev.callback = None  # fired: a late cancel() is no tombstone
-                self._now = when
+                self.now = when
                 fired += 1
                 callback()
-            if until is not None and self._now < until:
-                self._now = until
+            if until is not None and self.now < until:
+                self.now = until
             return fired
         finally:
             self.events_processed += fired
@@ -206,7 +203,7 @@ class Simulator:
     # -- misc -----------------------------------------------------------
 
     def timeout_error(self, msg: str) -> "SimTimeout":
-        return SimTimeout(f"t={self._now:.6f}: {msg}")
+        return SimTimeout(f"t={self.now:.6f}: {msg}")
 
 
 class SimTimeout(Exception):

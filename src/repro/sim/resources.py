@@ -46,7 +46,9 @@ class FifoResource:
         """
         if service_time < 0:
             raise ValueError(f"negative service time {service_time}")
-        done = max(self.sim.now, self._busy_until) + service_time
+        now = self.sim.now
+        busy_until = self._busy_until
+        done = (busy_until if busy_until > now else now) + service_time
         self._busy_until = done
         self._busy_time += service_time
         self.jobs_served += 1

@@ -282,3 +282,31 @@ class TestCrashRecovery:
         assert elect(group, 1, until=10.0)
         rec = group.node(1).chosen.get(inst)
         assert rec is not None and rec.value_id == v.value_id
+
+
+class TestLeaderRetainsNoRoundState:
+    def test_no_vote_tracker_outlives_its_chosen_instance(self):
+        """A round's ``VoteTracker`` belongs to its ``on_reply`` closure
+        and goes when the last Accepted has been answered. The leader
+        used to file every tracker in a dict nothing read and nothing
+        pruned: one tracker (and its voter set) per instance, for ever."""
+        import gc
+
+        from repro.core.proposer import VoteTracker
+
+        def census() -> int:
+            gc.collect()
+            return sum(isinstance(o, VoteTracker) for o in gc.get_objects())
+
+        alive_before = census()  # other tests' leftovers, if any
+        group = make_group(rs_paxos(5, 1))
+        assert elect(group, 0)
+        leader = group.node(0)
+        decided = []
+        for i in range(200):
+            leader.propose(val(b"v%d" % i), lambda inst, v: decided.append(inst))
+        group.sim.run(until=group.sim.now + 5.0)
+        assert len(decided) == 200
+        assert all(inst in leader.chosen for inst in decided)
+        assert not hasattr(leader, "_votes")
+        assert census() == alive_before

@@ -1,4 +1,5 @@
-"""Property-based tests (hypothesis) for token-scoped link cuts.
+"""Property-based tests (hypothesis) for token-scoped link cuts, and
+for the NIC serialization time ``Network.send`` computes inline.
 
 The network's blocking state is a multiset: each directed pair is cut
 while *any* episode token claims it. We replay an arbitrary sequence of
@@ -9,10 +10,12 @@ state to match exactly — in particular, a scoped heal must never
 resurrect a link severed by a *different* still-active episode.
 """
 
+from math import inf
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import LinkSpec, build_network
+from repro.net import HEADER_BYTES, LinkSpec, build_network
 from repro.sim import Simulator
 
 HOSTS = ["A", "B", "C", "D"]
@@ -121,3 +124,39 @@ def test_scoped_heal_never_resurrects_other_episodes(data):
             assert net.is_blocked(src, dst), (
                 f"{op} resurrected {src}->{dst} severed by active t0")
     net.heal("t0")
+
+
+bandwidths = st.one_of(
+    st.sampled_from([inf, 1e9, 500e6, 1e6, 1.0]),
+    st.floats(min_value=1e-3, max_value=1e15, allow_nan=False),
+)
+
+
+@given(st.integers(0, 1 << 31), bandwidths, st.sampled_from([1.0, 2.5, 7.0]))
+@settings(max_examples=300, deadline=None)
+def test_inlined_serialization_time_is_the_public_one(size, bps, slowdown):
+    """``Network.send`` spells ``LinkSpec.serialization_time`` out on its
+    per-message path (and skips the NIC-slowdown multiply while no host
+    is slowed). What the NIC queues are charged must stay that method's
+    result to the last bit, infinite bandwidth included."""
+    spec = LinkSpec(delay_s=0.0, bandwidth_bps=bps)
+    ser = spec.serialization_time(size + HEADER_BYTES)
+
+    def one_message(slow_dst: bool) -> tuple[float, float]:
+        sim = Simulator(seed=0)
+        net = build_network(sim, ["A", "B"], spec)
+        if slow_dst:
+            net.set_nic_slowdown("B", slowdown)
+        delivered: list[float] = []
+        net.set_handler("B", lambda env: delivered.append(sim.now))
+        net.send("A", "B", None, size)
+        egress = net.hosts["A"].egress.backlog  # at t=0: the job itself
+        sim.run()
+        return egress, delivered[0]
+
+    egress, at = one_message(slow_dst=False)
+    assert egress.hex() == ser.hex()
+    assert at.hex() == ((ser + spec.delay_s) + ser).hex()
+    egress, at = one_message(slow_dst=True)
+    assert egress.hex() == ser.hex()  # only the receiver's NIC is slow
+    assert at.hex() == ((ser + spec.delay_s) + ser * slowdown).hex()

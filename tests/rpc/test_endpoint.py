@@ -1,9 +1,14 @@
 """Unit tests for the RPC layer."""
 
+import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.net import LinkSpec, build_network
 from repro.rpc import Batch, RpcEndpoint
 from repro.sim import Simulator
@@ -348,6 +353,60 @@ class TestAdaptiveTimeouts:
         sim.run(until=2.0)
         assert len(got) == 2
         assert eps["A"].timeouts_adapted == 1
+
+
+class TestStoredRtoIsTheDerivedRto:
+    """``_transmit`` arms an adaptive request's timer from the stored
+    ``PeerStats.rto`` instead of deriving ``clamp(ewma + k*dev)`` again.
+    That is only sound while the stored value *is* what ``rto()``
+    derives: every sample refreshes it, and the clamps never change."""
+
+    @given(
+        st.lists(st.floats(0.0, 1.5), min_size=1, max_size=12),
+        st.sampled_from([0.0, 0.02, 0.3]),
+        st.sampled_from([0.4, 2.0]),
+        st.sampled_from([0.0, 1.0, 4.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_after_any_samples(self, delays, floor, ceil, k):
+        sim, net, eps = make_endpoints(rto_floor=floor, rto_ceil=ceil, rto_k=k)
+        a = eps["A"]
+
+        def handler(msg, src, respond):
+            if msg.n >= 0:  # n < 0: silence
+                sim.call_after(delays[msg.n], lambda: respond(Pong(), 0))
+
+        eps["B"].on_request_async(Ping, handler)
+        for i in range(len(delays)):
+            # 0.4 s static timeout: slow replies come back after a
+            # retransmit, i.e. as ambiguous (one-sided) samples.
+            a.request("B", Ping(i), 10, on_reply=lambda r: None, timeout=0.4)
+            sim.run(until=sim.now + 5.0)
+            stats = a.peer_stats("B")
+            # No sample yet (a first exchange that was retransmitted
+            # yields none): rto() is the caller's fallback.
+            want = stats.rto if stats.samples else 9.9
+            assert a.rto("B", 9.9).hex() == want.hex()
+        fired = []
+        start = sim.now
+        a.request("B", Ping(-1), 10, on_reply=lambda r: None, timeout=9.9,
+                  retries=0, adaptive=True,
+                  on_timeout=lambda: fired.append(sim.now))
+        sim.run(until=start + 10.0)
+        assert fired == [start + a.rto("B", 9.9)]
+
+    def test_clamps_are_assigned_only_at_construction(self):
+        assigned = [
+            (path.name, line.strip())
+            for path in sorted(Path(repro.__file__).parent.rglob("*.py"))
+            for line in path.read_text().splitlines()
+            if re.search(r"\.rto_(floor|ceil|k)\s*=(?!=)", line)
+        ]
+        assert assigned == [
+            ("endpoint.py", "self.rto_floor = rto_floor"),
+            ("endpoint.py", "self.rto_ceil = rto_ceil"),
+            ("endpoint.py", "self.rto_k = rto_k"),
+        ]
 
 
 class TestBatching:
