@@ -78,10 +78,12 @@ def main(
         rebuild_bytes = sum(r.rebuild_bytes for r in results)
         wal_bytes = sum(r.wal_bytes for r in results)
         ckpt_bytes = sum(r.checkpoint_bytes for r in results)
+        ckpt_written = sum(r.checkpoint_bytes_written for r in results)
         compacted = sum(r.records_compacted for r in results)
         print(f"   rebuild/footprint: {transfers} snapshot transfers "
               f"({rebuild_bytes} B rebuild traffic); final durable state "
-              f"{wal_bytes} B WAL + {ckpt_bytes} B checkpoints, "
+              f"{wal_bytes} B WAL + {ckpt_bytes} B checkpoints "
+              f"({ckpt_written} B written), "
               f"{compacted} records compacted")
         shed = sum(r.requests_shed for r in results)
         hedges = sum(r.hedges_issued for r in results)

@@ -203,6 +203,11 @@ def _permanent_failure_ladder() -> tuple[list[str], list[float]]:
           if med is not None else
           f"   {evictions} evictions, {replacements} re-admissions; "
           f"no redundancy restorations")
+    fp = [s.durable_footprint() for s in cluster.servers]
+    print("   rebuild/footprint: final durable state "
+          f"{sum(f['wal_bytes'] for f in fp)} B WAL + "
+          f"{sum(f['checkpoint_bytes'] for f in fp)} B checkpoints "
+          f"({sum(f['checkpoint_bytes_written'] for f in fp)} B written)")
     return problems, ttrs
 
 

@@ -156,6 +156,7 @@ class EpisodeResult:
     rebuild_bytes: int = 0       # snapshot pages + rebuild catch-up traffic
     wal_bytes: int = 0           # final durable WAL bytes, all servers
     checkpoint_bytes: int = 0    # final checkpoint bytes, all servers
+    checkpoint_bytes_written: int = 0  # cumulative, ÷ stored = write amp.
     records_compacted: int = 0   # WAL records dropped by truncation
     # Overload / gray-failure accounting (admission control + hedging
     # PR): how often leaders shed load, how often hedged share fetches
@@ -235,6 +236,7 @@ class EpisodeResult:
             "rebuild_bytes": self.rebuild_bytes,
             "wal_bytes": self.wal_bytes,
             "checkpoint_bytes": self.checkpoint_bytes,
+            "checkpoint_bytes_written": self.checkpoint_bytes_written,
             "records_compacted": self.records_compacted,
             "requests_shed": self.requests_shed,
             "shed_by_tenant": self.shed_by_tenant,
@@ -519,6 +521,10 @@ class ChaosRunner:
             ),
             checkpoint_bytes=sum(
                 s.durable_footprint()["checkpoint_bytes"]
+                for s in cluster.servers
+            ),
+            checkpoint_bytes_written=sum(
+                s.durable_footprint()["checkpoint_bytes_written"]
                 for s in cluster.servers
             ),
             records_compacted=sum(

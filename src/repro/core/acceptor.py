@@ -19,15 +19,18 @@ re-drives unfinished lower instances under its own ballot anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ballot import NULL_BALLOT, Ballot
 from .messages import META_BYTES, Accept, Accepted, Nack, Prepare, Promise
 from .value import CodedShare
 
 
-@dataclass(slots=True)
-class AcceptorInstance:
-    """Durable per-instance acceptor record."""
+class AcceptorInstance(NamedTuple):
+    """Durable per-instance acceptor record, an immutable value: a
+    writer *replaces* it in ``AcceptorState.instances``, so live state,
+    checkpoint and recovered replica may share one object and a changed
+    record is a different one (DESIGN.md §4)."""
 
     promised: Ballot = NULL_BALLOT
     accepted_ballot: Ballot | None = None
@@ -40,21 +43,6 @@ class AcceptorState:
 
     floor: Ballot = NULL_BALLOT
     instances: dict[int, AcceptorInstance] = field(default_factory=dict)
-
-    def copy(self) -> "AcceptorState":
-        """Independent copy: fresh AcceptorInstance records (Ballot and
-        CodedShare are immutable, so sharing those is safe)."""
-        return AcceptorState(
-            floor=self.floor,
-            instances={
-                inst: AcceptorInstance(
-                    promised=st.promised,
-                    accepted_ballot=st.accepted_ballot,
-                    accepted_share=st.accepted_share,
-                )
-                for inst, st in self.instances.items()
-            },
-        )
 
 
 class Acceptor:
@@ -114,11 +102,9 @@ class Acceptor:
             promised = st.promised
         if msg.ballot < promised:
             return Nack(instance=msg.instance, promised=promised), 0
-        if st is None:
-            st = state.instances[msg.instance] = AcceptorInstance()
-        st.promised = msg.ballot  # >= promised, past the check above
-        st.accepted_ballot = msg.ballot
-        st.accepted_share = msg.share
+        # msg.ballot >= promised, past the check above.
+        state.instances[msg.instance] = AcceptorInstance(
+            msg.ballot, msg.ballot, msg.share)
         reply = Accepted(
             instance=msg.instance,
             ballot=msg.ballot,
@@ -129,14 +115,10 @@ class Acceptor:
 
     # -- recovery ------------------------------------------------------------
 
-    def export_state(self) -> AcceptorState:
-        """Snapshot for durable checkpointing."""
-        return self.state
-
     def snapshot(self) -> AcceptorState:
-        """Independent copy of the durable state, safe to hold across
-        an asynchronous checkpoint write while voting continues."""
-        return self.state.copy()
+        """Independent copy of the durable state (its own map over the
+        same immutable records): unmoved while voting continues."""
+        return AcceptorState(self.state.floor, dict(self.state.instances))
 
     def restore_state(self, state: AcceptorState) -> None:
         """Install recovered durable state (after a crash)."""

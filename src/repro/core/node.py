@@ -25,7 +25,7 @@ flush-completion callback (§4.5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from ..rpc import Batch, RpcEndpoint
 from ..sim import NULL_TRACER, Simulator, Tracer
@@ -64,9 +64,10 @@ def is_noop(value_id: str) -> bool:
     return value_id.startswith("noop.")
 
 
-@dataclass(slots=True)
-class ChosenRecord:
-    """What this node knows about a decided instance."""
+class ChosenRecord(NamedTuple):
+    """What this node knows about a decided instance: an immutable
+    value, replaced in ``PaxosNode.chosen`` (``_replace``) when a value
+    or share is filled in — never mutated, like ``AcceptorInstance``."""
 
     value_id: str
     ballot: Ballot
@@ -204,14 +205,13 @@ class PaxosNode:
                 _, instance, ballot, share = rec.payload
                 if not rec.valid and not share.corrupt:
                     share = share.corrupted()
-                st = self.acceptor.state.instances.get(instance)
+                instances = self.acceptor.state.instances
+                st = instances.get(instance)
                 if st is None:
-                    st = AcceptorInstance()
-                    self.acceptor.state.instances[instance] = st
-                if st.accepted_ballot is None or ballot >= st.accepted_ballot:
-                    st.promised = max(st.promised, ballot)
-                    st.accepted_ballot = ballot
-                    st.accepted_share = share
+                    instances[instance] = AcceptorInstance(ballot, ballot, share)
+                elif st.accepted_ballot is None or ballot >= st.accepted_ballot:
+                    instances[instance] = AcceptorInstance(
+                        max(st.promised, ballot), ballot, share)
                 self._max_ballot_seen = max(self._max_ballot_seen, ballot)
             elif kind == "chosen":
                 _, instance, ballot, value_id = rec.payload
@@ -221,39 +221,29 @@ class PaxosNode:
     # checkpointing
     # ------------------------------------------------------------------
 
-    def export_snapshot(self) -> dict:
-        """This group's contribution to a durable checkpoint.
-
-        Everything needed to resume without the compacted WAL prefix:
-        the acceptor's promised/accepted state, learned decisions, and
-        cursors. All mutable containers are copied, so the blob stays
-        frozen while the asynchronous checkpoint write is in flight.
-        """
+    def export_cursors(self) -> dict:
+        """The scalars of this group's durable state, which every
+        checkpoint replaces in full (the per-instance records it only
+        appends to: ``KVServer.checkpoint_now``)."""
         return {
-            "acceptor": self.acceptor.snapshot(),
-            "chosen": {
-                inst: ChosenRecord(rec.value_id, rec.ballot, rec.value, rec.share)
-                for inst, rec in self.chosen.items()
-            },
+            "floor": self.acceptor.state.floor,
             "apply_cursor": self.apply_cursor,
             "next_instance": self.next_instance,
             "max_ballot": self._max_ballot_seen,
         }
 
-    def install_snapshot(self, snap: dict) -> None:
-        """Inverse of :meth:`export_snapshot`, run before WAL tail
-        replay on recovery. Installs *copies* so a later crash can load
-        the same durable blob again uncorrupted. ``max_ballot`` merges
-        (never regresses a ballot learned since the snapshot)."""
-        acc: AcceptorState = snap["acceptor"]
-        self.acceptor.restore_state(acc.copy())
-        self.chosen = {
-            inst: ChosenRecord(rec.value_id, rec.ballot, rec.value, rec.share)
-            for inst, rec in snap["chosen"].items()
-        }
-        self.apply_cursor = snap["apply_cursor"]
-        self.next_instance = max(self.next_instance, snap["next_instance"])
-        self._max_ballot_seen = max(self._max_ballot_seen, snap["max_ballot"])
+    def install_snapshot(self, cursors: dict, acc: dict, chosen: dict) -> None:
+        """Install checkpointed state before WAL tail replay on
+        recovery: the :meth:`export_cursors` of the last checkpoint and
+        the acceptor/learner records by instance of all of them. The
+        maps are copied (a later crash loads the same durable ones
+        again), the records shared. ``max_ballot`` merges (never
+        regresses a ballot learned since the snapshot)."""
+        self.acceptor.restore_state(AcceptorState(cursors["floor"], dict(acc)))
+        self.chosen = dict(chosen)
+        self.apply_cursor = cursors["apply_cursor"]
+        self.next_instance = max(self.next_instance, cursors["next_instance"])
+        self._max_ballot_seen = max(self._max_ballot_seen, cursors["max_ballot"])
 
     # ------------------------------------------------------------------
     # acceptor handlers
@@ -592,14 +582,13 @@ class PaxosNode:
                     f"{existing.value_id!r} then {value_id!r}"
                 )
             if value is not None and existing.value is None:
-                existing.value = value
+                self.chosen[instance] = existing._replace(value=value)
                 self._advance_apply()  # may have been stalled on this
             return
         share = self.acceptor.accepted_share(instance)
         if share is not None and share.value_id != value_id:
             share = None  # we accepted a different (losing) proposal
-        rec = ChosenRecord(value_id=value_id, ballot=ballot, value=value, share=share)
-        self.chosen[instance] = rec
+        self.chosen[instance] = ChosenRecord(value_id, ballot, value, share)
         if self.tracer.enabled:
             self.tracer.emit(
                 self.sim.now, "paxos",
@@ -694,9 +683,10 @@ class PaxosNode:
             # Merge: a commit-only record (no value, no share) gets its
             # command filled in by catch-up, unstalling the cursor.
             if rec.value is not None and existing.value is None:
-                existing.value = rec.value
+                existing = existing._replace(value=rec.value)
             if rec.share is not None and existing.share is None:
-                existing.share = rec.share
+                existing = existing._replace(share=rec.share)
+            self.chosen[instance] = existing
             self._advance_apply()
             return
         self.chosen[instance] = rec

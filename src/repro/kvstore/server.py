@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..core import (
+    AcceptorInstance,
     Ballot,
     ChosenRecord,
     CodedShare,
@@ -128,6 +129,17 @@ class _PendingBatch:
     def add(self, entry: _BatchEntry) -> None:
         self.entries.append(entry)
         self.frame_bytes += entry_size(entry.key, entry.client, entry.size)
+
+
+def changed_records(live: dict, held: dict) -> dict:
+    """The records of ``live`` that a checkpoint holding ``held`` lacks:
+    those that differ *by identity*. Durable records are immutable and
+    every writer replaces (DESIGN.md §4), so a changed record is a
+    different object and this scan — one pointer comparison per record,
+    nothing allocated for an unchanged one — cannot miss a write site
+    the way a dirty set can."""
+    get = held.get
+    return {inst: rec for inst, rec in live.items() if get(inst) is not rec}
 
 
 class KVServer:
@@ -316,7 +328,12 @@ class KVServer:
         # apply cursor the latest checkpoint captured for group ``g`` —
         # instances below it can no longer be served entry-by-entry
         # (CatchUp); a peer that far behind gets snapshot transfer.
+        # ``_ckpt_held`` is what the durable checkpoint holds, the merge
+        # of its segments (and shaped like one: per group the acceptor
+        # and learner records by instance, plus the dedup keys); it
+        # advances only when a save turns durable.
         self.checkpoint_store = CheckpointStore(sim, self.disk, f"{name}.ckpt")
+        self._ckpt_held = self._empty_segment()
         self._ckpt_inflight = False
         self.last_checkpoint_at: float | None = None
         self.compact_floor: list[int] = [0] * len(self.groups)
@@ -505,8 +522,11 @@ class KVServer:
         self.up = True
         self.net.recover_host(self.name)
         ckpt = self.checkpoint_store.load()
+        self._ckpt_held = self._empty_segment()
         if ckpt is not None:
             self._install_checkpoint(ckpt.payload)
+        else:  # absent or rotten: the next checkpoint starts over
+            self.checkpoint_store.wipe()
         for node in self.groups:
             node.recover()
         # Rebuild the heartbeat floor from the durably promised ballots:
@@ -1665,9 +1685,7 @@ class KVServer:
             data, size = self._payload_for_key(value, key)
             self.store.put(key, data, size, entry.version, complete=True,
                            group=group)
-            rec = node.chosen.get(instance)
-            if rec is not None and rec.value is None:
-                rec.value = value  # cache the decode (batch or plain)
+            self._cache_decoded(node, instance, value)  # batch or plain
             self.metrics.latency("read").record(self.sim.now - start)
             self.metrics.throughput("read").record(self.sim.now, size)
             r = GetOk(key, size, data, map_version=self.shard_map.version)
@@ -1981,7 +1999,8 @@ class KVServer:
             and st.accepted_share.value_id == value_id
             and not st.accepted_share.corrupt
         ):
-            st.accepted_share = st.accepted_share.corrupted()
+            node.acceptor.state.instances[instance] = st._replace(
+                accepted_share=st.accepted_share.corrupted())
         rec = node.chosen.get(instance)
         if (
             rec is not None
@@ -1989,7 +2008,8 @@ class KVServer:
             and rec.share is not None
             and not rec.share.corrupt
         ):
-            rec.share = rec.share.corrupted()
+            rec = node.chosen[instance] = rec._replace(
+                share=rec.share.corrupted())
             for key in self._put_keys_of(rec.share.meta):
                 entry = self.store.get(key)
                 if (
@@ -2246,11 +2266,12 @@ class KVServer:
             and st.accepted_share is not None
             and st.accepted_share.value_id == fixed.value_id
         ):
-            st.accepted_share = fixed
+            node.acceptor.state.instances[instance] = st._replace(
+                accepted_share=fixed)
         rec = node.chosen.get(instance)
         if rec is not None and rec.value_id == fixed.value_id:
             if rec.share is None or rec.share.corrupt:
-                rec.share = fixed
+                node.chosen[instance] = rec._replace(share=fixed)
             for key in self._put_keys_of(fixed.meta):
                 entry = self.store.get(key)
                 if (
@@ -2278,6 +2299,11 @@ class KVServer:
         """Persist applied KV state + acceptor metadata atomically, then
         truncate the WAL prefix the checkpoint subsumes.
 
+        One device write replaces the *state part* (store map, view,
+        floors, shard map, cursors: bounded by live data) and appends a
+        *segment*: the acceptor/learner records and dedup keys that
+        changed since the durable checkpoint, not all there ever were.
+
         The floor is ``last durable LSN + 1``: everything at or above it
         may still be pending in the group-commit window, so only the
         fully durable prefix is dropped. The checkpoint may *lead* the
@@ -2295,22 +2321,29 @@ class KVServer:
             if self.wal.durable else self.wal.compaction_floor
         )
         group_floors = [node.apply_cursor for node in self.groups]
-        payload = {
-            "groups": [node.export_snapshot() for node in self.groups],
+        state = {
+            "groups": [node.export_cursors() for node in self.groups],
             "store": self.store.export_state(),
-            "applied_ops": frozenset(self._applied_ops),
             "view": (self.view_epoch, tuple(sorted(self.member_ids)),
                      self.config),
             "floor_lsn": floor_lsn,
             "group_floors": group_floors,
             "shard_map": self.shard_map,
         }
-        size = self._checkpoint_size(payload)
+        held = self._ckpt_held
+        segment = {
+            "groups": [(changed_records(node.acceptor.state.instances, acc),
+                        changed_records(node.chosen, chosen))
+                       for node, (acc, chosen)
+                       in zip(self.groups, held["groups"])],
+            "applied_ops": tuple(self._applied_ops - held["applied_ops"]),
+        }
 
         def durable() -> None:
             if not self.up:
                 return
             self._ckpt_inflight = False
+            self._hold_segment(segment)
             self.last_checkpoint_at = self.sim.now
             self.compact_floor = list(group_floors)
             dropped, dbytes = self.wal.truncate_prefix(floor_lsn)
@@ -2330,39 +2363,64 @@ class KVServer:
             if on_done is not None:
                 on_done()
 
-        self.checkpoint_store.save(payload, size, durable)
+        def failed() -> None:
+            # Transient EIO: ``_ckpt_held`` did not move, so the next
+            # interval's segment carries these records again.
+            self._ckpt_inflight = False
+            self.metrics.counter("ckpt.write_errors").inc(1)
+
+        size = self.checkpoint_store.save(
+            state, self.store.stored_bytes(), durable, failed,
+            segment, self._segment_size(segment))
         return True
 
-    def _checkpoint_size(self, payload) -> int:
-        """Modeled checkpoint size: store bytes + acceptor share bytes +
-        fixed per-record metadata. The leader's decoded-value cache
-        rides along uncharged — a real implementation would persist
-        shares only (a deliberate modeling simplification)."""
-        size = self.store.stored_bytes()
-        for snap in payload["groups"]:
-            acc = snap["acceptor"]
-            for st in acc.instances.values():
-                size += 16
-                if st.accepted_share is not None:
-                    size += st.accepted_share.size
-            size += 16 * len(snap["chosen"])
-        size += 8 * len(payload["applied_ops"])
+    def _empty_segment(self) -> dict:
+        """``_ckpt_held`` of a server with no durable checkpoint."""
+        return {"groups": [({}, {}) for _ in self.groups],
+                "applied_ops": set()}
+
+    def _hold_segment(self, segment: dict) -> None:
+        """Fold a segment that is durable into ``_ckpt_held``."""
+        held = self._ckpt_held
+        for (held_acc, held_chosen), (acc, chosen) in zip(
+                held["groups"], segment["groups"]):
+            held_acc.update(acc)
+            held_chosen.update(chosen)
+        held["applied_ops"].update(segment["applied_ops"])
+
+    @staticmethod
+    def _segment_size(segment: dict) -> int:
+        """Modeled bytes of a checkpoint segment, from its own content:
+        acceptor share bytes + fixed per-record metadata + dedup keys.
+        The leader's decoded-value cache rides along uncharged — a real
+        implementation would persist shares only (a deliberate modeling
+        simplification)."""
+        size = 8 * len(segment["applied_ops"])
+        for acc, chosen in segment["groups"]:
+            size += 16 * (len(acc) + len(chosen))
+            size += sum(st.accepted_share.size for st in acc.values()
+                        if st.accepted_share is not None)
         return size
 
-    def _install_checkpoint(self, payload) -> None:
-        """Load checkpointed state at recovery, before WAL tail replay."""
-        for node, snap in zip(self.groups, payload["groups"]):
-            node.install_snapshot(snap)
-        self.store.install_state(payload["store"])
-        self._applied_ops = set(payload["applied_ops"])
+    def _install_checkpoint(self, state: dict) -> None:
+        """Load checkpointed state at recovery, before WAL tail replay:
+        the state part, then every segment merged oldest-first."""
+        for segment in self.checkpoint_store.segments:
+            self._hold_segment(segment.payload)
+        held = self._ckpt_held
+        for node, cursors, (acc, chosen) in zip(
+                self.groups, state["groups"], held["groups"]):
+            node.install_snapshot(cursors, acc, chosen)
+        self.store.install_state(state["store"])
+        self._applied_ops = set(held["applied_ops"])
         self._applied_ids = {
             (c, o) for (_g, c, o) in self._applied_ops
         } if self.cfg.dynamic_shards else set()
-        self.compact_floor = list(payload["group_floors"])
-        ckpt_map = payload.get("shard_map")
+        self.compact_floor = list(state["group_floors"])
+        ckpt_map = state.get("shard_map")
         if ckpt_map is not None and ckpt_map.version > self.shard_map.version:
             self.shard_map = ckpt_map
-        epoch, members, config = payload["view"]
+        epoch, members, config = state["view"]
         if epoch > self.view_epoch:
             self.view_epoch = epoch
             self.member_ids = set(members)
@@ -2387,6 +2445,7 @@ class KVServer:
         return {
             "wal_bytes": self.wal.durable_bytes(),
             "checkpoint_bytes": self.checkpoint_store.stored_bytes(),
+            "checkpoint_bytes_written": self.checkpoint_store.bytes_written,
             "records_compacted": self.wal.records_compacted,
             "compacted_bytes": self.wal.compacted_bytes,
         }
@@ -2542,20 +2601,29 @@ class KVServer:
             if rec is None:
                 sent_one()
                 continue
-            self._with_value(group, inst, rec, lambda ok, inst=inst, rec=rec: (
+            self._with_value(group, inst, rec, lambda rec, inst=inst: (
                 self._send_install(group, member, inst, rec), sent_one()
             ))
 
+    def _cache_decoded(self, node: PaxosNode, instance: int, value):
+        """Keep a decoded value on the instance's chosen record if it
+        has none; returns the record as it now stands (or None)."""
+        rec = node.chosen.get(instance)
+        if rec is not None and rec.value is None:
+            rec = node.chosen[instance] = rec._replace(value=value)
+        return rec
+
     def _with_value(self, group: int, instance: int, rec, cont) -> None:
-        """Ensure ``rec.value`` is populated (gathering shares from
-        peers if this leader only holds a fragment), then continue."""
+        """``cont(rec)`` with the chosen record as it stands once it
+        carries its full value (gathering shares from peers if this
+        leader only holds a fragment)."""
         if rec.value is not None:
-            cont(True)
+            cont(rec)
             return
 
         def on_value(value) -> None:
-            rec.value = value
-            cont(True)
+            cont(self._cache_decoded(self.groups[group], instance, value)
+                 or rec._replace(value=value))
 
         self._gather_shares(group, instance, rec.value_id, rec.share, on_value)
 
@@ -2656,12 +2724,10 @@ class KVServer:
         node = self.groups[msg.group]
         rec = node.chosen.get(msg.instance)
         if rec is not None and rec.value_id == msg.value_id and rec.share is None:
-            rec.share = msg.share
+            node.chosen[msg.instance] = rec._replace(share=msg.share)
         # Make the fragment durable like any accepted share (§4.5).
         st = node.acceptor.state.instances.get(msg.instance)
         if st is None or st.accepted_share is None:
-            from ..core.acceptor import AcceptorInstance
-
             ballot = node.acceptor.state.floor
             node.acceptor.state.instances[msg.instance] = AcceptorInstance(
                 promised=ballot, accepted_ballot=ballot,
@@ -2846,8 +2912,11 @@ class KVServer:
         reply_bytes = 0
         next_from: int | None = None
         start = max(msg.from_instance, floor)
-        for inst in sorted(node.chosen):
-            if inst < start:
+        # Ascending from ``start``, holes skipped: a page costs the
+        # instances it spans, not a sort of everything ever chosen.
+        for inst in range(start, max(node.chosen, default=-1) + 1):
+            rec = node.chosen.get(inst)
+            if rec is None:
                 continue
             if (
                 (msg.max_entries > 0 and len(entries) >= msg.max_entries)
@@ -2855,7 +2924,6 @@ class KVServer:
             ):
                 next_from = inst
                 break
-            rec = node.chosen[inst]
             share = None
             if src_id is not None:
                 # Leader path: re-code the fragment for the recovering
@@ -2968,8 +3036,6 @@ class KVServer:
             if e.share is not None:
                 st = node.acceptor.state.instances.get(inst)
                 if st is None or st.accepted_share is None:
-                    from ..core.acceptor import AcceptorInstance
-
                     node.acceptor.state.instances[inst] = AcceptorInstance(
                         promised=ballot, accepted_ballot=ballot,
                         accepted_share=e.share,
@@ -3223,8 +3289,7 @@ class KVServer:
             if state["fired"]:
                 return
             state["fired"] = True
-            if rec is not None and rec.value is None:
-                rec.value = value
+            self._cache_decoded(node, instance, value)
             encode_for(value)
 
         def give_up() -> None:
@@ -3599,7 +3664,7 @@ class KVServer:
                 once(rec.value)
             else:
                 self._with_value(group, inst, rec,
-                                 lambda ok: once(rec.value))
+                                 lambda rec: once(rec.value))
             return
         share = node.acceptor.accepted_share(inst)
         if share is None or share.corrupt:

@@ -7,14 +7,20 @@ WAL prefix it covers can be truncated (:meth:`WriteAheadLog
 footprint over the life of a cluster (§4.5 alone replays an ever-growing
 log).
 
+A checkpoint is a *state part*, replaced in full by every save, plus
+*segments*, of which a save may append one and the store keeps all,
+oldest first: a caller whose state grows a little per interval writes
+only what changed and rebuilds the whole by merging them in order.
+
 Atomicity model (write-new-then-swap, like a LevelDB MANIFEST or a Raft
-snapshot file): the new checkpoint is written to scratch space and only
-*becomes* the checkpoint when its device write completes. A crash
-mid-write keeps the previous checkpoint intact; a crash after the swap
-keeps the new one. Checkpoints are CRC-framed exactly like WAL records,
-so a rotten checkpoint is detected at load time (recovery then falls
-back to full WAL replay — or snapshot transfer from a peer if the WAL
-was already compacted).
+snapshot file): state part and segment go to scratch space in one
+device write and only *become* the checkpoint when that write
+completes. A crash mid-write keeps the previous checkpoint intact; a
+crash after the swap keeps the new one. Every part is CRC-framed exactly
+like a WAL record, so a rotten one is detected at load time, and makes
+the whole checkpoint unloadable — no later segment repeats what it held
+(recovery then falls back to full WAL replay — or snapshot transfer
+from a peer if the WAL was already compacted).
 """
 
 from __future__ import annotations
@@ -29,10 +35,10 @@ from .wal import RECORD_HEADER_BYTES, record_checksum
 
 @dataclass(slots=True)
 class CheckpointRecord:
-    """One durable checkpoint.
+    """One durable part of a checkpoint: a state part or a segment.
 
-    ``seq`` orders checkpoints (monotonic per store); ``payload`` is the
-    opaque state blob the server hands in; ``size`` is the modeled byte
+    ``seq`` is the save that wrote it (monotonic per store); ``payload``
+    is the opaque blob the server hands in; ``size`` is the modeled byte
     footprint charged to the device; ``crc`` is the payload checksum as
     written.
     """
@@ -49,62 +55,83 @@ class CheckpointRecord:
 
 
 class CheckpointStore:
-    """At most one durable checkpoint per server, atomically replaced.
+    """At most one durable checkpoint per server — the latest state
+    part plus every segment since the last wipe — atomically advanced.
 
     The CRC deliberately covers only the frame (seq, size), not a deep
-    serialization of the payload: checkpoint payloads hold live-object
-    *copies* whose repr is not canonical across mutation, and bit-rot
-    injection targets the frame via :meth:`corrupt` instead.
+    serialization of the payload: checkpoint payloads hold the server's
+    own record objects, which have no canonical byte form here, and
+    bit-rot injection targets the frame via :meth:`corrupt` instead.
     """
 
     def __init__(self, sim: Simulator, disk: Disk, name: str = "ckpt"):
         self.sim = sim
         self.disk = disk
         self.name = name
-        self.current: CheckpointRecord | None = None
+        self.current: CheckpointRecord | None = None  # state part
+        self.segments: list[CheckpointRecord] = []  # oldest first
         self._next_seq = 0
         self._epoch = 0  # bumped on crash/wipe; orphans in-flight saves
         self.saves = 0
-        self.bytes_written = 0
+        self.bytes_written = 0  # cumulative device bytes, headers included
 
     def save(
-        self, payload: Any, size: int, callback: Callable[[], None]
-    ) -> None:
-        """Write a new checkpoint; ``callback`` fires once it is the
-        durable current one (the atomic swap point).
+        self, payload: Any, size: int, callback: Callable[[], None],
+        on_error: Callable[[], None] | None = None,
+        segment: Any = None, segment_size: int = 0,
+    ) -> int:
+        """Write a new state part and, if given, one more ``segment`` in
+        one device write; ``callback`` fires once they are the durable
+        checkpoint (the atomic swap point). Returns the bytes written.
 
         A crash before the device write completes leaves the previous
-        checkpoint in place and never fires the callback.
+        checkpoint in place and never fires the callback; a write the
+        device fails (transient EIO) leaves it in place too and fires
+        ``on_error``, so the caller can try again.
         """
-        if size < 0:
+        if size < 0 or segment_size < 0:
             raise ValueError("negative checkpoint size")
-        rec = CheckpointRecord(self._next_seq, payload, size)
-        rec.crc = record_checksum(rec.seq, rec.size)
+        seq = self._next_seq
         self._next_seq += 1
+        parts = [CheckpointRecord(seq, payload, size)]
+        if segment is not None:
+            parts.append(CheckpointRecord(seq, segment, segment_size))
+        for rec in parts:
+            rec.crc = record_checksum(rec.seq, rec.size)
+        nbytes = sum(rec.size + RECORD_HEADER_BYTES for rec in parts)
         epoch = self._epoch
 
         def on_durable() -> None:
             if epoch != self._epoch:
                 return  # crashed/wiped mid-write: scratch copy lost
-            self.current = rec
+            self.current = parts[0]
+            self.segments.extend(parts[1:])
             self.saves += 1
-            self.bytes_written += size
+            self.bytes_written += nbytes
             callback()
 
-        self.disk.write(size + RECORD_HEADER_BYTES, on_durable)
+        def on_failed() -> None:
+            if epoch == self._epoch and on_error is not None:
+                on_error()
+
+        self.disk.write(nbytes, on_durable, on_failed)
+        return nbytes
 
     def load(self) -> CheckpointRecord | None:
-        """The durable checkpoint, or None if absent or checksum-bad
-        (a rotten checkpoint must never be installed silently)."""
-        if self.current is None or not self.current.valid:
+        """The durable state part (its segments are :attr:`segments`),
+        or None if absent or any part is checksum-bad (a rotten
+        checkpoint must never be installed silently)."""
+        if self.current is None or not all(
+                rec.valid for rec in (self.current, *self.segments)):
             return None
         return self.current
 
     def stored_bytes(self) -> int:
-        """Modeled on-disk footprint of the current checkpoint."""
+        """Modeled on-disk footprint: state part plus every segment."""
         if self.current is None:
             return 0
-        return self.current.size + RECORD_HEADER_BYTES
+        return sum(rec.size + RECORD_HEADER_BYTES
+                   for rec in (self.current, *self.segments))
 
     def crash(self) -> None:
         """Orphan any in-flight save; the durable checkpoint survives."""
@@ -113,11 +140,12 @@ class CheckpointStore:
     def wipe(self) -> None:
         """Disk replaced: the checkpoint is gone too."""
         self.current = None
+        self.segments = []
         self._epoch += 1
 
     def corrupt(self) -> bool:
-        """Bit-rot the durable checkpoint (fault injection). Returns
-        False when there is nothing to rot."""
+        """Bit-rot the durable checkpoint's state part (fault
+        injection). Returns False when there is nothing to rot."""
         if self.current is None:
             return False
         self.current.crc ^= 0x5BD1E995

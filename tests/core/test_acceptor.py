@@ -152,7 +152,9 @@ class TestRangePromiseInteraction:
         a = Acceptor(0)
         a.on_prepare(Prepare(Ballot(2, 1)))
         a.on_accept(Accept(0, Ballot(2, 1), share("v1")))
-        snapshot = a.export_state()
+        snapshot = a.snapshot()
+        # Voting continues on ``a``; the snapshot must not follow it.
+        a.on_accept(Accept(0, Ballot(3, 1), share("v3")))
         b = Acceptor(0)
         b.restore_state(snapshot)
         reply, _ = b.on_accept(Accept(0, Ballot(1, 0), share("v2")))

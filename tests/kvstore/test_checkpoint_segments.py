@@ -1,0 +1,224 @@
+"""A checkpoint costs what changed since the last one.
+
+Server-level checks of the append-only instance segment: what a
+checkpoint hands to the device is defined by the segment's own content,
+the footprint reported is the whole checkpoint, a checkpoint allocates
+and charges nothing per instance it already holds, a failed device
+write does not wedge the checkpointer, and the durable records are
+immutable (which is what makes the identity scan exact).
+"""
+
+import gc
+
+import pytest
+
+from repro.check import check_bounded_wal, check_cluster
+from repro.core import AcceptorInstance, Ballot, ChosenRecord
+from repro.storage import CheckpointStore
+from repro.storage.wal import RECORD_HEADER_BYTES
+from repro.workload import ClosedLoopDriver, small_write
+
+from .test_rebuild import make, pump
+
+
+def load(cluster, until, num_keys=8):
+    """Closed-loop 4 KB writes from every client until ``until``."""
+    for i, cl in enumerate(cluster.clients):
+        driver = ClosedLoopDriver(cluster.sim, cl,
+                                  small_write(num_keys=num_keys),
+                                  stream=f"d{i}")
+        driver.start()
+        cluster.sim.call_at(until, driver.stop)
+    cluster.run(until=until + 0.5)
+
+
+def checkpoint(srv) -> bool:
+    """One explicit checkpoint on ``srv``, run to durability."""
+    done = []
+    assert srv.checkpoint_now(on_done=lambda: done.append(1))
+    srv.sim.run(until=srv.sim.now + 1.0)
+    return bool(done)
+
+
+class TestContentDefinedCharge:
+    def test_device_bytes_equal_the_size_recomputed_from_the_content(
+            self, monkeypatch):
+        c = make(interval=0.0)          # checkpoints only when asked
+        srv = c.servers[2]
+        handed = []
+        real_write = srv.disk.write
+
+        def spy(nbytes, callback, on_error=None):
+            handed.append(nbytes)
+            return real_write(nbytes, callback, on_error)
+
+        for round_ in range(3):
+            load(c, until=c.sim.now + 0.4)
+            monkeypatch.setattr(srv.disk, "write", spy)
+            del handed[:]
+            assert checkpoint(srv)
+            monkeypatch.setattr(srv.disk, "write", real_write)
+            (nbytes,) = handed                      # one device write
+            segment = srv.checkpoint_store.segments[-1].payload
+            expect = srv.store.stored_bytes() + 2 * RECORD_HEADER_BYTES
+            expect += 8 * len(segment["applied_ops"])
+            for acc, chosen in segment["groups"]:
+                for st in acc.values():
+                    expect += 16 + (st.accepted_share.size
+                                    if st.accepted_share is not None else 0)
+                expect += 16 * len(chosen)
+            assert nbytes == expect
+            assert any(acc for acc, _ in segment["groups"])  # not vacuous
+
+    def test_a_segment_holds_only_what_changed(self):
+        c = make(interval=0.0)
+        srv = c.servers[2]
+        load(c, until=c.sim.now + 0.6)
+        assert checkpoint(srv)
+        first = srv.checkpoint_store.segments[-1].payload
+        load(c, until=c.sim.now + 0.2)
+        assert checkpoint(srv)
+        second = srv.checkpoint_store.segments[-1].payload
+        for (acc1, _), (acc2, _), node in zip(
+                first["groups"], second["groups"], srv.groups):
+            assert acc2 and not set(acc1) & set(acc2)
+            assert set(acc1) | set(acc2) == set(node.acceptor.state.instances)
+        assert not set(first["applied_ops"]) & set(second["applied_ops"])
+        # Nothing changed since: the next segment is empty.
+        assert checkpoint(srv)
+        third = srv.checkpoint_store.segments[-1].payload
+        assert third["applied_ops"] == ()
+        assert all(not acc and not chosen for acc, chosen in third["groups"])
+
+    def test_footprint_is_the_whole_checkpoint_not_the_last_segment(self):
+        c = make()
+        load(c, until=5.0)
+        for srv in c.servers:
+            fp = srv.durable_footprint()
+            shares = sum(
+                st.accepted_share.size
+                for node in srv.groups
+                for st in node.acceptor.state.instances.values()
+                if st.accepted_share is not None)
+            segments = srv.checkpoint_store.segments
+            assert len(segments) > 5
+            assert fp["checkpoint_bytes"] >= shares
+            assert shares > 4 * max(seg.size for seg in segments)
+            # Every share was written once, not once per interval.
+            assert fp["checkpoint_bytes_written"] < 1.5 * fp["checkpoint_bytes"]
+        assert sum(s.durable_footprint()["checkpoint_bytes_written"]
+                   for s in c.servers) == c.metrics.counter("ckpt.bytes").value
+
+
+def write_exactly(cluster, n, size=3000, num_keys=8):
+    """``n`` committed puts of ``size`` bytes over ``num_keys`` keys,
+    one after another."""
+    oks = pump(cluster, [(f"k{i % num_keys}", size) for i in range(n)])
+    while len(oks) < n:
+        cluster.run(until=cluster.sim.now + 0.05)
+    assert all(oks)
+    cluster.run(until=cluster.sim.now + 0.1)    # commits reach followers
+
+
+class TestCheckpointAllocatesWhatChanged:
+    @staticmethod
+    def checkpoint_after(writes: int) -> tuple[int, int]:
+        """(tracked objects a checkpoint allocates, bytes it hands to
+        the device) on a server that committed ``writes`` writes, 100 of
+        them since its previous checkpoint."""
+        c = make(seed=3, interval=0.0)      # checkpoints only when asked
+        srv = c.servers[2]
+        write_exactly(c, writes - 100)
+        assert checkpoint(srv)
+        write_exactly(c, 100)
+        written = srv.disk.bytes_written
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            assert srv.checkpoint_now()
+            allocated = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        return allocated, srv.disk.bytes_written - written
+
+    def test_objects_and_bytes_do_not_grow_with_history(self):
+        small, small_bytes = self.checkpoint_after(1_000)
+        large, large_bytes = self.checkpoint_after(10_000)
+        # The segment's own dicts and the state part (8 live keys):
+        # nothing per instance the checkpoint already holds.
+        assert small < 100
+        assert large <= small + 10
+        # 100 shares of 1000 B + metadata, whatever came before.
+        assert 100_000 < large_bytes == small_bytes < 120_000
+
+
+class TestWriteErrorDoesNotWedgeTheCheckpointer:
+    def drive(self):
+        c = make()
+        srv = c.servers[3]
+        srv.disk.inject_write_errors(1)
+        assert srv.checkpoint_now()     # this write fails with EIO
+        load(c, until=6.0)
+        return c, srv
+
+    def test_one_eio_costs_one_interval(self):
+        c, srv = self.drive()
+        assert c.metrics.counter("ckpt.write_errors").value == 1
+        peers = [s.checkpoint_store.saves for s in c.servers if s is not srv]
+        assert srv.checkpoint_store.saves >= min(peers) - 1
+        assert srv.wal.compaction_floor > 0
+        assert check_bounded_wal(c.servers) == []
+        # The records of the failed segment rode in a later one: the
+        # replica recovers every instance it voted in.
+        voted = [set(n.acceptor.state.instances) for n in srv.groups]
+        srv.crash()
+        srv.recover()
+        assert [set(n.acceptor.state.instances) for n in srv.groups] == voted
+        c.run(until=8.0)
+        assert check_cluster(c.servers, c.servers[0].config) == []
+
+    def test_cadence_probe_names_the_server_when_the_fix_is_reverted(
+            self, monkeypatch):
+        """Teeth: with ``on_error`` dropped, as before this fix, the
+        in-flight flag is never cleared and ``check_bounded_wal`` must
+        say so."""
+        real_save = CheckpointStore.save
+
+        def save_dropping_errors(self, payload, size, callback,
+                                 on_error=None, *args, **kw):
+            return real_save(self, payload, size, callback, None, *args, **kw)
+
+        monkeypatch.setattr(CheckpointStore, "save", save_dropping_errors)
+        c, srv = self.drive()
+        assert srv.checkpoint_store.saves <= 1
+        violations = check_bounded_wal(c.servers)
+        assert violations and all(v.kind == "bounded-wal" for v in violations)
+        assert all(srv.name in v.detail and "checkpoint" in v.detail
+                   for v in violations)
+
+
+class TestDurableRecordsAreImmutable:
+    def test_mutating_a_record_raises(self):
+        st = AcceptorInstance(Ballot(1, 0), Ballot(1, 0), None)
+        rec = ChosenRecord("v1", Ballot(1, 0))
+        with pytest.raises(AttributeError):
+            st.accepted_share = None
+        with pytest.raises(AttributeError):
+            st.promised = Ballot(2, 0)
+        with pytest.raises(AttributeError):
+            rec.value = None
+        with pytest.raises(AttributeError):
+            rec.share = None
+
+    def test_live_state_checkpoint_and_recovered_replica_share_records(self):
+        c = make()
+        load(c, until=3.0)
+        srv = c.servers[1]
+        node = srv.groups[0]
+        inst, live = next(iter(node.acceptor.state.instances.items()))
+        held = srv._ckpt_held["groups"][0][0]
+        assert held[inst] is live
+        srv.crash()
+        srv.recover()
+        assert srv.groups[0].acceptor.state.instances[inst] is live

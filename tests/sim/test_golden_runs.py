@@ -20,11 +20,12 @@ import pytest
 
 from repro.chaos import ChaosRunner, ChaosSpec, ScheduleSpec
 from repro.chaos import runner as chaos_runner
-from repro.check import HistoryRecorder
+from repro.check import HistoryRecorder, check_cluster
 from repro.core import rs_paxos
 from repro.kvstore import build_cluster
 from repro.net import LinkSpec, build_network
 from repro.sim import Simulator
+from repro.workload import ClosedLoopDriver, small_write
 
 from .test_determinism import drive_cluster, run_cluster, write_summary
 
@@ -120,6 +121,32 @@ def put_delete_history(seed: int, **kw):
     return recorder.to_jsonable(), write_summary(c)
 
 
+def checkpointed_failover(seed: int):
+    """Four closed-loop clients against a cluster that checkpoints every
+    0.5 s; the leader crashes at 2.5 s and comes back at 5.0 s from its
+    checkpoint + WAL tail, by which time every peer has compacted past
+    its cursor, so each group crosses the floor with a snapshot fetch.
+    Clients stop at 7.0 s so the run ends quiescent."""
+    c = build_cluster(rs_paxos(5, 1), seed=seed, num_clients=4,
+                      num_groups=2, checkpoint_interval=0.5)
+    recorder = HistoryRecorder()
+    c.start()
+    c.run(until=1.0)
+    for i, cl in enumerate(c.clients):
+        cl.history = recorder
+        driver = ClosedLoopDriver(c.sim, cl, small_write(num_keys=10),
+                                  stream=f"d{i}")
+        driver.start()
+        c.sim.call_at(7.0, driver.stop)
+    c.run(until=2.5)
+    victim = c.leader()
+    victim.crash()
+    c.run(until=5.0)
+    victim.recover()
+    c.run(until=8.0)
+    return c, victim, recorder.to_jsonable()
+
+
 class TestGoldenRuns:
     def test_cluster_run(self):
         assert digest(run_cluster(17)) == "b28e3922cc3f00b41c13dc1c"
@@ -166,6 +193,31 @@ class TestGoldenRuns:
         assert all(op["ok"] for op in history if op["response"] is not None)
         assert digest((history, summary)) == want
 
+    def test_checkpointed_failover_cluster_run(self):
+        """The one cluster golden that checkpoints: leader crash,
+        recovery from checkpoint + tail, catch-up across a compaction
+        floor. Digests the client history, every server's durable
+        footprint and its checkpoint count. The digest taken on the
+        commit before PR 20 (``9cac18bcef80bb6a411833c2``) held when
+        durable records became shared immutable values, and was
+        re-pinned when a checkpoint began to append only what changed:
+        the footprint gained ``checkpoint_bytes_written``, and device
+        writes an order of magnitude smaller let WAL flushes through
+        sooner (2,820 client ops instead of 2,734, same checkpoint
+        counts)."""
+        c, victim, history = checkpointed_failover(17)
+        saves = [s.checkpoint_store.saves for s in c.servers]
+        assert victim.checkpoint_store.saves < min(
+            s.checkpoint_store.saves for s in c.servers if s is not victim)
+        assert c.metrics.counter("rebuild.snapshot_transfers").value >= 1
+        assert all(s.compact_floor == [n.apply_cursor for n in s.groups]
+                   for s in c.servers)        # victim caught up, all level
+        assert check_cluster(c.servers, c.servers[0].config) == []
+        footprints = [sorted(s.durable_footprint().items())
+                      for s in c.servers]
+        assert digest((history, footprints, saves)) == \
+            "1c3cecfded1d74670498a805"
+
     def test_lossy_duplicating_jittered_network(self):
         seen = lossy_duplex_deliveries(5)
         assert any(s[5] for s in seen[:-1])           # duplicates happened
@@ -173,10 +225,15 @@ class TestGoldenRuns:
         assert digest(seen) == "f2d4604cea9937467fad3780"
 
     @pytest.mark.parametrize("spec,seed,want", [
-        (TINY, 9, "cc347cfd70031535fa5e2f0c"),
-        (STORAGE_HEAVY, 8, "f0d3d3450d9589f01adbf8cb"),
+        (TINY, 9, "dd37f91a5c1b9ce9fd0826ce"),
+        (STORAGE_HEAVY, 8, "083ff1223cbaf803f5fe1b8c"),
     ], ids=["mixed", "storage-heavy"])
     def test_chaos_episode(self, monkeypatch, spec, seed, want):
+        """Episodes checkpoint every second and digest the result's
+        checkpoint bytes, so both were re-pinned with PR 20's
+        append-only segments (were ``cc347cfd70031535fa5e2f0c`` and
+        ``f0d3d3450d9589f01adbf8cb``, unchanged by the shared immutable
+        records that PR landed first)."""
         result, history = chaos_history(monkeypatch, spec, seed)
         assert result.ok
         assert len(history) > 100

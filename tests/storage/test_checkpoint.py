@@ -104,6 +104,107 @@ class TestCheckpointStore:
         assert store.load().payload == "v2"
 
 
+class TestSegments:
+    """A save replaces the state part and may append one segment; the
+    store keeps every segment until the disk is wiped."""
+
+    def saved(self, n=3):
+        sim, disk, store = make_store()
+        for i in range(n):
+            store.save(f"state{i}", 100 + i, lambda: None,
+                       segment=f"seg{i}", segment_size=10 * (i + 1))
+            sim.run()
+        return sim, disk, store
+
+    def test_state_part_replaced_segments_kept_oldest_first(self):
+        sim, disk, store = self.saved()
+        assert store.load().payload == "state2"
+        assert [seg.payload for seg in store.segments] == [
+            "seg0", "seg1", "seg2"]
+        assert store.saves == 3
+
+    def test_stored_bytes_is_state_part_plus_every_segment(self):
+        sim, disk, store = self.saved()
+        assert store.stored_bytes() == (
+            102 + RECORD_HEADER_BYTES
+            + (10 + 20 + 30) + 3 * RECORD_HEADER_BYTES)
+
+    def test_one_device_write_per_save_carrying_both_parts(self):
+        sim, disk, store = make_store()
+        handed = store.save("state", 100, lambda: None,
+                            segment="seg", segment_size=40)
+        sim.run()
+        assert disk.flushes == 1
+        assert handed == disk.bytes_written == 140 + 2 * RECORD_HEADER_BYTES
+        assert store.bytes_written == handed
+
+    def test_crash_mid_save_appends_nothing(self):
+        sim, disk, store = self.saved(n=2)
+        store.save("state2", 100, lambda: None,
+                   segment="seg2", segment_size=30)
+        store.crash()
+        sim.run()
+        assert store.load().payload == "state1"
+        assert [seg.payload for seg in store.segments] == ["seg0", "seg1"]
+
+    def test_wipe_drops_the_segments(self):
+        sim, disk, store = self.saved()
+        store.wipe()
+        assert store.segments == []
+        assert store.stored_bytes() == 0
+
+    def test_one_rotten_segment_makes_the_checkpoint_unloadable(self):
+        # A later segment does not repeat what an earlier one holds, so
+        # no part of the checkpoint can be trusted without all of it.
+        sim, disk, store = self.saved()
+        store.segments[0].crc ^= 1
+        assert store.load() is None
+
+    def test_negative_segment_size_rejected(self):
+        sim, disk, store = make_store()
+        with pytest.raises(ValueError):
+            store.save("x", 1, lambda: None, segment="s", segment_size=-1)
+
+
+class TestWriteError:
+    def test_eio_fires_on_error_and_changes_nothing(self):
+        sim, disk, store = make_store()
+        store.save("v1", 100, lambda: None, segment="s1", segment_size=10)
+        sim.run()
+        before = store.stored_bytes(), store.bytes_written
+        disk.inject_write_errors(1)
+        events = []
+        store.save("v2", 100, lambda: events.append("durable"),
+                   lambda: events.append("error"),
+                   segment="s2", segment_size=10)
+        sim.run()
+        assert events == ["error"]
+        assert store.load().payload == "v1"
+        assert [seg.payload for seg in store.segments] == ["s1"]
+        assert store.saves == 1
+        assert (store.stored_bytes(), store.bytes_written) == before
+
+    def test_save_after_eio_works(self):
+        sim, disk, store = make_store()
+        disk.inject_write_errors(1)
+        store.save("v1", 100, lambda: None, lambda: None)
+        sim.run()
+        store.save("v2", 100, lambda: None, lambda: None)
+        sim.run()
+        assert store.load().payload == "v2"
+
+    def test_eio_after_crash_reports_to_nobody(self):
+        # The process that issued the write is gone; its error handler
+        # must not run in the next incarnation.
+        sim, disk, store = make_store()
+        disk.inject_write_errors(1)
+        events = []
+        store.save("v1", 100, lambda: None, lambda: events.append("error"))
+        store.crash()
+        sim.run()
+        assert events == []
+
+
 class TestTruncatePrefix:
     def durable_wal(self, n=5, size=100):
         sim, disk, wal = make_wal()
