@@ -6,7 +6,7 @@ Usage::
     python -m repro.bench table1
     python -m repro.bench fig5 [--full]
     python -m repro.bench all  [--full]
-    python -m repro.bench chaos [--seeds N] [--short] [--wipe-heavy]
+    python -m repro.bench chaos [--seeds N | --seed K] [--short] [--wipe-heavy]
     python -m repro.bench overload [--full]
     python -m repro.bench batching [--full]
     python -m repro.bench ycsb [--full]
@@ -18,7 +18,9 @@ Usage::
 ``chaos`` is the correctness gate rather than a paper figure: it runs
 seeded fault-injection episodes and fails (exit 1, repro bundle on
 disk) if any history is non-linearizable or any protocol invariant
-breaks. ``overload`` is the robustness gate: it drives the cluster
+breaks; ``--seed K`` runs exactly episode ``K`` of that sweep (its
+line, its bundle, the same exit code) instead of the first ``N``.
+``overload`` is the robustness gate: it drives the cluster
 past saturation and fails (exit 1) if admission control cannot hold
 goodput at 2x offered load (>= 70 % of its peak; the uncontrolled
 curve is printed alongside). ``batching`` is the throughput gate: at
@@ -106,6 +108,10 @@ def main(argv: list[str] | None = None) -> int:
         help="chaos only: number of seeded episodes per protocol",
     )
     parser.add_argument(
+        "--seed", type=int, default=None,
+        help="chaos only: run exactly this one episode instead of --seeds",
+    )
+    parser.add_argument(
         "--short", action="store_true",
         help="chaos only: shorter episodes (CI smoke)",
     )
@@ -132,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
             module.main()
         elif name == "chaos":
             status |= module.main(seeds=args.seeds, short=args.short,
-                                  wipe_heavy=args.wipe_heavy)
+                                  wipe_heavy=args.wipe_heavy, seed=args.seed)
         elif name in ("overload", "batching", "ycsb", "partitions",
                       "readpath", "selfheal", "shards"):
             status |= module.main(quick=not args.full)

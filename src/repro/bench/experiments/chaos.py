@@ -21,7 +21,9 @@ run exits non-zero, which is what makes this usable as a CI gate::
 
 ``--wipe-heavy`` biases the fault mix toward disk wipes + rejoins so
 the checkpoint / snapshot-rebuild path dominates the episode — the CI
-smoke gate for the replica-rebuild machinery.
+smoke gate for the replica-rebuild machinery. ``--seed K`` runs exactly
+episode ``K`` (both protocols, same spec flags, same exit code and
+bundle) — the way back into one failing line of a sweep.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ def main(
     short: bool = False,
     wipe_heavy: bool = False,
     quick: bool | None = None,
+    seed: int | None = None,
 ) -> int:
     if wipe_heavy:
         spec = _wipe_heavy_spec(short)
@@ -62,8 +65,12 @@ def main(
         mode = "short" if short else "full"
         if wipe_heavy:
             mode += ", wipe-heavy"
-        print(f"-- {protocol}: {seeds} seeded episodes ({mode} spec)")
-        results, failures = runner.run(seeds, verbose=True)
+        if seed is None:
+            print(f"-- {protocol}: {seeds} seeded episodes ({mode} spec)")
+            results, failures = runner.run(seeds, verbose=True)
+        else:
+            print(f"-- {protocol}: episode {seed} ({mode} spec)")
+            results, failures = runner.run(1, start_seed=seed, verbose=True)
         ops = sum(r.ops_total for r in results)
         print(f"   {len(results) - len(failures)}/{len(results)} clean, "
               f"{ops} client ops checked")

@@ -21,6 +21,7 @@ from .invariants import (
     check_no_starvation,
     check_shard_coverage,
     check_single_lease,
+    check_store_agreement,
     check_unique_choice,
     check_view_convergence,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "check_no_starvation",
     "check_shard_coverage",
     "check_single_lease",
+    "check_store_agreement",
     "check_unique_choice",
     "check_view_convergence",
     "read_availability",

@@ -400,11 +400,13 @@ class SnapshotEntry:
 class SnapshotChunk:
     """One page of snapshot state transfer.
 
-    ``next_cursor`` is None on the final page; the final page also
-    carries ``floor`` (the apply cursor the installed state represents
-    — the joiner resumes entry-granularity catch-up from there),
-    ``applied_ops`` (exactly-once dedup keys for this group, so a
-    client retry spanning the rebuild cannot double-apply) and
+    ``next_cursor`` is None on the final page. The transfer's metadata
+    rides on the **first** page (``first``), captured before the donor
+    read any entry: ``floor`` (the apply cursor the installed state
+    represents — the joiner resumes entry-granularity catch-up from
+    there, so entries read later may only be *newer* than it),
+    ``applied_ops`` (exactly-once dedup keys for this group as of that
+    floor, so a client retry spanning the rebuild cannot double-apply),
     ``max_ballot`` (the server's ballot high-water mark, so the
     rebuilt node's acceptor floor can be raised past every ballot it
     might have promised before losing its disk) and the donor's current
@@ -412,12 +414,14 @@ class SnapshotChunk:
     ``view_config``) — the view-change instances themselves live in the
     compacted prefix the snapshot replaces, so the joiner must adopt
     the view they produced or it would resurrect the static bootstrap
-    membership.
+    membership. The joiner holds them and adopts them after the last
+    page.
     """
 
     group: int
     entries: tuple[SnapshotEntry, ...] = field(default_factory=tuple)
     next_cursor: str | None = None
+    first: bool = False
     floor: int = 0
     applied_ops: tuple = ()
     max_ballot: Any = None

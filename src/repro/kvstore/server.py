@@ -343,10 +343,12 @@ class KVServer:
         # holds groups still being rebuilt (the node stays an observer —
         # it learns but does not vote — until its group's rebuild ends);
         # ``_snap_inflight[g]`` is the host currently streaming group
-        # ``g``'s snapshot to us.
+        # ``g``'s snapshot to us, ``_snap_first[g]`` that transfer's first
+        # page, held for the metadata adopted after the last.
         self._wiped = False
         self._rebuild_pending: set[int] = set()
         self._snap_inflight: dict[int, str] = {}
+        self._snap_first: dict[int, SnapshotChunk] = {}
 
         # Dynamic sharding: leader-resident rebalancer + migration
         # driver. ``max_group_pipeline`` caps how many proposals one
@@ -474,6 +476,7 @@ class KVServer:
         self._fetch_load.clear()
         self._ckpt_inflight = False
         self._snap_inflight.clear()
+        self._snap_first.clear()
         self._flush_admissions()
         # NOTE: _rebuild_pending deliberately survives a crash — a node
         # that crashed mid-rebuild is still amnesiac and must come back
@@ -2969,13 +2972,15 @@ class KVServer:
         )
         self._fetch_snapshot_page(group, host, "")
 
-    def _fetch_snapshot_page(self, group: int, host: str, cursor: str) -> None:
+    def _fetch_snapshot_page(
+        self, group: int, host: str, cursor: str, first=None
+    ) -> None:
         if not self.up or self._snap_inflight.get(group) != host:
             return
         req = FetchSnapshot(group=group, cursor=cursor)
         self.endpoint.request(
             host, req, req.wire_bytes,
-            on_reply=lambda rep, h=host: self._install_snapshot_chunk(rep, h),
+            on_reply=lambda rep: self._install_snapshot_chunk(rep, host, first),
             timeout=2.0, retries=3, adaptive=True,
             on_timeout=lambda: self._snapshot_stalled(group, host),
         )
@@ -2987,14 +2992,21 @@ class KVServer:
         # scratch shortly — any peer's floor reply re-triggers the
         # transfer, and installation is idempotent.
         del self._snap_inflight[group]
+        self._snap_first.pop(group, None)
         self.sim.call_after(0.5, lambda: self._catch_up_group(group))
 
-    def _install_snapshot_chunk(self, reply, host: str) -> None:
+    def _install_snapshot_chunk(self, reply, host: str, first=None) -> None:
         if not self.up or not isinstance(reply, SnapshotChunk):
             return
         group = reply.group
         if self._snap_inflight.get(group) != host:
             return  # stale page (transfer restarted elsewhere)
+        if reply.first:
+            first = self._snap_first[group] = reply
+        elif self._snap_first.get(group) is not first:
+            # A later page of a transfer begun before a crash (RPCs
+            # outlive one): its entries may predate the floor now held.
+            return
         node = self.groups[group]
         self.metrics.counter("rebuild.snapshot_bytes").inc(reply.wire_bytes)
         ballot = node.acceptor.state.floor
@@ -3045,19 +3057,23 @@ class KVServer:
                         e.share.size, lambda: None,
                     )
         if reply.next_cursor is not None:
-            self._fetch_snapshot_page(group, host, reply.next_cursor)
+            self._fetch_snapshot_page(group, host, reply.next_cursor, first)
             return
-        # Final page: adopt the cursor the streamed state represents,
-        # the dedup identities, and the peer's ballot high-water mark
-        # (feeds the observer's floor bump at _group_rebuilt).
-        if reply.max_ballot is not None:
-            node._max_ballot_seen = max(node._max_ballot_seen, reply.max_ballot)
+        # Final page: adopt what the first page said the streamed state
+        # represents — the cursor, the dedup identities as of it, and
+        # the peer's ballot high-water mark (feeds the observer's floor
+        # bump at _group_rebuilt). Pages read after the first may hold
+        # entries *newer* than that cursor; the catch-up replay from it
+        # re-applies them idempotently.
+        del self._snap_first[group]
+        reply = first
+        node._max_ballot_seen = max(node._max_ballot_seen, reply.max_ballot)
         self._applied_ops.update(reply.applied_ops)
         if self.cfg.dynamic_shards:
             self._applied_ids.update(
                 (c, o) for (_g, c, o) in reply.applied_ops
             )
-        snap_map = getattr(reply, "shard_map", None)
+        snap_map = reply.shard_map
         if snap_map is not None and snap_map.version > self.shard_map.version:
             # Shard commands write no KV state, so a joiner rebuilt from
             # a compacted donor would otherwise never learn the map.
@@ -3099,10 +3115,10 @@ class KVServer:
         self._rebuild_pending.discard(group)
         node = self.groups[group]
         if node.observer:
-            # Close the amnesia window as well as possible without a
-            # view change: refuse every ballot at or below everything
-            # learned during the rebuild before voting again. (The
-            # reconfigure-add path fences fully via a new view epoch.)
+            # Refuse every ballot at or below everything learned during
+            # the rebuild before voting again. This fences ballots, not
+            # the instances whose votes were lost (DESIGN.md §5 "Rebuild
+            # gate": what stays open); reconfigure-add fences fully.
             node.acceptor.state.floor = max(
                 node.acceptor.state.floor, node._max_ballot_seen,
                 self._hb_floor,
@@ -3128,34 +3144,38 @@ class KVServer:
         src_id = next(
             (nid for nid, host in self.peers.items() if host == src), None
         )
-        keys = [
-            k for k in self.store.keys()
+        # Share gathers below are asynchronous and the donor keeps
+        # applying meanwhile, so everything the page claims is pinned
+        # now: its entries (``LocalStore.put`` replaces entry objects),
+        # and — on the first page — the floor and the rest of the
+        # transfer's metadata. A floor read when the page *leaves* would
+        # cover instances its entries do not reflect, which the
+        # requester would then skip for ever (DESIGN.md §5).
+        pinned = [
+            (k, self.store.get_entry(k)) for k in self.store.keys()
             if self._entry_group_of(k) == group and k > msg.cursor
         ]
+        meta = {}
+        if not msg.cursor:
+            meta = dict(
+                first=True, floor=node.apply_cursor,
+                applied_ops=tuple(sorted(
+                    op for op in self._applied_ops if op[0] == group
+                )),
+                max_ballot=node._max_ballot_seen,
+                view_epoch=self.view_epoch,
+                view_members=tuple(sorted(self.member_ids)),
+                view_config=self.config, shard_map=self.shard_map,
+            )
         entries: list[SnapshotEntry] = []
         state = {"bytes": 0}
 
         def finish(next_cursor: str | None) -> None:
             if not self.up:
                 return
-            done = next_cursor is None
-            applied = ()
-            if done:
-                applied = tuple(sorted(
-                    op for op in self._applied_ops if op[0] == group
-                ))
             chunk = SnapshotChunk(
                 group=group, entries=tuple(entries),
-                next_cursor=next_cursor,
-                floor=node.apply_cursor if done else 0,
-                applied_ops=applied,
-                max_ballot=node._max_ballot_seen if done else None,
-                view_epoch=self.view_epoch if done else 0,
-                view_members=(
-                    tuple(sorted(self.member_ids)) if done else ()
-                ),
-                view_config=self.config if done else None,
-                shard_map=self.shard_map if done else None,
+                next_cursor=next_cursor, **meta,
             )
             self.metrics.counter("rebuild.snapshots_served").inc(1)
             respond(chunk, chunk.wire_bytes)
@@ -3167,17 +3187,13 @@ class KVServer:
             while True:
                 if not self.up:
                     return  # requester times out and restarts elsewhere
-                if i >= len(keys):
+                if i >= len(pinned):
                     finish(None)
                     return
                 if state["bytes"] >= msg.max_bytes:
-                    finish(keys[i - 1])
+                    finish(pinned[i - 1][0])
                     return
-                key = keys[i]
-                entry = self.store.get_entry(key)
-                if entry is None:
-                    i += 1
-                    continue
+                key, entry = pinned[i]
                 if entry.tombstone:
                     entries.append(SnapshotEntry(
                         key=key, version=entry.version, value_id="",

@@ -49,3 +49,10 @@ class TestCli:
         assert main(["chaos", "--seeds", "1", "--short"]) == 0
         out = capsys.readouterr().out
         assert "all episodes linearizable" in out
+
+    def test_chaos_seed_runs_exactly_that_episode(self, capsys):
+        assert main(["chaos", "--seed", "3", "--short"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("  seed ") == 2          # one per protocol
+        assert out.count("  seed    3: ok") == 2
+        assert "1/1 clean" in out

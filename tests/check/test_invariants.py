@@ -12,11 +12,13 @@ from repro.check import (
     check_bounded_wal,
     check_config_safety,
     check_decodability,
+    check_store_agreement,
     check_unique_choice,
 )
 from repro.core import QuorumSystem, UnsafeProtocolConfig, classic_paxos, rs_paxos
 from repro.erasure import CodingConfig
 from repro.kvstore.messages import Command
+from repro.storage import LocalStore
 
 CODING = CodingConfig(3, 5)
 PUT = Command("put", "k")
@@ -175,3 +177,60 @@ class TestBoundedWal:
         down = wal_server(last_ckpt=None, up=False)
         no_ckpt = wal_server(interval=0.0, last_ckpt=None)
         assert check_bounded_wal([down, no_ckpt]) == []
+
+
+def store_server(name, cursors, entries, up=True, rebuilding=False):
+    """A replica for ``check_store_agreement``: ``cursors`` per group,
+    ``entries`` as key -> (version, tombstone, group); untagged entries
+    (group -1) route by key to group 0."""
+    store = LocalStore(name)
+    for key, (version, tombstone, group) in entries.items():
+        store.put(key, None, 0, version, tombstone=tombstone, group=group)
+    return SimpleNamespace(
+        name=name, up=up, rebuilding=rebuilding, store=store,
+        groups=[SimpleNamespace(apply_cursor=c) for c in cursors],
+        shard_map=SimpleNamespace(group_of=lambda key: 0),
+    )
+
+
+class TestStoreAgreement:
+    """The rules; the teeth are the wipe/rejoin-under-load run in
+    ``tests/kvstore/test_rebuild.py``, which fails without the fix."""
+
+    def test_equal_stores_at_equal_cursors_pass(self):
+        held = {"a": (3, False, -1), "b": (5, True, -1)}
+        servers = [store_server(n, [6], held) for n in ("S0", "S1", "S2")]
+        assert check_store_agreement(servers) == []
+
+    def test_stale_and_absent_keys_at_the_same_cursor_are_caught(self):
+        servers = [
+            store_server("S0", [6], {"a": (3, False, -1), "b": (5, False, -1)}),
+            store_server("S1", [6], {"a": (2, False, -1)}),
+        ]
+        got = check_store_agreement(servers)
+        assert [v.kind for v in got] == ["store-agreement"] * 2
+        assert "'a'" in got[0].detail and "absent" in got[1].detail
+
+    def test_tombstone_versus_live_entry_is_caught(self):
+        servers = [store_server("S0", [6], {"a": (3, False, -1)}),
+                   store_server("S1", [6], {"a": (3, True, -1)})]
+        assert len(check_store_agreement(servers)) == 1
+
+    def test_replicas_behind_down_or_rebuilding_are_not_compared(self):
+        good = {"a": (3, False, -1)}
+        servers = [
+            store_server("S0", [6], good),
+            store_server("S1", [4], {}),                    # still behind
+            store_server("S2", [6], {}, up=False),
+            store_server("S3", [6], {}, rebuilding=True),
+        ]
+        assert check_store_agreement(servers) == []
+
+    def test_key_owned_by_another_group_on_one_side_is_judged_there(self):
+        # S1 is further ahead in group 1, whose later-era copy of "a"
+        # already replaced group 0's entry there.
+        servers = [
+            store_server("S0", [6, 2], {"a": (3, False, 0)}),
+            store_server("S1", [6, 4], {"a": ((1 << 48) | 3, False, 1)}),
+        ]
+        assert check_store_agreement(servers) == []

@@ -8,9 +8,13 @@ its *own* RS fragments, not full copies — instead of replaying history
 that no longer exists anywhere.
 """
 
-from repro.check import check_bounded_wal, check_cluster
+from repro.check import (
+    check_bounded_wal, check_cluster, check_store_agreement,
+)
 from repro.core import rs_paxos
 from repro.kvstore import build_cluster
+from repro.kvstore.messages import FetchSnapshot, SnapshotChunk
+from repro.kvstore.shard import instance_of
 
 SIZE = 3000          # theta(3,5) => 1000 B fragment per replica
 FRAGMENT = SIZE // 3
@@ -205,4 +209,136 @@ class TestRebuildTraffic:
             entry = srv.store.get_entry(f"hot{i}")
             assert entry is not None
             assert entry.size == FRAGMENT
+        assert check_cluster(c.servers, c.servers[0].config) == []
+
+
+class TestSnapshotFloor:
+    """A snapshot page is built across asynchronous share gathers while
+    the donor keeps applying: the floor it ships must be the cursor at
+    which reading *began* (DESIGN.md §5 "A snapshot's floor"), or the
+    requester skips the instances in between for ever — chaos seed 1."""
+
+    def loaded(self, key_of, seed=3):
+        """Eight closed-loop writers of 3,000 B values against one
+        group, every host but follower ``P3`` on a 20x slower NIC so
+        that ``P3``'s share gathers span several applies."""
+        c = build_cluster(rs_paxos(5, 1), seed=seed, num_groups=1,
+                          num_clients=8)
+        c.start()
+        c.run(until=1.0)
+
+        def loop(cl, i) -> None:
+            cl.put(key_of(i), SIZE, on_done=lambda ok: loop(cl, i))
+
+        for i, cl in enumerate(c.clients):
+            loop(cl, i)
+        donor = c.servers[2]
+        for srv in c.servers:
+            if srv is not donor:
+                c.net.set_nic_slowdown(srv.name, 20.0)
+        return c, donor
+
+    def test_page_floor_does_not_outrun_its_entries(self):
+        c, donor = self.loaded(lambda i: "hot")
+        chunks = []
+        c.sim.call_at(1.5, lambda: donor._on_fetch_snapshot(
+            FetchSnapshot(group=0), "P5",
+            lambda chunk, nbytes: chunks.append(chunk)))
+        c.run(until=2.0)
+        (chunk,) = chunks
+        (hot,) = chunk.entries
+        assert donor.groups[0].apply_cursor > chunk.floor   # it moved on
+        assert chunk.floor <= instance_of(hot.version) + 1
+        assert chunk.first and chunk.next_cursor is None
+
+    def test_later_pages_are_only_newer_than_the_first_pages_floor(self):
+        c, donor = self.loaded(lambda i: f"k{i}")
+        node = donor.groups[0]
+        # The donor's store as of every cursor it passes.
+        held_at: dict[int, dict[str, int]] = {}
+        apply = node.on_apply
+
+        def recording(instance, rec) -> None:
+            apply(instance, rec)
+            held_at[instance + 1] = {
+                k: donor.store.get_entry(k).version for k in donor.store.keys()
+            }
+
+        node.on_apply = recording
+        pages = []
+
+        def fetch(cursor: str) -> None:
+            donor._on_fetch_snapshot(
+                FetchSnapshot(group=0, cursor=cursor, max_bytes=2 * FRAGMENT),
+                "P5", got)
+
+        def got(chunk, nbytes) -> None:
+            pages.append(chunk)
+            if chunk.next_cursor is not None:
+                fetch(chunk.next_cursor)
+
+        c.sim.call_at(1.5, lambda: fetch(""))
+        c.run(until=2.5)
+        assert len(pages) >= 3 and pages[-1].next_cursor is None
+        floor = max(p.floor for p in pages)     # the one the transfer claims
+        assert node.apply_cursor > floor + len(pages)  # writes went on
+        shipped = {e.key: e.version for p in pages for e in p.entries}
+        assert shipped.keys() == held_at[floor].keys()
+        stale = {k: (v, held_at[floor][k]) for k, v in shipped.items()
+                 if v < held_at[floor][k]}
+        assert stale == {}
+        assert [p.first for p in pages] == [True] + [False] * (len(pages) - 1)
+        assert floor == pages[0].floor
+
+    def test_page_of_a_transfer_begun_before_a_crash_is_dropped(self):
+        # RPCs outlive a crash, so a page requested by the previous
+        # incarnation can arrive beside the new transfer's: it is not
+        # bound to the first page now held and must not end the
+        # transfer under that page's floor.
+        c = make()
+        srv = c.servers[3]
+        old = SnapshotChunk(group=0, first=True, floor=5)
+        srv._snap_inflight[0] = "P1"
+        srv._install_snapshot_chunk(
+            SnapshotChunk(group=0, first=True, floor=9, next_cursor="k"), "P1")
+        before = srv.groups[0].apply_cursor
+        srv._install_snapshot_chunk(SnapshotChunk(group=0), "P1", old)
+        assert srv._snap_inflight == {0: "P1"}
+        assert srv.groups[0].apply_cursor == before
+
+    def test_rejoin_under_write_load_leaves_every_replica_agreeing(self):
+        """End to end, and the teeth of ``check_store_agreement``: a
+        follower is wiped and rebuilds from a *follower's* snapshot (the
+        leader's NIC is slowed, so ``P2`` answers first; only a follower
+        has to gather shares to serve a page) while four clients keep
+        writing fresh keys — a rewritten key would heal the divergence
+        with its next write. Writers stop before the settle. On the
+        parent of the fix ``P4`` ends nine keys short at the same
+        cursor as everyone else, and no other probe notices."""
+        c = build_cluster(rs_paxos(5, 1), seed=2, num_groups=1,
+                          num_clients=4, checkpoint_interval=0.25)
+        c.start()
+        c.run(until=1.0)
+        writing = [True]
+
+        def loop(cl, i, n) -> None:
+            if writing[0]:
+                cl.put(f"w{i}.{n}", SIZE,
+                       on_done=lambda ok: loop(cl, i, n + 1))
+
+        for i, cl in enumerate(c.clients):
+            loop(cl, i, 0)
+        c.run(until=1.5)
+        c.wipe_server(3)
+        c.run(until=2.0)
+        c.net.set_nic_slowdown(c.servers[0].name, 20.0)
+        c.rejoin_server(3)
+        c.run(until=3.5)
+        writing[0] = False
+        c.net.set_nic_slowdown(c.servers[0].name, 1.0)
+        c.run(until=6.0)
+        assert not c.servers[3].rebuilding
+        assert c.metrics.counter("rebuild.snapshots_served").value >= 3
+        assert len({n.apply_cursor for s in c.servers for n in s.groups}) == 1
+        assert check_store_agreement(c.servers) == []
         assert check_cluster(c.servers, c.servers[0].config) == []
