@@ -147,6 +147,73 @@ def checkpointed_failover(seed: int):
     return c, victim, recorder.to_jsonable()
 
 
+def hedged_recovery_reads(seed: int):
+    """Every branch of the share gatherer behind a read, scrubber off:
+    24 keys written through ``P1``, which crashes and comes back a
+    follower, so successor ``P2`` holds fragments only and every read
+    is a recovery read. Then, in turn: ``P5``'s NIC 50x slower (hedges
+    fire and some win); ``P3``'s own shares rotted and follower reads
+    sent there (degraded decodes from peers alone); ``P4`` and ``P5``
+    down for 7.5 s with reads in flight — ``P2``'s share plus ``P1``'s
+    is one short of X and ``P3`` answers "nothing", so each gather
+    exhausts its ranked list, cycles every 0.25 s, and decodes once the
+    two are back (the clients' own retries start further gathers
+    beside it)."""
+    c = build_cluster(rs_paxos(5, 1), seed=seed, num_clients=3,
+                      num_groups=2, client_timeout=1.0)
+    recorder = HistoryRecorder()
+    c.start()
+    c.run(until=1.0)
+    for cl in c.clients:
+        cl.history = recorder
+    p1, p2, p3, p4, p5 = c.servers
+
+    def each(t, ops_of) -> None:
+        """At ``t`` every client issues ``ops_of(client, i)`` in turn."""
+        def chain(ops) -> None:
+            def step(*_result) -> None:
+                if ops:
+                    ops.pop(0)(step)
+            step()
+
+        for i, cl in enumerate(c.clients):
+            c.sim.call_at(t, lambda cl=cl, i=i: chain(ops_of(cl, i)))
+
+    def reads(ns, **kw):
+        return lambda cl, i: [
+            lambda done, k=f"k{i}.{n}": cl.get(k, on_done=done, **kw)
+            for n in ns]
+
+    each(1.0, lambda cl, i: [
+        lambda done, n=n: cl.put(f"k{i}.{n}", 3000 + n, on_done=done)
+        for n in range(8)])
+    c.run(until=2.5)
+    p1.crash()
+    c.run(until=6.0)
+    assert c.leader() is p2
+    p1.recover()
+    c.run(until=6.5)
+    c.net.set_nic_slowdown(p5.name, 50.0)
+    each(6.5, reads((0, 1, 2)))
+    c.run(until=7.5)
+    rng = c.sim.rng.stream("golden.rot")
+    while p3.inject_bit_rot(rng):
+        pass
+    each(7.5, reads((3, 4), mode="follower", server=p3.name))
+    c.run(until=8.5)
+    c.net.set_nic_slowdown(p5.name, 1.0)
+    p4.crash()
+    p5.crash()
+    each(8.51, reads((5,)))
+    c.run(until=16.0)
+    p4.recover()
+    p5.recover()
+    c.run(until=19.0)
+    each(19.0, reads((5, 6, 7)))
+    c.run(until=22.0)
+    return c, recorder.to_jsonable()
+
+
 class TestGoldenRuns:
     def test_cluster_run(self):
         assert digest(run_cluster(17)) == "b28e3922cc3f00b41c13dc1c"
@@ -217,6 +284,24 @@ class TestGoldenRuns:
                       for s in c.servers]
         assert digest((history, footprints, saves)) == \
             "1c3cecfded1d74670498a805"
+
+    def test_hedged_recovery_reads_cluster_run(self):
+        """The one cluster golden that fills the share gatherer: hedges
+        issued and won, degraded decodes, a ranked list exhausted and
+        cycled. Digest computed on the commit before the gatherer left
+        ``KVServer`` (PR 21), with the scrubber off so that moving
+        scrub repair onto the same component cannot touch it."""
+        c, history = hedged_recovery_reads(17)
+        counters = [(s.recovery_reads, s.degraded_reads, s.hedges_issued,
+                     s.hedge_wins) for s in c.servers]
+        assert counters[1][2] > counters[1][3] > 0    # P2 hedged, some won
+        assert counters[2][1] == 6                    # P3 read degraded
+        late = [op for op in history if op["invoke"] == 8.51]
+        assert len(late) == 3 and all(
+            op["ok"] and op["response"] > 16.0 for op in late)
+        assert all(op["ok"] for op in history)
+        assert digest((history, counters, c.net.messages_sent)) == \
+            "06ac1b18bacbc2c5ffad9098"
 
     def test_lossy_duplicating_jittered_network(self):
         seen = lossy_duplex_deliveries(5)
