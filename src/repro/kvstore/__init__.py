@@ -8,6 +8,8 @@ Public API:
   leases, fast/consistent/recovery reads, crash recovery, election.
 - :class:`ServerConfig` — every server tunable, validated and frozen.
 - :class:`Admission` — the DRR admission pipeline the server drives.
+- :class:`ShareFetch` — source ranking and the one ranked, hedged share
+  gather behind recovery reads, rebuild serving and scrub repair.
 - :class:`KVClient` — leader-caching client with redirect handling.
 - :class:`ShardMap` — key -> Paxos-group mapping (§4.2): static crc32
   hashing, or versioned key ranges under dynamic sharding (replicated
@@ -60,6 +62,7 @@ from .messages import (
 )
 from .membership import AccrualFailureDetector, RepairController
 from .server import KVServer
+from .sharefetch import ShareFetch
 from .shard import ShardMap, encode_version, era_of, instance_of
 
 __all__ = [
@@ -98,6 +101,7 @@ __all__ = [
     "ServerConfig",
     "ShardCmd",
     "ShardMap",
+    "ShareFetch",
     "ShareReply",
     "SnapshotChunk",
     "SnapshotEntry",

@@ -87,6 +87,7 @@ from .messages import (
     WrongShard,
 )
 from .membership import AccrualFailureDetector, RepairController
+from .sharefetch import ShareFetch
 from .shard import ShardMap, encode_version, era_of, instance_of
 
 
@@ -293,15 +294,18 @@ class KVServer:
             cfg.max_queued_requests, dict(cfg.tenant_weights),
         )
 
-        # Share/snapshot fetch state. Hedging (``cfg.hedge_fetches``) is
-        # described at _gather_shares, source ranking by RTT estimate ×
-        # outstanding fetches (``cfg.rtt_select``) at _peers_by_latency:
-        # ``_fetch_load`` counts fetches in flight per peer,
-        # ``_select_rng`` is the baseline's seeded-random order.
-        self.hedges_issued = 0
-        self.hedge_wins = 0
-        self._fetch_load: dict[str, int] = {}
-        self._select_rng = sim.rng.stream(f"{name}.select")
+        # Share fetching: source ranking, per-peer in-flight load and
+        # the one ranked, hedged gather policy live in the ShareFetch
+        # component; the server gives it its endpoint's methods and is
+        # the client of its gathers (_gather_shares, _repair_share).
+        self.fetch = ShareFetch(
+            sim, [h for nid, h in sorted(peers.items()) if nid != node_id],
+            request=self.endpoint.request,
+            cancel_request=self.endpoint.cancel_request,
+            rto=self.endpoint.rto, peer_stats=self.endpoint.peer_stats,
+            alive=lambda: self.up, hedge=cfg.hedge_fetches,
+            rtt_select=cfg.rtt_select, rng=sim.rng.stream(f"{name}.select"),
+        )
 
         # Leader-side command batching: admitted mutations accumulate in
         # a per-group pending batch, closed by count (batch_max_commands),
@@ -431,6 +435,14 @@ class KVServer:
         return self.admission.shed_by_tenant
 
     @property
+    def hedges_issued(self) -> int:
+        return self.fetch.hedges_issued
+
+    @property
+    def hedge_wins(self) -> int:
+        return self.fetch.hedge_wins
+
+    @property
     def rebuilding(self) -> bool:
         """Wiped and not yet rebuilt: an observer in at least one group."""
         return bool(self._rebuild_pending)
@@ -473,7 +485,7 @@ class KVServer:
         self._read_barrier = [-1] * len(self.groups)
         self._fetching.clear()
         self._scrubbing.clear()
-        self._fetch_load.clear()
+        self.fetch.reset()
         self._ckpt_inflight = False
         self._snap_inflight.clear()
         self._snap_first.clear()
@@ -1696,51 +1708,6 @@ class KVServer:
 
         self._gather_shares(group, instance, value_id, share, on_value)
 
-    def _peers_by_latency(self) -> list[str]:
-        """Peer hosts fastest-first: repair-optimal source selection.
-
-        Rank = Jacobson RTT estimate scaled by the fetches this server
-        already has in flight toward the peer — each outstanding fetch
-        is roughly one more service time of queueing the estimator has
-        not observed yet, so a fast-but-busy peer yields to an idle
-        slightly-slower one (Rashmi et al.: recovery traffic is
-        network-bound; *which* X sources you pick is the cost). Peers
-        with no unambiguous sample yet sort after measured ones
-        (unknown is not the same as fast); ties break by name so the
-        order — and everything hedging derives from it — is
-        deterministic.
-
-        With ``rtt_select=False`` (the readpath gate's measured
-        baseline) sources come back in seeded-random order instead —
-        no RTT, no load signal.
-        """
-        hosts = [
-            h for nid, h in sorted(self.peers.items()) if nid != self.node_id
-        ]
-        if not self.cfg.rtt_select:
-            order = list(hosts)
-            self._select_rng.shuffle(order)
-            return order
-
-        def rank(h: str):
-            st = self.endpoint.peer_stats(h)
-            load = self._fetch_load.get(h, 0)
-            if not st.samples:
-                return (1, float(load), 0.0, h)
-            return (0, st.ewma * (1.0 + load), st.ewma, h)
-
-        return sorted(hosts, key=rank)
-
-    def _fetch_started(self, host: str) -> None:
-        self._fetch_load[host] = self._fetch_load.get(host, 0) + 1
-
-    def _fetch_finished(self, host: str) -> None:
-        n = self._fetch_load.get(host, 0) - 1
-        if n <= 0:
-            self._fetch_load.pop(host, None)
-        else:
-            self._fetch_load[host] = n
-
     def _gather_shares(
         self, group: int, instance: int, value_id: str, seed_share, on_value
     ) -> None:
@@ -1750,166 +1717,39 @@ class KVServer:
         The number of shares needed comes from the *shares' own* coding
         configuration (not the group's current one): values written
         before a view change keep their original θ(X, N) and must be
-        gathered under it.
-
-        Only ``missing()`` of the N-1 peers must answer, so fetches go
-        to the currently-fastest peers only (instead of broadcast);
-        unusable replies and exhausted retries widen the fanout from
-        the ranked list, cycling back to the top once exhausted (a
-        chosen value's shares reappear as crashed peers recover, §3.1).
-        With ``hedge_fetches`` on, a *hedge* is additionally issued to
-        the next-fastest unqueried peer when the slowest outstanding
-        fetch overruns its adaptive RTO — gray-failure tolerance: one
-        slow-but-alive peer no longer gates the read tail — and
-        leftover fetches are cancelled the moment the value decodes.
+        gathered under it. Whom to ask, how many at once, hedging and
+        cycling are ``ShareFetch.gather``'s; a reader is waiting, so
+        each fetch gets 8 retransmissions and an exhausted list cycles.
         """
         node = self.groups[group]
         shares: dict[int, object] = {}
         if seed_share is not None:
             shares[seed_share.index] = seed_share
-        state = {"done": False, "next": 0, "pass_timer": False}
 
-        def needed() -> int:
-            if shares:
-                return next(iter(shares.values())).config.x
-            return node.config.coding.x
+        def first():
+            return next(iter(shares.values()))
 
-        def usable(reply) -> object | None:
-            if not isinstance(reply, ShareReply) or reply.share is None:
-                return None
-            if reply.share.value_id != value_id:
-                return None
-            if shares and reply.share.config != next(iter(shares.values())).config:
-                return None  # never mix shares from different codings
-            return reply.share
+        def offer(reply, host: str, elapsed: float) -> bool:
+            share = reply.share if isinstance(reply, ShareReply) else None
+            if (
+                share is None or share.value_id != value_id
+                # never mix shares from different codings
+                or (shares and share.config != first().config)
+            ):
+                return False
+            shares[share.index] = share
+            return True
 
         req = FetchShare(group=group, instance=instance, value_id=value_id)
-
-        hosts = self._peers_by_latency()
-        outstanding: dict[int, str] = {}  # req_id -> host
-        hedged: set[str] = set()
-        hedge_timer: list = [None]
-
-        def missing() -> int:
-            return max(0, needed() - len(shares))
-
-        def finish() -> None:
-            state["done"] = True
-            if hedge_timer[0] is not None:
-                hedge_timer[0].cancel()
-                hedge_timer[0] = None
-            for rid, host in outstanding.items():
-                self.endpoint.cancel_request(rid)
-                self._fetch_finished(host)
-            outstanding.clear()
-            on_value(node.decode_from_shares(list(shares.values())))
-
-        def issue(host: str, hedge: bool) -> None:
-            holder = {"rid": -1}
-            self._fetch_started(host)
-
-            def on_share(reply, host=host) -> None:
-                outstanding.pop(holder["rid"], None)
-                self._fetch_finished(host)
-                if state["done"] or not self.up:
-                    return
-                share = usable(reply)
-                if share is not None:
-                    if host in hedged:
-                        self.hedge_wins += 1
-                        self.metrics.counter("hedge.wins").inc(1)
-                    shares[share.index] = share
-                    if len(shares) >= needed():
-                        finish()
-                        return
-                ensure_fanout()
-
-            def on_timeout(host=host) -> None:
-                outstanding.pop(holder["rid"], None)
-                self._fetch_finished(host)
-                if state["done"] or not self.up:
-                    return
-                ensure_fanout()
-
-            rid = self.endpoint.request(
-                host, req, req.wire_bytes, on_reply=on_share,
-                timeout=0.5, retries=8, adaptive=True,
-                on_timeout=on_timeout,
-            )
-            holder["rid"] = rid
-            outstanding[rid] = host
-            if hedge:
-                hedged.add(host)
-                self.hedges_issued += 1
-                self.metrics.counter("hedge.issued").inc(1)
-
-        def hedge_delay() -> float:
-            # Expected completion of the *slowest* outstanding fetch:
-            # if it overruns this, a hedge is cheaper than waiting.
-            return max(
-                self.endpoint.rto(h, 0.5) for h in outstanding.values()
-            )
-
-        def arm_hedge() -> None:
-            if (
-                state["done"]
-                or hedge_timer[0] is not None
-                or not outstanding
-                or state["next"] >= len(hosts)
-            ):
-                return
-            hedge_timer[0] = self.sim.call_after(hedge_delay(), fire_hedge)
-
-        def fire_hedge() -> None:
-            hedge_timer[0] = None
-            if state["done"] or not self.up:
-                return
-            if state["next"] < len(hosts) and len(shares) < needed():
-                host = hosts[state["next"]]
-                state["next"] += 1
-                issue(host, hedge=True)
-            arm_hedge()
-
-        def next_pass() -> None:
-            state["pass_timer"] = False
-            if state["done"] or not self.up:
-                return
-            state["next"] = 0
-            hedged.clear()
-            ensure_fanout()
-
-        def ensure_fanout() -> None:
-            # Keep (at least) one fetch in flight per still-missing
-            # share; replenish from the ranked list as fetches fail.
-            if state["done"]:
-                return
-            if not outstanding and state["next"] >= len(hosts) and missing():
-                # Every ranked peer was tried and the value still is
-                # not reconstructible. Start another pass: a chosen
-                # value's shares reappear as crashed peers recover, so
-                # cycling is the read-side analogue of unbounded
-                # retransmission (§3.1 liveness) — but paced: without
-                # the pause, a value that is *never* reconstructible
-                # (all live holders below X) re-fans out every RTT.
-                if not state["pass_timer"]:
-                    state["pass_timer"] = True
-                    self.sim.call_after(0.25, next_pass)
-                return
-            while (
-                not state["done"]
-                and len(outstanding) < missing()
-                and state["next"] < len(hosts)
-            ):
-                host = hosts[state["next"]]
-                state["next"] += 1
-                issue(host, hedge=False)
-            if self.cfg.hedge_fetches:
-                arm_hedge()
-
-        if shares and len(shares) >= needed():
-            finish()
-            return
-        ensure_fanout()
+        self.fetch.gather(
+            req, req.wire_bytes, offer=offer,
+            missing=lambda: max(0, (
+                first().config.x if shares else node.config.coding.x
+            ) - len(shares)),
+            on_done=lambda: on_value(
+                node.decode_from_shares(list(shares.values()))),
+            timeout=0.5, retries=8,
+        )
 
     def _on_fetch_share(self, msg: FetchShare, src: str, respond) -> None:
         if not self.up:
@@ -2125,7 +1965,7 @@ class KVServer:
         # random-selection baseline — a timed-out straggler never
         # records a fetch sample, but the repair still pays for it.
         gathered: dict[int, CodedShare] = {}
-        hosts = self._peers_by_latency()
+        hosts = self.fetch.ranked()
         out_hosts: list[str] = []
         state = {"done": False, "bytes": 0, "next": 0}
         hedge_timer: list = [None]
@@ -2148,7 +1988,7 @@ class KVServer:
 
         def on_reply(reply, host: str, sent: float) -> None:
             out_hosts.remove(host)
-            self._fetch_finished(host)
+            self.fetch.finished(host)
             if state["done"] or not self.up:
                 return
             s = reply.share if isinstance(reply, ShareReply) else None
@@ -2177,7 +2017,7 @@ class KVServer:
 
         def on_timeout(host: str) -> None:
             out_hosts.remove(host)
-            self._fetch_finished(host)
+            self.fetch.finished(host)
             if state["done"] or not self.up:
                 return
             widen()
@@ -2188,7 +2028,7 @@ class KVServer:
             host = hosts[state["next"]]
             state["next"] += 1
             out_hosts.append(host)
-            self._fetch_started(host)
+            self.fetch.started(host)
             sent = self.sim.now
             self.endpoint.request(
                 host, req, req.wire_bytes,
@@ -2231,8 +2071,7 @@ class KVServer:
             if state["done"] or not self.up:
                 return
             if issue_next():
-                self.hedges_issued += 1
-                self.metrics.counter("hedge.issued").inc(1)
+                self.fetch.hedges_issued += 1
             arm_hedge()
 
         for _ in range(min(coding.x, len(hosts))):
@@ -2788,22 +2627,20 @@ class KVServer:
         therefore still reaches the whole cluster eventually (liveness
         unchanged), but a healthy steady state ships ~2 streams' worth
         of ``rebuild_bytes``, sourced from the closest peers."""
-        hosts = self._peers_by_latency()
-        state = {"next": 0}
+        hosts = iter(self.fetch.ranked())
 
         def issue_one() -> None:
-            if not self.up or state["next"] >= len(hosts):
+            host = next(hosts, None) if self.up else None
+            if host is None:
                 return
-            host = hosts[state["next"]]
-            state["next"] += 1
-            self._fetch_started(host)
+            self.fetch.started(host)
 
-            def ok(rep, h=host) -> None:
-                self._fetch_finished(h)
-                self._install_catch_up(rep, h)
+            def ok(rep) -> None:
+                self.fetch.finished(host)
+                self._install_catch_up(rep, host)
 
-            def widen(h=host) -> None:
-                self._fetch_finished(h)
+            def widen() -> None:
+                self.fetch.finished(host)
                 issue_one()
 
             self.endpoint.request(
@@ -2811,7 +2648,7 @@ class KVServer:
                 timeout=1.0, retries=3, adaptive=True, on_timeout=widen,
             )
 
-        for _ in range(min(width, len(hosts))):
+        for _ in range(width):
             issue_one()
 
     def _rebuild_tick(self) -> None:

@@ -4,6 +4,7 @@ the read-side observability counters."""
 
 from repro.core import rs_paxos
 from repro.kvstore import build_cluster
+from repro.kvstore.shard import instance_of
 
 
 def make(seed=7, **kw):
@@ -113,7 +114,7 @@ class TestSourceSelection:
         c = make()
         put(c, "k", 100)
         srv = c.servers[1]
-        order = srv._peers_by_latency()
+        order = srv.fetch.ranked()
         assert sorted(order) == sorted(
             h for nid, h in srv.peers.items() if nid != srv.node_id)
 
@@ -124,7 +125,7 @@ class TestSourceSelection:
         sampled = set(srv.endpoint.rtt_table())
         if not sampled:
             return  # nothing to rank yet on this topology
-        order = srv._peers_by_latency()
+        order = srv.fetch.ranked()
         ranks = [h in sampled for h in order]
         assert ranks == sorted(ranks, reverse=True)
 
@@ -132,7 +133,7 @@ class TestSourceSelection:
         c = make(rtt_select=False)
         put(c, "k", 100)
         srv = c.servers[1]
-        order = srv._peers_by_latency()
+        order = srv.fetch.ranked()
         assert sorted(order) == sorted(
             h for nid, h in srv.peers.items() if nid != srv.node_id)
 
@@ -146,7 +147,7 @@ class TestSourceSelection:
         ok, _size = get(c, "k", server=follower.name)
         assert ok
         c.run(until=c.sim.now + 2.0)
-        assert follower._fetch_load == {}
+        assert follower.fetch.load == {}
 
 
 class TestObservability:
@@ -174,3 +175,35 @@ class TestObservability:
         stats = client.backoff_stats()
         assert stats["read_retries"] == client.read_retry_causes
         assert sum(client.read_retry_causes.values()) > 0
+
+
+class TestCrashSafety:
+    def test_gather_armed_before_a_crash_does_not_resume_after_recovery(self):
+        # Every peer is down, so the gather sits on two dead fetches
+        # with its hedge timer armed; the server crashes and is up again
+        # before the timer fires. A gather belongs to the incarnation
+        # that began it: its hedge must not go out, nor its value
+        # arrive in the next incarnation's callbacks once peers return.
+        c = make()
+        put(c, "k", 456)
+        srv = c.servers[2]
+        share = srv.store.get_entry("k").value
+        group = srv.shard_map.group_of("k")
+        others = [s for s in c.servers if s is not srv]
+        for s in others:
+            s.crash()
+        got = []
+        t0 = c.sim.now
+        srv._gather_shares(group, instance_of(srv.store.get_entry("k").version),
+                           share.value_id, share, got.append)
+        assert sum(srv.fetch.load.values()) == 2
+        c.run(until=t0 + 0.005)
+        srv.crash()
+        assert srv.fetch.load == {}
+        srv.recover()
+        c.run(until=t0 + 1.0)
+        for s in others:
+            s.recover()
+        c.run(until=t0 + 6.0)
+        assert srv.up and srv.hedges_issued == 0
+        assert got == []
