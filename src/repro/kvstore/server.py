@@ -1953,132 +1953,61 @@ class KVServer:
             self._install_repaired(group, lsn, instance, ballot, fixed, 0)
             return
 
-        # Repair-optimal source selection: instead of broadcasting to
-        # every peer (N-1 fetches for an X-share decode), contact the X
-        # best-ranked sources (RTT estimate + outstanding-fetch load)
-        # and *widen* to the next-ranked peer only when a source fails
-        # us — an unusable share, a timeout, or (with hedging on) a
-        # straggler overrunning its adaptive RTO. Per-fetch latency
-        # lands in ``scrub.fetch_latency``; the whole gather (including
-        # any widening waits) lands in ``scrub.repair_latency``, which
-        # is what the readpath gate compares against the
-        # random-selection baseline — a timed-out straggler never
-        # records a fetch sample, but the repair still pays for it.
+        # Otherwise gather like a read does (ShareFetch.gather: the X
+        # best-ranked sources, replaced one for one as they fail us),
+        # but with a background job's patience: two retransmissions per
+        # fetch, and an exhausted list defers to the next pass. Each
+        # usable fetch's latency lands in ``scrub.fetch_latency``; the
+        # whole gather, waits for stragglers included, in
+        # ``scrub.repair_latency`` — what the readpath gate compares
+        # against the random-selection baseline.
         gathered: dict[int, CodedShare] = {}
-        hosts = self.fetch.ranked()
-        out_hosts: list[str] = []
-        state = {"done": False, "bytes": 0, "next": 0}
-        hedge_timer: list = [None]
         started = self.sim.now
-        req = FetchShare(
-            group=group, instance=instance, value_id=value_id, reason="scrub"
-        )
 
-        def finish(fixed: CodedShare) -> None:
-            state["done"] = True
-            if hedge_timer[0] is not None:
-                hedge_timer[0].cancel()
-                hedge_timer[0] = None
-            self.metrics.histogram("scrub.repair_latency").record(
-                self.sim.now - started
-            )
-            self._install_repaired(
-                group, lsn, instance, ballot, fixed, state["bytes"]
-            )
-
-        def on_reply(reply, host: str, sent: float) -> None:
-            out_hosts.remove(host)
-            self.fetch.finished(host)
-            if state["done"] or not self.up:
-                return
+        def offer(reply, host: str, elapsed: float) -> bool:
             s = reply.share if isinstance(reply, ShareReply) else None
             if (
                 s is None or s.corrupt or s.value_id != value_id
                 or s.config != coding
             ):
-                widen()
-                return
-            self.metrics.histogram("scrub.fetch_latency").record(
-                self.sim.now - sent
-            )
-            state["bytes"] += s.size
-            if s.index == my_index:
-                # A peer re-coded our exact fragment: install directly.
-                finish(s)
-                return
-            gathered[s.index] = s
-            if len(gathered) >= coding.x:
-                value = node.decode_from_shares(list(gathered.values()))
-                finish(
-                    encode_one_share(value, coding, my_index, share.members)
-                )
-                return
-            widen()
-
-        def on_timeout(host: str) -> None:
-            out_hosts.remove(host)
-            self.fetch.finished(host)
-            if state["done"] or not self.up:
-                return
-            widen()
-
-        def issue_next() -> bool:
-            if state["done"] or state["next"] >= len(hosts):
                 return False
-            host = hosts[state["next"]]
-            state["next"] += 1
-            out_hosts.append(host)
-            self.fetch.started(host)
-            sent = self.sim.now
-            self.endpoint.request(
-                host, req, req.wire_bytes,
-                on_reply=lambda rep, h=host, t=sent: on_reply(rep, h, t),
-                timeout=0.5, retries=2, adaptive=True,
-                on_timeout=lambda h=host: on_timeout(h),
-            )
+            self.metrics.histogram("scrub.fetch_latency").record(elapsed)
+            gathered[s.index] = s
             return True
 
-        def widen() -> None:
-            # A source failed us: pull in the next-ranked peer, or
-            # defer the repair once the ranked list is exhausted.
-            if not issue_next():
-                maybe_defer()
+        def missing() -> int:
+            if my_index in gathered:
+                return 0  # a peer re-coded our exact fragment: install it
+            return max(0, coding.x - len(gathered))
 
-        def maybe_defer() -> None:
-            if state["done"] or out_hosts:
-                return
-            # Every contacted peer answered (or timed out) and the
-            # fragment is still unrecoverable — too many rotten/missing
-            # copies right now. Leave the record corrupt; a later pass
-            # retries once peers recover or repair their own copies.
+        def install() -> None:
+            fixed = gathered.get(my_index)
+            if fixed is None:
+                value = node.decode_from_shares(list(gathered.values()))
+                fixed = encode_one_share(value, coding, my_index, share.members)
+            self.metrics.histogram("scrub.repair_latency").record(
+                self.sim.now - started
+            )
+            self._install_repaired(
+                group, lsn, instance, ballot, fixed,
+                sum(s.size for s in gathered.values()),
+            )
+
+        def defer() -> None:
+            # Every peer answered (or timed out) and the fragment is
+            # still unrecoverable — too many rotten/missing copies right
+            # now. Leave the record corrupt; a later pass retries once
+            # peers recover or repair their own copies.
             self._scrubbing.discard(key)
             self.metrics.counter("scrub.deferred").inc(1)
 
-        def arm_hedge() -> None:
-            if (
-                not self.cfg.hedge_fetches
-                or state["done"]
-                or hedge_timer[0] is not None
-                or not out_hosts
-                or state["next"] >= len(hosts)
-            ):
-                return
-            delay = max(self.endpoint.rto(h, 0.5) for h in out_hosts)
-            hedge_timer[0] = self.sim.call_after(delay, fire_hedge)
-
-        def fire_hedge() -> None:
-            hedge_timer[0] = None
-            if state["done"] or not self.up:
-                return
-            if issue_next():
-                self.fetch.hedges_issued += 1
-            arm_hedge()
-
-        for _ in range(min(coding.x, len(hosts))):
-            issue_next()
-        arm_hedge()
-        if not out_hosts:
-            maybe_defer()
+        req = FetchShare(
+            group=group, instance=instance, value_id=value_id, reason="scrub"
+        )
+        self.fetch.gather(
+            req, req.wire_bytes, missing=missing, offer=offer,
+            on_done=install, on_exhausted=defer, timeout=0.5, retries=2,
+        )
 
     def _install_repaired(
         self,

@@ -150,6 +150,31 @@ class TestSourceSelection:
         assert follower.fetch.load == {}
 
 
+class TestRepairAccounting:
+    def test_repair_fetches_x_shares_and_counts_exactly_their_bytes(self):
+        # A rot -> scrub ladder on a follower, hedging off as in the
+        # readpath gate's phase 3: each repair asks the X best-ranked
+        # peers and nobody else (it used to widen after every usable
+        # reply: 5 fetches served at X = 3, 3 of them counted), so
+        # ``scrub.repair_bytes`` is what crossed the wire for it.
+        c = make(hedge_fetches=False)
+        srv, x, fragment = c.servers[2], 3, 1000
+        rng = c.sim.rng.stream("test.readpath.ladder")
+        served = c.metrics.counter("scrub.fetches_served")
+        counted = c.metrics.counter("scrub.repair_bytes")
+        for n in range(1, 6):
+            put(c, f"k{n}", x * fragment)
+            before = served.value, counted.value
+            assert srv.inject_bit_rot(rng)
+            srv.scrub_now()
+            c.run(until=c.sim.now + 0.5)
+            assert c.metrics.counter("scrub.repaired").value == n
+            assert served.value - before[0] == x
+            assert counted.value - before[1] == x * fragment
+        assert srv.wal.verify() == [] and srv.fetch.load == {}
+        assert len(c.metrics.histogram("scrub.fetch_latency")) == 5 * x
+
+
 class TestObservability:
     def test_rtt_gauges_exported(self):
         c = make()

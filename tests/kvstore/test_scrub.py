@@ -140,8 +140,11 @@ class TestQuarantine:
                    if r.valid and r.payload[1][0] == "accept")
         group, (_, instance, ballot, share) = rec.payload
         loser = dataclasses.replace(share, value_id="losing-proposal")
-        srv._repair_share(group, rec.lsn, instance, ballot, loser)
+        srv.wal.corrupt_record(
+            rec.lsn, (group, ("accept", instance, ballot, loser)))
+        srv.scrub_now()
         c.run(until=c.sim.now + 1.0)
+        assert c.metrics.counter("scrub.fetches_served").value == 0
         assert c.metrics.counter("scrub.quarantined").value == 1
         assert c.metrics.counter("scrub.repair_bytes").value == 0
         # The rewritten record is checksum-valid again (integrity probe
