@@ -113,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--short", action="store_true",
-        help="chaos only: shorter episodes (CI smoke)",
+        help="chaos only: shorter episodes (quick smoke)",
     )
     parser.add_argument(
         "--wipe-heavy", action="store_true",

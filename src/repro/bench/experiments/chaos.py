@@ -17,13 +17,12 @@ stays green.
 Any failing seed writes a repro bundle under ``chaos-repros/`` and the
 run exits non-zero, which is what makes this usable as a CI gate::
 
-    python -m repro.bench chaos --seeds 10 --short
+    python -m repro.bench chaos
 
 ``--wipe-heavy`` biases the fault mix toward disk wipes + rejoins so
 the checkpoint / snapshot-rebuild path dominates the episode — the CI
-smoke gate for the replica-rebuild machinery. ``--seed K`` runs exactly
-episode ``K`` (both protocols, same spec flags, same exit code and
-bundle) — the way back into one failing line of a sweep.
+gate for the replica-rebuild machinery. ``--seed K`` runs exactly
+episode ``K`` (both protocols, same spec flags, exit code and bundle).
 """
 
 from __future__ import annotations

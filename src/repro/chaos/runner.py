@@ -534,8 +534,8 @@ class ChaosRunner:
             requests_shed=sum(s.requests_shed for s in cluster.servers),
             shed_by_tenant=shed_by_tenant,
             busy_by_tenant=busy_by_tenant,
-            hedges_issued=sum(s.hedges_issued for s in cluster.servers),
-            hedge_wins=sum(s.hedge_wins for s in cluster.servers),
+            hedges_issued=sum(s.fetch.hedges_issued for s in cluster.servers),
+            hedge_wins=sum(s.fetch.hedge_wins for s in cluster.servers),
             timeout_adaptations=sum(
                 s.endpoint.timeouts_adapted for s in cluster.servers
             ),

@@ -17,8 +17,7 @@ client-side linearizability check:
   value's own coding config. Checked after faults are healed and
   crashed servers recovered; a value lost *then* is durably lost.
 - **Store agreement**: replicas at the same apply cursor hold the same
-  version of every key — what a log-only sweep cannot see when a
-  snapshot install skips an instance.
+  version of every key (a log-only sweep cannot see a skipped apply).
 """
 
 from __future__ import annotations
@@ -461,32 +460,28 @@ def check_shard_coverage(servers) -> list[Violation]:
 
 def check_store_agreement(servers) -> list[Violation]:
     """Replicas that applied the same prefix of a group's log hold the
-    same state for it.
+    same state for it: for each group, the up, non-rebuilding replicas
+    whose apply cursor equals the group's maximum agree on ``(version,
+    tombstone)`` for every key that group owns.
 
-    For each group, the up, non-rebuilding replicas whose apply cursor
-    equals the group's maximum must agree on ``(version, tombstone)``
-    for every key that group owns — the state-machine half of unique
-    choice, which compares only log records. A replica that installed
-    a snapshot and *skipped* an instance the snapshot did not reflect
-    (DESIGN.md §5 "A snapshot's floor") holds every record and the
-    right cursor, and a stale store; a client sees it only if it reads
-    the key through that replica before the next overwrite heals it.
-
-    An entry is owned by the group that chose it (``entry.group``, or
-    the map's route when untagged). Under dynamic sharding a replica
-    further ahead in *another* group may already hold that group's
-    later-era copy of a migrated key; such a key is judged under the
-    group that owns it on both sides.
+    The state-machine half of unique choice, which compares log records
+    only: a replica that installed a snapshot and *skipped* an instance
+    the snapshot did not reflect (DESIGN.md §5 "A snapshot's floor")
+    has every record, the right cursor and a stale store. An entry is
+    owned by the group that chose it (``entry.group``, or the map's
+    route when untagged); a replica further ahead in *another* group
+    may already hold that group's later-era copy of a migrated key, so
+    a key owned elsewhere on either side is judged under that group.
     """
     violations = []
     live = [s for s in servers if s.up and not s.rebuilding]
     for g in range(len(live[0].groups) if live else 0):
         top = max(s.groups[g].apply_cursor for s in live)
-        views = []
+        views = []  # (name, {key: (version, tombstone), or None if not g's})
         for srv in live:
             if srv.groups[g].apply_cursor != top:
                 continue
-            held = {}  # key -> (version, tombstone); None = other group's
+            held = {}
             for key in srv.store.keys():
                 e = srv.store.get_entry(key)
                 owner = e.group if e.group >= 0 else srv.shard_map.group_of(key)
@@ -496,13 +491,12 @@ def check_store_agreement(servers) -> list[Violation]:
         for name, held in views[1:]:
             for key in sorted(ref.keys() | held.keys()):
                 a, b = ref.get(key, "absent"), held.get(key, "absent")
-                if a is None or b is None or a == b:
-                    continue
-                violations.append(Violation(
-                    "store-agreement",
-                    f"group {g} key {key!r} at cursor {top}: {ref_name} "
-                    f"holds (version, tombstone) {a} but {name} holds {b}",
-                ))
+                if a is not None and b is not None and a != b:
+                    violations.append(Violation(
+                        "store-agreement",
+                        f"group {g} key {key!r} at cursor {top}: {ref_name} "
+                        f"holds (version, tombstone) {a} but {name} holds {b}",
+                    ))
     return violations
 
 

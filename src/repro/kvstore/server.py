@@ -435,14 +435,6 @@ class KVServer:
         return self.admission.shed_by_tenant
 
     @property
-    def hedges_issued(self) -> int:
-        return self.fetch.hedges_issued
-
-    @property
-    def hedge_wins(self) -> int:
-        return self.fetch.hedge_wins
-
-    @property
     def rebuilding(self) -> bool:
         """Wiped and not yet rebuilt: an observer in at least one group."""
         return bool(self._rebuild_pending)
@@ -1953,14 +1945,12 @@ class KVServer:
             self._install_repaired(group, lsn, instance, ballot, fixed, 0)
             return
 
-        # Otherwise gather like a read does (ShareFetch.gather: the X
-        # best-ranked sources, replaced one for one as they fail us),
-        # but with a background job's patience: two retransmissions per
-        # fetch, and an exhausted list defers to the next pass. Each
-        # usable fetch's latency lands in ``scrub.fetch_latency``; the
-        # whole gather, waits for stragglers included, in
-        # ``scrub.repair_latency`` — what the readpath gate compares
-        # against the random-selection baseline.
+        # Otherwise gather as a read does (ShareFetch.gather), with a
+        # background job's patience: two retransmissions per fetch, and
+        # an exhausted list defers to the next pass. Each usable fetch's
+        # latency lands in ``scrub.fetch_latency``; the whole gather,
+        # waits for stragglers included, in ``scrub.repair_latency`` —
+        # what the readpath gate compares against random selection.
         gathered: dict[int, CodedShare] = {}
         started = self.sim.now
 
@@ -1994,10 +1984,9 @@ class KVServer:
             )
 
         def defer() -> None:
-            # Every peer answered (or timed out) and the fragment is
-            # still unrecoverable — too many rotten/missing copies right
-            # now. Leave the record corrupt; a later pass retries once
-            # peers recover or repair their own copies.
+            # Too many rotten/missing copies right now. Leave the record
+            # corrupt; a later pass retries once peers recover or repair
+            # their own copies.
             self._scrubbing.discard(key)
             self.metrics.counter("scrub.deferred").inc(1)
 
@@ -2022,10 +2011,8 @@ class KVServer:
         place (checksum recomputed, one device write), in-memory
         acceptor/learner/store copies replaced with the clean share.
         With ``lsn`` None (record already compacted) only the in-memory
-        copies are fixed; the next checkpoint persists them."""
-        if not self.up:
-            self._scrubbing.discard((group, instance))
-            return
+        copies are fixed; the next checkpoint persists them. Only ever
+        runs while up: a crash retires the gather that would call it."""
         node = self.groups[group]
         if lsn is not None:
             self.wal.rewrite_record(
@@ -2535,9 +2522,6 @@ class KVServer:
         """Ask the cluster for decisions missed while down."""
         if not self.up:
             return
-        # Find someone who answers; start with any peer, the leader will
-        # be discovered via redirect-like behavior (non-leaders answer
-        # with what they know; the leader re-codes shares for us).
         for g in range(len(self.groups)):
             self._catch_up_group(g)
 
@@ -2548,14 +2532,14 @@ class KVServer:
         req = CatchUp(group=group, from_instance=node.apply_cursor)
         self._ranked_catch_up(req)
 
-    def _ranked_catch_up(self, req: CatchUp, width: int = 2) -> None:
-        """Issue a catch-up to the ``width`` best-ranked sources
-        (instead of the old all-peers broadcast — N-1 full page streams
-        of mostly duplicate rebuild traffic), widening to the next
-        ranked peer each time a source times out. Every armed catch-up
-        therefore still reaches the whole cluster eventually (liveness
-        unchanged), but a healthy steady state ships ~2 streams' worth
-        of ``rebuild_bytes``, sourced from the closest peers."""
+    def _ranked_catch_up(self, req: CatchUp) -> None:
+        """Issue a catch-up to the two best-ranked sources, widening to
+        the next ranked peer each time one times out: every armed
+        catch-up still reaches the whole cluster eventually, but a
+        healthy steady state ships ~2 page streams of ``rebuild_bytes``
+        from the closest peers, not N-1. A loop over ShareFetch's
+        ranking and load counters rather than a ``gather``: it takes
+        every reply and never hedges or cancels, which a gather does."""
         hosts = iter(self.fetch.ranked())
 
         def issue_one() -> None:
@@ -2577,8 +2561,8 @@ class KVServer:
                 timeout=1.0, retries=3, adaptive=True, on_timeout=widen,
             )
 
-        for _ in range(width):
-            issue_one()
+        issue_one()
+        issue_one()
 
     def _rebuild_tick(self) -> None:
         """Re-probe peers while a rebuild is pending: the initial

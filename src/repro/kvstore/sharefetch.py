@@ -1,81 +1,39 @@
-"""Share fetching: which peers to ask for coded shares, how many at
-once, and what to do when one is slow, useless or silent.
+"""Share fetching: whom to ask for coded shares, how many at once, and
+what to do when a source is slow, useless or silent.
 
-The paper's read and repair paths are one operation — collect >= X coded
-shares of a decided value and decode (§4.4 recovery read, §4.5 re-coding
-a recovering replica's fragment) — and recovery is network-bound, so
-*which* and *how many* sources it contacts **is** its cost (Rashmi et
-al.). That decision lives here, once.
-
-Pure policy, like :mod:`repro.kvstore.admission`: a :class:`ShareFetch`
-knows a clock, the peer host names, four callables of an RPC endpoint
-(``request``, ``cancel_request``, ``rto``, ``peer_stats``) and whether
-its owner is ``alive()`` — nothing of servers, Paxos groups, coded
-shares, message types or the simulator. It owns
-
-- **source ranking** (:meth:`ShareFetch.ranked`): RTT estimate scaled
-  by the fetches already in flight toward the peer, or a seeded shuffle
-  as the measured baseline;
-- **per-peer in-flight load** (:meth:`started` / :meth:`finished`),
-  which that ranking reads;
-- **one gather policy** (:meth:`ShareFetch.gather`): rank; keep exactly
-  ``missing()`` fetches in flight; replace a fetch that times out or
-  whose reply the client refuses with the next-ranked peer; hedge to
-  the next peer when the slowest outstanding fetch overruns its
-  adaptive RTO; cancel leftovers the moment ``missing()`` reaches zero;
-  and once the ranked list is used up either pause and start over from
-  its top (someone is waiting for the value, and a chosen value's
-  shares reappear as crashed peers recover, §3.1) or tell the client,
-  which then defers.
-
-What a reply *means* stays with the client, as one callback:
-``offer(reply, host, elapsed) -> bool`` takes the share if it is usable
-(and accounts whatever it accounts: bytes, latency) or refuses it;
-``missing()`` says how many more it needs, so "a peer re-coded my exact
-fragment" is simply a client whose ``missing()`` drops to zero early.
-
-Per-gather state is one slotted :class:`_Gather` and one slotted
-:class:`_Fetch` per request, their callbacks bound methods — no closure
-captures itself (DESIGN.md §4, the op-path allocation rule), and every
-reference cycle between the two is cut when the fetch settles.
+Collecting >= X coded shares of a decided value is the one operation
+under the paper's read and repair paths (§4.4 recovery read, §4.5
+re-coding a recovering replica's fragment), and recovery is
+network-bound: *which* and *how many* sources it contacts **is** its
+cost (Rashmi et al.). That policy lives here, once. Pure, like
+:mod:`repro.kvstore.admission`: a :class:`ShareFetch` is built from a
+clock, the peer names and an RPC endpoint's bound methods, and knows
+nothing of servers, Paxos groups, coded shares or the simulator. What a
+reply *means* stays with the client of a gather: ``offer(reply, host,
+elapsed)`` takes a usable share (and accounts what it accounts) or
+returns False; ``missing()`` says how many more it needs, so "a peer
+re-coded my exact fragment" is a ``missing()`` that drops to zero early.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-#: Pause before a gather whose ranked list is exhausted starts over.
-#: Without it, a value that is *never* reconstructible (every live
+#: Pause before a gather whose ranked list is exhausted starts over:
+#: without it a value that is *never* reconstructible (every live
 #: holder below X) would re-fan out every round trip.
 CYCLE_PAUSE = 0.25
 
 
-class _Fetch:
-    """One request in flight, and the two callbacks it was sent with."""
-
-    __slots__ = ("gather", "host", "hedge", "sent", "rid")
-
-    def __init__(self, gather: "_Gather", host: str, hedge: bool, sent: float):
-        self.gather = gather
-        self.host = host
-        self.hedge = hedge
-        self.sent = sent
-        self.rid = -1
-
-    def on_reply(self, reply: Any) -> None:
-        self.gather.replied(self, reply)
-
-    def on_timeout(self) -> None:
-        self.gather.timed_out(self)
-
-
 class _Gather:
-    """One gather in progress: the ranked hosts, a cursor into them, the
-    fetches outstanding and the pending hedge timer."""
+    """One gather in progress: a slotted object, its callbacks bound
+    methods, so nothing captures itself (DESIGN.md §4, the op-path
+    allocation rule); the two lambdas a fetch is sent with point here
+    and nothing here points back at them."""
 
     __slots__ = ("sf", "gen", "body", "size", "missing", "offer", "on_done",
                  "on_exhausted", "timeout", "retries", "hosts", "next",
-                 "outstanding", "hedge_timer", "done")
+                 "outstanding", "hedge_timer")
 
     def __init__(self, sf: "ShareFetch", body, size, missing, offer, on_done,
                  on_exhausted, timeout, retries):
@@ -90,46 +48,38 @@ class _Gather:
         self.timeout = timeout
         self.retries = retries
         self.hosts = sf.ranked()
-        self.next = 0
-        self.outstanding: dict[int, _Fetch] = {}
+        self.next = 0  # cursor into hosts
+        self.outstanding: dict[str, int] = {}  # host -> request id
         self.hedge_timer = None
-        self.done = False
 
     def live(self) -> bool:
-        sf = self.sf
-        return not self.done and self.gen == sf._gen and sf._alive()
+        """May a timer of this gather still act? (Its hedge timer is
+        cancelled by ``stop``; no cycle timer is pending then.)"""
+        return self.gen == self.sf._gen and self.sf._alive()
 
-    # -- the fetches' callbacks -------------------------------------------
-
-    def settle(self, fetch: _Fetch) -> bool:
-        """Retire ``fetch``; False if the gather should not go on."""
+    def settle(self, host: str) -> bool:
+        """Retire the fetch toward ``host``; False if that is all."""
         sf = self.sf
-        if (
-            self.gen != sf._gen  # retired by reset(): not our load table
-            or self.outstanding.pop(fetch.rid, None) is None  # cancelled
-        ):
-            return False
-        sf.finished(fetch.host)
+        if self.gen != sf._gen or self.outstanding.pop(host, None) is None:
+            return False  # retired by reset() (not our load), or cancelled
+        sf.finished(host)
         return sf._alive()
 
-    def replied(self, fetch: _Fetch, reply: Any) -> None:
-        if not self.settle(fetch):
+    def replied(self, host: str, hedge: bool, sent: float, reply) -> None:
+        if not self.settle(host):
             return
-        sf = self.sf
-        if self.offer(reply, fetch.host, sf._clock.now - fetch.sent):
-            if fetch.hedge:
-                sf.hedge_wins += 1
+        if self.offer(reply, host, self.sf._clock.now - sent):
+            if hedge:
+                self.sf.hedge_wins += 1
             if not self.missing():
                 self.stop()
                 self.on_done()
                 return
         self.replenish()
 
-    def timed_out(self, fetch: _Fetch) -> None:
-        if self.settle(fetch):
+    def timed_out(self, host: str) -> None:
+        if self.settle(host):
             self.replenish()
-
-    # -- the policy ---------------------------------------------------------
 
     def replenish(self) -> None:
         """Keep one fetch in flight per still-missing share, taking
@@ -152,37 +102,33 @@ class _Gather:
         sf = self.sf
         host = self.hosts[self.next]
         self.next += 1
-        fetch = _Fetch(self, host, hedge, sf._clock.now)
+        sent = sf._clock.now
         sf.started(host)
-        fetch.rid = sf._request(
-            host, self.body, self.size, on_reply=fetch.on_reply,
+        self.outstanding[host] = sf._request(
+            host, self.body, self.size,
+            on_reply=lambda reply: self.replied(host, hedge, sent, reply),
             timeout=self.timeout, retries=self.retries, adaptive=True,
-            on_timeout=fetch.on_timeout,
+            on_timeout=lambda: self.timed_out(host),
         )
-        self.outstanding[fetch.rid] = fetch
         if hedge:
             sf.hedges_issued += 1
 
     def arm_hedge(self) -> None:
-        if (
-            self.hedge_timer is not None
-            or not self.outstanding
-            or self.next >= len(self.hosts)
-        ):
+        if (self.hedge_timer is not None or not self.outstanding
+                or self.next >= len(self.hosts)):
             return
         # Expected completion of the *slowest* outstanding fetch: if it
         # overruns this, a hedge is cheaper than waiting.
         rto, fallback = self.sf._rto, self.timeout
-        delay = max(rto(f.host, fallback) for f in self.outstanding.values())
+        delay = max(rto(host, fallback) for host in self.outstanding)
         self.hedge_timer = self.sf._clock.call_after(delay, self.fire_hedge)
 
     def fire_hedge(self) -> None:
         self.hedge_timer = None
-        if not self.live():
-            return
-        if self.next < len(self.hosts) and self.missing():
-            self.issue(hedge=True)
-        self.arm_hedge()
+        if self.live():
+            if self.next < len(self.hosts) and self.missing():
+                self.issue(hedge=True)
+            self.arm_hedge()
 
     def cycle(self) -> None:
         if self.live():
@@ -190,44 +136,33 @@ class _Gather:
             self.replenish()
 
     def stop(self) -> None:
-        """Done, one way or the other: nothing of this gather stays
+        """Over, one way or the other: nothing of this gather stays
         armed, in flight or counted as load."""
-        self.done = True
         if self.hedge_timer is not None:
             self.hedge_timer.cancel()
-            self.hedge_timer = None
-        sf = self.sf
-        for rid, fetch in self.outstanding.items():
-            sf._cancel_request(rid)
-            sf.finished(fetch.host)
+        for host, rid in self.outstanding.items():
+            self.sf._cancel_request(rid)
+            self.sf.finished(host)
         self.outstanding.clear()
 
 
 class ShareFetch:
-    """Source ranking, in-flight load and the gather policy.
+    """Source ranking, per-peer in-flight load, and one gather policy.
 
     ``clock`` is anything with ``now`` and ``call_after(delay, fn)``
     returning something with ``cancel()``; ``peers`` the other hosts'
     names; ``request`` / ``cancel_request`` / ``rto`` / ``peer_stats``
     an RPC endpoint's bound methods; ``alive()`` whether the owner is
-    up. ``hedge`` and ``rtt_select`` are ``ServerConfig.hedge_fetches``
-    and ``.rtt_select``; ``rng`` (a numpy Generator) orders the sources
+    up; ``hedge`` / ``rtt_select`` are ``ServerConfig.hedge_fetches`` /
+    ``.rtt_select``, and ``rng`` (a numpy Generator) orders the sources
     when ``rtt_select`` is off.
     """
 
     def __init__(
-        self,
-        clock,
-        peers: Sequence[str],
-        *,
-        request: Callable[..., int],
-        cancel_request: Callable[[int], None],
-        rto: Callable[[str, float], float],
-        peer_stats: Callable[[str], Any],
-        alive: Callable[[], bool],
-        hedge: bool,
-        rtt_select: bool,
-        rng,
+        self, clock, peers: Sequence[str], *,
+        request: Callable[..., int], cancel_request: Callable[[int], None],
+        rto: Callable[[str, float], float], peer_stats: Callable[[str], Any],
+        alive: Callable[[], bool], hedge: bool, rtt_select: bool, rng,
     ):
         self._clock = clock
         self._peers = tuple(peers)
@@ -239,41 +174,32 @@ class ShareFetch:
         self._hedge = hedge
         self._rtt_select = rtt_select
         self._rng = rng
-        self._load: dict[str, int] = {}
-        # Bumped by reset(): whatever an earlier gather still has
-        # coming — a late reply, its hedge or cycle timer — finds its
-        # generation stale and does nothing.
+        self.load: dict[str, int] = {}  # fetches in flight per peer
+        # Bumped by reset(): whatever an earlier gather still has coming
+        # — a late reply, its hedge or cycle timer — finds it stale.
         self._gen = 0
         # Cumulative across resets (a crash does not forget them).
         self.hedges_issued = 0
         self.hedge_wins = 0
 
-    @property
-    def load(self) -> dict[str, int]:
-        """Fetches in flight per peer (read-only view)."""
-        return self._load
-
     def ranked(self) -> list[str]:
         """Peer hosts best-first: repair-optimal source selection.
 
         Rank = Jacobson RTT estimate scaled by the fetches already in
-        flight toward the peer — each outstanding fetch is roughly one
-        more service time of queueing the estimator has not observed
-        yet, so a fast-but-busy peer yields to an idle slightly-slower
-        one. Peers with no unambiguous sample yet sort after measured
-        ones (unknown is not the same as fast); ties break by name so
-        the order — and everything hedging derives from it — is
-        deterministic.
-
-        With ``rtt_select`` off (the readpath gate's measured baseline)
-        sources come back in seeded-random order instead — no RTT, no
-        load signal.
+        flight toward the peer — each is roughly one more service time
+        of queueing the estimator has not observed yet, so a
+        fast-but-busy peer yields to an idle slightly-slower one. Peers
+        with no unambiguous sample sort after measured ones (unknown is
+        not the same as fast); ties break by name, so the order — and
+        everything hedging derives from it — is deterministic. With
+        ``rtt_select`` off (the readpath gate's measured baseline):
+        seeded-random order, no RTT, no load signal.
         """
         if not self._rtt_select:
             order = list(self._peers)
             self._rng.shuffle(order)
             return order
-        peer_stats, load = self._peer_stats, self._load
+        peer_stats, load = self._peer_stats, self.load
 
         def rank(h: str):
             st = peer_stats(h)
@@ -287,49 +213,49 @@ class ShareFetch:
     def started(self, host: str) -> None:
         """A fetch toward ``host`` went out (a gather's, or one the
         owner issues itself over :meth:`ranked`)."""
-        self._load[host] = self._load.get(host, 0) + 1
+        self.load[host] = self.load.get(host, 0) + 1
 
     def finished(self, host: str) -> None:
-        n = self._load.get(host, 0) - 1
+        n = self.load.get(host, 0) - 1
         if n <= 0:
-            self._load.pop(host, None)
+            self.load.pop(host, None)
         else:
-            self._load[host] = n
+            self.load[host] = n
 
     def gather(
-        self,
-        body: Any,
-        size: int,
-        *,
-        missing: Callable[[], int],
+        self, body: Any, size: int, *, missing: Callable[[], int],
         offer: Callable[[Any, str, float], bool],
         on_done: Callable[[], None],
         on_exhausted: Callable[[], None] | None = None,
-        timeout: float,
-        retries: int,
+        timeout: float, retries: int,
     ) -> None:
         """Send ``body`` to ranked peers until ``missing()`` is zero,
-        then call ``on_done()`` — at once if nothing is missing.
+        then call ``on_done()`` (at once if nothing is missing).
 
-        Each reply goes to ``offer(reply, host, elapsed)``; False means
-        unusable, and pulls in the next-ranked peer like a timeout
-        does. ``timeout`` / ``retries`` are each request's own (the
-        client's patience, not policy). With the ranked list used up
-        and shares still missing: ``on_exhausted()`` if given (the
-        gather is over), else a pause of ``CYCLE_PAUSE`` and another
-        pass over the same list, for ever.
+        The policy: rank; keep exactly ``missing()`` fetches in flight;
+        replace one that times out, or whose reply ``offer`` refuses,
+        with the next-ranked peer; hedge to the next peer when the
+        slowest outstanding fetch overruns its adaptive RTO; cancel
+        leftovers the moment nothing is missing. With the list used up
+        and shares still missing, ``on_exhausted()`` if given (the
+        gather is over: a background client defers), else pause
+        ``CYCLE_PAUSE`` and go over the same list again, for ever —
+        someone is waiting, and a chosen value's shares reappear as
+        crashed peers recover (§3.1). ``timeout`` / ``retries`` are each
+        request's own: the client's patience, not policy.
         """
+        # Ranked before looking at ``missing()``: with ``rtt_select``
+        # off every gather draws from the RNG stream, needed or not.
         g = _Gather(self, body, size, missing, offer, on_done, on_exhausted,
                     timeout, retries)
         if missing():
             g.replenish()
         else:
-            g.done = True
             on_done()
 
     def reset(self) -> None:
         """The owner crashed: forget the load and retire every gather
-        in flight. Their requests may still be answered or time out;
-        nothing comes of it."""
+        in flight — their requests may still be answered or time out,
+        and nothing comes of it."""
         self._gen += 1
-        self._load.clear()
+        self.load.clear()

@@ -7,7 +7,6 @@ Public API:
   tracking with adaptive (Jacobson/Karn) retransmit timeouts.
 - :class:`PeerStats` — one destination's RTT estimator snapshot.
 - :class:`Request`, :class:`Reply`, :class:`Batch` — wire wrappers.
-- :exc:`RequestTimeout`, :exc:`RpcError`.
 """
 
 from .endpoint import (
@@ -15,9 +14,7 @@ from .endpoint import (
     PeerStats,
     Reply,
     Request,
-    RequestTimeout,
     RpcEndpoint,
-    RpcError,
 )
 from .mux import Channel, ChannelMsg, ChannelMux
 
@@ -29,7 +26,5 @@ __all__ = [
     "PeerStats",
     "Reply",
     "Request",
-    "RequestTimeout",
     "RpcEndpoint",
-    "RpcError",
 ]

@@ -53,14 +53,6 @@ class Batch:
     items: list[Any] = field(default_factory=list)
 
 
-class RpcError(Exception):
-    pass
-
-
-class RequestTimeout(RpcError):
-    """A request exhausted its retransmission budget."""
-
-
 @dataclass(slots=True)
 class PeerStats:
     """Reply-latency estimate for one destination (Jacobson/Karn).

@@ -163,7 +163,7 @@ class TestHedgedFetches:
         c.run(until=c.sim.now + 120.0)
         assert len(latencies) == self.KEYS
         assert reader.recovery_reads >= self.KEYS
-        return latencies, reader.hedge_wins
+        return latencies, reader.fetch.hedge_wins
 
     def test_hedging_cuts_read_tail_under_slow_node(self):
         lat_on, wins_on = self._read_tail(hedge=True)

@@ -212,14 +212,14 @@ class TestCrashSafety:
         c = make()
         put(c, "k", 456)
         srv = c.servers[2]
-        share = srv.store.get_entry("k").value
-        group = srv.shard_map.group_of("k")
+        entry = srv.store.get_entry("k")
+        share, group = entry.value, srv.shard_map.group_of("k")
         others = [s for s in c.servers if s is not srv]
         for s in others:
             s.crash()
         got = []
         t0 = c.sim.now
-        srv._gather_shares(group, instance_of(srv.store.get_entry("k").version),
+        srv._gather_shares(group, instance_of(entry.version),
                            share.value_id, share, got.append)
         assert sum(srv.fetch.load.values()) == 2
         c.run(until=t0 + 0.005)
@@ -230,5 +230,5 @@ class TestCrashSafety:
         for s in others:
             s.recover()
         c.run(until=t0 + 6.0)
-        assert srv.up and srv.hedges_issued == 0
+        assert srv.up and srv.fetch.hedges_issued == 0
         assert got == []

@@ -146,8 +146,8 @@ class TestRequestReply:
 
 class TestLateReplies:
     def test_late_reply_after_final_timeout_dropped(self):
-        # Regression: a reply landing after the final RequestTimeout
-        # already fired must be dropped by the endpoint, never
+        # Regression: a reply landing after ``on_timeout`` already
+        # fired must be dropped by the endpoint, never
         # dispatched to the (dead) continuation.
         sim, net, eps = make_endpoints()
 

@@ -292,8 +292,9 @@ class TestGoldenRuns:
         ``KVServer`` (PR 21), with the scrubber off so that moving
         scrub repair onto the same component cannot touch it."""
         c, history = hedged_recovery_reads(17)
-        counters = [(s.recovery_reads, s.degraded_reads, s.hedges_issued,
-                     s.hedge_wins) for s in c.servers]
+        counters = [(s.recovery_reads, s.degraded_reads,
+                     s.fetch.hedges_issued, s.fetch.hedge_wins)
+                    for s in c.servers]
         assert counters[1][2] > counters[1][3] > 0    # P2 hedged, some won
         assert counters[2][1] == 6                    # P3 read degraded
         late = [op for op in history if op["invoke"] == 8.51]
