@@ -147,18 +147,14 @@ def _live_put_instances(srvs, group: int) -> dict[int, str]:
                 meta = _meta_of(rec)
                 if not _is_live_put(meta):
                     continue
-                enc = (getattr(meta, "mapv", 0) << 48) | inst
+                enc = (meta.mapv << 48) | inst
                 if g == group:
                     instances.setdefault(inst, rec.value_id)
                     key_of.setdefault(inst, meta.key)
                     enc_of.setdefault(inst, enc)
                 if enc > latest.get(meta.key, -1):
                     latest[meta.key] = enc
-    floor = 0
-    for srv in srvs:
-        cf = getattr(srv, "compact_floor", None)  # absent on test fakes
-        if cf:
-            floor = max(floor, cf[group])
+    floor = max((srv.compact_floor[group] for srv in srvs), default=0)
     return {
         inst: vid for inst, vid in instances.items()
         if inst >= floor or latest[key_of[inst]] == enc_of[inst]
@@ -186,7 +182,7 @@ def _decodable(up, group: int, instance: int, value_id: str) -> bool:
         for share in candidates:
             if share.value_id != value_id:
                 continue
-            if getattr(share, "corrupt", False):
+            if share.corrupt:
                 continue  # rotten bytes cannot feed the decoder
             if config is None:
                 config = share.config
@@ -419,8 +415,8 @@ def check_shard_coverage(servers) -> list[Violation]:
     for srv in servers:
         if not srv.up:
             continue
-        m = getattr(srv, "shard_map", None)
-        if m is None or not getattr(m, "is_range_map", False):
+        m = srv.shard_map
+        if not m.is_range_map:
             continue
         r = m.ranges
         problems = []

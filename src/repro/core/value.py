@@ -67,7 +67,11 @@ class Value:
 class CodedShare:
     """One coded fragment of a :class:`Value` as carried by accepts.
 
-    ``data`` is None in modeled mode. ``index`` is the share index in
+    ``data`` is None in modeled mode and bytes-like in concrete mode:
+    an unpadded original share is a read-only ``memoryview`` into the
+    value's ``bytes`` (no copy), any other share ``bytes``. Nothing may
+    assume ``bytes``, nor ``repr`` it into a digest or a trace line — a
+    view's repr holds an address. ``index`` is the share index in
     [0, N); under θ(1, N) the share *is* the full value (classic Paxos).
     ``meta`` is the value's uncoded metadata, replicated with every
     share. ``members`` records the (sorted) replica ids the N shares
@@ -94,7 +98,7 @@ class CodedShare:
     index: int
     config: CodingConfig
     value_size: int
-    data: bytes | None = None
+    data: bytes | memoryview | None = None
     meta: Any = None
     members: tuple[int, ...] | None = None
     corrupt: bool = False
@@ -112,7 +116,7 @@ class CodedShare:
             self.data, self.meta, self.members, corrupt=True, size=self.size,
         )
 
-    def repaired(self, data: bytes | None = None) -> "CodedShare":
+    def repaired(self, data: bytes | memoryview | None = None) -> "CodedShare":
         """A checksum-clean replacement for this share (scrub repair)."""
         return CodedShare(
             self.value_id, self.index, self.config, self.value_size,

@@ -8,7 +8,7 @@ the library the paper's prototype uses).
 The implementation is table-driven: one 256-entry exponential table and
 one 256-entry logarithm table are built once at import time, and a
 256x256 product table lazily on first use. Scalar helpers operate on
-Python ints. The one bulk kernel, :func:`lincomb`, works on ``bytes``
+Python ints. The one bulk kernel, :func:`lincomb`, works on bytes-like
 rows: multiplying a row by a constant is ``row.translate(T[c])`` — one
 C pass over the row through a 256-byte table — because numpy's
 equivalent, ``table[c][row]`` with a ``uint8`` index array, first widens
@@ -149,12 +149,15 @@ def _translate_tables() -> tuple[bytes, ...]:
 def lincomb(coeffs: Sequence[int], rows: Sequence[bytes]) -> bytes:
     """The linear combination ``sum_j coeffs[j] * rows[j]`` over GF(2^8).
 
-    ``rows`` are equal-length ``bytes``; the result has their length.
-    This is the only operation encode and decode perform on payload
-    bytes: one parity share, or one reconstructed data share, is one
-    call. Each term costs one ``translate`` pass (none when the
-    coefficient is 1, nothing at all when it is 0) and one XOR into the
-    output buffer; the rows themselves are never copied.
+    ``rows`` are equal-length bytes-like objects (``bytes`` or a view
+    into one); the result is ``bytes`` of their length. This is the only
+    operation encode and decode perform on payload bytes: one parity
+    share, or one reconstructed data share, is one call. Each term
+    costs one ``translate`` pass (none when the coefficient is 1,
+    nothing at all when it is 0) and one XOR into the output buffer.
+    ``translate`` is a ``bytes`` method, so a view row with a
+    coefficient outside {0, 1} is first copied into a short-lived
+    ``bytes`` that dies with its product; no other row is copied.
     """
     tables = _translate_tables()
     out = np.zeros(len(rows[0]), dtype=np.uint8)
@@ -162,7 +165,7 @@ def lincomb(coeffs: Sequence[int], rows: Sequence[bytes]) -> bytes:
         if c == 0:
             continue
         if c != 1:
-            row = row.translate(tables[c])
+            row = bytes(row).translate(tables[c])
         np.bitwise_xor(out, np.frombuffer(row, dtype=np.uint8), out=out)
     return out.tobytes()
 

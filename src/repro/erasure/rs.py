@@ -2,9 +2,9 @@
 
 This is the stand-in for Zfec, the C erasure-coding library used by the
 paper's prototype (Section 5). It implements a systematic MDS code: the
-first ``X`` shares are verbatim slices of the (padded) input, the
-remaining ``N - X`` shares are parity, and any ``X`` shares reconstruct
-the value.
+first ``X`` shares are verbatim slices of the (padded) input — read-only
+views into the value's own ``bytes``, not copies — the remaining
+``N - X`` shares are parity, and any ``X`` shares reconstruct the value.
 
 Encode matrices and decode matrices (per present-share subset) are
 cached per configuration, because a replicated KV store encodes millions
@@ -36,13 +36,15 @@ class Share:
         Original (unpadded) value length in bytes, needed to strip
         padding on reconstruction.
     data:
-        The share payload.
+        The share payload, bytes-like: an original share that needs no
+        padding is a read-only ``memoryview`` into the encoded value's
+        ``bytes``; parity and padded rows are ``bytes``.
     """
 
     index: int
     config: CodingConfig
     value_size: int
-    data: bytes
+    data: bytes | memoryview
 
     @property
     def is_original(self) -> bool:
@@ -67,15 +69,22 @@ class ShareMismatch(ValueError):
 
 
 def _as_bytes(value) -> bytes:
-    """Normalise a bytes-like value at the codec boundary: the kernel
-    needs real ``bytes`` (``translate``), and ``bytes`` is not copied."""
+    """Normalise a bytes-like value at the codec boundary: ``bytes`` is
+    kept as it is, anything else is copied once into ``bytes``, so a
+    share's view only ever points into an immutable buffer."""
     return value if isinstance(value, bytes) else memoryview(value).tobytes()
 
 
-def _original(value: bytes, index: int, width: int) -> bytes:
-    """Original share ``index``: a slice of ``value`` — the one copy the
-    share keeps — zero-padded only where the value ran out."""
-    return value[index * width:(index + 1) * width].ljust(width, b"\0")
+def _original(value: bytes, index: int, width: int) -> bytes | memoryview:
+    """Original share ``index``: a read-only view into ``value``, no
+    copy. A row that is the whole value is ``value`` itself (θ(1, N));
+    the row the value runs out in is the one original with bytes of its
+    own, zero-padded to ``width`` in one copy."""
+    start, end = index * width, (index + 1) * width
+    if end <= len(value):
+        return value if width == len(value) else memoryview(value)[start:end]
+    pad = end - max(start, len(value))
+    return b"".join((memoryview(value)[start:], bytes(pad)))
 
 
 @lru_cache(maxsize=128)
@@ -99,6 +108,13 @@ class RSCodec:
         self._coeffs: list[list[int]] = _encode_matrix(
             config.x, config.n
         ).tolist()
+        # A parity row of all ones (θ(3, 5)'s first) is the XOR of the
+        # originals: decode takes one missing original from it by XOR.
+        self._ones_row = next(
+            (i for i in range(config.x, config.n)
+             if all(c == 1 for c in self._coeffs[i])),
+            None,
+        )
 
     # -- encode ---------------------------------------------------------
 
@@ -123,7 +139,7 @@ class RSCodec:
     def encode_share(self, value: bytes, index: int) -> Share:
         """Encode only the share with the given index.
 
-        An original share is one slice of the value; a parity share
+        An original share is a view of the value; a parity share
         costs one kernel call (``X`` table passes) rather than ``N - X``
         of them. The KV store uses this when re-sending a single
         replica's share during catch-up (Section 4.5).
@@ -148,7 +164,8 @@ class RSCodec:
 
         Original shares that are present pass through untouched; only
         the missing ones are solved for, from the X lowest-indexed
-        shares offered.
+        shares offered. When those include the all-ones parity row, the
+        last missing original is that row XOR the others: no table pass.
 
         Raises
         ------
@@ -179,15 +196,22 @@ class RSCodec:
             raise ShareMismatch("share payload length inconsistent with size")
         if size == 0:
             return b""
-        payloads = [_as_bytes(s.data) for s in chosen]
+        payloads = [s.data for s in chosen]
         if cfg.x == 1:
-            return payloads[0]
-        rows = {i: d for i, d in zip(picked, payloads) if i < cfg.x}
-        if len(rows) < cfg.x:
+            return _as_bytes(payloads[0])
+        offered = dict(zip(picked, payloads))
+        rows = {i: d for i, d in offered.items() if i < cfg.x}
+        missing = [i for i in range(cfg.x) if i not in rows]
+        ones = offered.get(self._ones_row)
+        solve = missing[:-1] if ones is not None else missing
+        if solve:
             dec = _decode_matrix(cfg.x, cfg.n, tuple(picked))
-            for i in range(cfg.x):
-                if i not in rows:
-                    rows[i] = gf256.lincomb(dec[i], payloads)
+            for i in solve:
+                rows[i] = gf256.lincomb(dec[i], payloads)
+        if missing and ones is not None:
+            last = missing[-1]
+            rest = [rows[i] for i in range(cfg.x) if i != last]
+            rows[last] = gf256.lincomb([1] * cfg.x, [ones, *rest])
         # Padding sits at the tail: trim the rows it reaches, then one
         # join assembles the value.
         for i in range(size // width, cfg.x):

@@ -1643,8 +1643,7 @@ class KVServer:
             self.metrics.latency("read").record(self.sim.now - start)
             self.metrics.throughput("read").record(self.sim.now, entry.size)
             value_size = entry.size
-            r = GetOk(key, value_size,
-                      entry.value if isinstance(entry.value, bytes) else None,
+            r = GetOk(key, value_size, entry.value,
                       map_version=self.shard_map.version)
             respond(r, r.wire_bytes)
             return
@@ -3035,8 +3034,7 @@ class KVServer:
             encode_for(rec.value)
             return
         if entry.complete and not self._is_batch(meta):
-            data = entry.value if isinstance(entry.value, bytes) else None
-            encode_for(Value(value_id, entry.size, data, meta=meta))
+            encode_for(Value(value_id, entry.size, entry.value, meta=meta))
             return
         if (
             own_share is not None
@@ -3402,8 +3400,7 @@ class KVServer:
         entry (decode-and-gather when only a fragment is local), or
         ``cont(None, None)`` when unreconstructible right now."""
         if entry.complete:
-            data = entry.value if isinstance(entry.value, bytes) else None
-            cont(entry.size, data)
+            cont(entry.size, entry.value)
             return
         node = self.groups[group]
         inst = instance_of(entry.version)

@@ -24,8 +24,8 @@ class StoredValue:
     Attributes
     ----------
     value:
-        Full value bytes for complete entries; a coded
-        :class:`~repro.erasure.Share` (or None) for incomplete ones.
+        Full value bytes (bytes-like; None in modeled mode) for
+        complete entries; a coded share (or None) for incomplete ones.
     size:
         Modeled size in bytes of what this replica actually stores.
     complete:

@@ -68,17 +68,19 @@ def record_checksum(lsn: int, payload: Any) -> int:
 
     The simulator never materializes real on-disk bytes, so the CRC is
     computed over a deterministic walk of ``(lsn, payload)``: tuples and
-    dataclasses field by field, ``bytes`` fed to the CRC as they are,
-    every other leaf through its ``repr``. Replacing the payload
-    (bit-rot injection) makes a stored CRC stale exactly like flipped
-    payload bits would.
+    dataclasses field by field, bytes-like leaves (``bytes``,
+    ``bytearray``, ``memoryview``) fed to the CRC by content — equal
+    contents, equal CRC, whatever holds them — and every other leaf
+    through its ``repr``. Replacing the payload (bit-rot injection)
+    makes a stored CRC stale exactly like flipped payload bits would.
     """
     return _fold(payload, zlib.crc32(b"%d" % lsn))
 
 
 def _fold(obj: Any, crc: int) -> int:
-    if isinstance(obj, bytes):
-        return zlib.crc32(obj, zlib.crc32(b"b%d:" % len(obj), crc))
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        view = memoryview(obj)
+        return zlib.crc32(view, zlib.crc32(b"b%d:" % view.nbytes, crc))
     if isinstance(obj, (tuple, list)):
         crc = zlib.crc32(b"(%d:" % len(obj), crc)
         for item in obj:

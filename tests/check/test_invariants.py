@@ -1,9 +1,12 @@
 """Unit tests for the replicated-state invariant probes.
 
 The probes only touch a narrow attribute surface (``srv.up``,
-``srv.name``, ``srv.groups[g].chosen`` / ``.acceptor``), so lightweight
-fakes keep these tests at unit scale; whole-system coverage comes from
-the chaos suite.
+``srv.name``, ``srv.compact_floor``, ``srv.groups[g].chosen`` /
+``.acceptor``), so lightweight fakes keep these tests at unit scale;
+whole-system coverage comes from the chaos suite. The probes read that
+surface as plain attributes, never with a default, so a fake must carry
+every attribute a probe reads: a missing one fails loudly here instead
+of passing silently.
 """
 
 from types import SimpleNamespace
@@ -26,7 +29,7 @@ PUT = Command("put", "k")
 
 def share(index, value_id="v1", coding=CODING):
     return SimpleNamespace(value_id=value_id, index=index, config=coding,
-                           meta=PUT)
+                           meta=PUT, corrupt=False)
 
 
 def rec(value_id="v1", value=None, share=None):
@@ -41,7 +44,7 @@ def server(name, chosen, accepted=None, up=True):
     accepted = accepted or {}
     acceptor = SimpleNamespace(accepted_share=lambda inst: accepted.get(inst))
     node = SimpleNamespace(chosen=chosen, acceptor=acceptor)
-    return SimpleNamespace(name=name, up=up, groups=[node])
+    return SimpleNamespace(name=name, up=up, groups=[node], compact_floor=[0])
 
 
 class TestConfigSafety:

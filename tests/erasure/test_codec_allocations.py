@@ -38,6 +38,27 @@ def test_encode_peak_allocation():
     assert peak_ratio(codec.encode, seeded_value(SIZE)) <= 2.8
 
 
+def test_encode_retains_parity_and_padded_rows_only():
+    """What the shares keep alive once ``encode`` returns: the N - X
+    parity rows and the one zero-padded tail row (131,072 is not a
+    multiple of 3), not N rows — the unpadded originals are views into
+    the value, which the caller already holds. The slack is object
+    headers: five ``Share``s, two views, the list."""
+    cfg = CodingConfig(3, 5)
+    codec = RSCodec(cfg)
+    value = seeded_value(SIZE)
+    codec.encode(value)  # warm caches
+    width = cfg.share_size(SIZE)
+    tracemalloc.start()
+    try:
+        shares = codec.encode(value)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(shares) == cfg.n
+    assert kept <= (cfg.n - cfg.x + 1) * width + 2_048
+
+
 def test_parity_decode_peak_allocation():
     codec = RSCodec(CodingConfig(3, 5))
     shares = codec.encode(seeded_value(SIZE))

@@ -202,6 +202,36 @@ class TestRSCodec:
         # Decode from a parity-heavy subset.
         assert decode([shares[0], shares[3], shares[4]]) == value
 
+    @pytest.mark.parametrize("x,n", [(3, 5), (4, 7)])
+    def test_decode_table_passes(self, x, n, monkeypatch):
+        """A table pass is a ``lincomb`` term whose coefficient is not 0
+        or 1. Decode solves each missing original with at most X of
+        them — except that when the all-ones parity row is among the X
+        shares picked, the last missing original is that row XOR the
+        others, with none. θ(3, 5)'s first parity row is all ones;
+        θ(4, 7) has no such row and keeps the plain solve."""
+        cfg = CodingConfig(x, n)
+        codec = RSCodec(cfg)
+        ones = [i for i, row in enumerate(systematic_encode_matrix(n, x).tolist())
+                if i >= x and set(row) == {1}]
+        assert ones == ([3] if (x, n) == (3, 5) else [])
+        value = bytes(np.random.default_rng(3).integers(0, 256, 301, dtype=np.uint8))
+        shares = codec.encode(value)
+        passes = []
+        lincomb = gf256.lincomb
+
+        def counting(coeffs, rows):
+            passes.append(sum(c not in (0, 1) for c in coeffs))
+            return lincomb(coeffs, rows)
+
+        monkeypatch.setattr(gf256, "lincomb", counting)
+        for subset in combinations(range(n), x):
+            passes.clear()
+            assert codec.decode([shares[i] for i in subset]) == value
+            missing = sum(i >= x for i in subset)
+            bound = x * (missing - 1) if set(subset) & set(ones) else x * missing
+            assert sum(passes) <= bound, subset
+
     def test_decode_prefers_any_x_shares_deterministically(self):
         cfg = CodingConfig(2, 4)
         value = b"0123456789"

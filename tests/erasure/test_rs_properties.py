@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 
 from repro.erasure import CodingConfig, RSCodec, codec_for
 from repro.erasure import gf256
+from repro.erasure.matrix import systematic_encode_matrix
+
+from .test_share_format import assert_byte_contract
 
 
 @st.composite
@@ -125,16 +128,71 @@ def test_addmul_matches_scalar(case):
     assert out == expected
 
 
+def copying_encode(cfg: CodingConfig, value: bytes) -> list[bytes]:
+    """The shares as the copying codec built them: every original a
+    zero-padded slice of its own, every parity one kernel call."""
+    width = cfg.share_size(len(value))
+    data = [value[i * width:(i + 1) * width].ljust(width, b"\0")
+            for i in range(cfg.x)]
+    parity = systematic_encode_matrix(cfg.n, cfg.x).tolist()[cfg.x:]
+    return data + [gf256.lincomb(coeffs, data) if width else b""
+                   for coeffs in parity]
+
+
 @given(config_value_subset())
 @settings(max_examples=100, deadline=None)
 def test_bytes_like_inputs_encode_identically(case):
     """``bytes``, ``bytearray`` and ``memoryview`` values produce the
-    same shares, and a share's payload is always real ``bytes``."""
-    cfg, value, _ = case
+    same shares, equal byte for byte to the copying codec's. Unpadded
+    originals are views into the ``bytes`` the codec was handed — for
+    ``bytearray`` / ``memoryview`` input, its one boundary copy — and
+    parity, padded and decoded rows are ``bytes``."""
+    cfg, value, subset = case
     codec = codec_for(cfg)
     want = codec.encode(value)
-    assert all(type(s.data) is bytes for s in want)
+    assert [s.data for s in want] == copying_encode(cfg, value)
+    assert_byte_contract(cfg, want, value)
+    assert type(codec.decode([want[i] for i in subset])) is bytes
     for like in (bytearray(value), memoryview(value)):
-        assert codec.encode(like) == want
+        got = codec.encode(like)
+        assert got == want
+        # Row 0 never pads: it is a view into the boundary copy, or the
+        # copy itself; every other view must point into that same copy.
+        first = got[0].data
+        copy = first.obj if type(first) is memoryview else first
+        assert type(copy) is bytes and copy is not like
+        assert_byte_contract(cfg, got, copy)
         for i in range(cfg.n):
             assert codec.encode_share(like, i) == want[i]
+
+
+@st.composite
+def unaligned_bytes_like(draw):
+    """θ(X, N) with X >= 2 and a value whose size is not a multiple of
+    X, handed over as a ``bytearray`` or as a ``memoryview`` — the
+    latter possibly a slice starting inside its buffer."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    x = draw(st.integers(min_value=2, max_value=n))
+    size = draw(st.integers(min_value=1, max_value=300).filter(lambda s: s % x))
+    value = draw(st.binary(min_size=size, max_size=size))
+    skip = draw(st.integers(min_value=0, max_value=3))
+    like = draw(st.sampled_from([
+        bytearray(value), memoryview(bytes(skip) + value)[skip:],
+    ]))
+    return CodingConfig(x, n), value, like
+
+
+@given(unaligned_bytes_like())
+@settings(max_examples=100, deadline=None)
+def test_unaligned_bytes_like_inputs_pad(case):
+    """A non-``bytes`` value that needs padding pads like ``bytes``
+    does (a view has no ``ljust``), and every X-subset decodes it."""
+    cfg, value, like = case
+    codec = codec_for(cfg)
+    shares = codec.encode(like)
+    assert [s.data for s in shares] == copying_encode(cfg, value)
+    assert type(shares[cfg.x - 1].data) is bytes  # the padded tail row
+    for i in range(cfg.n):
+        assert codec.encode_share(like, i) == shares[i]
+    for picked in itertools.combinations(shares, cfg.x):
+        assert codec.decode(list(picked)) == value

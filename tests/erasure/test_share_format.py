@@ -29,6 +29,24 @@ def sizes_for(x: int) -> list[int]:
     return sorted({0, 1, x - 1, x, x + 1, 4_096, 131_072, 131_073})
 
 
+def assert_byte_contract(cfg: CodingConfig, shares, handed: bytes) -> None:
+    """What a share's payload is, given the ``bytes`` the codec encoded
+    (for ``bytearray`` / ``memoryview`` input, its one boundary copy):
+    an original row that needs no padding is a read-only view into
+    ``handed`` — or ``handed`` itself when the row is the whole value —
+    and parity and padded rows are ``bytes`` of their own."""
+    width = cfg.share_size(len(handed))
+    for s in shares:
+        unpadded = width and s.index < cfg.x and (s.index + 1) * width <= len(handed)
+        if unpadded and width == len(handed):
+            assert s.data is handed, s.index
+        elif unpadded:
+            assert type(s.data) is memoryview and s.data.readonly, s.index
+            assert s.data.obj is handed, s.index
+        else:
+            assert type(s.data) is bytes, s.index
+
+
 def shares_digest(shares) -> str:
     h = hashlib.blake2b(digest_size=16)
     for s in shares:
@@ -101,13 +119,20 @@ def test_share_payloads_match_golden_digests(x, n):
 
 @pytest.mark.parametrize("x,n", [(3, 5), (4, 7)])
 def test_benchmark_size_every_subset_and_single_share(x, n):
-    """At the benchmark's 128 KB: all C(N, X) subsets decode byte
-    identical, and the one-share encoder agrees with the full one."""
-    codec = RSCodec(CodingConfig(x, n))
+    """At the benchmark's 128 KB: the unpadded originals are views into
+    the value (θ(3, 5) pads its last original, θ(4, 7) none), all
+    C(N, X) subsets decode byte identical into ``bytes``, and the
+    one-share encoder agrees with the full one, views included."""
+    cfg = CodingConfig(x, n)
+    codec = RSCodec(cfg)
     value = seeded_value(131_072)
     shares = codec.encode(value)
-    assert all(type(s.data) is bytes for s in shares)
+    assert_byte_contract(cfg, shares, value)
+    views = sum(type(s.data) is memoryview for s in shares)
+    assert views == (x - 1 if 131_072 % x else x)
     for subset in itertools.combinations(range(n), x):
-        assert codec.decode([shares[i] for i in subset]) == value, subset
-    for i in range(n):
-        assert codec.encode_share(value, i).data == shares[i].data, i
+        got = codec.decode([shares[i] for i in subset])
+        assert type(got) is bytes and got == value, subset
+    single = [codec.encode_share(value, i) for i in range(n)]
+    assert single == shares
+    assert_byte_contract(cfg, single, value)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import classic_paxos, rs_paxos
 from repro.kvstore import build_cluster
+from repro.kvstore.shard import instance_of
 
 
 def make(config=None, **kw):
@@ -111,6 +112,32 @@ class TestShardPlacement:
             assert entry is not None
             assert not entry.complete
             assert entry.size == 1000  # 1/3 of 3000
+
+    def test_original_shares_are_views_of_the_value(self):
+        """A concrete 128 KiB put: every replica's unpadded original
+        share points into the value's own buffer instead of holding a
+        copy; the padded tail original and the parity rows are bytes."""
+        c = make(config=rs_paxos(5, 1))
+        payload = bytes(range(256)) * 512  # 131,072 B: 3 does not divide it
+        c.clients[0].put("big", len(payload), data=payload,
+                         on_done=lambda ok: None)
+        c.run(until=3.0)
+        leader = c.leader()
+        group = leader.shard_map.group_of("big")
+        inst = instance_of(leader.store.get("big").version)
+        value = leader.groups[group].chosen[inst].value
+        assert value.data == payload
+        held = {}
+        for srv in c.servers:
+            share = srv.groups[group].acceptor.accepted_share(inst)
+            held[share.index] = share.data
+            entry = srv.store.get("big")
+            if not entry.complete:
+                assert entry.value.data is share.data
+        assert sorted(held) == [0, 1, 2, 3, 4]
+        for i in (0, 1):
+            assert type(held[i]) is memoryview and held[i].obj is value.data
+        assert all(type(held[i]) is bytes for i in (2, 3, 4))
 
     def test_storage_cost_reduced_vs_paxos(self):
         def total_stored(config):

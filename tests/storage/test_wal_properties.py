@@ -5,9 +5,14 @@ durability callback fired survives any later crash; records are durable
 in append order with no gaps among the survivors of a single stream.
 """
 
+import hashlib
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ballot import Ballot
+from repro.core.value import CodedShare
+from repro.erasure import CodingConfig, RSCodec
 from repro.sim import Simulator
 from repro.storage import (
     HDD, SSD, Disk, WalView, WriteAheadLog, record_checksum,
@@ -178,3 +183,24 @@ def test_checksum_covers_every_payload_byte(blob, at, bit):
     assert good == record_checksum(4, share_payload(4, bytes(blob)))
     assert good != record_checksum(4, share_payload(4, flipped))
     assert good != record_checksum(5, share_payload(4, blob))
+    for like in (bytearray(blob), memoryview(b"#" + blob)[1:]):
+        assert good == record_checksum(4, share_payload(4, like))
+
+
+def test_checksum_of_a_view_share_is_its_bytes_checksum():
+    """A coded share whose payload is a view (an unpadded original)
+    checksums by content, like its ``bytes`` twin: a view's ``repr``
+    holds its address, which would make the CRC differ run to run and
+    between equal shares — a scrub-repaired record, a new object, would
+    read as rotten. The constant is the ``bytes`` share's CRC as the
+    checksum computed it before payloads could be views."""
+    cfg = CodingConfig(3, 5)
+    value = hashlib.shake_256(b"rs-paxos share format").digest(4096)
+    view = RSCodec(cfg).encode(value)[1].data
+    assert type(view) is memoryview
+
+    def crc(data):
+        share = CodedShare("v1.7", 1, cfg, 4096, data, None, (1, 2, 3, 4, 5))
+        return record_checksum(7, ("accept", 3, Ballot(1, 0), share))
+
+    assert crc(view) == crc(view.tobytes()) == 626949908
