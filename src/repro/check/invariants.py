@@ -249,7 +249,7 @@ def check_bounded_wal(servers) -> list[Violation]:
                 f"{srv.name} holds {len(below)} durable records below its "
                 f"compaction floor {floor} (first lsn={below[0]})",
             ))
-        span = wal._next_lsn - floor
+        span = wal.next_lsn - floor
         if len(wal.durable) > span:
             violations.append(Violation(
                 "bounded-wal",

@@ -10,6 +10,8 @@ Public API:
 - :class:`Admission` — the DRR admission pipeline the server drives.
 - :class:`ShareFetch` — source ranking and the one ranked, hedged share
   gather behind recovery reads, rebuild serving and scrub repair.
+- :class:`AppliedOps` — the exactly-once table (applied client op
+  identities, as bits) the server consults before applying a command.
 - :class:`KVClient` — leader-caching client with redirect handling.
 - :class:`ShardMap` — key -> Paxos-group mapping (§4.2): static crc32
   hashing, or versioned key ranges under dynamic sharding (replicated
@@ -30,6 +32,7 @@ from .batch import (
 from .client import KVClient
 from .cluster import Cluster, build_cluster
 from .config import ServerConfig
+from .dedup import AppliedOps
 from .messages import (
     Busy,
     CatchUp,
@@ -68,6 +71,7 @@ from .shard import ShardMap, encode_version, era_of, instance_of
 __all__ = [
     "AccrualFailureDetector",
     "Admission",
+    "AppliedOps",
     "BatchItem",
     "BatchMeta",
     "Busy",

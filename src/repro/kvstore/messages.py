@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..core import CodedShare
+from .dedup import AppliedDelta
 
 #: Fixed request/reply metadata size in bytes.
 KV_META = 32
@@ -406,7 +407,8 @@ class SnapshotChunk:
     represents — the joiner resumes entry-granularity catch-up from
     there, so entries read later may only be *newer* than it),
     ``applied_ops`` (exactly-once dedup keys for this group as of that
-    floor, so a client retry spanning the rebuild cannot double-apply),
+    floor, an :class:`~repro.kvstore.dedup.AppliedDelta`, so a client
+    retry spanning the rebuild cannot double-apply),
     ``max_ballot`` (the server's ballot high-water mark, so the
     rebuilt node's acceptor floor can be raised past every ballot it
     might have promised before losing its disk) and the donor's current
@@ -423,7 +425,7 @@ class SnapshotChunk:
     next_cursor: str | None = None
     first: bool = False
     floor: int = 0
-    applied_ops: tuple = ()
+    applied_ops: AppliedDelta = field(default_factory=AppliedDelta)
     max_ballot: Any = None
     view_epoch: int = 0
     view_members: tuple = ()

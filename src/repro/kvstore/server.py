@@ -51,6 +51,7 @@ from .batch import (
     entry_size,
 )
 from .config import ServerConfig
+from .dedup import AppliedOps
 from .messages import (
     KV_META,
     Busy,
@@ -245,17 +246,12 @@ class KVServer:
         self.elections_started = 0
         self.leader_changes = 0
         self.step_downs = 0
-        # Exactly-once apply: identities of client ops already applied,
-        # keyed (group, client, op_id). Rebuilt deterministically from
-        # the log on recovery (same log order => same set). A set, not
-        # a per-client high-water mark, because clients may issue many
-        # concurrent ops whose retries commit out of id order.
-        self._applied_ops: set[tuple[int, str, int]] = set()
-        # Group-agnostic projection of the same identities: under
-        # dynamic sharding a retry may route to a *different* group
-        # than the original commit (the key migrated in between), so
-        # the leader's duplicate check must ignore the group.
-        self._applied_ids: set[tuple[str, int]] = set()
+        # Exactly-once apply: identities (group, client, op_id) of client
+        # ops already applied, rebuilt deterministically from the log on
+        # recovery. A set, not a per-client high-water mark, because
+        # clients may issue many concurrent ops whose retries commit out
+        # of id order.
+        self.applied = AppliedOps()
         # Client responses parked until the decided instance is applied
         # locally (read-your-writes: PutOk must imply visibility).
         self._apply_waiters: dict[tuple[int, int], list[Callable[[], None]]] = {}
@@ -471,8 +467,7 @@ class KVServer:
         self._hb_rounds.clear()
         self._pre_vote_state = None
         self._lease_lost_since = None
-        self._applied_ops.clear()
-        self._applied_ids.clear()
+        self.applied.reset()
         self._apply_waiters.clear()
         self._read_barrier = [-1] * len(self.groups)
         self._fetching.clear()
@@ -996,11 +991,8 @@ class KVServer:
             # can commit the same operation in two instances; only the
             # first (in log order, identical on every replica) mutates
             # the store.
-            ident = (group, meta.client, meta.op_id)
-            if ident in self._applied_ops:
+            if not self.applied.add(group, meta.client, meta.op_id):
                 return
-            self._applied_ops.add(ident)
-            self._applied_ids.add((meta.client, meta.op_id))
         # The store version encodes the shard-map era the *proposer*
         # stamped into the command — deterministic across replicas
         # (it rides inside the replicated value, never read from local
@@ -1071,12 +1063,9 @@ class KVServer:
         meta = rec.value.meta if rec.value is not None else rec.share.meta
         version = encode_version(meta.mapv, instance)
         for idx, item in enumerate(items):
-            if item.op in ("put", "delete") and item.client:
-                ident = (group, item.client, item.op_id)
-                if ident in self._applied_ops:
-                    continue
-                self._applied_ops.add(ident)
-                self._applied_ids.add((item.client, item.op_id))
+            if item.op in ("put", "delete") and item.client and (
+                    not self.applied.add(group, item.client, item.op_id)):
+                continue
             if item.op == "put":
                 if have_full:
                     self.store.put(
@@ -1213,9 +1202,6 @@ class KVServer:
         r = Redirect(hint)
         respond(r, r.wire_bytes)
         return False
-
-    def _already_applied(self, group: int, client: str, op_id: int) -> bool:
-        return bool(client) and (group, client, op_id) in self._applied_ops
 
     # -- admission control (overload protection) -----------------------
 
@@ -1373,10 +1359,10 @@ class KVServer:
         if not self._shard_write_ok(msg, respond):
             return
         group = self.shard_map.group_of(msg.key)
-        if self._already_applied(group, msg.client, msg.op_id) or (
-            self.cfg.dynamic_shards
-            and bool(msg.client)
-            and (msg.client, msg.op_id) in self._applied_ids
+        if msg.client and (
+            self.applied.seen(group, msg.client, msg.op_id)
+            or self.cfg.dynamic_shards
+            and self.applied.seen_anywhere(msg.client, msg.op_id)
         ):
             # Retry of a write that already committed (the first reply
             # was lost): acknowledge without burning a new instance.
@@ -1391,7 +1377,7 @@ class KVServer:
 
     def _write_admitted(self, msg, respond) -> None:
         group = self.shard_map.group_of(msg.key)
-        if self._already_applied(group, msg.client, msg.op_id):
+        if msg.client and self.applied.seen(group, msg.client, msg.op_id):
             # Committed while this retry sat in the admission queue.
             reply = PutOk(msg.key, map_version=self.shard_map.version)
             respond(reply, reply.wire_bytes)
@@ -2093,7 +2079,7 @@ class KVServer:
                         changed_records(node.chosen, chosen))
                        for node, (acc, chosen)
                        in zip(self.groups, held["groups"])],
-            "applied_ops": tuple(self._applied_ops - held["applied_ops"]),
+            "applied_ops": self.applied.since(held["applied_ops"]),
         }
 
         def durable() -> None:
@@ -2134,7 +2120,7 @@ class KVServer:
     def _empty_segment(self) -> dict:
         """``_ckpt_held`` of a server with no durable checkpoint."""
         return {"groups": [({}, {}) for _ in self.groups],
-                "applied_ops": set()}
+                "applied_ops": AppliedOps()}
 
     def _hold_segment(self, segment: dict) -> None:
         """Fold a segment that is durable into ``_ckpt_held``."""
@@ -2143,7 +2129,7 @@ class KVServer:
                 held["groups"], segment["groups"]):
             held_acc.update(acc)
             held_chosen.update(chosen)
-        held["applied_ops"].update(segment["applied_ops"])
+        held["applied_ops"].merge(segment["applied_ops"])
 
     @staticmethod
     def _segment_size(segment: dict) -> int:
@@ -2169,10 +2155,8 @@ class KVServer:
                 self.groups, state["groups"], held["groups"]):
             node.install_snapshot(cursors, acc, chosen)
         self.store.install_state(state["store"])
-        self._applied_ops = set(held["applied_ops"])
-        self._applied_ids = {
-            (c, o) for (_g, c, o) in self._applied_ops
-        } if self.cfg.dynamic_shards else set()
+        self.applied.reset()
+        self.applied.merge(held["applied_ops"].since())
         self.compact_floor = list(state["group_floors"])
         ckpt_map = state.get("shard_map")
         if ckpt_map is not None and ckpt_map.version > self.shard_map.version:
@@ -2817,11 +2801,7 @@ class KVServer:
         del self._snap_first[group]
         reply = first
         node._max_ballot_seen = max(node._max_ballot_seen, reply.max_ballot)
-        self._applied_ops.update(reply.applied_ops)
-        if self.cfg.dynamic_shards:
-            self._applied_ids.update(
-                (c, o) for (_g, c, o) in reply.applied_ops
-            )
+        self.applied.merge(reply.applied_ops)
         snap_map = reply.shard_map
         if snap_map is not None and snap_map.version > self.shard_map.version:
             # Shard commands write no KV state, so a joiner rebuilt from
@@ -2908,9 +2888,7 @@ class KVServer:
         if not msg.cursor:
             meta = dict(
                 first=True, floor=node.apply_cursor,
-                applied_ops=tuple(sorted(
-                    op for op in self._applied_ops if op[0] == group
-                )),
+                applied_ops=self.applied.since(group=group),
                 max_ballot=node._max_ballot_seen,
                 view_epoch=self.view_epoch,
                 view_members=tuple(sorted(self.member_ids)),

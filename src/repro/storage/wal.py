@@ -426,6 +426,11 @@ class WriteAheadLog:
         self._next_lsn = 0
         self.compaction_floor = 0
 
+    @property
+    def next_lsn(self) -> int:
+        """The LSN the next append gets; none at or above it is issued."""
+        return self._next_lsn
+
     def durable_bytes(self) -> int:
         """Modeled on-disk footprint of the durable log."""
         return sum(rec.size + RECORD_HEADER_BYTES for rec in self.durable)

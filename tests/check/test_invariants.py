@@ -131,7 +131,7 @@ def wal_server(
 ):
     wal = SimpleNamespace(
         durable=[SimpleNamespace(lsn=lsn) for lsn in durable_lsns],
-        _next_lsn=next_lsn, compaction_floor=floor,
+        next_lsn=next_lsn, compaction_floor=floor,
     )
     return SimpleNamespace(
         name=name, up=up, wal=wal,

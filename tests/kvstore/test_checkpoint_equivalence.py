@@ -77,7 +77,7 @@ def reference_export(srv) -> dict:
             for node in srv.groups
         ],
         "store": srv.store.export_state(),
-        "applied_ops": frozenset(srv._applied_ops),
+        "applied_ops": frozenset(srv.applied),
         "group_floors": [node.apply_cursor for node in srv.groups],
     }
 
@@ -95,7 +95,9 @@ def reference_recover(srv, blob) -> None:
             node._max_ballot_seen = max(node._max_ballot_seen,
                                         snap["max_ballot"])
         srv.store.install_state(blob["store"])
-        srv._applied_ops = set(blob["applied_ops"])
+        srv.applied.reset()
+        for ident in blob["applied_ops"]:
+            srv.applied.add(*ident)
         srv.compact_floor = list(blob["group_floors"])
     for node in srv.groups:
         node.recover()
@@ -110,7 +112,7 @@ def recovered_state(srv):
              node.apply_cursor, node.next_instance, node._max_ballot_seen)
             for node in srv.groups
         ],
-        set(srv._applied_ops),
+        set(srv.applied),
         {k: (v.value, v.size, v.complete, v.version, v.tombstone, v.group)
          for k, v in srv.store.export_state().items()},
         list(srv.compact_floor),

@@ -87,7 +87,8 @@ class TestContentDefinedCharge:
         # Nothing changed since: the next segment is empty.
         assert checkpoint(srv)
         third = srv.checkpoint_store.segments[-1].payload
-        assert third["applied_ops"] == ()
+        assert len(third["applied_ops"]) == 0
+        assert list(third["applied_ops"]) == []
         assert all(not acc and not chosen for acc, chosen in third["groups"])
 
     def test_footprint_is_the_whole_checkpoint_not_the_last_segment(self):
@@ -144,7 +145,7 @@ class TestCheckpointAllocatesWhatChanged:
 
     def test_objects_and_bytes_do_not_grow_with_history(self):
         small, small_bytes = self.checkpoint_after(1_000)
-        large, large_bytes = self.checkpoint_after(10_000)
+        large, large_bytes = self.checkpoint_after(4_000)
         # The segment's own dicts and the state part (8 live keys):
         # nothing per instance the checkpoint already holds.
         assert small < 100

@@ -62,7 +62,7 @@ class TestCheckpointCadence:
             assert srv.wal.compaction_floor > 0
             assert srv.wal.records_compacted > 0
             # The live log is only the tail since the last checkpoint.
-            assert len(srv.wal.durable) <= srv.wal._next_lsn - srv.wal.compaction_floor
+            assert len(srv.wal.durable) <= srv.wal.next_lsn - srv.wal.compaction_floor
         assert check_bounded_wal(c.servers) == []
 
     def test_footprint_gauges_and_counters(self):
