@@ -144,6 +144,19 @@ def changed_records(live: dict, held: dict) -> dict:
     return {inst: rec for inst, rec in live.items() if get(inst) is not rec}
 
 
+def _frame_payloads(raw, items) -> list:
+    """Per-item payloads of batch frame ``raw``: all None in modeled
+    mode (``raw`` is None) or when the frame fails validation."""
+    if raw is not None:
+        try:
+            cmds = decode_frame(raw)
+        except FrameError:
+            cmds = ()
+        if len(cmds) == len(items):
+            return [c.data for c in cmds]
+    return [None] * len(items)
+
+
 class KVServer:
     """One replica server hosting every shard's Paxos group."""
 
@@ -265,6 +278,8 @@ class KVServer:
         # with an in-flight catch-up fetch; see _fetch_missing.
         self._fetching: set[tuple[int, int]] = set()
         self.recovery_reads = 0
+        # key -> version a read decoded once and did not keep (on_value).
+        self._decoded_once: dict[str, int] = {}
         self.fast_reads = 0
         self.consistent_reads = 0
         self.snapshot_reads = 0
@@ -468,6 +483,7 @@ class KVServer:
         self._pre_vote_state = None
         self._lease_lost_since = None
         self.applied.reset()
+        self._decoded_once.clear()
         self._apply_waiters.clear()
         self._read_barrier = [-1] * len(self.groups)
         self._fetching.clear()
@@ -1017,7 +1033,7 @@ class KVServer:
                     self.store.delete(meta.key, version, group=group)
                     return
             if rec.value is not None:
-                # Full value available (leader, or decoded earlier).
+                # Full value on the record (proposed here, or cached).
                 self.store.put(
                     meta.key, rec.value.data, rec.value.size, version,
                     complete=True, group=group,
@@ -1091,58 +1107,34 @@ class KVServer:
         """(have_full, per-item payloads) for a batched record.
 
         have_full is True when this replica can materialize complete
-        entries: it holds the whole value (leader / decoded earlier) or
+        entries: it holds the whole value (proposed here, or cached) or
         a classic θ(1, N) "share" that *is* the frame. The payload list
         is all-None in modeled mode or if the frame fails validation —
         CRC damage never applies a partial batch."""
-        raw = None
         if rec.value is not None:
-            raw = rec.value.data
-        elif rec.share is not None and rec.share.config.x == 1:
-            if rec.share.corrupt:
-                return False, None
-            raw = rec.share.data
-        else:
-            return False, None
-        if raw is None:
-            return True, [None] * len(items)  # modeled: sizes only
-        try:
-            cmds = decode_frame(raw)
-        except FrameError:
-            return True, [None] * len(items)
-        if len(cmds) != len(items):
-            return True, [None] * len(items)
-        return True, [c.data for c in cmds]
+            return True, _frame_payloads(rec.value.data, items)
+        if rec.share is not None and rec.share.config.x == 1 and (
+                not rec.share.corrupt):
+            return True, _frame_payloads(rec.share.data, items)
+        return False, None
 
     @staticmethod
     def _is_batch(meta) -> bool:
         return isinstance(meta, Command) and meta.op == "batch"
 
-    @staticmethod
-    def _payload_for_key(value: Value, key: str):
+    def _payload_for_key(self, value: Value, key: str):
         """(data, size) that ``key`` holds after ``value`` applies: the
         value itself for a plain put; for a batch, the last framed write
         to the key (frame order is apply order)."""
-        meta = value.meta
-        if not (isinstance(meta, Command) and meta.op == "batch"):
+        if not self._is_batch(value.meta):
             return value.data, value.size
-        items = meta.arg.items if isinstance(meta.arg, BatchMeta) else ()
-        datas = None
-        if value.data is not None:
-            try:
-                cmds = decode_frame(value.data)
-                if len(cmds) == len(items):
-                    datas = [c.data for c in cmds]
-            except FrameError:
-                datas = None
+        arg = value.meta.arg
+        items = arg.items if isinstance(arg, BatchMeta) else ()
         data, size = None, 0
-        for idx, item in enumerate(items):
-            if item.key != key:
-                continue
-            if item.op == "put":
-                data = datas[idx] if datas is not None else None
-                size = item.size
-            elif item.op == "delete":
+        for item, item_data in zip(items, _frame_payloads(value.data, items)):
+            if item.key == key and item.op == "put":
+                data, size = item_data, item.size
+            elif item.key == key and item.op == "delete":
                 data, size = None, 0
         return data, size
 
@@ -1626,16 +1618,18 @@ class KVServer:
             respond(r, r.wire_bytes)
             return
         if entry.complete:
-            self.metrics.latency("read").record(self.sim.now - start)
-            self.metrics.throughput("read").record(self.sim.now, entry.size)
-            value_size = entry.size
-            r = GetOk(key, value_size, entry.value,
-                      map_version=self.shard_map.version)
-            respond(r, r.wire_bytes)
+            self._reply_read(key, entry.size, entry.value, start, respond)
             return
         # Recovery read (§4.4): this (new) leader only holds a coded
         # share; gather >= X shares from peers, decode, then serve.
         self._recovery_read(key, entry, start, respond)
+
+    def _reply_read(self, key: str, size: int, data, start: float,
+                    respond) -> None:
+        self.metrics.latency("read").record(self.sim.now - start)
+        self.metrics.throughput("read").record(self.sim.now, size)
+        r = GetOk(key, size, data, map_version=self.shard_map.version)
+        respond(r, r.wire_bytes)
 
     # ------------------------------------------------------------------
     # recovery read
@@ -1675,13 +1669,15 @@ class KVServer:
             # For a batched value the decoded payload is the whole
             # frame; the entry materializes only this key's slice.
             data, size = self._payload_for_key(value, key)
-            self.store.put(key, data, size, entry.version, complete=True,
-                           group=group)
-            self._cache_decoded(node, instance, value)  # batch or plain
-            self.metrics.latency("read").record(self.sim.now - start)
-            self.metrics.throughput("read").record(self.sim.now, size)
-            r = GetOk(key, size, data, map_version=self.shard_map.version)
-            respond(r, r.wire_bytes)
+            # Admission on the second hit: a value read once stays a
+            # share here (N/X at rest); only a re-read keeps it whole.
+            if self._decoded_once.pop(key, None) == entry.version:
+                self.store.put(key, data, size, entry.version,
+                               complete=True, group=group)
+                self._cache_decoded(node, instance, value)  # batch or plain
+            else:
+                self._decoded_once[key] = entry.version
+            self._reply_read(key, size, data, start, respond)
 
         self._gather_shares(group, instance, value_id, share, on_value)
 
@@ -1739,8 +1735,8 @@ class KVServer:
             share = None
         if share is None:
             # Degraded-mode fallback: our stored fragment is gone or
-            # rotten, but if we hold the full value (leader, or decoded
-            # earlier) we can re-code the *requester's* fragment — one
+            # rotten, but if we hold the full value (proposed here, or
+            # cached) we can re-code the *requester's* fragment — one
             # share of traffic instead of X, per Rashmi et al.'s repair
             # cost argument.
             src_id = next(
@@ -2363,6 +2359,9 @@ class KVServer:
             return
 
         def on_value(value) -> None:
+            # Kept: _send_install re-codes from the chosen record. Without
+            # this cache and snapshot serving's, rs-paxos chaos seed 4
+            # re-times into the free choice of DESIGN.md §5 "Rebuild gate".
             cont(self._cache_decoded(self.groups[group], instance, value)
                  or rec._replace(value=value))
 
@@ -3031,6 +3030,8 @@ class KVServer:
             if state["fired"]:
                 return
             state["fired"] = True
+            # Kept (see _with_value): a retried or second transfer
+            # re-codes this entry from the record instead of gathering.
             self._cache_decoded(node, instance, value)
             encode_for(value)
 

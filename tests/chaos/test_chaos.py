@@ -21,6 +21,7 @@ from repro.chaos import (
 )
 from repro.core import QuorumSystem, UnsafeProtocolConfig
 from repro.erasure import CodingConfig
+from repro.kvstore import KVServer
 from repro.sim import Simulator
 
 SERVERS = [f"S{i}" for i in range(5)]
@@ -286,6 +287,25 @@ class TestTeeth:
             if kinds - {"config"}:
                 break
         assert kinds - {"config"}, "weakened quorums never caused harm"
+
+
+class TestOpenFreeChoice:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1(a)")
+    def test_forgotten_votes_seed_4(self, monkeypatch):
+        """A new leader free-chooses over a value that may be chosen.
+
+        With no decoded value kept on a chosen record (catch-up installs
+        and snapshot serving stop caching too), the rs-paxos full-spec
+        episode 4 decides instance 150 twice: a value, then
+        ``noop.150``. The caches only hide the bug by re-timing the
+        episode. An XPASS without a fix to the free choice means the
+        reproducer was re-timed away: find a new seed under the same
+        patch."""
+        monkeypatch.setattr(KVServer, "_cache_decoded",
+                            lambda self, node, instance, value: None)
+        result, _ = ChaosRunner(protocol="rs-paxos",
+                                bundle_dir=None).run_episode(4)
+        assert result.ok, result.violations
 
 
 class TestReproBundle:

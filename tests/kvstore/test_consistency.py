@@ -7,6 +7,8 @@ from repro.core import classic_paxos, rs_paxos
 from repro.kvstore import build_cluster
 from repro.workload import ClosedLoopDriver, SizeRange, WorkloadSpec
 
+from .test_read_retention import read_bytes
+
 
 def make(config=None, seed=2, **kw):
     c = build_cluster(config or rs_paxos(5, 1), seed=seed, num_groups=2, **kw)
@@ -18,18 +20,21 @@ def make(config=None, seed=2, **kw):
 class TestSnapshotReads:
     def test_follower_serves_snapshot_read(self):
         c = make()
-        c.clients[0].put("snap", 3000, on_done=lambda ok: None)
+        payload = bytes(range(250)) * 12
+        c.clients[0].put("snap", len(payload), data=payload,
+                         on_done=lambda ok: None)
         c.run(until=3.0)
         follower = next(s for s in c.servers if not s.is_leader_server)
-        got = []
-        c.clients[0].get("snap", mode="snapshot", server=follower.name,
-                         on_done=lambda ok, size: got.append((ok, size)))
-        c.run(until=8.0)
-        # The follower held only a 1/3 share; the snapshot read gathered
-        # X shares and reconstructed the full value (§4.4).
-        assert got == [(True, 3000)]
-        assert follower.snapshot_reads == 1
-        assert follower.store.get("snap").complete
+        # The follower holds only a 1/3 share; a snapshot read gathers
+        # X shares and reconstructs the full value (§4.4). The first
+        # read keeps nothing, the second keeps the value whole, and the
+        # third is served from it without gathering.
+        for n, complete in ((1, False), (2, True), (3, True)):
+            assert read_bytes(c, "snap", mode="snapshot",
+                              server=follower.name) == payload
+            assert follower.snapshot_reads == n
+            assert follower.store.get("snap").complete is complete
+        assert follower.recovery_reads == 2
 
     def test_snapshot_read_sees_stale_but_valid_state(self):
         c = make()

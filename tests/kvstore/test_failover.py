@@ -5,6 +5,8 @@ import pytest
 from repro.core import classic_paxos, rs_paxos
 from repro.kvstore import build_cluster
 
+from .test_read_retention import read_bytes
+
 
 def make(config=None, seed=1, **kw):
     cluster = build_cluster(config or rs_paxos(5, 1), seed=seed, **kw)
@@ -51,6 +53,9 @@ class TestLeaderFailover:
         assert c.leader().recovery_reads >= 1
 
     def test_recovery_read_decodes_real_bytes(self):
+        """The first read serves the decoded bytes and leaves the entry
+        a share; the second keeps the value whole; the third is served
+        from it without gathering."""
         c = make(config=rs_paxos(5, 1), num_groups=2)
         payload = bytes(range(256)) * 4
         c.clients[0].put("real", len(payload), data=payload, on_done=lambda ok: None)
@@ -59,12 +64,14 @@ class TestLeaderFailover:
         c.run(until=10.0)
         leader = c.leader()
         assert leader is not None
-        results = []
-        c.clients[0].get("real", on_done=lambda ok, size: results.append(ok))
-        c.run(until=20.0)
-        assert results == [True]
+        assert read_bytes(c, "real") == payload
+        assert not leader.store.get("real").complete
+        assert read_bytes(c, "real") == payload
+        assert leader.recovery_reads == 2
         entry = leader.store.get("real")
         assert entry.complete and entry.value == payload
+        assert read_bytes(c, "real") == payload
+        assert leader.recovery_reads == 2
 
     def test_paxos_failover_needs_no_recovery_read(self):
         """Under classic Paxos every follower holds the full value, so
