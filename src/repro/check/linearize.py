@@ -6,8 +6,14 @@ real-time constraint that an operation cannot linearize before its
 invocation nor after another operation that responded before it was
 invoked. The sharded KV store gives independent registers per key, so
 the (NP-hard in general) check decomposes into many small per-key
-searches — each key sees tens of operations per chaos episode, well
-within reach.
+searches — each key sees tens to a few hundred operations per chaos
+episode. A search state is a bitmask over the key's ops in invoke order
+plus the register value, so memoizing a state costs a few machine words,
+not a set of op ids. A read that may go next and returns the current
+value is linearized at once, without branching: it changes no state,
+and removing it only lifts the real-time bound on the others, so it
+cannot turn a legal history into an illegal one or back. Concurrent
+reads of one value then cost one state, not one per subset of them.
 
 Operation semantics (register model, §4.4):
 
@@ -105,44 +111,62 @@ def check_key(
     if lin_ops is None:
         return LinResult(ok=True, key=key, checked_ops=0, states_explored=0)
     n = len(lin_ops)
-    by_id = {op.hid: op for op in lin_ops}
+    lin_ops.sort(key=lambda op: op.invoke)
+    mandatory = sum(1 << j for j, op in enumerate(lin_ops) if not op.optional)
 
-    # State: (frozenset of remaining hids, register value). An explicit
-    # stack keeps deep histories from hitting the recursion limit.
-    initial_state = (frozenset(by_id), initial)
-    seen: set[tuple[frozenset, int | None]] = set()
-    stack = [initial_state]
+    def enabled(done: int) -> list[int]:
+        """Ops that may linearize next: not done, and invoked no later
+        than the earliest response among the ops not done (real-time
+        order). Ops are in invoke order, so the scan stops at the first
+        op invoked after the earliest response seen so far — no later
+        op can respond earlier than it is invoked."""
+        first = []
+        min_response = _INF
+        free = ~done  # its set bits are the ops not done, lowest first
+        while (j := (free & -free).bit_length() - 1) < n:
+            if lin_ops[j].invoke > min_response:
+                break
+            first.append(j)
+            min_response = min(min_response, lin_ops[j].response)
+            free &= free - 1
+        return [j for j in first if lin_ops[j].invoke <= min_response]
+
+    # State: (bitmask of the ops linearized so far, register value). An
+    # explicit stack keeps deep histories from hitting the recursion
+    # limit.
+    seen: set[tuple[int, int | None]] = set()
+    stack: list[tuple[int, int | None]] = [(0, initial)]
     explored = 0
 
     while stack:
-        remaining, value = stack.pop()
-        if (remaining, value) in seen:
+        done, value = stack.pop()
+        # Reads that may go next and return the current value go at once
+        # (sound: see the module docstring), until none is left.
+        while True:
+            ready = enabled(done)
+            reads = sum(1 << j for j in ready if lin_ops[j].kind == "read"
+                        and lin_ops[j].value == value)
+            if not reads:
+                break
+            done |= reads
+        if (done, value) in seen:
             continue
-        seen.add((remaining, value))
+        seen.add((done, value))
         explored += 1
         if explored > max_states:
             raise RuntimeError(
                 f"linearizability search for key {key!r} exceeded "
                 f"{max_states} states"
             )
-        if all(by_id[h].optional for h in remaining):
+        if done & mandatory == mandatory:
             # Every mandatory op linearized; leftover maybe-writes
             # simply never took effect.
             return LinResult(ok=True, key=key, checked_ops=n,
                              states_explored=explored)
-        min_response = min(by_id[h].response for h in remaining)
-        for h in remaining:
-            op = by_id[h]
-            # Real-time order: op can go first only if nothing else
-            # still remaining responded before op was invoked.
-            if op.invoke > min_response:
-                continue
-            if op.kind == "read":
-                if op.value != value:
-                    continue  # would have observed a different value
-                stack.append((remaining - {h}, value))
-            else:
-                stack.append((remaining - {h}, op.value))
+        for j in ready:
+            # Reads left here would observe a different value.
+            if lin_ops[j].kind == "write":
+                stack.append((done | 1 << j, lin_ops[j].value))
 
     ordered = sorted(
         (r for r in records), key=lambda r: r.invoke

@@ -68,8 +68,10 @@ class CodedShare:
     """One coded fragment of a :class:`Value` as carried by accepts.
 
     ``data`` is None in modeled mode and bytes-like in concrete mode:
-    an unpadded original share is a read-only ``memoryview`` into the
-    value's ``bytes`` (no copy), any other share ``bytes``. Nothing may
+    an original share is a read-only ``memoryview`` into the value's
+    ``bytes`` (no copy) — short, or empty, where the value runs out,
+    since the zero padding of the tail is implicit and ``len(data)``
+    need not be ``size`` — and parity is ``bytes``. Nothing may
     assume ``bytes``, nor ``repr`` it into a digest or a trace line — a
     view's repr holds an address. ``index`` is the share index in
     [0, N); under θ(1, N) the share *is* the full value (classic Paxos).

@@ -59,9 +59,12 @@ class CodingConfig:
     def share_size(self, value_size: int) -> int:
         """Size in bytes of one coded share of a ``value_size``-byte value.
 
-        Values are padded up to a multiple of ``X`` before splitting, so
-        the share size is ``ceil(value_size / X)``. A zero-length value
-        still produces zero-length shares.
+        The share size is ``ceil(value_size / X)``: the canonical rows
+        are the value zero-padded to a multiple of ``X``. The codec
+        keeps that padding implicit (a tail original is a short view,
+        parity is full width), but every share is charged to a wire or
+        a disk at this size. A zero-length value still produces
+        zero-length shares.
         """
         if value_size < 0:
             raise ValueError("value_size must be non-negative")

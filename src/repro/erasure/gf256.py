@@ -149,24 +149,27 @@ def _translate_tables() -> tuple[bytes, ...]:
 def lincomb(coeffs: Sequence[int], rows: Sequence[bytes]) -> bytes:
     """The linear combination ``sum_j coeffs[j] * rows[j]`` over GF(2^8).
 
-    ``rows`` are equal-length bytes-like objects (``bytes`` or a view
-    into one); the result is ``bytes`` of their length. This is the only
-    operation encode and decode perform on payload bytes: one parity
-    share, or one reconstructed data share, is one call. Each term
-    costs one ``translate`` pass (none when the coefficient is 1,
-    nothing at all when it is 0) and one XOR into the output buffer.
+    ``rows`` are bytes-like objects (``bytes`` or a view into one); the
+    result is ``bytes`` as long as the longest row, and a shorter row is
+    zero-extended to it — that is how a tail original with implicit
+    padding enters a parity row. This is the only operation encode and
+    decode perform on payload bytes: one parity share, or one
+    reconstructed data share, is one call. Each term costs one
+    ``translate`` pass (none when the coefficient is 1, nothing at all
+    when it is 0) and one XOR into the output buffer's head.
     ``translate`` is a ``bytes`` method, so a view row with a
     coefficient outside {0, 1} is first copied into a short-lived
     ``bytes`` that dies with its product; no other row is copied.
     """
     tables = _translate_tables()
-    out = np.zeros(len(rows[0]), dtype=np.uint8)
+    out = np.zeros(max(map(len, rows)), dtype=np.uint8)
     for c, row in zip(coeffs, rows, strict=True):
         if c == 0:
             continue
         if c != 1:
             row = bytes(row).translate(tables[c])
-        np.bitwise_xor(out, np.frombuffer(row, dtype=np.uint8), out=out)
+        head = out[:len(row)]
+        np.bitwise_xor(head, np.frombuffer(row, dtype=np.uint8), out=head)
     return out.tobytes()
 
 

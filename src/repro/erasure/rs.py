@@ -2,9 +2,15 @@
 
 This is the stand-in for Zfec, the C erasure-coding library used by the
 paper's prototype (Section 5). It implements a systematic MDS code: the
-first ``X`` shares are verbatim slices of the (padded) input — read-only
-views into the value's own ``bytes``, not copies — the remaining
-``N - X`` shares are parity, and any ``X`` shares reconstruct the value.
+first ``X`` shares are verbatim slices of the input — read-only views
+into the value's own ``bytes``, not copies — the remaining ``N - X``
+shares are parity, and any ``X`` shares reconstruct the value.
+
+The canonical share is ``ceil(size / X)`` bytes, the value zero-padded
+to a multiple of ``X``. The padding is implicit: the original the value
+runs out in is a short view and any original past its end is empty;
+each, zero-extended, is its canonical row, and the kernel zero-extends
+short rows itself, so parity bytes are those of the padded value.
 
 Encode matrices and decode matrices (per present-share subset) are
 cached per configuration, because a replicated KV store encodes millions
@@ -33,12 +39,15 @@ class Share:
     config:
         The θ(X, N) configuration the share was produced under.
     value_size:
-        Original (unpadded) value length in bytes, needed to strip
-        padding on reconstruction.
+        Original (unpadded) value length in bytes: it fixes the share
+        width and how long each original is.
     data:
-        The share payload, bytes-like: an original share that needs no
-        padding is a read-only ``memoryview`` into the encoded value's
-        ``bytes``; parity and padded rows are ``bytes``.
+        The share payload, bytes-like: an original share is a read-only
+        ``memoryview`` of ``value[i·w:(i+1)·w]`` in the encoded value's
+        ``bytes`` — short for the row the value runs out in, empty past
+        its end, its zero padding implicit; row 0 when it is the whole
+        value is the value itself — and parity is ``bytes`` of the full
+        width ``w``.
     """
 
     index: int
@@ -76,15 +85,19 @@ def _as_bytes(value) -> bytes:
 
 
 def _original(value: bytes, index: int, width: int) -> bytes | memoryview:
-    """Original share ``index``: a read-only view into ``value``, no
-    copy. A row that is the whole value is ``value`` itself (θ(1, N));
-    the row the value runs out in is the one original with bytes of its
-    own, zero-padded to ``width`` in one copy."""
-    start, end = index * width, (index + 1) * width
-    if end <= len(value):
-        return value if width == len(value) else memoryview(value)[start:end]
-    pad = end - max(start, len(value))
-    return b"".join((memoryview(value)[start:], bytes(pad)))
+    """Original share ``index``: a read-only view of
+    ``value[index·width:(index+1)·width]``, no copy. The row the value
+    runs out in is short, a row past its end is empty: their zero
+    padding is implicit. Row 0 when it is the whole value (θ(1, N)) is
+    ``value`` itself."""
+    if index == 0 and width == len(value):
+        return value
+    return memoryview(value)[index * width:(index + 1) * width]
+
+
+def _original_len(size: int, index: int, width: int) -> int:
+    """The length of original share ``index`` of a ``size``-byte value."""
+    return min(max(size - index * width, 0), width)
 
 
 @lru_cache(maxsize=128)
@@ -192,7 +205,11 @@ class RSCodec:
         width = cfg.share_size(size)
         if any(s.value_size != size for s in chosen):
             raise ShareMismatch("shares disagree on original value size")
-        if any(len(s.data) != width for s in chosen):
+        if any(
+            len(s.data) != (_original_len(size, s.index, width)
+                            if s.index < cfg.x else width)
+            for s in chosen
+        ):
             raise ShareMismatch("share payload length inconsistent with size")
         if size == 0:
             return b""
@@ -212,10 +229,10 @@ class RSCodec:
             last = missing[-1]
             rest = [rows[i] for i in range(cfg.x) if i != last]
             rows[last] = gf256.lincomb([1] * cfg.x, [ones, *rest])
-        # Padding sits at the tail: trim the rows it reaches, then one
-        # join assembles the value.
-        for i in range(size // width, cfg.x):
-            rows[i] = rows[i][: max(size - i * width, 0)]
+        # A solved row is full width: trim off the padding it carries
+        # past the value's end, then one join assembles the value.
+        for i in missing:
+            rows[i] = rows[i][:_original_len(size, i, width)]
         return b"".join(rows[i] for i in range(cfg.x))
 
     def can_decode(self, indices: set[int] | list[int]) -> bool:

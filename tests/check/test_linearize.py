@@ -1,6 +1,10 @@
 """Unit tests for the per-key register linearizability checker."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.check import HistoryRecorder, OpRecord, check_history, check_key
 from repro.kvstore.messages import ClientGet, ClientPut, GetOk, NotFound
@@ -118,6 +122,91 @@ class TestFiltering:
         hist.append(r(29, 101, 102))
         with pytest.raises(RuntimeError):
             check_key("k", hist, max_states=10)
+
+
+def brute_force_linearizable(records) -> bool:
+    """The register model read straight off: some order of the
+    committed writes, the completed reads and any subset of the maybe
+    (failed or pending) writes is legal — no op is placed after one
+    that was invoked after it responded, and each read sees the last
+    write before it. Tries every subset and every permutation."""
+    ops, maybe = [], []
+    for rec in records:
+        if rec.op == "get":
+            if rec.completed and rec.ok and rec.mode != "snapshot":
+                ops.append(("read", rec.output, rec.invoke, rec.response))
+        elif rec.completed and rec.ok:
+            ops.append(("write", rec.value, rec.invoke, rec.response))
+        else:
+            maybe.append(("write", rec.value, rec.invoke, float("inf")))
+
+    def legal(order) -> bool:
+        value = None
+        for i, (kind, v, invoke, _) in enumerate(order):
+            if any(later[3] < invoke for later in order[i + 1:]):
+                return False
+            if kind == "write":
+                value = v
+            elif v != value:
+                return False
+        return True
+
+    return any(
+        legal(order)
+        for k in range(len(maybe) + 1)
+        for extra in itertools.combinations(maybe, k)
+        for order in itertools.permutations(ops + list(extra))
+    )
+
+
+@st.composite
+def small_histories(draw):
+    """Up to 8 ops on one key over a few values, with overlapping
+    windows, failed and pending writes, and failed reads."""
+    records = []
+    for _ in range(draw(st.integers(1, 8))):
+        invoke = draw(st.integers(0, 8))
+        response = invoke + draw(st.integers(0, 4))
+        op = draw(st.sampled_from(["put", "put", "get", "get", "delete"]))
+        if op == "get":
+            records.append(r(draw(st.sampled_from([None, 1, 2, 3])), invoke,
+                             response, ok=draw(st.booleans())))
+            continue
+        ok = draw(st.sampled_from([True, True, False, None]))
+        value = draw(st.integers(1, 3)) if op == "put" else None
+        records.append(mk(op, value=value, invoke=invoke,
+                          response=None if ok is None else response, ok=ok))
+    return records
+
+
+class TestSearch:
+    """The search keeps one bit per op and linearizes a read that
+    returns the current value as soon as it may go; neither may change
+    a verdict."""
+
+    @given(small_histories())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, records):
+        assert check_key("k", records).ok == brute_force_linearizable(records)
+
+    def test_concurrent_reads_are_taken_eagerly(self):
+        """A write of 2 overlapped by eight reads of the old value and
+        eight of the new one, then a read of 3. When nothing explains
+        that read, a search that memoizes on which reads are done
+        visits every subset of each batch before it gives up: 65,793
+        states. Taking reads eagerly leaves one state per value the
+        register passes through: 3, or 6 when a pending write of 3
+        explains the last read."""
+        def history(last):
+            hist = [w(1, 0, 1), w(2, 2, 30)]
+            hist += [r(1, 2 + j / 10, 30) for j in range(8)]
+            hist += [r(2, 2 + j / 10, 30) for j in range(8)]
+            return hist + [r(3, 31, 32)] + last
+
+        found = check_key("k", history([w(3, 5, None, ok=None)]))
+        assert found.ok and found.states_explored == 6
+        refuted = check_key("k", history([]))
+        assert not refuted.ok and refuted.states_explored == 3
 
 
 class TestBatchedHistories:

@@ -38,12 +38,13 @@ def test_encode_peak_allocation():
     assert peak_ratio(codec.encode, seeded_value(SIZE)) <= 2.8
 
 
-def test_encode_retains_parity_and_padded_rows_only():
+def test_encode_retains_parity_rows_only():
     """What the shares keep alive once ``encode`` returns: the N - X
-    parity rows and the one zero-padded tail row (131,072 is not a
-    multiple of 3), not N rows — the unpadded originals are views into
-    the value, which the caller already holds. The slack is object
-    headers: five ``Share``s, two views, the list."""
+    parity rows, not N rows — every original is a view into the value,
+    which the caller already holds, the tail one included (131,072 is
+    not a multiple of 3; its zero padding is implicit, not a padded
+    copy). The slack is object headers: five ``Share``s, three views,
+    the list."""
     cfg = CodingConfig(3, 5)
     codec = RSCodec(cfg)
     value = seeded_value(SIZE)
@@ -56,7 +57,7 @@ def test_encode_retains_parity_and_padded_rows_only():
     finally:
         tracemalloc.stop()
     assert len(shares) == cfg.n
-    assert kept <= (cfg.n - cfg.x + 1) * width + 2_048
+    assert kept <= (cfg.n - cfg.x) * width + 2_048
 
 
 def test_parity_decode_peak_allocation():

@@ -10,6 +10,7 @@ from repro.erasure import (
     CodingConfig,
     NotEnoughShares,
     RSCodec,
+    Share,
     ShareMismatch,
     codec_for,
     decode,
@@ -109,10 +110,32 @@ class TestRSCodec:
         assert not any(s.is_original for s in shares[3:])
 
     def test_share_sizes_equal(self):
+        """Every share is charged at the one canonical size ceil(100/3);
+        the tail original holds only the 32 bytes the value has left,
+        its two bytes of zero padding implicit."""
         cfg = CodingConfig(3, 5)
-        shares = encode(b"x" * 100, cfg)
-        sizes = {len(s) for s in shares}
-        assert sizes == {34}  # ceil(100/3)
+        value = b"x" * 100
+        shares = encode(value, cfg)
+        assert [len(s) for s in shares] == [34, 34, 32, 34, 34]
+        assert {cfg.share_size(s.value_size) for s in shares} == {34}
+        assert shares[2].data == value[68:]
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_tail_original_of_wrong_length_rejected(self, delta):
+        """A tail original must be exactly as long as what the value has
+        left (32 of 34 bytes here): one zero byte too long or one byte
+        too short is rejected, whether it is decoded beside the other
+        originals or beside parity."""
+        cfg = CodingConfig(3, 5)
+        value = bytes(range(100))
+        shares = encode(value, cfg)
+        tail = shares[2]
+        data = bytes(tail.data) + b"\0" if delta > 0 else bytes(tail.data[:-1])
+        bad = Share(tail.index, cfg, tail.value_size, data)
+        with pytest.raises(ShareMismatch):
+            codec_for(cfg).decode([shares[0], shares[1], bad])
+        with pytest.raises(ShareMismatch):
+            codec_for(cfg).decode([bad, shares[3], shares[4]])
 
     def test_not_enough_shares(self):
         cfg = CodingConfig(3, 5)

@@ -16,7 +16,7 @@ from repro.erasure import CodingConfig, RSCodec, codec_for
 from repro.erasure import gf256
 from repro.erasure.matrix import systematic_encode_matrix
 
-from .test_share_format import assert_byte_contract
+from .test_share_format import assert_byte_contract, canonical
 
 
 @st.composite
@@ -67,8 +67,13 @@ def test_share_sizes_and_count(case):
     cfg, value, _ = case
     shares = codec_for(cfg).encode(value)
     assert len(shares) == cfg.n
-    expected = cfg.share_size(len(value))
-    assert all(len(s) == expected for s in shares)
+    width = cfg.share_size(len(value))
+    # Parity is full width; an original is what the value has in its
+    # row, the tail's zero padding implicit.
+    assert [len(s) for s in shares] == [
+        min(max(len(value) - i * width, 0), width) if i < cfg.x else width
+        for i in range(cfg.n)
+    ]
     assert [s.index for s in shares] == list(range(cfg.n))
 
 
@@ -104,24 +109,32 @@ def coeffs_and_rows(draw):
     # special cases: draw them far more often than 2 in 256.
     coeff = st.one_of(st.sampled_from([0, 1]), st.integers(0, 255))
     coeffs = draw(st.lists(coeff, min_size=k, max_size=k))
-    rows = draw(st.lists(st.binary(min_size=width, max_size=width),
-                         min_size=k, max_size=k))
+    # Rows of unequal length, as a short tail original enters a parity
+    # row; half the cases keep them equal.
+    row = st.one_of(st.binary(min_size=width, max_size=width),
+                    st.binary(max_size=width))
+    rows = draw(st.lists(row, min_size=k, max_size=k))
     return coeffs, rows
 
 
 @given(coeffs_and_rows())
 @example(([0, 0, 0], [b"abc", b"def", b"ghi"]))  # all-zero coefficients
 @example(([7, 1, 0], [b"", b"", b""]))  # empty rows
+@example(([7, 1, 3], [b"abc", b"d", b""]))  # short and empty rows
+@example(([1, 5], [b"", b"xyz"]))  # the longest row is not the first
 @settings(max_examples=200, deadline=None)
 def test_addmul_matches_scalar(case):
     """The bulk kernel — every coded byte is an XOR-accumulated product
-    (add-mul) computed by ``gf256.lincomb`` — against scalar ``mul``."""
+    (add-mul) computed by ``gf256.lincomb`` — against scalar ``mul``,
+    each row zero-extended to the longest."""
     coeffs, rows = case
+    width = max(len(row) for row in rows)
+    padded = [row.ljust(width, b"\0") for row in rows]
     expected = bytes(
         functools.reduce(
-            operator.xor, (gf256.mul(c, row[b]) for c, row in zip(coeffs, rows))
+            operator.xor, (gf256.mul(c, row[b]) for c, row in zip(coeffs, padded))
         )
-        for b in range(len(rows[0]))
+        for b in range(width)
     )
     out = gf256.lincomb(coeffs, rows)
     assert type(out) is bytes
@@ -143,14 +156,14 @@ def copying_encode(cfg: CodingConfig, value: bytes) -> list[bytes]:
 @settings(max_examples=100, deadline=None)
 def test_bytes_like_inputs_encode_identically(case):
     """``bytes``, ``bytearray`` and ``memoryview`` values produce the
-    same shares, equal byte for byte to the copying codec's. Unpadded
-    originals are views into the ``bytes`` the codec was handed — for
-    ``bytearray`` / ``memoryview`` input, its one boundary copy — and
-    parity, padded and decoded rows are ``bytes``."""
+    same shares, each zero-extended to the share width equal byte for
+    byte to the copying codec's. Originals are views into the ``bytes``
+    the codec was handed — for ``bytearray`` / ``memoryview`` input, its
+    one boundary copy — and parity and decoded rows are ``bytes``."""
     cfg, value, subset = case
     codec = codec_for(cfg)
     want = codec.encode(value)
-    assert [s.data for s in want] == copying_encode(cfg, value)
+    assert [canonical(s) for s in want] == copying_encode(cfg, value)
     assert_byte_contract(cfg, want, value)
     assert type(codec.decode([want[i] for i in subset])) is bytes
     for like in (bytearray(value), memoryview(value)):
@@ -186,12 +199,15 @@ def unaligned_bytes_like(draw):
 @settings(max_examples=100, deadline=None)
 def test_unaligned_bytes_like_inputs_pad(case):
     """A non-``bytes`` value that needs padding pads like ``bytes``
-    does (a view has no ``ljust``), and every X-subset decodes it."""
+    does — each share zero-extended to the width is the copying codec's
+    — and every X-subset decodes it."""
     cfg, value, like = case
     codec = codec_for(cfg)
     shares = codec.encode(like)
-    assert [s.data for s in shares] == copying_encode(cfg, value)
-    assert type(shares[cfg.x - 1].data) is bytes  # the padded tail row
+    assert [canonical(s) for s in shares] == copying_encode(cfg, value)
+    # The tail row is a view, short by its implicit padding.
+    tail = next(s for s in shares[:cfg.x] if len(s) < cfg.share_size(len(value)))
+    assert type(tail.data) is memoryview
     for i in range(cfg.n):
         assert codec.encode_share(like, i) == shares[i]
     for picked in itertools.combinations(shares, cfg.x):

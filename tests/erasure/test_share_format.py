@@ -6,7 +6,10 @@ different (even if self-consistent) parity bytes would make shares
 written by one build undecodable beside shares written by another.
 The Hypothesis tests stop at 300 bytes; these digests — computed on the
 commit *before* the byte path was rewritten (PR 17) — cover the padding
-boundaries around X and the sizes the benchmark moves.
+boundaries around X and the sizes the benchmark moves. Each share is
+hashed as its canonical row, zero-extended to the share width: the
+digests were taken when the tail original carried its zero padding, and
+they still hold now that the padding is implicit.
 """
 
 import hashlib
@@ -32,26 +35,38 @@ def sizes_for(x: int) -> list[int]:
 def assert_byte_contract(cfg: CodingConfig, shares, handed: bytes) -> None:
     """What a share's payload is, given the ``bytes`` the codec encoded
     (for ``bytearray`` / ``memoryview`` input, its one boundary copy):
-    an original row that needs no padding is a read-only view into
-    ``handed`` — or ``handed`` itself when the row is the whole value —
-    and parity and padded rows are ``bytes`` of their own."""
+    original ``i`` is ``handed[i·w:(i+1)·w]`` as a read-only view into
+    ``handed`` — or ``handed`` itself when row 0 is the whole value — so
+    the tail row is short and a row past the end empty, its zero padding
+    implicit; parity rows are ``bytes`` of their own, ``w`` long."""
     width = cfg.share_size(len(handed))
     for s in shares:
-        unpadded = width and s.index < cfg.x and (s.index + 1) * width <= len(handed)
-        if unpadded and width == len(handed):
+        assert len(s.data) <= width, s.index
+        if width == 0:
+            assert s.data == b"", s.index
+        elif s.index >= cfg.x:
+            assert type(s.data) is bytes and len(s.data) == width, s.index
+        elif s.index == 0 and width == len(handed):
             assert s.data is handed, s.index
-        elif unpadded:
+        else:
             assert type(s.data) is memoryview and s.data.readonly, s.index
             assert s.data.obj is handed, s.index
-        else:
-            assert type(s.data) is bytes, s.index
+            assert s.data == handed[s.index * width:(s.index + 1) * width]
+
+
+def canonical(share) -> bytes:
+    """The share's canonical row: its payload zero-extended to the share
+    width."""
+    width = share.config.share_size(share.value_size)
+    return bytes(share.data).ljust(width, b"\0")
 
 
 def shares_digest(shares) -> str:
     h = hashlib.blake2b(digest_size=16)
     for s in shares:
-        h.update(len(s.data).to_bytes(4, "big"))
-        h.update(s.data)
+        row = canonical(s)
+        h.update(len(row).to_bytes(4, "big"))
+        h.update(row)
     return h.hexdigest()
 
 
@@ -119,17 +134,17 @@ def test_share_payloads_match_golden_digests(x, n):
 
 @pytest.mark.parametrize("x,n", [(3, 5), (4, 7)])
 def test_benchmark_size_every_subset_and_single_share(x, n):
-    """At the benchmark's 128 KB: the unpadded originals are views into
-    the value (θ(3, 5) pads its last original, θ(4, 7) none), all
-    C(N, X) subsets decode byte identical into ``bytes``, and the
-    one-share encoder agrees with the full one, views included."""
+    """At the benchmark's 128 KB: all X originals are views into the
+    value (θ(3, 5)'s last one short by its implicit padding, θ(4, 7)'s
+    none), all C(N, X) subsets decode byte identical into ``bytes``, and
+    the one-share encoder agrees with the full one, views included."""
     cfg = CodingConfig(x, n)
     codec = RSCodec(cfg)
     value = seeded_value(131_072)
     shares = codec.encode(value)
     assert_byte_contract(cfg, shares, value)
     views = sum(type(s.data) is memoryview for s in shares)
-    assert views == (x - 1 if 131_072 % x else x)
+    assert views == x
     for subset in itertools.combinations(range(n), x):
         got = codec.decode([shares[i] for i in subset])
         assert type(got) is bytes and got == value, subset

@@ -114,9 +114,10 @@ class TestShardPlacement:
             assert entry.size == 1000  # 1/3 of 3000
 
     def test_original_shares_are_views_of_the_value(self):
-        """A concrete 128 KiB put: every replica's unpadded original
-        share points into the value's own buffer instead of holding a
-        copy; the padded tail original and the parity rows are bytes."""
+        """A concrete 128 KiB put: every replica's original share points
+        into the value's own buffer instead of holding a copy — the tail
+        original too, short by its implicit zero padding — and only the
+        parity rows are bytes."""
         c = make(config=rs_paxos(5, 1))
         payload = bytes(range(256)) * 512  # 131,072 B: 3 does not divide it
         c.clients[0].put("big", len(payload), data=payload,
@@ -135,9 +136,10 @@ class TestShardPlacement:
             if not entry.complete:
                 assert entry.value.data is share.data
         assert sorted(held) == [0, 1, 2, 3, 4]
-        for i in (0, 1):
+        for i in (0, 1, 2):
             assert type(held[i]) is memoryview and held[i].obj is value.data
-        assert all(type(held[i]) is bytes for i in (2, 3, 4))
+        assert len(held[2]) == len(payload) - 2 * len(held[0])
+        assert all(type(held[i]) is bytes for i in (3, 4))
 
     def test_storage_cost_reduced_vs_paxos(self):
         def total_stored(config):
