@@ -18,6 +18,7 @@ import hashlib
 
 import pytest
 
+from repro.bench.experiments.chaos import _wipe_heavy_spec
 from repro.chaos import ChaosRunner, ChaosSpec, ScheduleSpec
 from repro.chaos import runner as chaos_runner
 from repro.check import HistoryRecorder, check_cluster
@@ -75,6 +76,9 @@ STORAGE_HEAVY = ChaosSpec(
                           storage_weights=(6.0, 6.0, 3.0), rot_gap=0.8),
     settle=3.0, num_clients=2, num_keys=4,
 )
+#: ``bench chaos --wipe-heavy``'s own spec: wipes and rejoins dominate,
+#: so the episode runs catch-up, snapshot transfer and the rebuild gate.
+WIPE_HEAVY = _wipe_heavy_spec(short=False)
 
 
 def chaos_history(monkeypatch, spec: ChaosSpec, seed: int):
@@ -319,7 +323,8 @@ class TestGoldenRuns:
     @pytest.mark.parametrize("spec,seed,want", [
         (TINY, 9, "6e40e8b7ca611d1c266d3489"),
         (STORAGE_HEAVY, 8, "404b79e1554c5dd144daaf12"),
-    ], ids=["mixed", "storage-heavy"])
+        (WIPE_HEAVY, 0, "c465dcff8a3093d813691cc8"),
+    ], ids=["mixed", "storage-heavy", "wipe-heavy"])
     def test_chaos_episode(self, monkeypatch, spec, seed, want):
         """Episodes checkpoint every second and digest the result's
         checkpoint bytes, so both were re-pinned with PR 20's
@@ -342,8 +347,17 @@ class TestGoldenRuns:
         ``storage-heavy``: 13 recovery reads instead of 12, the same 132
         ops (126 ok) with 2 response times moved, hedges issued / won
         5 / 5 instead of 4 / 4, checkpoint bytes 22,508 → 22,376
-        (written 26,530 → 25,998). Neither episode changed its verdict."""
+        (written 26,530 → 25,998). Neither episode changed its verdict.
+
+        ``wipe-heavy`` pins the rebuild path (catch-up, snapshot paging,
+        missing-value polls, the finish line) before it moved out of
+        ``KVServer``: one wipe, five snapshot transfers. It asserts that
+        it still wipes and transfers, so a schedule change cannot leave
+        the pin exercising nothing."""
         result, history = chaos_history(monkeypatch, spec, seed)
         assert result.ok
         assert len(history) > 100
+        if spec is WIPE_HEAVY:
+            assert any(e.kind == "wipe" for e in result.schedule)
+            assert result.snapshot_transfers >= 1
         assert digest((result.to_jsonable(), history)) == want
