@@ -10,6 +10,7 @@ Public API:
 - :class:`Admission` — the DRR admission pipeline the server drives.
 - :class:`ShareFetch` — source ranking and the one ranked, hedged share
   gather behind recovery reads, rebuild serving and scrub repair.
+- :class:`Rebuild` — catch-up, snapshot transfer and the rebuild finish line.
 - :class:`AppliedOps` — the exactly-once table (applied client op
   identities, as bits) the server consults before applying a command.
 - :class:`KVClient` — leader-caching client with redirect handling.
@@ -64,6 +65,7 @@ from .messages import (
     WrongShard,
 )
 from .membership import AccrualFailureDetector, RepairController
+from .rebuild import Rebuild
 from .server import KVServer
 from .sharefetch import ShareFetch
 from .shard import ShardMap, encode_version, era_of, instance_of
@@ -100,6 +102,7 @@ __all__ = [
     "PlacementGaps",
     "ProbeSpare",
     "PutOk",
+    "Rebuild",
     "Redirect",
     "RepairController",
     "ServerConfig",

@@ -56,7 +56,6 @@ from .messages import (
     KV_META,
     Busy,
     CatchUp,
-    CatchUpEntry,
     CatchUpReply,
     ClientDelete,
     ClientGet,
@@ -83,11 +82,11 @@ from .messages import (
     ShardCmd,
     ShareReply,
     SnapshotChunk,
-    SnapshotEntry,
     SpareStatus,
     WrongShard,
 )
 from .membership import AccrualFailureDetector, RepairController
+from .rebuild import Rebuild, catch_up_page, snapshot_page
 from .sharefetch import ShareFetch
 from .shard import ShardMap, encode_version, era_of, instance_of
 
@@ -142,6 +141,11 @@ def changed_records(live: dict, held: dict) -> dict:
     the way a dirty set can."""
     get = held.get
     return {inst: rec for inst, rec in live.items() if get(inst) is not rec}
+
+
+def _reply(respond, msg) -> None:
+    """Answer a request with ``msg`` at its modeled wire size."""
+    respond(msg, msg.wire_bytes)
 
 
 def _frame_payloads(raw, items) -> list:
@@ -217,7 +221,8 @@ class KVServer:
             )
             node.on_apply = self._make_apply_hook(g)
             node.on_preempted = lambda ballot, g=g: self._on_preempted(g)
-            node.on_missing_value = self._make_missing_hook(g)
+            node.on_missing_value = (
+                lambda instance, g=g: self.rebuild.missing(g, instance))
             node.prepare_gate = self._prepare_gate
             self.groups.append(node)
 
@@ -274,9 +279,6 @@ class KVServer:
         # leader's store may otherwise miss writes the previous leader
         # acknowledged.
         self._read_barrier: list[int] = [-1] * len(self.groups)
-        # Commit-only instances (decision id known, command unknown)
-        # with an in-flight catch-up fetch; see _fetch_missing.
-        self._fetching: set[tuple[int, int]] = set()
         self.recovery_reads = 0
         # key -> version a read decoded once and did not keep (on_value).
         self._decoded_once: dict[str, int] = {}
@@ -318,6 +320,21 @@ class KVServer:
             rtt_select=cfg.rtt_select, rng=sim.rng.stream(f"{name}.select"),
         )
 
+        # Catch-up and replica rebuild (wipe + rejoin): the Rebuild
+        # component asks peers and decides when a group is rebuilt; the
+        # server installs what arrives (DESIGN.md §4).
+        self.rebuild = Rebuild(
+            sim, sources=self.fetch, request=self.endpoint.request,
+            alive=lambda: self.up,
+            cursor=lambda group: self.groups[group].apply_cursor,
+            commit_only=self._commit_only,
+            install_entries=self._install_entries,
+            install_page=self._install_page, adopt=self._adopt_snapshot,
+            on_rebuilt=self._vote_again,
+            count=lambda name, n: self.metrics.counter(name).inc(n),
+            trace=self._trace,
+        )
+
         # Leader-side command batching: admitted mutations accumulate in
         # a per-group pending batch, closed by count (batch_max_commands),
         # framed bytes (batch_max_bytes), or the linger timer on the sim
@@ -352,18 +369,6 @@ class KVServer:
         self._ckpt_inflight = False
         self.last_checkpoint_at: float | None = None
         self.compact_floor: list[int] = [0] * len(self.groups)
-
-        # Replica rebuild (wipe + rejoin) state. ``_wiped`` marks that
-        # the next recover() starts from an empty disk; ``_rebuild_pending``
-        # holds groups still being rebuilt (the node stays an observer —
-        # it learns but does not vote — until its group's rebuild ends);
-        # ``_snap_inflight[g]`` is the host currently streaming group
-        # ``g``'s snapshot to us, ``_snap_first[g]`` that transfer's first
-        # page, held for the metadata adopted after the last.
-        self._wiped = False
-        self._rebuild_pending: set[int] = set()
-        self._snap_inflight: dict[int, str] = {}
-        self._snap_first: dict[int, SnapshotChunk] = {}
 
         # Dynamic sharding: leader-resident rebalancer + migration
         # driver. ``max_group_pipeline`` caps how many proposals one
@@ -448,7 +453,10 @@ class KVServer:
     @property
     def rebuilding(self) -> bool:
         """Wiped and not yet rebuilt: an observer in at least one group."""
-        return bool(self._rebuild_pending)
+        return bool(self.rebuild.pending)
+
+    def _trace(self, text: str, layer: str = "kv") -> None:
+        self.tracer.emit(self.sim.now, layer, f"{self.name} {text}")
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -486,16 +494,11 @@ class KVServer:
         self._decoded_once.clear()
         self._apply_waiters.clear()
         self._read_barrier = [-1] * len(self.groups)
-        self._fetching.clear()
         self._scrubbing.clear()
         self.fetch.reset()
+        self.rebuild.reset()
         self._ckpt_inflight = False
-        self._snap_inflight.clear()
-        self._snap_first.clear()
         self._flush_admissions()
-        # NOTE: _rebuild_pending deliberately survives a crash — a node
-        # that crashed mid-rebuild is still amnesiac and must come back
-        # as an observer until its rebuild completes.
         for timer in self._timers.values():
             timer.cancel()
         self._timers.clear()
@@ -520,8 +523,8 @@ class KVServer:
         self.checkpoint_store.wipe()
         self.compact_floor = [0] * len(self.groups)
         self.last_checkpoint_at = None
-        self._wiped = True
-        self.tracer.emit(self.sim.now, "kv", f"{self.name} disk wiped")
+        self.rebuild.pending = set(range(len(self.groups)))
+        self._trace("disk wiped")
 
     def rejoin(self) -> None:
         """Bring a wiped (or merely crashed) server back; alias of
@@ -554,19 +557,13 @@ class KVServer:
             (node._max_ballot_seen for node in self.groups),
             default=NULL_BALLOT,
         )
-        if self._wiped:
-            self._wiped = False
-            self._rebuild_pending = set(range(len(self.groups)))
-        for g in self._rebuild_pending:
+        for g in self.rebuild.pending:
             self.groups[g].observer = True
         self.current_leader = None
         self.lease.invalidate()
         self.lease.renew()  # grace period before trying to elect
         self._arm_background()
-        if self._rebuild_pending:
-            self._timers["rebuild"] = self.sim.call_after(
-                1.0, self._rebuild_tick)
-        self._request_catch_up()
+        self.rebuild.begin(len(self.groups))
 
     def _arm_background(self) -> None:
         """(Re)start the periodic jobs: the lease monitor always; the
@@ -625,7 +622,7 @@ class KVServer:
     def _maybe_elect(self) -> None:
         if not self.up or self.is_leader_server:
             return
-        if self._rebuild_pending:
+        if self.rebuilding:
             # Still amnesiac: our ballot counter may have reset, so a
             # fresh ballot could collide with one we issued pre-wipe.
             # Sit the election out until the rebuild restores
@@ -658,7 +655,7 @@ class KVServer:
             self._start_election()
             return
         self._pre_vote_state = (rid, grants)
-        self.tracer.emit(self.sim.now, "kv", f"{self.name} pre-vote {rid}")
+        self._trace(f"pre-vote {rid}")
         msg = PreVote(candidate_id=self.node_id, round=rid)
         for nid in self.member_ids:
             if nid != self.node_id:
@@ -689,7 +686,7 @@ class KVServer:
         # the real election, so its opinion would overpromise success.
         granted = (
             not self.is_leader_server
-            and not self._rebuild_pending
+            and not self.rebuilding
             and self.lease.vacant_for_follower()
         )
         self.metrics.counter(
@@ -726,7 +723,7 @@ class KVServer:
         follower pool (the vacancy timer then governs re-election)."""
         if not self.is_leader_server:
             return
-        self.tracer.emit(self.sim.now, "kv", f"{self.name} steps down ({why})")
+        self._trace(f"steps down ({why})")
         self.is_leader_server = False
         self.current_leader = None
         self.step_downs += 1
@@ -742,7 +739,7 @@ class KVServer:
         self.elections_started += 1
         self.metrics.counter("election.started").inc(1)
         pending = {"n": len(self.groups), "failed": False}
-        self.tracer.emit(self.sim.now, "kv", f"{self.name} election start")
+        self._trace("election start")
 
         def one_done(ok: bool) -> None:
             if not self.up:
@@ -792,7 +789,7 @@ class KVServer:
         # round is acknowledged, which proves enough followers restarted
         # their vacancy timers for this ballot.
         self.lease.invalidate()
-        self.tracer.emit(self.sim.now, "kv", f"{self.name} is leader")
+        self._trace("is leader")
         self._send_heartbeats()
         # A predecessor may have died mid-migration: the replicated map
         # still carries the migrating marker, so finish its copy.
@@ -875,12 +872,9 @@ class KVServer:
     def _on_probe_spare(self, msg: ProbeSpare, src: str, respond) -> None:
         if not self.up:
             return
-        reply = SpareStatus(
-            node_id=self.node_id,
-            rebuilt=not self._rebuild_pending,
-            view_epoch=self.view_epoch,
-        )
-        respond(reply, reply.wire_bytes)
+        _reply(respond, SpareStatus(node_id=self.node_id,
+                                    rebuilt=not self.rebuilding,
+                                    view_epoch=self.view_epoch))
 
     def _on_heartbeat(self, msg: Heartbeat, src: str) -> None:
         if not self.up:
@@ -895,10 +889,7 @@ class KVServer:
             if msg.ballot is not None and ours is not None and msg.ballot < ours:
                 return  # stale rival; our own heartbeats depose it
             # A higher-ballot leader exists: step down and follow it.
-            self.tracer.emit(
-                self.sim.now, "kv",
-                f"{self.name} steps down for {msg.leader_id}",
-            )
+            self._trace(f"steps down for {msg.leader_id}")
             self.is_leader_server = False
             self.step_downs += 1
             self.metrics.counter("election.step_down").inc(1)
@@ -922,7 +913,7 @@ class KVServer:
             if now - self._last_view_sync >= 1.0:
                 self._last_view_sync = now
                 for g in range(len(self.groups)):
-                    self._catch_up_group(g)
+                    self.rebuild.catch_up(g)
 
     def _on_heartbeat_ack(self, msg: HeartbeatAck, src: str) -> None:
         if not self.up:
@@ -960,9 +951,7 @@ class KVServer:
 
     def _on_preempted(self, group: int) -> None:
         if self.is_leader_server:
-            self.tracer.emit(
-                self.sim.now, "kv", f"{self.name} demoted (group {group})"
-            )
+            self._trace(f"demoted (group {group})")
             self.step_downs += 1
             self.metrics.counter("election.step_down").inc(1)
             self._lease_lost_since = None
@@ -1184,15 +1173,13 @@ class KVServer:
             return False
         if self.is_leader_server:
             if self._electing or self._view_changing:
-                r = NotReady()
-                respond(r, r.wire_bytes)
+                _reply(respond, NotReady())
                 return False
             return True
         hint = None
         if self.current_leader is not None:
             hint = self.peers.get(self.current_leader)
-        r = Redirect(hint)
-        respond(r, r.wire_bytes)
+        _reply(respond, Redirect(hint))
         return False
 
     # -- admission control (overload protection) -----------------------
@@ -1210,8 +1197,7 @@ class KVServer:
         self.metrics.counter("admission.shed").inc(1)
         if tenant:
             self.metrics.counter(f"admission.shed.{tenant}").inc(1)
-        r = Busy(retry_after=self.admission.retry_after(tenant))
-        respond(r, r.wire_bytes)
+        _reply(respond, Busy(retry_after=self.admission.retry_after(tenant)))
 
     def _flush_admissions(self) -> None:
         """Reset the admission pipeline on crash or loss of leadership.
@@ -1227,8 +1213,7 @@ class KVServer:
         if not self.up:
             return
         for respond in queued:
-            r = NotReady()
-            respond(r, r.wire_bytes)
+            _reply(respond, NotReady())
 
     def _flush_batches(self) -> None:
         """Drop every pending batch: cancel linger timers and answer the
@@ -1330,8 +1315,7 @@ class KVServer:
 
     def _fail_batch(self, entries: list) -> None:
         for e in entries:
-            r = NotReady()
-            e.respond(r, r.wire_bytes)
+            _reply(e.respond, NotReady())
 
     # -- client write/read handlers ------------------------------------
 
@@ -1361,8 +1345,7 @@ class KVServer:
             # Under dynamic sharding the identity check is group-
             # agnostic — a migration may have moved the key since the
             # original commit landed in the old owner's log.
-            reply = PutOk(msg.key, map_version=self.shard_map.version)
-            respond(reply, reply.wire_bytes)
+            _reply(respond, PutOk(msg.key, map_version=self.shard_map.version))
             return
         self._admit(respond, lambda r: self._write_admitted(msg, r),
                     tenant=msg.tenant)
@@ -1371,8 +1354,7 @@ class KVServer:
         group = self.shard_map.group_of(msg.key)
         if msg.client and self.applied.seen(group, msg.client, msg.op_id):
             # Committed while this retry sat in the admission queue.
-            reply = PutOk(msg.key, map_version=self.shard_map.version)
-            respond(reply, reply.wire_bytes)
+            _reply(respond, PutOk(msg.key, map_version=self.shard_map.version))
             return
         # Only puts are "write" samples: a delete leaves ``start`` unset.
         # (No flag of its own, and the op is read off the message type,
@@ -1390,8 +1372,7 @@ class KVServer:
             if start is not None:
                 self.metrics.latency("write").record(self.sim.now - start)
                 self.metrics.throughput("write").record(self.sim.now, msg.size)
-            reply = PutOk(msg.key, map_version=self.shard_map.version)
-            respond(reply, reply.wire_bytes)
+            _reply(respond, PutOk(msg.key, map_version=self.shard_map.version))
 
         if self.cfg.batch_max_commands > 1:
             self._enqueue_batched(group, _BatchEntry(
@@ -1422,8 +1403,7 @@ class KVServer:
             self.groups[group].propose(value, decided)
             self.metrics.counter("rs.encode_calls").inc(1)
         except RuntimeError:
-            r = NotReady()
-            respond(r, r.wire_bytes)
+            _reply(respond, NotReady())
             return False
         return True
 
@@ -1437,8 +1417,8 @@ class KVServer:
             # client rotates while we catch up on the config log.
             self.wrong_shard_replies += 1
             self.metrics.counter("shard.wrong_shard").inc(1)
-            r = WrongShard(msg.key, map_version=self.shard_map.version)
-            respond(r, r.wire_bytes)
+            _reply(respond,
+                   WrongShard(msg.key, map_version=self.shard_map.version))
             return
         if msg.mode == "snapshot":
             # Snapshot read (§4.4): served by ANY replica from its local
@@ -1471,8 +1451,7 @@ class KVServer:
             # write a predecessor could have acknowledged.
             group = self.shard_map.group_of(msg.key)
             if not self._fast_read_ready(group):
-                r = NotReady()
-                respond(r, r.wire_bytes)
+                _reply(respond, NotReady())
                 return
             self.fast_reads += 1
             self._serve_read(msg.key, start, respond)
@@ -1524,8 +1503,7 @@ class KVServer:
         if self.is_leader_server:
             # §4.3 fallback: the leaseholder needs no read-index round.
             if not self._fast_read_ready(group):
-                r = NotReady()
-                respond(r, r.wire_bytes)
+                _reply(respond, NotReady())
                 return
             self.fast_reads += 1
             self._serve_read(msg.key, start, respond)
@@ -1537,8 +1515,7 @@ class KVServer:
         if host is None or self.current_leader == self.node_id:
             # No known leader to vouch for a frontier; the client backs
             # off and retries (possibly at another replica).
-            r = NotReady()
-            respond(r, r.wire_bytes)
+            _reply(respond, NotReady())
             return
         self.read_index_rounds += 1
         req = ReadIndex(group=group)
@@ -1558,16 +1535,14 @@ class KVServer:
                 # lease expired, mid-election): fail fast, let the
                 # client retry — blocking here would turn a leadership
                 # transition into a read outage.
-                r = NotReady()
-                respond(r, r.wire_bytes)
+                _reply(respond, NotReady())
                 return
             self._respond_after_apply(group, reply.index, serve)
 
         def on_timeout() -> None:
             if not self.up:
                 return
-            r = NotReady()
-            respond(r, r.wire_bytes)
+            _reply(respond, NotReady())
 
         self.endpoint.request(
             host, req, req.wire_bytes, on_reply=on_reply,
@@ -1582,16 +1557,12 @@ class KVServer:
         if not self.up:
             return
         if not self._fast_read_ready(msg.group):
-            r = ReadIndexReply(group=msg.group, ok=False)
-            respond(r, r.wire_bytes)
+            _reply(respond, ReadIndexReply(group=msg.group, ok=False))
             return
         self.read_index_served += 1
-        r = ReadIndexReply(
-            group=msg.group,
-            index=self.groups[msg.group].apply_cursor - 1,
-            ok=True,
-        )
-        respond(r, r.wire_bytes)
+        _reply(respond, ReadIndexReply(
+            group=msg.group, index=self.groups[msg.group].apply_cursor - 1,
+            ok=True))
 
     def _consistent_get_admitted(self, msg: ClientGet, start: float, respond) -> None:
         group = self.shard_map.group_of(msg.key)
@@ -1614,8 +1585,7 @@ class KVServer:
     def _serve_read(self, key: str, start: float, respond) -> None:
         entry = self.store.get(key)
         if entry is None:
-            r = NotFound(key, map_version=self.shard_map.version)
-            respond(r, r.wire_bytes)
+            _reply(respond, NotFound(key, map_version=self.shard_map.version))
             return
         if entry.complete:
             self._reply_read(key, entry.size, entry.value, start, respond)
@@ -1628,8 +1598,8 @@ class KVServer:
                     respond) -> None:
         self.metrics.latency("read").record(self.sim.now - start)
         self.metrics.throughput("read").record(self.sim.now, size)
-        r = GetOk(key, size, data, map_version=self.shard_map.version)
-        respond(r, r.wire_bytes)
+        _reply(respond,
+               GetOk(key, size, data, map_version=self.shard_map.version))
 
     # ------------------------------------------------------------------
     # recovery read
@@ -1656,8 +1626,7 @@ class KVServer:
             rec = node.chosen.get(instance)
             value_id = rec.value_id if rec is not None else None
         if value_id is None:
-            r = NotFound(key, map_version=self.shard_map.version)
-            respond(r, r.wire_bytes)
+            _reply(respond, NotFound(key, map_version=self.shard_map.version))
             return
         if share is None:
             # No usable local fragment (rotten, quarantined, or
@@ -1739,9 +1708,7 @@ class KVServer:
             # cached) we can re-code the *requester's* fragment — one
             # share of traffic instead of X, per Rashmi et al.'s repair
             # cost argument.
-            src_id = next(
-                (nid for nid, host in self.peers.items() if host == src), None
-            )
+            src_id = self._node_of(src)
             rec = node.chosen.get(msg.instance)
             if (
                 src_id is not None
@@ -1752,8 +1719,7 @@ class KVServer:
                 share = node.recode_share_for(msg.instance, src_id)
         if msg.reason == "scrub":
             self.metrics.counter("scrub.fetches_served").inc(1)
-        reply = ShareReply(share)
-        respond(reply, reply.wire_bytes)
+        _reply(respond, ShareReply(share))
 
     # ------------------------------------------------------------------
     # background scrubber: detect and repair rotten coded shares
@@ -1779,11 +1745,8 @@ class KVServer:
             vote = rec.payload
             self._mark_share_corrupt(rec.tag, vote.instance, vote.share.value_id)
             self.metrics.counter("scrub.rot_injected").inc(1)
-            self.tracer.emit(
-                self.sim.now, "scrub",
-                f"{self.name} bit-rot g{rec.tag} inst={vote.instance} "
-                f"lsn={rec.lsn}",
-            )
+            self._trace(f"bit-rot g{rec.tag} inst={vote.instance} "
+                        f"lsn={rec.lsn}", "scrub")
             return True
         # Every accept record may already be compacted into the
         # checkpoint; media decay does not care which file the bytes
@@ -1799,10 +1762,8 @@ class KVServer:
         group, instance, share = mem[int(rng.integers(len(mem)))]
         self._mark_share_corrupt(group, instance, share.value_id)
         self.metrics.counter("scrub.rot_injected").inc(1)
-        self.tracer.emit(
-            self.sim.now, "scrub",
-            f"{self.name} bit-rot g{group} inst={instance} (checkpointed)",
-        )
+        self._trace(f"bit-rot g{group} inst={instance} (checkpointed)",
+                    "scrub")
         return True
 
     def _mark_share_corrupt(self, group: int, instance: int, value_id: str) -> None:
@@ -2012,11 +1973,8 @@ class KVServer:
         self._scrubbing.discard((group, instance))
         self.metrics.counter("scrub.repaired").inc(1)
         self.metrics.counter("scrub.repair_bytes").inc(repair_bytes)
-        self.tracer.emit(
-            self.sim.now, "scrub",
-            f"{self.name} repaired g{group} inst={instance} lsn={lsn} "
-            f"({repair_bytes}B fetched)",
-        )
+        self._trace(f"repaired g{group} inst={instance} lsn={lsn} "
+                    f"({repair_bytes}B fetched)", "scrub")
 
     # ------------------------------------------------------------------
     # checkpointing + WAL compaction
@@ -2082,11 +2040,8 @@ class KVServer:
                 self.wal.durable_bytes())
             self.metrics.gauge(f"{self.name}.checkpoint_bytes").set(
                 self.checkpoint_store.stored_bytes())
-            self.tracer.emit(
-                self.sim.now, "ckpt",
-                f"{self.name} checkpoint ({size}B, floor_lsn={floor_lsn}, "
-                f"compacted {dropped} records / {dbytes}B)",
-            )
+            self._trace(f"checkpoint ({size}B, floor_lsn={floor_lsn}, "
+                        f"compacted {dropped} records / {dbytes}B)", "ckpt")
             if on_done is not None:
                 on_done()
 
@@ -2207,11 +2162,8 @@ class KVServer:
         self._view_changing = True
         members = tuple(sorted(self.member_ids - {dead_id}))
         new_config = self._shrunk_config(len(members))
-        self.tracer.emit(
-            self.sim.now, "kv",
-            f"{self.name} view change: drop {dead_id} -> "
-            f"N={new_config.n} Q={new_config.q_w} X={new_config.x}",
-        )
+        self._trace(f"view change: drop {dead_id} -> "
+                    f"N={new_config.n} Q={new_config.q_w} X={new_config.x}")
         self._drain_then(lambda: self._confirm_then_propose(members, new_config))
 
     #: Drain polls before an in-progress view change gives up (50 x
@@ -2236,10 +2188,7 @@ class KVServer:
                 self._view_changing = False
                 self.view_changes_aborted += 1
                 self.metrics.counter("view.aborted").inc(1)
-                self.tracer.emit(
-                    self.sim.now, "kv",
-                    f"{self.name} view change aborted (drain budget spent)",
-                )
+                self._trace("view change aborted (drain budget spent)")
                 return
             self.sim.call_after(
                 0.02, lambda: self._drain_then(cont, budget - 1))
@@ -2354,6 +2303,29 @@ class KVServer:
 
         self._gather_shares(group, instance, rec.value_id, rec.share, on_value)
 
+    def _decode_or_give_up(self, group: int, instance: int, value_id, seed,
+                           cont, rec=None) -> None:
+        """``cont(value)`` exactly once: with ``rec``'s value (through
+        _with_value) or, with no record, one decoded from shares of
+        ``value_id`` gathered around ``seed`` — or with None at once if
+        ``value_id`` is None, or once a 3.0 s watchdog fires: one
+        unreconstructible value must not stall a snapshot page or a
+        migration."""
+        fired = []
+
+        def once(value) -> None:
+            if not fired:
+                fired.append(True)
+                cont(value)
+
+        self.sim.call_after(3.0, lambda: once(None))
+        if rec is not None:
+            self._with_value(group, instance, rec, lambda rec: once(rec.value))
+        elif value_id is None:
+            once(None)
+        else:
+            self._gather_shares(group, instance, value_id, seed, once)
+
     def _send_install(self, group: int, member: int, instance: int, rec) -> None:
         node = self.groups[group]
         share = node.recode_share_for(instance, member)
@@ -2390,9 +2362,7 @@ class KVServer:
                 for nid in removed:
                     if nid in self.peers:
                         self.endpoint.send(self.peers[nid], hb, hb.wire_bytes)
-                self.tracer.emit(
-                    self.sim.now, "kv", f"{self.name} view change complete"
-                )
+                self._trace("view change complete")
 
         for node in self.groups:
             value = Value(
@@ -2442,8 +2412,7 @@ class KVServer:
                 inst in node.chosen and node.chosen[inst].share is not None
             )
         )
-        reply = PlacementGaps(group=msg.group, missing=missing)
-        respond(reply, reply.wire_bytes)
+        _reply(respond, PlacementGaps(group=msg.group, missing=missing))
 
     def _on_install_share(self, msg: InstallShare, src: str) -> None:
         if not self.up:
@@ -2452,12 +2421,8 @@ class KVServer:
         rec = node.chosen.get(msg.instance)
         if rec is not None and rec.value_id == msg.value_id and rec.share is None:
             node.chosen[msg.instance] = rec._replace(share=msg.share)
-        # Make the fragment durable like any accepted share (§4.5).
-        instances = node.acceptor.state.instances
-        if msg.instance not in instances:
-            vote = instances[msg.instance] = Accept(
-                msg.instance, node.acceptor.state.floor, msg.share)
-            node.wal.append(vote, msg.share.size, lambda: None)
+        self._hold_share(node, msg.instance, node.acceptor.state.floor,
+                         msg.share)
         # Reflect it in the local store too.
         if isinstance(msg.meta, Command) and msg.meta.op == "put":
             self.store.put(
@@ -2478,109 +2443,17 @@ class KVServer:
                     self.store.delete(item.key, msg.instance)
 
     # ------------------------------------------------------------------
-    # catch-up (§4.5)
+    # catch-up and snapshot transfer (§4.5): what the Rebuild component
+    # installs through the server, and the donor's side
     # ------------------------------------------------------------------
 
-    def _request_catch_up(self) -> None:
-        """Ask the cluster for decisions missed while down."""
-        if not self.up:
-            return
-        for g in range(len(self.groups)):
-            self._catch_up_group(g)
+    def _commit_only(self, group: int, instance: int) -> bool:
+        """Known by a Commit alone: the chosen id, no value or share?"""
+        rec = self.groups[group].chosen.get(instance)
+        return rec is not None and rec.value is None and rec.share is None
 
-    def _catch_up_group(self, group: int) -> None:
-        if not self.up:
-            return
-        node = self.groups[group]
-        req = CatchUp(group=group, from_instance=node.apply_cursor)
-        self._ranked_catch_up(req)
-
-    def _ranked_catch_up(self, req: CatchUp) -> None:
-        """Issue a catch-up to the two best-ranked sources, widening to
-        the next ranked peer each time one times out: every armed
-        catch-up still reaches the whole cluster eventually, but a
-        healthy steady state ships ~2 page streams of ``rebuild_bytes``
-        from the closest peers, not N-1. A loop over ShareFetch's
-        ranking and load counters rather than a ``gather``: it takes
-        every reply and never hedges or cancels, which a gather does."""
-        hosts = iter(self.fetch.ranked())
-
-        def issue_one() -> None:
-            host = next(hosts, None) if self.up else None
-            if host is None:
-                return
-            self.fetch.started(host)
-
-            def ok(rep) -> None:
-                self.fetch.finished(host)
-                self._install_catch_up(rep, host)
-
-            def widen() -> None:
-                self.fetch.finished(host)
-                issue_one()
-
-            self.endpoint.request(
-                host, req, req.wire_bytes, on_reply=ok,
-                timeout=1.0, retries=3, adaptive=True, on_timeout=widen,
-            )
-
-        issue_one()
-        issue_one()
-
-    def _rebuild_tick(self) -> None:
-        """Re-probe peers while a rebuild is pending: the initial
-        catch-up broadcast can be lost wholesale to a partition, and
-        the rebuilt server must not stay an observer forever."""
-        if not self.up or not self._rebuild_pending:
-            self._timers.pop("rebuild", None)
-            return
-        for g in sorted(self._rebuild_pending):
-            if g not in self._snap_inflight:
-                self._catch_up_group(g)
-        self._timers["rebuild"] = self.sim.call_after(1.0, self._rebuild_tick)
-
-    def _make_missing_hook(self, group: int) -> Callable[[int], None]:
-        """Hook for PaxosNode.on_missing_value: the apply cursor stalled
-        on an instance learned through a Commit alone (decision id known,
-        command unknown — the Accept never reached us, or we accepted a
-        losing proposal). Fetch the value from peers instead of applying
-        a blind noop, which would silently diverge this replica."""
-        def missing(instance: int) -> None:
-            key = (group, instance)
-            if not self.up or key in self._fetching:
-                return
-            self._fetching.add(key)
-            # Defer off the learn path: _advance_apply may be running
-            # inside a message handler.
-            self.sim.call_after(0.0, lambda: self._fetch_missing(group, instance))
-        return missing
-
-    def _fetch_missing(self, group: int, instance: int) -> None:
-        key = (group, instance)
-        node = self.groups[group]
-        rec = node.chosen.get(instance)
-        if (not self.up or rec is None
-                or rec.value is not None or rec.share is not None):
-            self._fetching.discard(key)  # resolved (or we restarted)
-            return
-        req = CatchUp(group=group, from_instance=instance)
-        self._ranked_catch_up(req)
-        # Re-poll until some peer supplies the command: the first round
-        # may race a partition, or every reachable peer may itself hold
-        # a commit-only record for the instance. Each poll re-ranks, so
-        # a dead best-ranked source (its outstanding fetches weigh it
-        # down) stops being the first pick.
-        self.sim.call_after(0.5, lambda: self._fetch_missing(group, instance))
-
-    def _install_catch_up(self, reply, host: str | None = None) -> None:
-        if not self.up or not isinstance(reply, CatchUpReply):
-            return
+    def _install_entries(self, reply: CatchUpReply) -> None:
         node = self.groups[reply.group]
-        if host is not None and reply.floor > node.apply_cursor:
-            # The peer compacted the prefix we still need: entry
-            # catch-up cannot close the gap; stream its checkpointed
-            # state instead (InstallSnapshot-style).
-            self._start_snapshot_fetch(reply.group, host, reply.floor)
         for e in reply.entries:
             value = None
             if e.share is None and e.meta is not None:
@@ -2588,142 +2461,16 @@ class KVServer:
                 # from a non-leader): carry the command metadata so the
                 # apply hook still sees the operation.
                 value = Value(e.value_id, e.value_size, None, meta=e.meta)
-            rec = ChosenRecord(
-                value_id=e.value_id,
-                ballot=node.acceptor.state.floor,
-                value=value,
-                share=e.share,
-            )
-            node.install_chosen(e.instance, rec)
-        if reply.group in self._rebuild_pending:
-            self.metrics.counter("rebuild.catchup_bytes").inc(reply.wire_bytes)
-        if host is None:
-            return
-        if reply.next_from is not None:
-            # The peer hit its reply budget; pull the next page.
-            req = CatchUp(group=reply.group, from_instance=reply.next_from)
-            self.endpoint.request(
-                host, req, req.wire_bytes,
-                on_reply=lambda rep, h=host: self._install_catch_up(rep, h),
-                timeout=1.0, retries=3, adaptive=True, on_timeout=lambda: None,
-            )
-        elif (
-            reply.group in self._rebuild_pending
-            and reply.group not in self._snap_inflight
-            and reply.floor <= node.apply_cursor
-        ):
-            # A full pass over a peer's log completed with nothing
-            # further to pull: this group's rebuild is done.
-            self._group_rebuilt(reply.group)
+            node.install_chosen(e.instance, ChosenRecord(
+                value_id=e.value_id, ballot=node.acceptor.state.floor,
+                value=value, share=e.share,
+            ))
 
-    def _on_catch_up(self, msg: CatchUp, src: str, respond) -> None:
-        if not self.up:
-            return
-        node = self.groups[msg.group]
-        floor = self.compact_floor[msg.group]
-        src_id = next(
-            (nid for nid, host in self.peers.items() if host == src), None
-        )
-        entries = []
-        reply_bytes = 0
-        next_from: int | None = None
-        start = max(msg.from_instance, floor)
-        # Ascending from ``start``, holes skipped: a page costs the
-        # instances it spans, not a sort of everything ever chosen.
-        for inst in range(start, max(node.chosen, default=-1) + 1):
-            rec = node.chosen.get(inst)
-            if rec is None:
-                continue
-            if (
-                (msg.max_entries > 0 and len(entries) >= msg.max_entries)
-                or (msg.max_bytes > 0 and reply_bytes >= msg.max_bytes)
-            ):
-                next_from = inst
-                break
-            share = None
-            if src_id is not None:
-                # Leader path: re-code the fragment for the recovering
-                # node (§4.5). Falls back to our own share if we only
-                # hold a share ourselves.
-                share = node.recode_share_for(inst, src_id)
-                if share is None:
-                    share = rec.share
-            meta = None
-            if rec.value is not None:
-                meta = rec.value.meta
-            elif rec.share is not None:
-                meta = rec.share.meta
-            size = rec.value.size if rec.value is not None else (
-                rec.share.value_size if rec.share is not None else 0
-            )
-            entries.append(
-                CatchUpEntry(
-                    instance=inst, value_id=rec.value_id,
-                    value_size=size, meta=meta, share=share,
-                )
-            )
-            reply_bytes += KV_META + (share.size if share is not None else 0)
-        reply = CatchUpReply(
-            group=msg.group, entries=tuple(entries),
-            next_from=next_from, floor=floor,
-        )
-        respond(reply, reply.wire_bytes)
-
-    # ------------------------------------------------------------------
-    # snapshot state transfer + rebuild (wipe/rejoin)
-    # ------------------------------------------------------------------
-
-    def _start_snapshot_fetch(self, group: int, host: str, floor: int) -> None:
-        if not self.up or group in self._snap_inflight:
-            return
-        self._snap_inflight[group] = host
-        self.metrics.counter("rebuild.snapshot_transfers").inc(1)
-        self.tracer.emit(
-            self.sim.now, "kv",
-            f"{self.name} snapshot fetch g{group} from {host} "
-            f"(peer floor={floor})",
-        )
-        self._fetch_snapshot_page(group, host, "")
-
-    def _fetch_snapshot_page(
-        self, group: int, host: str, cursor: str, first=None
-    ) -> None:
-        if not self.up or self._snap_inflight.get(group) != host:
-            return
-        req = FetchSnapshot(group=group, cursor=cursor)
-        self.endpoint.request(
-            host, req, req.wire_bytes,
-            on_reply=lambda rep: self._install_snapshot_chunk(rep, host, first),
-            timeout=2.0, retries=3, adaptive=True,
-            on_timeout=lambda: self._snapshot_stalled(group, host),
-        )
-
-    def _snapshot_stalled(self, group: int, host: str) -> None:
-        if not self.up or self._snap_inflight.get(group) != host:
-            return
-        # The source died or became unreachable mid-stream. Restart from
-        # scratch shortly — any peer's floor reply re-triggers the
-        # transfer, and installation is idempotent.
-        del self._snap_inflight[group]
-        self._snap_first.pop(group, None)
-        self.sim.call_after(0.5, lambda: self._catch_up_group(group))
-
-    def _install_snapshot_chunk(self, reply, host: str, first=None) -> None:
-        if not self.up or not isinstance(reply, SnapshotChunk):
-            return
-        group = reply.group
-        if self._snap_inflight.get(group) != host:
-            return  # stale page (transfer restarted elsewhere)
-        if reply.first:
-            first = self._snap_first[group] = reply
-        elif self._snap_first.get(group) is not first:
-            # A later page of a transfer begun before a crash (RPCs
-            # outlive one): its entries may predate the floor now held.
-            return
+    def _install_page(self, page: SnapshotChunk) -> None:
+        group = page.group
         node = self.groups[group]
-        self.metrics.counter("rebuild.snapshot_bytes").inc(reply.wire_bytes)
         ballot = node.acceptor.state.floor
-        for e in reply.entries:
+        for e in page.entries:
             # Store versions carry the shard-map era in their high bits;
             # log indexing (chosen records, acceptor state) uses the
             # bare Paxos instance.
@@ -2731,90 +2478,66 @@ class KVServer:
             if e.tombstone:
                 self.store.delete(e.key, e.version, group=group)
                 continue
-            if e.share is not None and e.share.config.x == 1:
+            share = e.share
+            if share is not None and share.config.x == 1:
                 # Classic Paxos: the "share" is the full value. For a
-                # batched value that is the whole frame — materialize
-                # only this key's slice.
-                data, vsize = e.share.data, e.share.value_size
+                # batch that is the whole frame: keep this key's slice.
+                data, vsize = share.data, share.value_size
                 if self._is_batch(e.meta):
                     data, vsize = self._payload_for_key(
-                        Value(e.value_id, e.share.value_size, e.share.data,
-                              meta=e.meta),
-                        e.key,
-                    )
+                        Value(e.value_id, vsize, data, meta=e.meta), e.key)
                 self.store.put(e.key, data, vsize, e.version, complete=True,
                                group=group)
-            elif e.share is not None:
-                self.store.put(
-                    e.key, e.share, e.share.size, e.version, complete=False,
-                    group=group,
-                )
             else:
-                self.store.put(e.key, None, 0, e.version, complete=False,
+                size = 0 if share is None else share.size
+                self.store.put(e.key, share, size, e.version, complete=False,
                                group=group)
-            rec = ChosenRecord(
-                value_id=e.value_id, ballot=ballot, value=None, share=e.share,
-            )
-            node.install_chosen(inst, rec)
-            # Durably hold the fragment like an accepted share (§4.5),
-            # so this node counts toward decodability again.
-            instances = node.acceptor.state.instances
-            if e.share is not None and inst not in instances:
-                vote = instances[inst] = Accept(inst, ballot, e.share)
-                node.wal.append(vote, e.share.size, lambda: None)
-        if reply.next_cursor is not None:
-            self._fetch_snapshot_page(group, host, reply.next_cursor, first)
-            return
-        # Final page: adopt what the first page said the streamed state
-        # represents — the cursor, the dedup identities as of it, and
-        # the peer's ballot high-water mark (feeds the observer's floor
-        # bump at _group_rebuilt). Pages read after the first may hold
-        # entries *newer* than that cursor; the catch-up replay from it
-        # re-applies them idempotently.
-        del self._snap_first[group]
-        reply = first
-        node._max_ballot_seen = max(node._max_ballot_seen, reply.max_ballot)
-        self.applied.merge(reply.applied_ops)
-        snap_map = reply.shard_map
+            node.install_chosen(inst, ChosenRecord(
+                value_id=e.value_id, ballot=ballot, value=None, share=share))
+            if share is not None:
+                self._hold_share(node, inst, ballot, share)
+
+    def _hold_share(self, node: PaxosNode, instance: int, ballot,
+                    share) -> None:
+        """Durably hold a received fragment like an accepted share
+        (§4.5), so this node counts toward decodability again."""
+        instances = node.acceptor.state.instances
+        if instance not in instances:
+            vote = instances[instance] = Accept(instance, ballot, share)
+            node.wal.append(vote, share.size, lambda: None)
+
+    def _adopt_snapshot(self, first: SnapshotChunk) -> None:
+        """After a transfer's last page, adopt what its first page said
+        the streamed state represents: the cursor, the dedup identities
+        as of it, and the donor's ballot high-water mark (it feeds the
+        observer's floor bump in _vote_again)."""
+        group = first.group
+        node = self.groups[group]
+        node._max_ballot_seen = max(node._max_ballot_seen, first.max_ballot)
+        self.applied.merge(first.applied_ops)
+        snap_map = first.shard_map
         if snap_map is not None and snap_map.version > self.shard_map.version:
             # Shard commands write no KV state, so a joiner rebuilt from
             # a compacted donor would otherwise never learn the map.
             self.shard_map = snap_map
-        if reply.view_config is not None and reply.view_epoch >= self.view_epoch:
-            # The view-change instances that produced the donor's
-            # current view sit in the compacted prefix this snapshot
-            # replaces: adopt their net effect (including retiring
-            # ourselves if we were evicted while down — re-admission
-            # un-retires via the grow view, exactly as log replay
-            # would). ``>=``: the first group's install bumps the
-            # server-level epoch, but every group's node still needs
-            # the per-group config/peer switch.
+        if first.view_config is not None and first.view_epoch >= self.view_epoch:
+            # The view changes behind the donor's view sit in the
+            # compacted prefix: adopt their net effect, as log replay
+            # would (retiring ourselves if evicted while down). ``>=``:
+            # the first group's install bumps the server-level epoch, but
+            # every group's node still needs its config/peer switch.
             self._apply_view_cmd(group, NewView(
-                epoch=reply.view_epoch, members=reply.view_members,
-                config=reply.view_config,
+                epoch=first.view_epoch, members=first.view_members,
+                config=first.view_config,
             ))
-        if reply.floor > node.apply_cursor:
-            node.apply_cursor = reply.floor
-        node.next_instance = max(node.next_instance, reply.floor)
+        if first.floor > node.apply_cursor:
+            node.apply_cursor = first.floor
+        node.next_instance = max(node.next_instance, first.floor)
         node._advance_apply()
         self._release_skipped_waiters(group)
-        del self._snap_inflight[group]
-        self.tracer.emit(
-            self.sim.now, "kv",
-            f"{self.name} snapshot installed g{group} (floor={reply.floor})",
-        )
-        # Entry-granularity catch-up for the tail above the snapshot.
-        req = CatchUp(group=group, from_instance=node.apply_cursor)
-        self.endpoint.request(
-            host, req, req.wire_bytes,
-            on_reply=lambda rep, h=host: self._install_catch_up(rep, h),
-            timeout=1.0, retries=3, adaptive=True, on_timeout=lambda: None,
-        )
 
-    def _group_rebuilt(self, group: int) -> None:
-        if group not in self._rebuild_pending:
-            return
-        self._rebuild_pending.discard(group)
+    def _vote_again(self, group: int) -> None:
+        """``group`` is rebuilt: leave observer mode."""
         node = self.groups[group]
         if node.observer:
             # Refuse every ballot at or below everything learned during
@@ -2823,205 +2546,115 @@ class KVServer:
             # gate": what stays open); reconfigure-add fences fully.
             node.acceptor.state.floor = max(
                 node.acceptor.state.floor, node._max_ballot_seen,
-                self._hb_floor,
-            )
+                self._hb_floor)
             node.observer = False
-        self.metrics.counter("rebuild.groups_rebuilt").inc(1)
-        self.tracer.emit(
-            self.sim.now, "kv",
-            f"{self.name} rebuilt g{group} (cursor={node.apply_cursor})",
-        )
-        if not self._rebuild_pending:
-            self.tracer.emit(self.sim.now, "kv", f"{self.name} fully rebuilt")
 
-    def _on_fetch_snapshot(self, msg: FetchSnapshot, src: str, respond) -> None:
-        """Serve one page of materialized group state (latest surviving
-        version per key), each entry carrying a fragment re-coded for
-        the requester — §4.5's "re-code the data and send the
-        corresponding fragment", applied to whole-state transfer."""
+    def _node_of(self, host: str) -> int | None:
+        """The node id of peer ``host`` (None: not a peer)."""
+        return next((nid for nid, h in self.peers.items() if h == host), None)
+
+    def _on_catch_up(self, msg: CatchUp, src: str, respond) -> None:
         if not self.up:
             return
-        group = msg.group
+        node = self.groups[msg.group]
+        src_id = self._node_of(src)
+        _reply(respond, catch_up_page(
+            msg, self.compact_floor[msg.group], node.chosen,
+            None if src_id is None
+            else lambda inst: node.recode_share_for(inst, src_id),
+        ))
+
+    def _on_fetch_snapshot(self, msg: FetchSnapshot, src: str, respond) -> None:
+        """Serve one snapshot page (``rebuild.snapshot_page``), each entry
+        carrying a fragment re-coded for the requester — §4.5's "re-code
+        the data and send the corresponding fragment", applied to
+        whole-state transfer. Everything the page claims is read now,
+        before any gather: its entries and, on the first page, the floor
+        and the rest of the transfer's metadata (DESIGN.md §5)."""
+        if not self.up:
+            return
+        group, src_id = msg.group, self._node_of(src)
         node = self.groups[group]
-        src_id = next(
-            (nid for nid, host in self.peers.items() if host == src), None
-        )
-        # Share gathers below are asynchronous and the donor keeps
-        # applying meanwhile, so everything the page claims is pinned
-        # now: its entries (``LocalStore.put`` replaces entry objects),
-        # and — on the first page — the floor and the rest of the
-        # transfer's metadata. A floor read when the page *leaves* would
-        # cover instances its entries do not reflect, which the
-        # requester would then skip for ever (DESIGN.md §5).
         pinned = [
             (k, self.store.get_entry(k)) for k in self.store.keys()
             if self._entry_group_of(k) == group and k > msg.cursor
         ]
-        meta = {}
-        if not msg.cursor:
-            meta = dict(
-                first=True, floor=node.apply_cursor,
-                applied_ops=self.applied.since(group=group),
-                max_ballot=node._max_ballot_seen,
-                view_epoch=self.view_epoch,
-                view_members=tuple(sorted(self.member_ids)),
-                view_config=self.config, shard_map=self.shard_map,
-            )
-        entries: list[SnapshotEntry] = []
-        state = {"bytes": 0}
+        first = {} if msg.cursor else dict(
+            first=True, floor=node.apply_cursor,
+            applied_ops=self.applied.since(group=group),
+            max_ballot=node._max_ballot_seen, view_epoch=self.view_epoch,
+            view_members=tuple(sorted(self.member_ids)),
+            view_config=self.config, shard_map=self.shard_map,
+        )
 
-        def finish(next_cursor: str | None) -> None:
-            if not self.up:
-                return
-            chunk = SnapshotChunk(
-                group=group, entries=tuple(entries),
-                next_cursor=next_cursor, **meta,
-            )
+        def send(chunk: SnapshotChunk) -> None:
             self.metrics.counter("rebuild.snapshots_served").inc(1)
-            respond(chunk, chunk.wire_bytes)
+            _reply(respond, chunk)
 
-        def step(i: int) -> None:
-            # Trampolined, not recursive: _share_for_peer usually calls
-            # its continuation synchronously, and a page can span
-            # thousands of small keys.
-            while True:
-                if not self.up:
-                    return  # requester times out and restarts elsewhere
-                if i >= len(pinned):
-                    finish(None)
-                    return
-                if state["bytes"] >= msg.max_bytes:
-                    finish(pinned[i - 1][0])
-                    return
-                key, entry = pinned[i]
-                if entry.tombstone:
-                    entries.append(SnapshotEntry(
-                        key=key, version=entry.version, value_id="",
-                        value_size=0, meta=None, share=None, tombstone=True,
-                    ))
-                    state["bytes"] += KV_META + len(key)
-                    i += 1
-                    continue
-                sync = {"in_call": True, "resume": False}
-
-                def with_share(share, meta, value_id, value_size,
-                               key=key, entry=entry, i=i, sync=sync) -> None:
-                    if not value_id:
-                        # Unreconstructible right now (e.g. too many
-                        # peers down): skip; the joiner fills the hole
-                        # from another peer or a later catch-up pass.
-                        self.metrics.counter("rebuild.entries_skipped").inc(1)
-                    else:
-                        entries.append(SnapshotEntry(
-                            key=key, version=entry.version,
-                            value_id=value_id, value_size=value_size,
-                            meta=meta, share=share,
-                        ))
-                        state["bytes"] += KV_META + len(key) + (
-                            share.size if share is not None else 0
-                        )
-                    if sync["in_call"]:
-                        sync["resume"] = True  # continue the while loop
-                    else:
-                        step(i + 1)  # resumed from an async gather
-
-                self._share_for_peer(group, entry, src_id, with_share)
-                sync["in_call"] = False
-                if sync["resume"]:
-                    i += 1
-                    continue
-                return  # async gather in flight; with_share re-enters
-
-        step(0)
+        snapshot_page(
+            msg, pinned, first,
+            lambda entry, cont: self._share_for_peer(group, entry, src_id, cont),
+            send, lambda: self.up,
+        )
 
     def _share_for_peer(self, group: int, entry, src_id, cont) -> None:
         """Produce ``src_id``'s coded fragment of a stored entry:
         re-encode from a locally held full value when possible, else
         gather >= X peer shares and decode first, like the scrubber.
         Calls ``cont(share, meta, value_id, value_size)``; share may be
-        None (metadata-only entry) and value_id "" on failure."""
+        None (metadata-only entry) and value_id "" when the entry names
+        no value."""
         node = self.groups[group]
         instance = instance_of(entry.version)
         rec = node.chosen.get(instance)
-        own_share = entry.value if isinstance(entry.value, CodedShare) else None
-        if own_share is None and rec is not None and rec.share is not None:
-            own_share = rec.share
-        if own_share is None:
-            own_share = node.acceptor.accepted_share(instance)
+        own = entry.value if isinstance(entry.value, CodedShare) else None
+        if own is None and rec is not None:
+            own = rec.share
+        if own is None:
+            own = node.acceptor.accepted_share(instance)
+        clean = own if own is not None and not own.corrupt else None
         value_id = rec.value_id if rec is not None else (
-            own_share.value_id if own_share is not None else None
-        )
+            own.value_id if own is not None else None)
         meta = self._meta_of(rec) if rec is not None else None
-        if meta is None and own_share is not None:
-            meta = own_share.meta
+        if meta is None and own is not None:
+            meta = own.meta
         if value_id is None:
+            # Unreconstructible here: the joiner fills the hole from
+            # another peer or a later catch-up pass.
+            self.metrics.counter("rebuild.entries_skipped").inc(1)
             cont(None, None, "", 0)
             return
 
         def encode_for(value) -> None:
-            if own_share is not None:
-                coding, members = own_share.config, own_share.members
-            else:
-                coding = node.config.coding
-                members = tuple(sorted(node.peers))
+            coding, members = (
+                (own.config, own.members) if own is not None
+                else (node.config.coding, tuple(sorted(node.peers))))
             if src_id is None or src_id not in members:
                 # Requester outside the stamped membership (value coded
                 # before it joined): hand over our own clean fragment —
                 # any X distinct clean shares decode.
-                fallback = (
-                    own_share
-                    if own_share is not None and not own_share.corrupt
-                    else None
-                )
-                cont(fallback, meta, value_id, value.size)
-                return
-            index = members.index(src_id)
-            cont(
-                encode_one_share(value, coding, index, members),
-                meta, value_id, value.size,
-            )
+                cont(clean, meta, value_id, value.size)
+            else:
+                cont(encode_one_share(value, coding, members.index(src_id),
+                                      members), meta, value_id, value.size)
 
-        if rec is not None and rec.value is not None:
-            encode_for(rec.value)
-            return
-        if entry.complete and not self._is_batch(meta):
-            encode_for(Value(value_id, entry.size, entry.value, meta=meta))
-            return
-        if (
-            own_share is not None
-            and own_share.config.x == 1
-            and not own_share.corrupt
-        ):
-            # Classic full copy: serve it directly.
-            cont(own_share, meta, value_id, own_share.value_size)
-            return
-        # Only a fragment here: decode-and-re-encode via peer gather,
-        # with a watchdog so one unreconstructible value cannot stall
-        # the whole page forever.
-        state = {"fired": False}
-
-        def on_value(value) -> None:
-            if state["fired"]:
+        def decoded(value) -> None:
+            if value is None:
+                cont(None, meta, value_id, 0)
                 return
-            state["fired"] = True
             # Kept (see _with_value): a retried or second transfer
             # re-codes this entry from the record instead of gathering.
             self._cache_decoded(node, instance, value)
             encode_for(value)
 
-        def give_up() -> None:
-            if state["fired"]:
-                return
-            state["fired"] = True
-            cont(None, meta, value_id, 0)
-
-        self.sim.call_after(3.0, give_up)
-        seed = (
-            own_share
-            if own_share is not None and not own_share.corrupt
-            else None
-        )
-        self._gather_shares(group, instance, value_id, seed, on_value)
+        if rec is not None and rec.value is not None:
+            encode_for(rec.value)
+        elif entry.complete and not self._is_batch(meta):
+            encode_for(Value(value_id, entry.size, entry.value, meta=meta))
+        elif clean is not None and clean.config.x == 1:
+            cont(clean, meta, value_id, clean.value_size)  # a full copy
+        else:  # only a fragment here: decode, then re-encode
+            self._decode_or_give_up(group, instance, value_id, clean, decoded)
 
     # ------------------------------------------------------------------
     # reconfigure-add: re-admit a rebuilt node (§4.6 inverse of remove)
@@ -3059,11 +2692,8 @@ class KVServer:
         self._view_changing = True
         members = tuple(sorted(self.member_ids | {new_id}))
         new_config = self._grown_config(len(members))
-        self.tracer.emit(
-            self.sim.now, "kv",
-            f"{self.name} view change: add {new_id} -> "
-            f"N={new_config.n} Q={new_config.q_w} X={new_config.x}",
-        )
+        self._trace(f"view change: add {new_id} -> "
+                    f"N={new_config.n} Q={new_config.q_w} X={new_config.x}")
         self._drain_then(lambda: self._propose_view_change(members, new_config))
 
     # ------------------------------------------------------------------
@@ -3104,13 +2734,12 @@ class KVServer:
         if msg.map_version > self.shard_map.version:
             self.wrong_shard_replies += 1
             self.metrics.counter("shard.wrong_shard").inc(1)
-            r = WrongShard(msg.key, map_version=self.shard_map.version)
-            respond(r, r.wire_bytes)
+            _reply(respond,
+                   WrongShard(msg.key, map_version=self.shard_map.version))
             return False
         cfg = self.cfg_group
         if self.groups[cfg].apply_cursor <= self._read_barrier[cfg]:
-            r = NotReady()
-            respond(r, r.wire_bytes)
+            _reply(respond, NotReady())
             return False
         return True
 
@@ -3127,8 +2756,7 @@ class KVServer:
         self.metrics.counter("shard.group_shed").inc(1)
         if tenant:
             self.metrics.counter(f"admission.shed.{tenant}").inc(1)
-        r = Busy(retry_after=self.admission.retry_after(tenant))
-        respond(r, r.wire_bytes)
+        _reply(respond, Busy(retry_after=self.admission.retry_after(tenant)))
         return False
 
     def _maybe_fence_write(self, key: str, group: int) -> None:
@@ -3177,13 +2805,10 @@ class KVServer:
             self.migrations_completed += 1
             self._migration_task = None
             self._key_freq.clear()  # stale medians for the moved range
-        self.tracer.emit(
-            self.sim.now, "shard",
-            f"{self.name} shard map v{cmd.version} "
-            f"({len(cmd.ranges)} ranges"
-            + (f", migrating {cmd.migrating}" if cmd.migrating else "")
-            + ")",
-        )
+        self._trace(f"shard map v{cmd.version} "
+                    f"({len(cmd.ranges)} ranges"
+                    + (f", migrating {cmd.migrating}" if cmd.migrating else "")
+                    + ")", "shard")
         if cmd.migrating is not None and self.is_leader_server:
             # Deferred: we are inside the apply loop and the driver
             # proposes into other groups.
@@ -3209,12 +2834,9 @@ class KVServer:
         mapv = self.shard_map.version
         self._migration_task = mapv
         mig = self.shard_map.migrating
-        self.tracer.emit(
-            self.sim.now, "shard",
-            f"{self.name} migration driver v{mapv}: copy "
-            f"[{mig[0]!r}, {'+inf' if mig[1] is None else repr(mig[1])}) "
-            f"g{mig[2]} -> g{mig[3]}",
-        )
+        hi = "+inf" if mig[1] is None else repr(mig[1])
+        self._trace(f"migration driver v{mapv}: copy [{mig[0]!r}, {hi}) "
+                    f"g{mig[2]} -> g{mig[3]}", "shard")
         src = mig[2]
         # Scan-wait: every write the *previous* map's owner could have
         # acknowledged is chosen at an instance below our election
@@ -3340,11 +2962,8 @@ class KVServer:
             if not self._propose_shard_cmd(committed):
                 self._abort_migration(mapv)
                 return
-            self.tracer.emit(
-                self.sim.now, "shard",
-                f"{self.name} migration v{mapv} copies done "
-                f"({state['i']} scanned), committing v{committed.version}",
-            )
+            self._trace(f"migration v{mapv} copies done ({state['i']} "
+                        f"scanned), committing v{committed.version}", "shard")
 
         step()
 
@@ -3357,36 +2976,21 @@ class KVServer:
             return
         node = self.groups[group]
         inst = instance_of(entry.version)
-        fired = {"done": False}
 
-        def once(value) -> None:
-            if fired["done"]:
-                return
-            fired["done"] = True
+        def decoded(value) -> None:
             if value is None:
-                cont(None, None)
+                cont(None, None)  # the retry pass picks it up
             elif self._is_batch(value.meta):
                 data, size = self._payload_for_key(value, key)
                 cont(size, data)
             else:
                 cont(value.size, value.data)
 
-        # Watchdog: one unreconstructible value must not wedge the
-        # whole migration; the retry pass picks it up.
-        self.sim.call_after(3.0, lambda: once(None))
-        rec = node.chosen.get(inst)
-        if rec is not None:
-            if rec.value is not None:
-                once(rec.value)
-            else:
-                self._with_value(group, inst, rec,
-                                 lambda rec: once(rec.value))
-            return
         share = node.acceptor.accepted_share(inst)
-        if share is None or share.corrupt:
-            once(None)
-            return
-        self._gather_shares(group, inst, share.value_id, share, once)
+        usable = share is not None and not share.corrupt
+        self._decode_or_give_up(group, inst,
+                                share.value_id if usable else None, share,
+                                decoded, rec=node.chosen.get(inst))
 
     def _propose_shard_cmd(self, new_map: ShardMap) -> bool:
         """Replicate a successor map through the config group."""
@@ -3502,11 +3106,8 @@ class KVServer:
             return False
         self.splits_started += 1
         self.metrics.counter("shard.splits").inc(1)
-        self.tracer.emit(
-            self.sim.now, "shard",
-            f"{self.name} split at {boundary!r} -> g{dst} "
-            f"(v{new_map.version})",
-        )
+        self._trace(f"split at {boundary!r} -> g{dst} "
+                    f"(v{new_map.version})", "shard")
         return True
 
     def force_merge(self, group: int | None = None) -> bool:
@@ -3533,9 +3134,6 @@ class KVServer:
             return False
         self.merges_started += 1
         self.metrics.counter("shard.merges").inc(1)
-        self.tracer.emit(
-            self.sim.now, "shard",
-            f"{self.name} merge g{group} -> g{new_map.migrating[3]} "
-            f"(v{new_map.version})",
-        )
+        self._trace(f"merge g{group} -> g{new_map.migrating[3]} "
+                    f"(v{new_map.version})", "shard")
         return True

@@ -303,7 +303,7 @@ class Replica:
         assert all(not n.acceptor.state.instances and not n.chosen
                    for n in srv.groups)
         for group in range(GROUPS):
-            srv._group_rebuilt(group)   # as if a peer had streamed it
+            srv.rebuild.finish_line(group, 0)   # a peer's log, all pulled
 
 
 def script(*names):

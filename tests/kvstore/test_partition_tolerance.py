@@ -162,7 +162,7 @@ class TestElectionEdgeCases:
         observer = c.servers[2]
         # Keep it an observer artificially and kill the leader so its
         # vacancy timer genuinely lapses.
-        observer._rebuild_pending = set(range(len(observer.groups)))
+        observer.rebuild.pending = set(range(len(observer.groups)))
         rounds_before = observer._pre_vote_round
         elections_before = observer.elections_started
         c.crash_server(0)

@@ -13,7 +13,9 @@ from repro.check import (
 )
 from repro.core import rs_paxos
 from repro.kvstore import build_cluster
-from repro.kvstore.messages import FetchSnapshot, SnapshotChunk
+from repro.kvstore.messages import (
+    CatchUpReply, FetchSnapshot, SnapshotChunk,
+)
 from repro.kvstore.shard import instance_of
 
 SIZE = 3000          # theta(3,5) => 1000 B fragment per replica
@@ -125,7 +127,7 @@ class TestWipeRejoin:
 
         srv = c.servers[3]
         assert srv.up
-        assert not srv._rebuild_pending
+        assert not srv.rebuilding
         assert all(not node.observer for node in srv.groups)
         # The rebuild went through snapshot transfer, not log replay of
         # a prefix that no longer exists anywhere.
@@ -152,7 +154,7 @@ class TestWipeRejoin:
         c.run(until=4.0)
         c.rejoin_server(3)
         c.run(until=8.0)
-        assert not c.servers[3]._rebuild_pending
+        assert not c.servers[3].rebuilding
         c.crash_server(4)
         done = pump(c, [("quorum-needs-3", SIZE)])
         c.run(until=12.0)
@@ -172,7 +174,7 @@ class TestWipeRejoin:
         c.rejoin_server(2)
         c.run(until=8.0)
         srv = c.servers[2]
-        assert srv.up and not srv._rebuild_pending
+        assert srv.up and not srv.rebuilding
         for i in range(6):
             assert srv.store.get_entry(f"k{i}") is not None
         assert check_cluster(c.servers, c.servers[0].config) == []
@@ -194,7 +196,7 @@ class TestRebuildTraffic:
         c.run(until=6.0)
         c.rejoin_server(3)
         c.run(until=10.0)
-        assert not c.servers[3]._rebuild_pending
+        assert not c.servers[3].rebuilding
 
         rebuild_bytes = (
             c.metrics.counter("rebuild.snapshot_bytes").value
@@ -298,12 +300,14 @@ class TestSnapshotFloor:
         c = make()
         srv = c.servers[3]
         old = SnapshotChunk(group=0, first=True, floor=5)
-        srv._snap_inflight[0] = "P1"
-        srv._install_snapshot_chunk(
+        # A peer's floor above our cursor starts a transfer from it.
+        srv.rebuild.on_catch_up(CatchUpReply(group=0, floor=10**6), "P1")
+        assert srv.rebuild.streaming == {0: "P1"}
+        srv.rebuild.on_page(
             SnapshotChunk(group=0, first=True, floor=9, next_cursor="k"), "P1")
         before = srv.groups[0].apply_cursor
-        srv._install_snapshot_chunk(SnapshotChunk(group=0), "P1", old)
-        assert srv._snap_inflight == {0: "P1"}
+        srv.rebuild.on_page(SnapshotChunk(group=0), "P1", old)
+        assert srv.rebuild.streaming == {0: "P1"}
         assert srv.groups[0].apply_cursor == before
 
     def test_rejoin_under_write_load_leaves_every_replica_agreeing(self):
