@@ -140,8 +140,11 @@ class Rebuild:
                                lambda: self._poll(group, instance))
 
     def _poll(self, group: int, instance: int) -> None:
-        if not self._alive() or not self._commit_only(group, instance):
-            self._polling.discard((group, instance))  # resolved, or restarted
+        # Over once the value arrived, or once the cursor is past the
+        # instance (a snapshot covered it), or the owner restarted.
+        if (not self._alive() or instance < self._cursor(group)
+                or not self._commit_only(group, instance)):
+            self._polling.discard((group, instance))
             return
         # Again until a peer supplies it: a round may race a partition,
         # or every peer reached may hold it commit-only too. Each poll

@@ -296,8 +296,10 @@ class TestOpenFreeChoice:
 
         With no decoded value kept on a chosen record (catch-up installs
         and snapshot serving stop caching too), the rs-paxos full-spec
-        episode 4 decides instance 150 twice: a value, then
-        ``noop.150``. The caches only hide the bug by re-timing the
+        episode 4 decides instance 179 twice: a value, then
+        ``noop.179``. (It was instance 150 until a missing-value poll
+        stopped once the apply cursor passed its instance, which re-timed
+        the episode.) The caches only hide the bug by re-timing the
         episode. An XPASS without a fix to the free choice means the
         reproducer was re-timed away: find a new seed under the same
         patch."""

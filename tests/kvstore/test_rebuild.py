@@ -14,7 +14,7 @@ from repro.check import (
 from repro.core import rs_paxos
 from repro.kvstore import build_cluster
 from repro.kvstore.messages import (
-    CatchUpReply, FetchSnapshot, SnapshotChunk,
+    CatchUp, CatchUpReply, FetchSnapshot, SnapshotChunk,
 )
 from repro.kvstore.shard import instance_of
 
@@ -346,3 +346,37 @@ class TestSnapshotFloor:
         assert len({n.apply_cursor for s in c.servers for n in s.groups}) == 1
         assert check_store_agreement(c.servers) == []
         assert check_cluster(c.servers, c.servers[0].config) == []
+
+
+class TestMissingValuePoll:
+    def test_poll_stops_once_the_cursor_has_passed_the_instance(
+            self, monkeypatch):
+        """A snapshot install moves the apply cursor past an instance it
+        may hold commit-only (no value, no share) for good: every peer
+        has compacted it. A poll for that value must stop then, not pull
+        the log from it off two peers every 0.5 s for ever. On the
+        parent of the fix ``P4`` sends 14 such requests in 3 s."""
+        c = make()
+        results = pump(c, [(f"k{i}", SIZE) for i in range(12)])
+        c.run(until=4.0)
+        assert all(results) and len(results) == 12
+        srv = c.servers[3]
+        node = srv.groups[0]
+        inst = min(node.chosen)
+        assert inst < node.apply_cursor
+        assert all(s.compact_floor[0] > inst for s in c.servers)
+        node.chosen[inst] = node.chosen[inst]._replace(value=None, share=None)
+        polls = []
+        send = c.net.send
+
+        def counting(src, dst, payload, size):
+            body = getattr(payload, "body", None)
+            if (src == srv.name and isinstance(body, CatchUp)
+                    and body.from_instance == inst):
+                polls.append(c.sim.now)
+            send(src, dst, payload, size)
+
+        monkeypatch.setattr(c.net, "send", counting)
+        node.on_missing_value(inst)
+        c.run(until=7.0)
+        assert polls == []

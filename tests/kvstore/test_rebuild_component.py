@@ -360,3 +360,14 @@ def test_snapshot_page_resumes_after_a_gather_and_skips_unknown_values():
     up[0] = False
     waiting.pop()(None, None, "v2", 0)
     assert sent == []
+
+
+def test_missing_value_poll_stops_once_the_cursor_passed_it():
+    rig = Rig()
+    rig.holes.add((0, 3))
+    rig.rebuild.missing(0, 3)
+    rig.clock.advance(0.0)
+    assert len(rig.asked()) == 2
+    rig.cursor[0] = 9                           # a snapshot covered it
+    rig.clock.advance(MISSING_REPOLL)
+    assert len(rig.asked()) == 2 and rig.clock.pending() == []
