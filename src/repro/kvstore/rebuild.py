@@ -140,8 +140,8 @@ class Rebuild:
                                lambda: self._poll(group, instance))
 
     def _poll(self, group: int, instance: int) -> None:
-        # Over once the value arrived, or once the cursor is past the
-        # instance (a snapshot covered it), or the owner restarted.
+        # Over once the value arrived, once the cursor is past the
+        # instance (a snapshot covered it), or when the owner went down.
         if (not self._alive() or instance < self._cursor(group)
                 or not self._commit_only(group, instance)):
             self._polling.discard((group, instance))

@@ -354,7 +354,8 @@ class TestMissingValuePoll:
         """A snapshot install moves the apply cursor past an instance it
         may hold commit-only (no value, no share) for good: every peer
         has compacted it. A poll for that value must stop then, not pull
-        the log from it off two peers every 0.5 s for ever. On the
+        the log from it off two peers every 0.5 s for ever. The test
+        makes an old, compacted record commit-only by hand. On the
         parent of the fix ``P4`` sends 14 such requests in 3 s."""
         c = make()
         results = pump(c, [(f"k{i}", SIZE) for i in range(12)])
