@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.value import value_digest
 from ..kvstore.messages import Command
 
 
@@ -63,23 +64,35 @@ def _meta_of(rec):
     return None
 
 
+def _learned(node):
+    """(instance, value digest, what to call the value) of everything
+    ``node`` learned: its learner records, and the digests it kept of
+    the ones it retired."""
+    for inst, rec in node.chosen.items():
+        yield inst, value_digest(rec.value_id), repr(rec.value_id)
+    for inst, digest in enumerate(node.retired_digests):
+        if digest:
+            yield inst, digest, f"a retired value (digest {digest:016x})"
+
+
 def check_unique_choice(servers) -> list[Violation]:
-    """No (group, instance) decided with two different value ids."""
+    """No (group, instance) decided with two different value ids —
+    retired instances included, by the digest each server kept."""
     violations = []
     num_groups = len(servers[0].groups) if servers else 0
     for g in range(num_groups):
-        decided: dict[int, tuple[str, str]] = {}  # instance -> (vid, server)
+        # instance -> (digest, value as named, server)
+        decided: dict[int, tuple[int, str, str]] = {}
         for srv in servers:
-            for inst, rec in srv.groups[g].chosen.items():
+            for inst, digest, named in _learned(srv.groups[g]):
                 prior = decided.get(inst)
                 if prior is None:
-                    decided[inst] = (rec.value_id, srv.name)
-                elif prior[0] != rec.value_id:
+                    decided[inst] = (digest, named, srv.name)
+                elif prior[0] != digest:
                     violations.append(Violation(
                         "unique-choice",
-                        f"group {g} instance {inst}: {prior[1]} learned "
-                        f"{prior[0]!r} but {srv.name} learned "
-                        f"{rec.value_id!r}",
+                        f"group {g} instance {inst}: {prior[2]} learned "
+                        f"{prior[1]} but {srv.name} learned {named}",
                     ))
     return violations
 
@@ -120,44 +133,45 @@ def _live_put_instances(srvs, group: int) -> dict[int, str]:
     """Decided put instances whose bytes must still be reconstructible,
     as ``{instance: value_id}`` unioned across ``srvs``.
 
-    A put that is both *superseded* (a later chosen put overwrote the
-    same key) and *compacted* (below some replica's checkpoint floor)
-    is exempt: snapshot rebuild streams only the latest surviving
-    version per key, so fragments of overwritten pre-floor versions
-    disappear by design as wiped replicas are rebuilt — the state
-    machine no longer needs them, and a probe demanding them would
-    flag healthy clusters after >=2 distinct wipe/rebuild cycles.
+    A put that is both *superseded* and *compacted* (below some
+    replica's checkpoint floor) is exempt. Superseded means the newest
+    version any of ``srvs`` stores for its key is another one: a later
+    put or a delete overwrote it, or it never took effect (a retry the
+    exactly-once table dropped). Snapshot rebuild streams only the
+    newest version per key, so fragments of the others disappear by
+    design as wiped replicas are rebuilt, and a checkpoint retires them
+    on every replica that took it (DESIGN.md §5) — the state machine no
+    longer needs them, and a probe demanding them would flag healthy
+    clusters after >=2 distinct wipe/rebuild cycles, or once a replica
+    that lags behind is the last to hold a record of them.
 
     Supersession is *cross-group*: under dynamic sharding a store
     version encodes the shard-map era above the Paxos instance
-    (``(mapv << 48) | instance``), and a migrated key's later-era
+    (``(mapv << 48) | instance``), so a migrated key's later-era
     ``copy``/put in its new owner group supersedes the old group's
     instances — which would otherwise stay pinned forever once the key
     stops being written in the old group. Static mode (era always 0,
-    one owner per key) degenerates to the original per-group rule.
+    one owner per key) degenerates to a per-group rule.
     """
     instances: dict[int, str] = {}
-    key_of: dict[int, str] = {}
-    enc_of: dict[int, int] = {}
-    latest: dict[str, int] = {}  # key -> max encoded version, any group
-    num_groups = len(srvs[0].groups) if srvs else 0
-    for g in range(num_groups):
-        for srv in srvs:
-            for inst, rec in srv.groups[g].chosen.items():
-                meta = _meta_of(rec)
-                if not _is_live_put(meta):
-                    continue
-                enc = (meta.mapv << 48) | inst
-                if g == group:
-                    instances.setdefault(inst, rec.value_id)
-                    key_of.setdefault(inst, meta.key)
-                    enc_of.setdefault(inst, enc)
-                if enc > latest.get(meta.key, -1):
-                    latest[meta.key] = enc
+    enc_of: dict[int, tuple[str, int]] = {}  # instance -> (key, version)
+    for srv in srvs:
+        for inst, rec in srv.groups[group].chosen.items():
+            meta = _meta_of(rec)
+            if _is_live_put(meta):
+                instances.setdefault(inst, rec.value_id)
+                enc_of.setdefault(inst, (meta.key, (meta.mapv << 48) | inst))
+    latest: dict[str, int] = {}  # key -> newest version stored anywhere
+    for srv in srvs:
+        for key in srv.store.keys():
+            version = srv.store.get_entry(key).version
+            if version > latest.get(key, -1):
+                latest[key] = version
     floor = max((srv.compact_floor[group] for srv in srvs), default=0)
     return {
         inst: vid for inst, vid in instances.items()
-        if inst >= floor or latest[key_of[inst]] == enc_of[inst]
+        if inst >= floor
+        or latest.get(enc_of[inst][0], enc_of[inst][1]) == enc_of[inst][1]
     }
 
 

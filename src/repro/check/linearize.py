@@ -22,7 +22,13 @@ Operation semantics (register model, §4.4):
 - A **failed or still-pending write** is a *maybe*: the request may
   have committed after the client gave up (a retry can land long after
   the last response the client saw), so it may take effect at any time
-  ≥ its invocation — or never. Both branches are explored.
+  ≥ its invocation — or never. Both branches are explored, except
+  for a maybe-write whose value no completed read returned: it is
+  dropped before the search. Had it taken effect, no read fell between
+  it and the next write (that read would have returned its value), so
+  removing it from a linearization leaves a linearization; and a
+  linearization without it is one with it omitted. A maybe-delete
+  (value ``None``) stays when some read returned ``None``.
 - A **completed read** (fast or consistent) must observe, within its
   window, exactly the register value its reply carried (the returned
   size; ``None`` for NotFound).
@@ -92,7 +98,10 @@ def _to_lin_ops(records: Iterable[OpRecord]) -> list[LinOp] | None:
                 # after invoke.
                 ops.append(LinOp(rec.hid, "write", value, rec.invoke,
                                  _INF, optional=True))
-    return ops if interesting else None
+    if not interesting:
+        return None
+    observed = {op.value for op in ops if op.kind == "read"}
+    return [op for op in ops if not op.optional or op.value in observed]
 
 
 def check_key(

@@ -21,12 +21,20 @@ acceptor granted (its ``ballot`` both promised and accepted, its
 that makes the vote durable, so one vote is one object — live state,
 log, checkpoint and a recovered replica share it, and a changed vote is
 a different one (DESIGN.md §4 "Durable records are immutable values").
+
+Retirement: once a checkpoint that covers every instance below its
+floor is durable, the records below that floor whose values no live
+key still names are dropped (:meth:`Acceptor.retire`). The floor is
+kept as ``retired_below`` and reported in every promise; below it an
+instance is chosen, and a proposer that sees the floor neither re-drives
+nor free-chooses there (:meth:`PaxosNode._finish_prepare`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..storage import retirable
 from .ballot import NULL_BALLOT, Ballot
 from .messages import META_BYTES, Accept, Accepted, Nack, Prepare, Promise
 from .value import CodedShare
@@ -38,6 +46,7 @@ class AcceptorState:
 
     floor: Ballot = NULL_BALLOT
     instances: dict[int, Accept] = field(default_factory=dict)
+    retired_below: int = 0
 
 
 class Acceptor:
@@ -77,6 +86,7 @@ class Acceptor:
             ballot=msg.ballot,
             from_instance=msg.from_instance,
             accepted=accepted,  # type: ignore[arg-type]
+            retired_below=self.state.retired_below,
         )
         return reply, META_BYTES
 
@@ -107,12 +117,23 @@ class Acceptor:
         )
         return reply, META_BYTES + msg.share.size
 
-    # -- recovery ------------------------------------------------------------
+    # -- retirement and recovery -----------------------------------------------
+
+    def retire(self, below: int, keep) -> None:
+        """Drop the votes of every instance below ``below`` except those
+        in ``keep``, and raise ``retired_below`` to ``below``. The caller
+        guarantees every instance below ``below`` is chosen."""
+        state = self.state
+        state.retired_below = max(state.retired_below, below)
+        instances = state.instances
+        for inst in retirable(instances, below, keep):
+            del instances[inst]
 
     def snapshot(self) -> AcceptorState:
         """Independent copy of the durable state (its own map over the
         same immutable records): unmoved while voting continues."""
-        return AcceptorState(self.state.floor, dict(self.state.instances))
+        return AcceptorState(self.state.floor, dict(self.state.instances),
+                             self.state.retired_below)
 
     def restore_state(self, state: AcceptorState) -> None:
         """Install recovered durable state (after a crash)."""

@@ -39,12 +39,17 @@ class Promise:
 
     ``accepted`` maps instance -> (ballot, coded share) for every
     instance >= the prepare's from_instance where this acceptor had
-    accepted a proposal.
+    accepted a proposal and still holds the vote. ``retired_below`` is
+    the acceptor's durable retirement floor: every instance below it is
+    chosen, and some of their votes are gone (DESIGN.md §4 "Durable
+    records are immutable values"). It rides in the fixed metadata, so
+    the wire size is unchanged.
     """
 
     ballot: Ballot
     from_instance: int
     accepted: dict[int, tuple[Ballot, CodedShare]] = field(default_factory=dict)
+    retired_below: int = 0
 
     @property
     def wire_bytes(self) -> int:

@@ -24,12 +24,13 @@ flush-completion callback (§4.5).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 from ..rpc import Batch, RpcEndpoint
 from ..sim import NULL_TRACER, Simulator, Tracer
-from ..storage import WriteAheadLog
+from ..storage import WriteAheadLog, retirable
 from .acceptor import Acceptor, AcceptorState
 from .ballot import NULL_BALLOT, Ballot
 from .messages import (
@@ -50,6 +51,7 @@ from .value import (
     encode_one_share,
     encode_value,
     fresh_value_id,
+    value_digest,
 )
 
 AnyConfig = Union[ProtocolConfig, UnsafeProtocolConfig]
@@ -129,6 +131,13 @@ class PaxosNode:
         self.chosen: dict[int, ChosenRecord] = {}
         self.next_instance = 0
         self.apply_cursor = 0
+        # The value digest (value.value_digest) of every instance whose
+        # learner record was retired, by instance (0 where none was):
+        # what this node learned there, for a late learn and the
+        # unique-choice probe — eight bytes, not a record. It costs no
+        # modeled bytes and rides on the durable checkpoint, so a crash
+        # keeps it and a wipe loses it (:meth:`retire_records`).
+        self.retired_digests = array("Q")
 
         # Leader state.
         self.is_leader = False
@@ -139,6 +148,10 @@ class PaxosNode:
         self._pending_commits: list[Commit] = []
         self._commit_timer = None
         self._down = False
+        # (floor, host) while the apply cursor is short of a retirement
+        # floor this node skipped to as leader: every stall below it
+        # asks ``host`` first (_finish_prepare).
+        self._floor_source: tuple[int, str] | None = None
         # Observer mode (rebuild safety): a replica recovering from
         # total local-state loss has forgotten its promises and accepted
         # votes, so letting it vote again could un-promise the past and
@@ -155,8 +168,11 @@ class PaxosNode:
         # Called when the apply cursor stalls on an instance whose
         # decision id is known (via a Commit) but whose command is not
         # (neither a full value nor an accepted share) — the KV layer
-        # fetches the missing value through catch-up (§4.5).
-        self.on_missing_value: Callable[[int], None] | None = None
+        # fetches the missing value through catch-up (§4.5). A leader
+        # that skipped to a promiser's retirement floor calls it too,
+        # naming that promiser's host: it holds the instances, or a
+        # checkpoint past them.
+        self.on_missing_value: Callable[..., None] | None = None
         # Lease guard (§4.3): if set, called with the incoming Prepare
         # ballot; returns 0 to promise now, else how long to defer the
         # prepare before re-checking (a challenger must wait out the
@@ -177,9 +193,11 @@ class PaxosNode:
         self.wal.crash()
         self.acceptor = Acceptor(self.node_id)
         self.chosen.clear()
+        self.retired_digests = array("Q")  # the checkpoint keeps the old
         self._inflight.clear()
         self._decide_cbs.clear()
         self._pending_commits.clear()
+        self._floor_source = None
         self.is_leader = False
         self.leader_ballot = None
         self._max_ballot_seen = NULL_BALLOT
@@ -201,6 +219,8 @@ class PaxosNode:
             msg = rec.payload
             if isinstance(msg, Prepare):
                 state.floor = max(state.floor, msg.ballot)
+            elif self.retired(msg.instance):
+                pass  # retired by the checkpoint: that vote stays gone
             else:
                 if not rec.valid and not msg.share.corrupt:
                     msg = Accept(msg.instance, msg.ballot, msg.share.corrupted())
@@ -216,12 +236,19 @@ class PaxosNode:
     def export_cursors(self) -> dict:
         """The scalars of this group's durable state, which every
         checkpoint replaces in full (the per-instance records it only
-        appends to: ``KVServer.checkpoint_now``)."""
+        appends to: ``KVServer.checkpoint_now``). A checkpoint retires
+        the records below its apply cursor once it is durable
+        (:meth:`retire_records`), so that cursor is the
+        ``retired_below`` it names; the retired digests ride along by reference,
+        uncharged — they change only when a checkpoint turns durable,
+        and are then that checkpoint's."""
         return {
             "floor": self.acceptor.state.floor,
             "apply_cursor": self.apply_cursor,
             "next_instance": self.next_instance,
             "max_ballot": self._max_ballot_seen,
+            "retired_below": self.apply_cursor,
+            "retired_digests": self.retired_digests,
         }
 
     def install_snapshot(self, cursors: dict, acc: dict, chosen: dict) -> None:
@@ -231,11 +258,51 @@ class PaxosNode:
         maps are copied (a later crash loads the same durable ones
         again), the records shared. ``max_ballot`` merges (never
         regresses a ballot learned since the snapshot)."""
-        self.acceptor.restore_state(AcceptorState(cursors["floor"], dict(acc)))
+        self.acceptor.restore_state(AcceptorState(
+            cursors["floor"], dict(acc), cursors["retired_below"]))
+        self.retired_digests = cursors["retired_digests"]
         self.chosen = dict(chosen)
         self.apply_cursor = cursors["apply_cursor"]
         self.next_instance = max(self.next_instance, cursors["next_instance"])
         self._max_ballot_seen = max(self._max_ballot_seen, cursors["max_ballot"])
+
+    def retire_records(self, below: int, keep) -> None:
+        """Forget the acceptor and learner records of every instance
+        below ``below`` except those in ``keep``, once a durable
+        checkpoint covers them all (every one is chosen and applied).
+        A retired learner record leaves the digest of its value id in
+        ``retired_digests``; a later learn of the instance is checked
+        against it and otherwise ignored."""
+        self.acceptor.retire(below, keep)
+        chosen, digests = self.chosen, self.retired_digests
+        for inst in retirable(chosen, below, keep):
+            if inst >= len(digests):
+                digests.frombytes(bytes(8 * (inst + 1 - len(digests))))
+            digests[inst] = value_digest(chosen.pop(inst).value_id)
+
+    def retired(self, instance: int) -> bool:
+        """Below the retirement floor with no learner record left: a
+        durable checkpoint covers the instance, this node keeps nothing
+        of it but the digest, and no leader will ask for a vote there."""
+        return (instance < self.acceptor.state.retired_below
+                and instance not in self.chosen)
+
+    def retired_digest(self, instance: int) -> int:
+        """The digest of the value id this node learned for
+        ``instance`` before it retired the record, or 0."""
+        digests = self.retired_digests
+        return digests[instance] if instance < len(digests) else 0
+
+    def _learn_retired(self, instance: int, value_id: str) -> None:
+        """A learn of an instance below the retirement floor that has no
+        record left changes nothing, but must agree with what was
+        retired."""
+        known = self.retired_digest(instance)
+        if known and known != value_digest(value_id):
+            raise ConsistencyViolation(
+                f"instance {instance} decided twice: a retired value "
+                f"then {value_id!r}"
+            )
 
     # ------------------------------------------------------------------
     # acceptor handlers
@@ -345,9 +412,20 @@ class PaxosNode:
         self.leader_ballot = ballot
         results = scan_promises(list(tracker.promises.values()))
         max_started = max(results, default=from_instance - 1)
-        self.next_instance = max(self._first_unchosen(), max_started + 1)
+        # Below a promiser's retirement floor every instance is chosen
+        # and votes may be gone, so the scan could not tell a chosen
+        # value from none: never re-drive (or free-choose) there. The
+        # apply cursor gets there by catch-up or snapshot instead.
+        floor = tracker.retired_below
+        self.next_instance = max(self._first_unchosen(), max_started + 1,
+                                 floor)
+        if self.apply_cursor < floor:
+            source = max(tracker.promises,
+                         key=lambda a: tracker.promises[a].retired_below)
+            self._floor_source = (floor, self.peers[source])
+            self._toward_floor()
         # Re-drive every unfinished instance visible in the promises.
-        for inst in range(from_instance, max_started + 1):
+        for inst in range(max(from_instance, floor), max_started + 1):
             if inst in self.chosen:
                 continue
             scan = results.get(inst)
@@ -438,6 +516,14 @@ class PaxosNode:
                 return
             if isinstance(reply, Promise) and tracker.record(acceptor_id, reply):
                 state["resolved"] = True
+                if instance < tracker.retired_below:
+                    # Chosen already, maybe with its votes retired: take
+                    # a fresh instance above the floor instead.
+                    self.next_instance = max(self.next_instance,
+                                             tracker.retired_below)
+                    if retries > 0:
+                        self.propose_canonical(value, on_decided, retries - 1)
+                    return
                 results = scan_promises(list(tracker.promises.values()))
                 scan = results.get(instance)
                 chosen_value = value
@@ -560,6 +646,9 @@ class PaxosNode:
         self, instance: int, ballot: Ballot, value_id: str, value: Value | None
     ) -> None:
         existing = self.chosen.get(instance)
+        if existing is None and instance < self.acceptor.state.retired_below:
+            self._learn_retired(instance, value_id)
+            return
         if existing is not None:
             # Consistency: a decided instance never changes its value.
             if existing.value_id != value_id:
@@ -598,6 +687,18 @@ class PaxosNode:
             if self.on_apply is not None:
                 self.on_apply(self.apply_cursor, rec)
             self.apply_cursor += 1
+        if self._floor_source is not None:
+            self._toward_floor()
+
+    def _toward_floor(self) -> None:
+        """Stalled short of the retirement floor this leader skipped to:
+        fetch from the promiser that named it, which holds the instances
+        or a checkpoint past them; a snapshot covers the rest."""
+        floor, source = self._floor_source
+        if self.apply_cursor >= floor:
+            self._floor_source = None
+        elif self.on_missing_value is not None:
+            self.on_missing_value(self.apply_cursor, source)
 
     # ------------------------------------------------------------------
     # recovery reads / catch-up support
@@ -619,7 +720,7 @@ class PaxosNode:
         stamped on them and remain decodable as long as the new quorums
         overlap >= old X survivors.
         """
-        if self._inflight:
+        if self._inflight and (config != self.config or peers != self.peers):
             # A committed view landing while this node still has its own
             # proposals in flight means the proposer lost a leadership
             # race: the winning leader drained before proposing, so only
@@ -628,6 +729,9 @@ class PaxosNode:
             # Paxos-safe: an accepted-but-unchosen value is either
             # completed or out-balloted by the next prepare; refusing
             # instead would wedge this replica on the view it must adopt.
+            # The view it already has (a leader catching up to a
+            # retirement floor by snapshot re-applies it) supersedes
+            # nothing.
             for inst in list(self._inflight):
                 self._inflight.pop(inst, None)
                 self._decide_cbs.pop(inst, None)
@@ -659,6 +763,9 @@ class PaxosNode:
     def install_chosen(self, instance: int, rec: ChosenRecord) -> None:
         """Install an externally learned decision (catch-up, §4.5) and
         advance the apply cursor. Consistency-checked like any learn."""
+        if self.retired(instance):
+            self._learn_retired(instance, rec.value_id)
+            return
         if instance in self.chosen:
             existing = self.chosen[instance]
             if existing.value_id != rec.value_id:

@@ -176,3 +176,12 @@ class PromiseTracker:
     @property
     def complete(self) -> bool:
         return len(self.promises) >= self.quorum
+
+    @property
+    def retired_below(self) -> int:
+        """The highest retirement floor among the promises: every
+        instance below it is chosen, and a promiser may have forgotten
+        its vote there, so the proposer must neither re-drive nor
+        free-choose it."""
+        return max((p.retired_below for p in self.promises.values()),
+                   default=0)

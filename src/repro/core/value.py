@@ -17,6 +17,7 @@ on.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass
 from typing import Any
@@ -29,6 +30,14 @@ _value_seq = itertools.count()
 def fresh_value_id(proposer: int) -> str:
     """A globally unique value id (§3.2: proposals carry a value id)."""
     return f"v{proposer}.{next(_value_seq)}"
+
+
+def value_digest(value_id: str) -> int:
+    """A nonzero 64-bit digest of a value id, the same in every process:
+    what a replica keeps of a value it retired (PaxosNode.retire_records)
+    instead of the id string."""
+    digest = hashlib.blake2b(value_id.encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "little") | 1
 
 
 @dataclass(frozen=True, slots=True)

@@ -55,8 +55,9 @@ class Rebuild:
     something with ``cancel()``; ``sources`` has ShareFetch's
     ``ranked()`` / ``started(host)`` / ``finished(host)``; ``alive()``
     says whether the owner is up. The owner's state: ``cursor(group)``,
-    its apply cursor, and ``commit_only(group, instance)``, true while a
-    record names its value but holds neither it nor a share. The owner's
+    its apply cursor, and ``unknown(group, instance)``, true while it
+    does not know the instance's command: no record, or one that names
+    its value but holds neither it nor a share. The owner's
     I/O: ``install_entries(reply)``, ``install_page(chunk)``,
     ``adopt(first)`` (after the last page, the metadata on the first)
     and ``on_rebuilt(group)`` (fence ballots, vote again). ``count(name,
@@ -66,7 +67,7 @@ class Rebuild:
     def __init__(
         self, clock, *, sources, request: Callable[..., int],
         alive: Callable[[], bool], cursor: Callable[[int], int],
-        commit_only: Callable[[int, int], bool],
+        unknown: Callable[[int, int], bool],
         install_entries: Callable[[CatchUpReply], None],
         install_page: Callable[[SnapshotChunk], None],
         adopt: Callable[[SnapshotChunk], None],
@@ -78,7 +79,7 @@ class Rebuild:
         self._request = request
         self._alive = alive
         self._cursor = cursor
-        self._commit_only = commit_only
+        self._unknown = unknown
         self._install_entries = install_entries
         self._install_page = install_page
         self._adopt = adopt
@@ -126,39 +127,48 @@ class Rebuild:
         if self._alive():
             self._fan_out(group, self._cursor(group))
 
-    def missing(self, group: int, instance: int) -> None:
-        """The apply cursor stalled on ``instance``, which it knows by
-        a Commit alone: the chosen value's id, not its command (the
-        Accept never reached us, or we accepted a losing proposal).
+    def missing(self, group: int, instance: int,
+                source: str | None = None) -> None:
+        """The apply cursor stalled on ``instance``, whose command it
+        does not know: a Commit named the chosen value's id (the Accept
+        never reached us, or we accepted a losing proposal), or nothing
+        did (a new leader skipped to a promiser's retirement floor).
         Poll peers for it rather than apply a blind noop, which would
-        silently diverge this replica."""
+        silently diverge this replica — ``source`` first, if given: a
+        peer known to hold it (the promiser that named the floor)."""
         key = (group, instance)
         if not self._alive() or key in self._polling:
             return
         self._polling.add(key)
         self._clock.call_after(MISSING_DEFER,
-                               lambda: self._poll(group, instance))
+                               lambda: self._poll(group, instance, source))
 
-    def _poll(self, group: int, instance: int) -> None:
+    def _poll(self, group: int, instance: int,
+              source: str | None = None) -> None:
         # Over once the value arrived, once the cursor is past the
         # instance (a snapshot covered it), or when the owner went down.
         if (not self._alive() or instance < self._cursor(group)
-                or not self._commit_only(group, instance)):
+                or not self._unknown(group, instance)):
             self._polling.discard((group, instance))
             return
         # Again until a peer supplies it: a round may race a partition,
         # or every peer reached may hold it commit-only too. Each poll
         # re-ranks, so a dead best-ranked source stops being first pick.
-        self._fan_out(group, instance)
+        self._fan_out(group, instance, source)
         self._clock.call_after(MISSING_REPOLL,
-                               lambda: self._poll(group, instance))
+                               lambda: self._poll(group, instance, source))
 
-    def _fan_out(self, group: int, start: int) -> None:
-        """Ask the two best-ranked peers, widening to the next-ranked
-        each time one times out: a healthy steady state ships about two
-        page streams, not N-1. Not a ShareFetch gather: it takes every
-        reply and never hedges or cancels."""
-        hosts = iter(self._sources.ranked())
+    def _fan_out(self, group: int, start: int,
+                 first: str | None = None) -> None:
+        """Ask the two best-ranked peers (``first`` ahead of them, if
+        given), widening to the next-ranked each time one times out: a
+        healthy steady state ships about two page streams, not N-1. Not
+        a ShareFetch gather: it takes every reply and never hedges or
+        cancels."""
+        ranked = self._sources.ranked()
+        if first is not None:
+            ranked = [first, *(host for host in ranked if host != first)]
+        hosts = iter(ranked)
 
         def issue_one() -> None:
             host = next(hosts, None) if self._alive() else None

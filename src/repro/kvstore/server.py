@@ -35,6 +35,7 @@ from ..storage import (
     CheckpointStore,
     Disk,
     DiskSpec,
+    HeldRecords,
     LocalStore,
     WalView,
     WriteAheadLog,
@@ -88,7 +89,7 @@ from .messages import (
 from .membership import AccrualFailureDetector, RepairController
 from .rebuild import Rebuild, catch_up_page, snapshot_page
 from .sharefetch import ShareFetch
-from .shard import ShardMap, encode_version, era_of, instance_of
+from .shard import ShardMap, encode_version, era_of, instance_of, named_instances
 
 
 #: Load-driven rebalancer (``_rebalance``): split the hottest range
@@ -130,17 +131,6 @@ class _PendingBatch:
     def add(self, entry: _BatchEntry) -> None:
         self.entries.append(entry)
         self.frame_bytes += entry_size(entry.key, entry.client, entry.size)
-
-
-def changed_records(live: dict, held: dict) -> dict:
-    """The records of ``live`` that a checkpoint holding ``held`` lacks:
-    those that differ *by identity*. Durable records are immutable and
-    every writer replaces (DESIGN.md §4), so a changed record is a
-    different object and this scan — one pointer comparison per record,
-    nothing allocated for an unchanged one — cannot miss a write site
-    the way a dirty set can."""
-    get = held.get
-    return {inst: rec for inst, rec in live.items() if get(inst) is not rec}
 
 
 def _reply(respond, msg) -> None:
@@ -221,8 +211,8 @@ class KVServer:
             )
             node.on_apply = self._make_apply_hook(g)
             node.on_preempted = lambda ballot, g=g: self._on_preempted(g)
-            node.on_missing_value = (
-                lambda instance, g=g: self.rebuild.missing(g, instance))
+            node.on_missing_value = (lambda instance, source=None, g=g:
+                                     self.rebuild.missing(g, instance, source))
             node.prepare_gate = self._prepare_gate
             self.groups.append(node)
 
@@ -327,7 +317,7 @@ class KVServer:
             sim, sources=self.fetch, request=self.endpoint.request,
             alive=lambda: self.up,
             cursor=lambda group: self.groups[group].apply_cursor,
-            commit_only=self._commit_only,
+            unknown=self._unknown,
             install_entries=self._install_entries,
             install_page=self._install_page, adopt=self._adopt_snapshot,
             on_rebuilt=self._vote_again,
@@ -360,12 +350,12 @@ class KVServer:
         # apply cursor the latest checkpoint captured for group ``g`` —
         # instances below it can no longer be served entry-by-entry
         # (CatchUp); a peer that far behind gets snapshot transfer.
-        # ``_ckpt_held`` is what the durable checkpoint holds, the merge
-        # of its segments (and shaped like one: per group the acceptor
-        # and learner records by instance, plus the dedup keys); it
-        # advances only when a save turns durable.
+        # ``_ckpt_held`` indexes the records the durable checkpoint's
+        # segments hold (per group the acceptor, then the learner records
+        # by instance) and ``_ckpt_applied`` is their dedup keys; both
+        # advance only when a save turns durable.
         self.checkpoint_store = CheckpointStore(sim, self.disk, f"{name}.ckpt")
-        self._ckpt_held = self._empty_segment()
+        self._reset_held()
         self._ckpt_inflight = False
         self.last_checkpoint_at: float | None = None
         self.compact_floor: list[int] = [0] * len(self.groups)
@@ -543,7 +533,7 @@ class KVServer:
         self.up = True
         self.net.recover_host(self.name)
         ckpt = self.checkpoint_store.load()
-        self._ckpt_held = self._empty_segment()
+        self._reset_held()
         if ckpt is not None:
             self._install_checkpoint(ckpt.payload)
         else:  # absent or rotten: the next checkpoint starts over
@@ -1648,11 +1638,15 @@ class KVServer:
                 self._decoded_once[key] = entry.version
             self._reply_read(key, size, data, start, respond)
 
-        self._gather_shares(group, instance, value_id, share, on_value)
+        def gone() -> bool:  # overwritten, and this node retired it since
+            return (self.store.get_entry(key) is not entry
+                    and node.retired(instance))
 
-    def _gather_shares(
-        self, group: int, instance: int, value_id: str, seed_share, on_value
-    ) -> None:
+        self._gather_shares(group, instance, value_id, share, on_value, gone,
+                            lambda: self._serve_read(key, start, respond))
+
+    def _gather_shares(self, group: int, instance: int, value_id: str,
+                       seed_share, on_value, gone=None, on_gone=None) -> None:
         """Collect coded shares of a decided value from peers until it
         is reconstructible, then call ``on_value(value)``.
 
@@ -1661,7 +1655,8 @@ class KVServer:
         before a view change keep their original θ(X, N) and must be
         gathered under it. Whom to ask, how many at once, hedging and
         cycling are ``ShareFetch.gather``'s; a reader is waiting, so
-        each fetch gets 8 retransmissions and an exhausted list cycles.
+        each fetch gets 8 retransmissions and an exhausted list cycles
+        — until ``gone()``: then ``on_gone()`` (no peer may hold them).
         """
         node = self.groups[group]
         shares: dict[int, object] = {}
@@ -1685,10 +1680,10 @@ class KVServer:
         req = FetchShare(group=group, instance=instance, value_id=value_id)
         self.fetch.gather(
             req, req.wire_bytes, offer=offer,
-            missing=lambda: max(0, (
+            missing=lambda: 0 if gone and gone() else max(0, (
                 first().config.x if shares else node.config.coding.x
             ) - len(shares)),
-            on_done=lambda: on_value(
+            on_done=lambda: on_gone() if gone and gone() else on_value(
                 node.decode_from_shares(list(shares.values()))),
             timeout=0.5, retries=8,
         )
@@ -1735,9 +1730,10 @@ class KVServer:
         Generator (a named simulator substream, for determinism).
         Returns False when the server holds no accept records to rot.
         """
-        candidates = [
+        candidates = [  # retained votes only: a retired one is gone
             rec for rec in self.wal.durable
             if rec.valid and isinstance(rec.payload, Accept)
+            and not self.groups[rec.tag].retired(rec.payload.instance)
         ]
         if candidates:
             rec = candidates[int(rng.integers(len(candidates)))]
@@ -1786,16 +1782,23 @@ class KVServer:
         ):
             rec = node.chosen[instance] = rec._replace(
                 share=rec.share.corrupted())
-            for key in self._put_keys_of(rec.share.meta):
-                entry = self.store.get(key)
-                if (
-                    entry is not None
-                    and instance_of(entry.version) == instance
-                    and entry.group in (-1, group)
-                    and not entry.complete
-                    and isinstance(entry.value, CodedShare)
-                ):
+            for entry in self._entries_at(group, instance, rec.share.meta):
+                if not entry.complete and isinstance(entry.value, CodedShare):
                     entry.value = rec.share
+
+    def _entries_at(self, group: int, instance: int, meta) -> list:
+        """The store entries of the keys ``meta`` put that still name
+        ``instance`` of ``group`` as their version."""
+        return [e for e in map(self.store.get, self._put_keys_of(meta))
+                if e is not None and instance_of(e.version) == instance
+                and e.group in (-1, group)]
+
+    def _retirable(self, group: int, instance: int, meta) -> bool:
+        """Has a checkpoint retired ``instance``, or will the next one?
+        Below the floor, a put no key's stored version names any more."""
+        return self.groups[group].retired(instance) or (
+            bool(self._put_keys_of(meta)) and instance < self.compact_floor[group]
+            and not self._entries_at(group, instance, meta))
 
     def scrub_now(self) -> None:
         """One scrub pass: verify every durable record's checksum and
@@ -1859,14 +1862,15 @@ class KVServer:
         my_index = share.index
         key = (group, instance)
         rec = node.chosen.get(instance)
-        if rec is not None and rec.value_id != value_id:
-            # Rotten vote for a *losing* proposal: the instance decided
-            # a different value, so this share can never be needed by
-            # any future scan (a later proposal of value_id would
-            # contradict the decision). Its bytes may be globally
-            # unreconstructible — quarantine instead: rewrite the
-            # record checksum-valid with the share durably flagged
-            # corrupt, preserving the vote metadata.
+        if (rec is not None and rec.value_id != value_id
+                or self._retirable(group, instance, share.meta)):
+            # Rotten vote for a *losing* proposal, or one a checkpoint
+            # retires: no future scan needs this share (a later proposal
+            # of value_id would contradict the decision; none drives
+            # below a floor, and no store names it for a read).
+            # Its bytes may be globally unreconstructible — quarantine:
+            # rewrite the record checksum-valid with the share durably
+            # flagged corrupt, preserving the vote metadata.
             if lsn is not None:
                 self.wal.rewrite_record(
                     lsn, Accept(instance, vote.ballot, share.corrupted()),
@@ -1960,16 +1964,9 @@ class KVServer:
         if rec is not None and rec.value_id == fixed.value_id:
             if rec.share is None or rec.share.corrupt:
                 node.chosen[instance] = rec._replace(share=fixed)
-            for key in self._put_keys_of(fixed.meta):
-                entry = self.store.get(key)
-                if (
-                    entry is not None
-                    and instance_of(entry.version) == instance
-                    and entry.group in (-1, group)
-                    and not entry.complete
-                ):
-                    entry.value = fixed
-                    entry.size = fixed.size
+            for entry in self._entries_at(group, instance, fixed.meta):
+                if not entry.complete:
+                    entry.value, entry.size = fixed, fixed.size
         self._scrubbing.discard((group, instance))
         self.metrics.counter("scrub.repaired").inc(1)
         self.metrics.counter("scrub.repair_bytes").inc(repair_bytes)
@@ -2015,20 +2012,18 @@ class KVServer:
             "group_floors": group_floors,
             "shard_map": self.shard_map,
         }
-        held = self._ckpt_held
         segment = {
-            "groups": [(changed_records(node.acceptor.state.instances, acc),
-                        changed_records(node.chosen, chosen))
-                       for node, (acc, chosen)
-                       in zip(self.groups, held["groups"])],
-            "applied_ops": self.applied.since(held["applied_ops"]),
+            "groups": [self._ckpt_held.changed(
+                g, node.acceptor.state.instances, node.chosen)
+                for g, node in enumerate(self.groups)],
+            "applied_ops": self.applied.since(self._ckpt_applied),
         }
 
         def durable() -> None:
             if not self.up:
                 return
             self._ckpt_inflight = False
-            self._hold_segment(segment)
+            self._hold_segment(segment, state)
             self.last_checkpoint_at = self.sim.now
             self.compact_floor = list(group_floors)
             dropped, dbytes = self.wal.truncate_prefix(floor_lsn)
@@ -2056,19 +2051,25 @@ class KVServer:
             segment, self._segment_size(segment))
         return True
 
-    def _empty_segment(self) -> dict:
-        """``_ckpt_held`` of a server with no durable checkpoint."""
-        return {"groups": [({}, {}) for _ in self.groups],
-                "applied_ops": AppliedOps()}
+    def _reset_held(self) -> None:
+        """What a server with no durable checkpoint holds: nothing."""
+        self._ckpt_held = HeldRecords(len(self.groups), 2)
+        self._ckpt_applied = AppliedOps()
 
-    def _hold_segment(self, segment: dict) -> None:
-        """Fold a segment that is durable into ``_ckpt_held``."""
-        held = self._ckpt_held
-        for (held_acc, held_chosen), (acc, chosen) in zip(
-                held["groups"], segment["groups"]):
-            held_acc.update(acc)
-            held_chosen.update(chosen)
-        held["applied_ops"].merge(segment["applied_ops"])
+    def _hold_segment(self, segment: dict, state: dict | None = None) -> None:
+        """Fold a durable segment into what the checkpoint holds; given
+        the state part saved with it, retire at once, in every group, the
+        records below its floor that its store names as no key's version
+        (DESIGN.md §5): the keys plus what it retires, never history."""
+        floors = None
+        if state is not None:
+            keep = named_instances(state["store"].values(), len(self.groups))
+            floors = [(c["retired_below"], k)
+                      for c, k in zip(state["groups"], keep)]
+            for node, (below, kept) in zip(self.groups, floors):
+                node.retire_records(below, kept)
+        self._ckpt_held.hold(segment["groups"], floors)
+        self._ckpt_applied.merge(segment["applied_ops"])
 
     @staticmethod
     def _segment_size(segment: dict) -> int:
@@ -2088,13 +2089,11 @@ class KVServer:
         the state part, then every segment merged oldest-first."""
         for segment in self.checkpoint_store.segments:
             self._hold_segment(segment.payload)
-        held = self._ckpt_held
-        for node, cursors, (acc, chosen) in zip(
-                self.groups, state["groups"], held["groups"]):
-            node.install_snapshot(cursors, acc, chosen)
+        for g, (node, cursors) in enumerate(zip(self.groups, state["groups"])):
+            node.install_snapshot(cursors, *self._ckpt_held.records(g))
         self.store.install_state(state["store"])
         self.applied.reset()
-        self.applied.merge(held["applied_ops"].since())
+        self.applied.merge(self._ckpt_applied.since())
         self.compact_floor = list(state["group_floors"])
         ckpt_map = state.get("shard_map")
         if ckpt_map is not None and ckpt_map.version > self.shard_map.version:
@@ -2447,10 +2446,10 @@ class KVServer:
     # installs through the server, and the donor's side
     # ------------------------------------------------------------------
 
-    def _commit_only(self, group: int, instance: int) -> bool:
-        """Known by a Commit alone: the chosen id, no value or share?"""
+    def _unknown(self, group: int, instance: int) -> bool:
+        """No record of ``instance``, or a Commit's chosen id alone?"""
         rec = self.groups[group].chosen.get(instance)
-        return rec is not None and rec.value is None and rec.share is None
+        return rec is None or (rec.value is None and rec.share is None)
 
     def _install_entries(self, reply: CatchUpReply) -> None:
         node = self.groups[reply.group]
@@ -2502,7 +2501,7 @@ class KVServer:
         """Durably hold a received fragment like an accepted share
         (§4.5), so this node counts toward decodability again."""
         instances = node.acceptor.state.instances
-        if instance not in instances:
+        if not (instance in instances or node.retired(instance)):
             vote = instances[instance] = Accept(instance, ballot, share)
             node.wal.append(vote, share.size, lambda: None)
 

@@ -44,6 +44,18 @@ def instance_of(version: int) -> int:
     return version & _INSTANCE_MASK
 
 
+def named_instances(entries, groups: int) -> list[set[int]]:
+    """Per group, the Paxos instances that store ``entries`` name as a
+    key's version; an entry whose group was not recorded (-1) names its
+    instance in every group."""
+    named: list[set[int]] = [set() for _ in range(groups)]
+    anywhere: set[int] = set()
+    for entry in entries:
+        inst = instance_of(entry.version)
+        (anywhere if entry.group < 0 else named[entry.group]).add(inst)
+    return [group | anywhere for group in named]
+
+
 def era_of(version: int) -> int:
     """The shard-map version (era) a store version was written under."""
     return version >> VERSION_BITS

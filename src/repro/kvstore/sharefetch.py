@@ -85,7 +85,11 @@ class _Gather:
         """Keep one fetch in flight per still-missing share, taking
         replacements from the ranked list as fetches fail."""
         need = self.missing()
-        if not self.outstanding and self.next >= len(self.hosts) and need:
+        if not need:  # the owner stopped needing any (a read moved on)
+            self.stop()
+            self.on_done()
+            return
+        if not self.outstanding and self.next >= len(self.hosts):
             # Every ranked peer was tried and it still is not enough.
             if self.on_exhausted is not None:
                 self.stop()

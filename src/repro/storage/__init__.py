@@ -10,10 +10,12 @@ Public API:
 - :class:`LocalStore`, :class:`StoredValue` — the per-replica local KV
   map (LevelDB stand-in) with incomplete-value tags (§4.4).
 - :class:`CheckpointStore`, :class:`CheckpointRecord` — atomic durable
-  state checkpoints, the WAL's compaction partner.
+  state checkpoints, the WAL's compaction partner; :class:`HeldRecords`
+  indexes the records their segments hold, and :func:`retirable` names
+  what a retirement floor drops.
 """
 
-from .checkpoint import CheckpointRecord, CheckpointStore
+from .checkpoint import CheckpointRecord, CheckpointStore, HeldRecords, retirable
 from .disk import HDD, SSD, Disk, DiskSpec
 from .memkv import LocalStore, StoredValue
 from .wal import (
@@ -27,6 +29,7 @@ from .wal import (
 __all__ = [
     "CheckpointRecord",
     "CheckpointStore",
+    "HeldRecords",
     "Disk",
     "DiskSpec",
     "HDD",
@@ -37,5 +40,6 @@ __all__ = [
     "WalRecord",
     "WalView",
     "WriteAheadLog",
+    "retirable",
     "record_checksum",
 ]

@@ -26,7 +26,7 @@ from a peer if the WAL was already compacted).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from ..sim import Simulator
 from .disk import Disk
@@ -150,3 +150,87 @@ class CheckpointStore:
             return False
         self.current.crc ^= 0x5BD1E995
         return True
+
+
+def retirable(records: Iterable[int], below: int, keep) -> list[int]:
+    """The instances of ``records`` below ``below`` and not in ``keep``:
+    what a retirement at floor ``below`` drops from a record map."""
+    return [inst for inst in records if inst < below and inst not in keep]
+
+
+class HeldRecords:
+    """What a chain of durable segments holds of per-instance records,
+    and in which segment.
+
+    A segment carries, for each of ``groups`` groups, a tuple of
+    ``width`` record maps (a KV server's: the acceptor records, then the
+    learner records), each mapping instance to an immutable record. Per
+    map this keeps instance -> the durable segment map holding the
+    instance's newest record:
+
+    - :meth:`changed` — the live records a new segment must carry: those
+      that differ *by identity* from the held one. Records are never
+      mutated, only replaced (DESIGN.md §4), so a changed record is a
+      different object and this scan cannot miss a write site the way
+      a dirty set can;
+    - :meth:`hold` — fold in a segment that turned durable; a record it
+      supersedes leaves the older segment map that held it, and with a
+      retirement at the same point, what that retires leaves the index,
+      the older segments and the new one.
+
+    Each costs what it touches and none walks the segment chain. Segment
+    maps shrink; the sizes charged for them (:attr:`CheckpointRecord
+    .size`) do not: dropping records that no reader can reach frees
+    memory, not modeled device bytes, and the merge of the trimmed
+    segments is the merge of the full ones minus what was dropped.
+    """
+
+    def __init__(self, groups: int, width: int):
+        self._where: list[tuple[dict[int, dict], ...]] = [
+            tuple({} for _ in range(width)) for _ in range(groups)]
+
+    def changed(self, group: int, *live: dict) -> tuple[dict, ...]:
+        """Per map of ``group``, the records of ``live`` not held."""
+        return tuple(
+            {inst: rec for inst, rec in records.items()
+             if (seg := where.get(inst)) is None or seg[inst] is not rec}
+            for where, records in zip(self._where[group], live))
+
+    def hold(self, segment_groups, floors=None) -> None:
+        """Fold in the per-group record maps of a durable segment.
+        ``floors``, if given, holds per group the ``(below, keep)`` of a
+        retirement that happens now: every record of an instance below
+        ``below`` and not in ``keep`` goes, held or new."""
+        for g, (wheres, maps) in enumerate(zip(self._where, segment_groups)):
+            below, keep = floors[g] if floors else (0, ())
+            trimmed = {}
+            for where, seg in zip(wheres, maps):
+                for inst in retirable(where, below, keep):
+                    older = where.pop(inst)
+                    del older[inst]
+                    trimmed[id(older)] = older
+                for inst in retirable(seg, below, keep):
+                    del seg[inst]
+                    trimmed[id(seg)] = seg
+                for inst in seg:
+                    older = where.get(inst)
+                    if older is not None:
+                        del older[inst]
+                        trimmed[id(older)] = older
+                    where[inst] = seg
+            for seg in trimmed.values():
+                _shrink(seg)
+
+    def records(self, group: int) -> tuple[dict, ...]:
+        """The held records of ``group``, per map, by instance."""
+        return tuple({inst: seg[inst] for inst, seg in where.items()}
+                     for where in self._where[group])
+
+
+def _shrink(seg: dict) -> None:
+    """Give back the table of a segment map that records left: a dict
+    keeps its size through deletions, so refill it from a copy sized to
+    what is left (or clear it, if nothing is)."""
+    rest = dict(seg)
+    seg.clear()
+    seg.update(rest)

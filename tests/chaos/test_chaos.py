@@ -21,7 +21,7 @@ from repro.chaos import (
 )
 from repro.core import QuorumSystem, UnsafeProtocolConfig
 from repro.erasure import CodingConfig
-from repro.kvstore import KVServer
+from repro.bench.experiments.chaos import _wipe_heavy_spec
 from repro.sim import Simulator
 
 SERVERS = [f"S{i}" for i in range(5)]
@@ -291,22 +291,26 @@ class TestTeeth:
 
 class TestOpenFreeChoice:
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1(a)")
-    def test_forgotten_votes_seed_4(self, monkeypatch):
+    def test_forgotten_votes_wipe_heavy_seed_130(self):
         """A new leader free-chooses over a value that may be chosen.
 
-        With no decoded value kept on a chosen record (catch-up installs
-        and snapshot serving stop caching too), the rs-paxos full-spec
-        episode 4 decides instance 179 twice: a value, then
-        ``noop.179``. (It was instance 150 until a missing-value poll
-        stopped once the apply cursor passed its instance, which re-timed
-        the episode.) The caches only hide the bug by re-timing the
-        episode. An XPASS without a fix to the free choice means the
-        reproducer was re-timed away: find a new seed under the same
-        patch."""
-        monkeypatch.setattr(KVServer, "_cache_decoded",
-                            lambda self, node, instance, value: None)
-        result, _ = ChaosRunner(protocol="rs-paxos",
-                                bundle_dir=None).run_episode(4)
+        rs-paxos ``--wipe-heavy`` episode 130 wipes P1, the first leader,
+        while a write quorum holds the shares of a value it proposed at
+        instance 73 of one group. The next leader's read quorum shows
+        two of them, fewer than X = 3 (P1's went with its disk), and it
+        decides ``noop.73``; P1's accept round then completes, and a
+        replica that learned the no-op (and has since retired it)
+        raises. The parent of the log-retirement change fails the same
+        episode with a no-op free-chosen over a value too (instance 67).
+
+        This replaced episode 4 of the full spec with the decode caches
+        patched out (``KVServer._cache_decoded`` returning None), which
+        that change re-timed away: under the same patch, full-spec seeds
+        0–650 and wipe-heavy seeds 0–150 found no other free choice. An
+        XPASS without a fix means the episode was re-timed away again:
+        search for a new seed and keep the marker."""
+        result, _ = ChaosRunner(protocol="rs-paxos", spec=_wipe_heavy_spec(
+            short=False), bundle_dir=None).run_episode(130)
         assert result.ok, result.violations
 
 

@@ -2,7 +2,7 @@
 
 The probes only touch a narrow attribute surface (``srv.up``,
 ``srv.name``, ``srv.compact_floor``, ``srv.groups[g].chosen`` /
-``.acceptor``), so lightweight fakes keep these tests at unit scale;
+``.retired_digests`` / ``.acceptor``), so lightweight fakes keep these tests at unit scale;
 whole-system coverage comes from the chaos suite. The probes read that
 surface as plain attributes, never with a default, so a fake must carry
 every attribute a probe reads: a missing one fails loudly here instead
@@ -19,6 +19,7 @@ from repro.check import (
     check_unique_choice,
 )
 from repro.core import QuorumSystem, UnsafeProtocolConfig, classic_paxos, rs_paxos
+from repro.core.value import value_digest
 from repro.erasure import CodingConfig
 from repro.kvstore.messages import Command
 from repro.storage import LocalStore
@@ -40,11 +41,18 @@ def full_value(value_id="v1"):
     return SimpleNamespace(value_id=value_id, meta=PUT)
 
 
-def server(name, chosen, accepted=None, up=True):
+def server(name, chosen, accepted=None, up=True, retired=None):
+    """A one-group fake; ``retired`` maps instance to the value id of a
+    retired learner record, of which the node keeps the digest."""
     accepted = accepted or {}
     acceptor = SimpleNamespace(accepted_share=lambda inst: accepted.get(inst))
-    node = SimpleNamespace(chosen=chosen, acceptor=acceptor)
-    return SimpleNamespace(name=name, up=up, groups=[node], compact_floor=[0])
+    retired = retired or {}
+    digests = [value_digest(retired[i]) if i in retired else 0
+               for i in range(max(retired, default=-1) + 1)]
+    node = SimpleNamespace(chosen=chosen, acceptor=acceptor,
+                           retired_digests=digests)
+    return SimpleNamespace(name=name, up=up, groups=[node], compact_floor=[0],
+                           store=LocalStore())
 
 
 class TestConfigSafety:
@@ -75,6 +83,22 @@ class TestUniqueChoice:
         violations = check_unique_choice(servers)
         assert [v.kind for v in violations] == ["unique-choice"]
         assert "instance 7" in violations[0].detail
+
+    def test_retired_instance_still_compared(self):
+        """S0 retired instance 7's records and kept only its value id;
+        S1 learned something else there, and S2 retired it too."""
+        agree = [
+            server("S0", {}, retired={7: "v1"}),
+            server("S1", {7: rec("v1")}),
+            server("S2", {8: rec("v2")}, retired={5: "v0", 7: "v1"}),
+        ]
+        assert check_unique_choice(agree) == []
+        for other in (server("S1", {7: rec("OTHER")}),
+                      server("S1", {}, retired={7: "OTHER"})):
+            violations = check_unique_choice([agree[0], other])
+            assert [v.kind for v in violations] == ["unique-choice"]
+            assert "instance 7" in violations[0].detail
+            assert "retired value" in violations[0].detail
 
 
 class TestDecodability:

@@ -179,6 +179,27 @@ def small_histories(draw):
     return records
 
 
+@st.composite
+def maybe_heavy_histories(draw):
+    """Up to 8 ops on one key, most writes failed or pending, over two
+    values and deletes, so maybe-writes repeat values that reads did
+    and did not return."""
+    records = []
+    for _ in range(draw(st.integers(1, 8))):
+        invoke = draw(st.integers(0, 6))
+        response = invoke + draw(st.integers(0, 3))
+        op = draw(st.sampled_from(["put", "put", "delete", "get", "get"]))
+        if op == "get":
+            records.append(r(draw(st.sampled_from([None, 1, 2])), invoke,
+                             response))
+            continue
+        ok = draw(st.sampled_from([True, False, None, None]))
+        value = draw(st.integers(1, 2)) if op == "put" else None
+        records.append(mk(op, value=value, invoke=invoke,
+                          response=None if ok is None else response, ok=ok))
+    return records
+
+
 class TestSearch:
     """The search keeps one bit per op and linearizes a read that
     returns the current value as soon as it may go; neither may change
@@ -207,6 +228,25 @@ class TestSearch:
         assert found.ok and found.states_explored == 6
         refuted = check_key("k", history([]))
         assert not refuted.ok and refuted.states_explored == 3
+
+    @given(maybe_heavy_histories())
+    @settings(max_examples=300, deadline=None)
+    def test_unobserved_maybe_writes_cut_matches_brute_force(self, records):
+        """The search drops every maybe-write whose value no completed
+        read returned; the brute force keeps every one of them."""
+        assert check_key("k", records).ok == brute_force_linearizable(records)
+
+    def test_unobserved_maybe_writes_are_not_searched(self):
+        """Ten concurrent failed writes of values nobody read add no
+        state (two: before and after the one write); a maybe-delete
+        stays while a read returned NotFound, and is what explains it."""
+        hist = [w(1, 0, 1), r(1, 2, 3)]
+        hist += [w(10 + j, 4, 5, ok=False) for j in range(10)]
+        found = check_key("k", hist + [r(1, 6, 7)])
+        assert found.ok and found.states_explored == 2
+        delete = mk("delete", invoke=4, response=5, ok=False)
+        assert check_key("k", hist + [delete, r(None, 6, 7)]).ok
+        assert not check_key("k", hist + [r(None, 6, 7)]).ok
 
 
 class TestBatchedHistories:

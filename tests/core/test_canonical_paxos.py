@@ -49,6 +49,19 @@ class TestCanonicalPropose:
         group.sim.run(until=10.0)
         assert [d for _, d in decided] == [b"v0", b"v1", b"v2", b"v3", b"v4"]
 
+    def test_never_proposes_below_a_retirement_floor(self):
+        """Below a promiser's ``retired_below`` every instance is chosen
+        and votes may be gone: the proposer takes an instance above the
+        floor instead of proposing into instance 0."""
+        group = make_group(classic_paxos(5))
+        for i in range(1, 5):
+            group.node(i).acceptor.state.retired_below = 7
+        decided = []
+        group.node(0).propose_canonical(
+            val(b"late"), lambda i, v: decided.append((i, v.data)))
+        group.sim.run(until=5.0)
+        assert decided == [(7, b"late")]
+
     def test_respects_previously_accepted_value(self):
         """A canonical proposer must re-propose a recoverable earlier
         value rather than its own."""

@@ -11,6 +11,12 @@ durable record, of checkpoints that succeed, fail or are cut short, and
 of crashes, recoveries and a wipe; at every recovery the state the
 replica rebuilt must equal, record for record, what the reference
 rebuilds from its last durable full copy and the same WAL.
+
+A checkpoint that turns durable also retires the records below its
+floor whose instance its store names as no key's version. The
+reference applies that rule itself, as a dictcomp over its full copy
+(``retired``), so trimmed segments must recover what full ones recover
+once the same rule has run over them.
 """
 
 import numpy as np
@@ -77,12 +83,34 @@ def reference_export(srv) -> dict:
     }
 
 
+def retired(blob) -> dict:
+    """The retirement rule over a full copy that turned durable: in each
+    group, the acceptor and learner records below the group's floor go,
+    unless the blob's store names the instance as a key's version (an
+    entry of group -1 names it in every group)."""
+    mask = (1 << 48) - 1    # a store version's Paxos-instance bits
+    for g, snap in enumerate(blob["groups"]):
+        floor = blob["group_floors"][g]
+        keep = {e.version & mask for e in blob["store"].values()
+                if e.group in (g, -1)}
+        acc = snap["acceptor"]
+        acc.instances = {i: r for i, r in acc.instances.items()
+                         if i >= floor or i in keep}
+        snap["chosen"] = {i: r for i, r in snap["chosen"].items()
+                          if i >= floor or i in keep}
+        snap["retired_below"] = floor
+    return blob
+
+
 def reference_recover(srv, blob) -> None:
     """The pre-PR-20 recovery of a crashed ``srv``: install copies of
-    the full-copy blob (if one is durable), then replay the WAL."""
+    the full-copy blob (if one is durable), then replay the WAL, which
+    skips the votes the blob's floor retired."""
     if blob is not None:
         for node, snap in zip(srv.groups, blob["groups"]):
-            node.acceptor.restore_state(copied_acceptor(snap["acceptor"]))
+            acceptor = copied_acceptor(snap["acceptor"])
+            acceptor.retired_below = snap["retired_below"]
+            node.acceptor.restore_state(acceptor)
             node.chosen = copied_chosen(snap["chosen"])
             node.apply_cursor = snap["apply_cursor"]
             node.next_instance = max(node.next_instance,
@@ -250,7 +278,7 @@ class Replica:
         blob = reference_export(self.srv)
 
         def durable() -> None:
-            self.durable_blob = blob
+            self.durable_blob = retired(blob)
 
         if self.srv.checkpoint_now(on_done=durable):
             self.advance()
@@ -322,6 +350,10 @@ def script(*names):
 @example(script("accept", "run", "checkpoint", "accept", "learn", "run",
                 "checkpoint_eio", "accept", "checkpoint", "accept",
                 "crash_mid_save", "accept", "run", "checkpoint"))
+# Keys k0 and k1 are written again at instances 5 and 6: the checkpoint
+# retires instances 0 and 1, and a late commit of one changes nothing.
+@example(script(*["accept"] * 7, "run", *["learn"] * 7, "checkpoint",
+                "crash_recover", "accept", "run", "learn", "checkpoint"))
 # Nothing from before a wipe may come back after it.
 @example(script("accept", "accept", "run", "learn", "checkpoint",
                 "wipe_rejoin", "accept", "run", "checkpoint"))

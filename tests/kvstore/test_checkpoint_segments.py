@@ -14,6 +14,7 @@ import pytest
 
 from repro.check import check_bounded_wal, check_cluster
 from repro.core import Accept, Ballot, ChosenRecord
+from repro.kvstore.shard import instance_of
 from repro.storage import CheckpointStore
 from repro.storage.wal import RECORD_HEADER_BYTES
 from repro.workload import ClosedLoopDriver, small_write
@@ -40,11 +41,34 @@ def checkpoint(srv) -> bool:
     return bool(done)
 
 
+def record_segments(monkeypatch) -> dict:
+    """Store name -> a copy of every segment handed to the device, as
+    written: a durable segment keeps only the records that its own and
+    later checkpoints have not retired since."""
+    written: dict = {}
+    real_save = CheckpointStore.save
+
+    def save(self, payload, size, callback, on_error=None, segment=None,
+             segment_size=0):
+        if segment is not None:
+            written.setdefault(self.name, []).append({
+                "groups": [(dict(acc), dict(chosen))
+                           for acc, chosen in segment["groups"]],
+                "applied_ops": segment["applied_ops"],
+            })
+        return real_save(self, payload, size, callback, on_error, segment,
+                         segment_size)
+
+    monkeypatch.setattr(CheckpointStore, "save", save)
+    return written
+
+
 class TestContentDefinedCharge:
     def test_device_bytes_equal_the_size_recomputed_from_the_content(
             self, monkeypatch):
         c = make(interval=0.0)          # checkpoints only when asked
         srv = c.servers[2]
+        written = record_segments(monkeypatch)
         handed = []
         real_write = srv.disk.write
 
@@ -59,7 +83,7 @@ class TestContentDefinedCharge:
             assert checkpoint(srv)
             monkeypatch.setattr(srv.disk, "write", real_write)
             (nbytes,) = handed                      # one device write
-            segment = srv.checkpoint_store.segments[-1].payload
+            segment = written[srv.checkpoint_store.name][-1]
             expect = srv.store.stored_bytes() + 2 * RECORD_HEADER_BYTES
             expect += 8 * len(segment["applied_ops"])
             for acc, chosen in segment["groups"]:
@@ -90,15 +114,19 @@ class TestContentDefinedCharge:
         assert list(third["applied_ops"]) == []
         assert all(not acc and not chosen for acc, chosen in third["groups"])
 
-    def test_footprint_is_the_whole_checkpoint_not_the_last_segment(self):
+    def test_footprint_is_the_whole_checkpoint_not_the_last_segment(
+            self, monkeypatch):
+        written = record_segments(monkeypatch)
         c = make()
         load(c, until=5.0)
         for srv in c.servers:
             fp = srv.durable_footprint()
+            # Every share the checkpoint was handed, retired since or not.
             shares = sum(
                 st.share.size
-                for node in srv.groups
-                for st in node.acceptor.state.instances.values())
+                for segment in written[srv.checkpoint_store.name]
+                for acc, _ in segment["groups"]
+                for st in acc.values())
             segments = srv.checkpoint_store.segments
             assert len(segments) > 5
             assert fp["checkpoint_bytes"] >= shares
@@ -211,12 +239,19 @@ class TestDurableRecordsAreImmutable:
             rec.share = None
 
     def test_live_state_checkpoint_and_recovered_replica_share_records(self):
+        """On a vote the checkpoint kept: the lowest instance of group 0
+        that a key's stored version still names (the ones below it that
+        none names were retired)."""
         c = make()
         load(c, until=3.0)
         srv = c.servers[1]
         node = srv.groups[0]
-        inst, live = next(iter(node.acceptor.state.instances.items()))
-        held = srv._ckpt_held["groups"][0][0]
+        held = srv._ckpt_held.records(0)[0]
+        named = {instance_of(e.version) for e in srv.store.export_state()
+                 .values() if e.group == 0}
+        inst = min(named & set(held) & set(node.acceptor.state.instances))
+        assert inst < srv.compact_floor[0]
+        live = node.acceptor.state.instances[inst]
         assert held[inst] is live
         srv.crash()
         srv.recover()

@@ -46,7 +46,7 @@ class Rig:
         self.rebuild = Rebuild(
             self.clock, sources=self, request=self.request,
             alive=lambda: self.up, cursor=self.cursor.__getitem__,
-            commit_only=lambda g, i: (g, i) in self.holes,
+            unknown=lambda g, i: (g, i) in self.holes,
             install_entries=self.entries.append,
             install_page=self.pages.append, adopt=self.adopt,
             on_rebuilt=self.rebuilt.append, count=self.count,
@@ -283,6 +283,20 @@ def test_missing_value_is_polled_off_the_learn_path_until_it_arrives():
     rig.rebuild.missing(0, 3)                   # may be polled again
     rig.clock.advance(0.0)
     assert len(rig.asked()) == 6
+
+
+def test_missing_value_asks_a_named_source_first_on_every_poll():
+    """A leader that skipped to a promiser's retirement floor names that
+    promiser: it holds the instances or a checkpoint past them, which
+    the best-ranked peers may not."""
+    rig = Rig()
+    rig.holes.add((1, 5))
+    rig.rebuild.missing(1, 5, "P4")
+    rig.clock.advance(0.0)
+    assert rig.asked() == [("P4", CatchUp(group=1, from_instance=5)),
+                           ("P1", CatchUp(group=1, from_instance=5))]
+    rig.clock.advance(MISSING_REPOLL)
+    assert [h for h, _ in rig.asked()[2:]] == ["P4", "P1"]
 
 
 def catch_up_rec(value_id, share=None, value=None):

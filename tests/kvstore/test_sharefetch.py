@@ -352,6 +352,17 @@ class TestExhaustion:
         rig.reply("P1")                            # third pass: it is back
         assert rig.done == 1 and rig.exhausted == 0
 
+    def test_reader_that_stops_needing_shares_is_done_not_cycled(self):
+        """A reader whose value was retired meanwhile drops ``missing()``
+        to zero: the next pass ends the gather through ``on_done``."""
+        rig = Rig(rtt=FAST, hedge=False)
+        rig.gather(want=1)
+        self.run_dry(rig)
+        rig.want = 0
+        rig.clock.advance(CYCLE_PAUSE)
+        assert rig.asked() == PEERS and rig.done == 1
+        assert rig.clock.pending() == [] and rig.fetch.load == {}
+
     def test_shares_kept_across_passes(self):
         rig = Rig(rtt=FAST, hedge=False)
         rig.gather(want=2)
