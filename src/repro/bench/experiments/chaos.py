@@ -32,6 +32,14 @@ from dataclasses import replace
 from ...chaos import SHORT_SPEC, ChaosRunner, ChaosSpec
 
 
+def per_value_byte(written: int, committed: int, config) -> str:
+    """Checkpoint bytes written per committed value byte, beside the
+    N/X bytes per value byte the paper's storage claim promises."""
+    ratio = f"{written / committed:.2f}" if committed else "n/a"
+    return (f"{ratio} B per committed value byte, "
+            f"N/X = {config.n / config.x:.2f}")
+
+
 def _wipe_heavy_spec(short: bool) -> ChaosSpec:
     """A schedule dominated by wipe/rejoin pairs (plus a little of
     everything else so rebuilds race ordinary faults)."""
@@ -86,10 +94,12 @@ def main(
         ckpt_bytes = sum(r.checkpoint_bytes for r in results)
         ckpt_written = sum(r.checkpoint_bytes_written for r in results)
         compacted = sum(r.records_compacted for r in results)
+        committed = sum(r.value_bytes_committed for r in results)
         print(f"   rebuild/footprint: {transfers} snapshot transfers "
               f"({rebuild_bytes} B rebuild traffic); final durable state "
               f"{wal_bytes} B WAL + {ckpt_bytes} B checkpoints "
-              f"({ckpt_written} B written), "
+              f"({ckpt_written} B written, "
+              f"{per_value_byte(ckpt_written, committed, runner.config)}), "
               f"{compacted} records compacted")
         shed = sum(r.requests_shed for r in results)
         hedges = sum(r.hedges_issued for r in results)

@@ -34,10 +34,13 @@ import statistics
 from dataclasses import replace
 
 from ...chaos import EPISODE_SERVER, ChaosRunner, ChaosSpec, ScheduleSpec
-from ...check import HistoryRecorder, check_cluster, check_history
+from ...check import (
+    HistoryRecorder, check_cluster, check_history, committed_value_bytes,
+)
 from ...core import rs_paxos
 from ...kvstore import build_cluster
 from ...net import LAN
+from .chaos import per_value_byte
 
 #: Median time from a permanent kill to full redundancy (all servers
 #: up, rebuilt, converged on the full 5-member view). Budget: ~3 s of
@@ -177,8 +180,8 @@ def _permanent_failure_ladder() -> tuple[list[str], list[float]]:
               f"{ttr:.1f}s, {len(in_window)} writes after restore")
 
     sim.run(until=horizon)
-    evictions = sum(len(s.eviction_events) for s in cluster.servers)
-    replacements = sum(len(s.replacement_events) for s in cluster.servers)
+    evictions = sum(len(s.repair.eviction_events) for s in cluster.servers)
+    replacements = sum(len(s.repair.replacement_events) for s in cluster.servers)
     if evictions < len(KILL_TIMES):
         problems.append(
             f"only {evictions} evictions for {len(KILL_TIMES)} "
@@ -204,10 +207,12 @@ def _permanent_failure_ladder() -> tuple[list[str], list[float]]:
           f"   {evictions} evictions, {replacements} re-admissions; "
           f"no redundancy restorations")
     fp = [s.durable_footprint() for s in cluster.servers]
+    written = sum(f["checkpoint_bytes_written"] for f in fp)
     print("   rebuild/footprint: final durable state "
           f"{sum(f['wal_bytes'] for f in fp)} B WAL + "
           f"{sum(f['checkpoint_bytes'] for f in fp)} B checkpoints "
-          f"({sum(f['checkpoint_bytes_written'] for f in fp)} B written)")
+          f"({written} B written, "
+          f"{per_value_byte(written, committed_value_bytes(recorder), config)})")
     return problems, ttrs
 
 

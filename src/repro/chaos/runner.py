@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 from ..check import (
     HistoryRecorder, check_cluster, check_history, check_single_lease,
-    read_availability,
+    committed_value_bytes, read_availability,
 )
 from ..core import ConsistencyViolation, classic_paxos, rs_paxos
 from ..kvstore import ServerConfig, build_cluster
@@ -110,7 +110,7 @@ def _count_false_evictions(servers, fired) -> int:
     """
     false = 0
     for srv in servers:
-        for t, nid in srv.eviction_events:
+        for t, nid in srv.repair.eviction_events:
             host = servers[nid].name
             down = False
             for ft, kind, arg in fired:
@@ -157,6 +157,7 @@ class EpisodeResult:
     wal_bytes: int = 0           # final durable WAL bytes, all servers
     checkpoint_bytes: int = 0    # final checkpoint bytes, all servers
     checkpoint_bytes_written: int = 0  # cumulative, ÷ stored = write amp.
+    value_bytes_committed: int = 0  # acknowledged puts' value bytes
     records_compacted: int = 0   # WAL records dropped by truncation
     # Overload / gray-failure accounting (admission control + hedging
     # PR): how often leaders shed load, how often hedged share fetches
@@ -237,6 +238,7 @@ class EpisodeResult:
             "wal_bytes": self.wal_bytes,
             "checkpoint_bytes": self.checkpoint_bytes,
             "checkpoint_bytes_written": self.checkpoint_bytes_written,
+            "value_bytes_committed": self.value_bytes_committed,
             "records_compacted": self.records_compacted,
             "requests_shed": self.requests_shed,
             "shed_by_tenant": self.shed_by_tenant,
@@ -494,7 +496,7 @@ class ChaosRunner:
             for srv in cluster.servers
         }
         replacement_events = [
-            e for srv in cluster.servers for e in srv.replacement_events
+            e for srv in cluster.servers for e in srv.repair.replacement_events
         ]
 
         result = EpisodeResult(
@@ -527,6 +529,7 @@ class ChaosRunner:
                 s.durable_footprint()["checkpoint_bytes_written"]
                 for s in cluster.servers
             ),
+            value_bytes_committed=committed_value_bytes(recorder),
             records_compacted=sum(
                 s.durable_footprint()["records_compacted"]
                 for s in cluster.servers
@@ -554,7 +557,7 @@ class ChaosRunner:
             read_retry_causes=read_retry_causes,
             rtt_estimates=rtt_estimates,
             evictions=sum(
-                len(s.eviction_events) for s in cluster.servers
+                len(s.repair.eviction_events) for s in cluster.servers
             ),
             false_evictions=_count_false_evictions(
                 cluster.servers, cluster.faults.fired

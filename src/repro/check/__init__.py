@@ -10,7 +10,12 @@ Used standalone in tests and by :mod:`repro.chaos` for randomized
 whole-system exploration.
 """
 
-from .history import HistoryRecorder, OpRecord, read_availability
+from .history import (
+    HistoryRecorder,
+    OpRecord,
+    committed_value_bytes,
+    read_availability,
+)
 from .invariants import (
     Violation,
     check_bounded_wal,
@@ -45,5 +50,6 @@ __all__ = [
     "check_store_agreement",
     "check_unique_choice",
     "check_view_convergence",
+    "committed_value_bytes",
     "read_availability",
 ]

@@ -80,6 +80,12 @@ def read_availability(recorder: "HistoryRecorder") -> tuple[int, int]:
     return attempted, ok
 
 
+def committed_value_bytes(recorder: "HistoryRecorder") -> int:
+    """Value bytes of the puts a client saw acknowledged: what a
+    storage cost per value byte divides by."""
+    return sum(rec.value for rec in recorder.ops if rec.op == "put" and rec.ok)
+
+
 class HistoryRecorder:
     """Collects :class:`OpRecord`s from any number of clients."""
 

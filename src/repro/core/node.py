@@ -134,9 +134,10 @@ class PaxosNode:
         # The value digest (value.value_digest) of every instance whose
         # learner record was retired, by instance (0 where none was):
         # what this node learned there, for a late learn and the
-        # unique-choice probe — eight bytes, not a record. It costs no
-        # modeled bytes and rides on the durable checkpoint, so a crash
-        # keeps it and a wipe loses it (:meth:`retire_records`).
+        # unique-choice probe — eight bytes, not a record, charged once
+        # in the checkpoint segment that retires it. It rides on the
+        # durable checkpoint, so a crash keeps it and a wipe loses it
+        # (:meth:`retire_records`).
         self.retired_digests = array("Q")
 
         # Leader state.
@@ -239,9 +240,10 @@ class PaxosNode:
         appends to: ``KVServer.checkpoint_now``). A checkpoint retires
         the records below its apply cursor once it is durable
         (:meth:`retire_records`), so that cursor is the
-        ``retired_below`` it names; the retired digests ride along by reference,
-        uncharged — they change only when a checkpoint turns durable,
-        and are then that checkpoint's."""
+        ``retired_below`` it names. The retired digests ride along by
+        reference: each was charged 8 B once, in the segment of the save
+        that retired its record, and they change only when a checkpoint
+        turns durable, and are then that checkpoint's."""
         return {
             "floor": self.acceptor.state.floor,
             "apply_cursor": self.apply_cursor,

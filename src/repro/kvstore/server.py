@@ -39,6 +39,7 @@ from ..storage import (
     LocalStore,
     WalView,
     WriteAheadLog,
+    retirable,
 )
 from .admission import Admission, AdmissionSlot
 from .batch import (
@@ -1984,7 +1985,9 @@ class KVServer:
         One device write replaces the *state part* (store map, view,
         floors, shard map, cursors: bounded by live data) and appends a
         *segment*: the acceptor/learner records and dedup keys that
-        changed since the durable checkpoint, not all there ever were.
+        changed since the durable checkpoint, less what this save
+        retires. A share is charged once (DESIGN.md §5): a store entry
+        holding the share of a held acceptor record is a reference.
 
         The floor is ``last durable LSN + 1``: everything at or above it
         may still be pending in the group-commit window, so only the
@@ -2003,27 +2006,38 @@ class KVServer:
             if self.wal.durable else self.wal.compaction_floor
         )
         group_floors = [node.apply_cursor for node in self.groups]
+        store = self.store.export_state()
+        # The retirement this save makes once durable (DESIGN.md §5), per
+        # group (floor, the instances its store names): the segment
+        # carries only what survives it, and a digest per learner record
+        # it retires.
+        floors = list(zip(group_floors,
+                          named_instances(store.values(), len(self.groups))))
+        segment = {
+            "groups": [self._ckpt_held.changed(
+                g, floor, node.acceptor.state.instances, node.chosen)
+                for g, (node, floor) in enumerate(zip(self.groups, floors))],
+            "applied_ops": self.applied.since(self._ckpt_applied),
+            "digests": sum(len(retirable(node.chosen, *floor))
+                           for node, floor in zip(self.groups, floors)),
+        }
         state = {
             "groups": [node.export_cursors() for node in self.groups],
-            "store": self.store.export_state(),
+            "store": store,
             "view": (self.view_epoch, tuple(sorted(self.member_ids)),
                      self.config),
             "floor_lsn": floor_lsn,
             "group_floors": group_floors,
             "shard_map": self.shard_map,
         }
-        segment = {
-            "groups": [self._ckpt_held.changed(
-                g, node.acceptor.state.instances, node.chosen)
-                for g, node in enumerate(self.groups)],
-            "applied_ops": self.applied.since(self._ckpt_applied),
-        }
+        state_size = self._ckpt_held.refer(
+            store.values(), segment["groups"], instance_of)
 
         def durable() -> None:
             if not self.up:
                 return
             self._ckpt_inflight = False
-            self._hold_segment(segment, state)
+            self._hold_segment(segment, floors)
             self.last_checkpoint_at = self.sim.now
             self.compact_floor = list(group_floors)
             dropped, dbytes = self.wal.truncate_prefix(floor_lsn)
@@ -2047,7 +2061,7 @@ class KVServer:
             self.metrics.counter("ckpt.write_errors").inc(1)
 
         size = self.checkpoint_store.save(
-            state, self.store.stored_bytes(), durable, failed,
+            state, state_size, durable, failed,
             segment, self._segment_size(segment))
         return True
 
@@ -2056,29 +2070,25 @@ class KVServer:
         self._ckpt_held = HeldRecords(len(self.groups), 2)
         self._ckpt_applied = AppliedOps()
 
-    def _hold_segment(self, segment: dict, state: dict | None = None) -> None:
+    def _hold_segment(self, segment: dict, floors=None) -> None:
         """Fold a durable segment into what the checkpoint holds; given
-        the state part saved with it, retire at once, in every group, the
-        records below its floor that its store names as no key's version
-        (DESIGN.md §5): the keys plus what it retires, never history."""
-        floors = None
-        if state is not None:
-            keep = named_instances(state["store"].values(), len(self.groups))
-            floors = [(c["retired_below"], k)
-                      for c, k in zip(state["groups"], keep)]
-            for node, (below, kept) in zip(self.groups, floors):
-                node.retire_records(below, kept)
+        its save's retirement (per group ``(below, keep)``), retire at
+        once, in every group, the records below ``below`` that the
+        save's store names as no key's version (DESIGN.md §5)."""
+        for node, (below, kept) in zip(self.groups, floors or ()):
+            node.retire_records(below, kept)
         self._ckpt_held.hold(segment["groups"], floors)
         self._ckpt_applied.merge(segment["applied_ops"])
 
     @staticmethod
     def _segment_size(segment: dict) -> int:
         """Modeled bytes of a checkpoint segment, from its own content:
-        acceptor share bytes + fixed per-record metadata + dedup keys.
-        The leader's decoded-value cache rides along uncharged — a real
+        acceptor share bytes, 16 B of metadata per record, 8 B per dedup
+        key and per digest of a learner record the save retires. The
+        leader's decoded-value cache rides along uncharged — a real
         implementation would persist shares only (a deliberate modeling
         simplification)."""
-        size = 8 * len(segment["applied_ops"])
+        size = 8 * (len(segment["applied_ops"]) + segment["digests"])
         for acc, chosen in segment["groups"]:
             size += 16 * (len(acc) + len(chosen))
             size += sum(st.share.size for st in acc.values())
@@ -2086,12 +2096,14 @@ class KVServer:
 
     def _install_checkpoint(self, state: dict) -> None:
         """Load checkpointed state at recovery, before WAL tail replay:
-        the state part, then every segment merged oldest-first."""
+        every segment merged oldest-first, then the state part, its
+        store entries held by reference resolved from their records."""
         for segment in self.checkpoint_store.segments:
             self._hold_segment(segment.payload)
         for g, (node, cursors) in enumerate(zip(self.groups, state["groups"])):
             node.install_snapshot(cursors, *self._ckpt_held.records(g))
-        self.store.install_state(state["store"])
+        self.store.install_state(
+            self._ckpt_held.resolved(state["store"], instance_of))
         self.applied.reset()
         self.applied.merge(self._ckpt_applied.since())
         self.compact_floor = list(state["group_floors"])
@@ -2103,19 +2115,6 @@ class KVServer:
             self.view_epoch = epoch
             self.member_ids = set(members)
             self.config = config
-
-    @property
-    def eviction_events(self) -> list[tuple[float, int]]:
-        """(t, node_id) for each removal this server's repair
-        controller drove to completion (cumulative across crashes)."""
-        return self.repair.eviction_events
-
-    @property
-    def replacement_events(self) -> list[tuple[float, int, float]]:
-        """(t, node_id, time_to_restore) for each completed
-        re-admission; time_to_restore runs from this controller's own
-        eviction record (or its resume point after a leader change)."""
-        return self.repair.replacement_events
 
     def durable_footprint(self) -> dict[str, int]:
         """Current durable byte usage (WAL + checkpoint) and cumulative

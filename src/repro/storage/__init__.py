@@ -11,11 +11,18 @@ Public API:
   map (LevelDB stand-in) with incomplete-value tags (§4.4).
 - :class:`CheckpointStore`, :class:`CheckpointRecord` — atomic durable
   state checkpoints, the WAL's compaction partner; :class:`HeldRecords`
-  indexes the records their segments hold, and :func:`retirable` names
-  what a retirement floor drops.
+  indexes the records their segments hold, :data:`HELD` marks a
+  state-part share held by reference to one, and :func:`retirable`
+  names what a retirement floor drops.
 """
 
-from .checkpoint import CheckpointRecord, CheckpointStore, HeldRecords, retirable
+from .checkpoint import (
+    HELD,
+    CheckpointRecord,
+    CheckpointStore,
+    HeldRecords,
+    retirable,
+)
 from .disk import HDD, SSD, Disk, DiskSpec
 from .memkv import LocalStore, StoredValue
 from .wal import (
@@ -27,6 +34,7 @@ from .wal import (
 )
 
 __all__ = [
+    "HELD",
     "CheckpointRecord",
     "CheckpointStore",
     "HeldRecords",

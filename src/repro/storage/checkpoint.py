@@ -25,7 +25,7 @@ from a peer if the WAL was already compacted).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable
 
 from ..sim import Simulator
@@ -152,6 +152,12 @@ class CheckpointStore:
         return True
 
 
+#: The value of a state-part store entry that the checkpoint holds by
+#: reference: the share of the acceptor record its segments hold for the
+#: entry's (group, instance), which recovery puts back in its place.
+HELD = object()
+
+
 def retirable(records: Iterable[int], below: int, keep) -> list[int]:
     """The instances of ``records`` below ``below`` and not in ``keep``:
     what a retirement at floor ``below`` drops from a record map."""
@@ -169,38 +175,92 @@ class HeldRecords:
     instance's newest record:
 
     - :meth:`changed` — the live records a new segment must carry: those
-      that differ *by identity* from the held one. Records are never
-      mutated, only replaced (DESIGN.md §4), so a changed record is a
-      different object and this scan cannot miss a write site the way
-      a dirty set can;
+      that differ *by identity* from the held one, less those the save's
+      own retirement drops. Records are never mutated, only replaced
+      (DESIGN.md §4), so a changed record is a different object and this
+      scan cannot miss a write site the way a dirty set can;
     - :meth:`hold` — fold in a segment that turned durable; a record it
       supersedes leaves the older segment map that held it, and with a
-      retirement at the same point, what that retires leaves the index,
-      the older segments and the new one.
+      retirement at the same point, what that retires leaves the index
+      and the older segments.
 
-    Each costs what it touches and none walks the segment chain. Segment
-    maps shrink; the sizes charged for them (:attr:`CheckpointRecord
-    .size`) do not: dropping records that no reader can reach frees
-    memory, not modeled device bytes, and the merge of the trimmed
-    segments is the merge of the full ones minus what was dropped.
+    Each costs what it touches and none walks the segment chain. What a
+    segment is charged (:attr:`CheckpointRecord.size`) is what it holds
+    when it turns durable; a later retirement shrinks older segment
+    maps but not their charged sizes: dropping records that no reader
+    can reach frees memory, not modeled device bytes, and the merge of
+    the trimmed segments is the merge of the full ones minus what was
+    dropped.
+    :meth:`get` looks one held record up; with it :meth:`refer` and
+    :meth:`resolved` let a state part hold a share by reference to the
+    record that carries it (:data:`HELD`).
     """
 
     def __init__(self, groups: int, width: int):
         self._where: list[tuple[dict[int, dict], ...]] = [
             tuple({} for _ in range(width)) for _ in range(groups)]
 
-    def changed(self, group: int, *live: dict) -> tuple[dict, ...]:
-        """Per map of ``group``, the records of ``live`` not held."""
+    def changed(self, group: int, floor, *live: dict) -> tuple[dict, ...]:
+        """Per map of ``group``, the records of ``live`` a new segment
+        must carry: not held, and not retired by the retirement at
+        ``floor`` (``(below, keep)``) that the same save makes."""
+        below, keep = floor
         return tuple(
             {inst: rec for inst, rec in records.items()
-             if (seg := where.get(inst)) is None or seg[inst] is not rec}
+             if ((seg := where.get(inst)) is None or seg[inst] is not rec)
+             and (inst >= below or inst in keep)}
             for where, records in zip(self._where[group], live))
+
+    def get(self, group: int, instance: int):
+        """The record held for ``instance`` in the first map of
+        ``group`` (a KV server's acceptor records), or None."""
+        seg = self._where[group][0].get(instance)
+        return None if seg is None else seg[instance]
+
+    def refer(self, entries, segment_groups, instance) -> int:
+        """Modeled bytes of a state part's store ``entries``, each made a
+        reference where it can be: an incomplete entry whose share *is*
+        the share of the acceptor record (map 0) held for its (group,
+        ``instance(version)``) once ``segment_groups`` is held costs
+        16 B and keeps :data:`HELD` for a value. Every other entry —
+        complete, a tombstone, a share with no vote held for it — costs
+        its size."""
+        size = 0
+        for e in entries:
+            if not e.complete and e.group >= 0 and e.value is not None:
+                inst = instance(e.version)
+                rec = segment_groups[e.group][0].get(inst)
+                if rec is None:
+                    rec = self.get(e.group, inst)
+                if rec is not None and rec.share is e.value:
+                    e.value, size = HELD, size + 16
+                    continue
+            size += e.size
+        return size
+
+    def resolved(self, entries: dict, instance) -> dict:
+        """``entries`` with each :data:`HELD` value put back: the share
+        of the acceptor record held for the entry's (group,
+        ``instance(version)``). A reference to a record no segment holds
+        raises: that checkpoint cannot be installed."""
+        out = dict(entries)
+        for key, e in entries.items():
+            if e.value is HELD:
+                rec = self.get(e.group, instance(e.version))
+                if rec is None:
+                    raise LookupError(
+                        f"checkpoint entry {key!r} refers to group "
+                        f"{e.group} instance {instance(e.version)}, "
+                        f"which no segment holds")
+                out[key] = replace(e, value=rec.share)
+        return out
 
     def hold(self, segment_groups, floors=None) -> None:
         """Fold in the per-group record maps of a durable segment.
         ``floors``, if given, holds per group the ``(below, keep)`` of a
-        retirement that happens now: every record of an instance below
-        ``below`` and not in ``keep`` goes, held or new."""
+        retirement that happens now: every held record of an instance
+        below ``below`` and not in ``keep`` goes (the segment, built by
+        :meth:`changed` with the same floor, carries none)."""
         for g, (wheres, maps) in enumerate(zip(self._where, segment_groups)):
             below, keep = floors[g] if floors else (0, ())
             trimmed = {}
@@ -209,9 +269,6 @@ class HeldRecords:
                     older = where.pop(inst)
                     del older[inst]
                     trimmed[id(older)] = older
-                for inst in retirable(seg, below, keep):
-                    del seg[inst]
-                    trimmed[id(seg)] = seg
                 for inst in seg:
                     older = where.get(inst)
                     if older is not None:

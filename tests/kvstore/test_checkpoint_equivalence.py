@@ -17,6 +17,12 @@ floor whose instance its store names as no key's version. The
 reference applies that rule itself, as a dictcomp over its full copy
 (``retired``), so trimmed segments must recover what full ones recover
 once the same rule has run over them.
+
+The same interleavings also check the charge: every checkpoint hands
+the device the bytes its saved content defines (``saved_size``), holds
+by reference exactly the store entries whose share the checkpoint then
+holds in an acceptor record, and pays one digest per learner record its
+retirement drops.
 """
 
 import numpy as np
@@ -33,6 +39,9 @@ from repro.core import (
 from repro.core.messages import Accept, Commit
 from repro.kvstore import build_cluster
 from repro.kvstore.messages import Command, InstallShare
+from repro.storage import HELD
+
+from .test_checkpoint_segments import saved_size
 
 ME = 2          # the replica under test
 GROUPS = 2
@@ -364,6 +373,68 @@ def script(*names):
                 "scrub", "checkpoint"))
 def test_segments_recover_what_a_full_copy_recovers(ops):
     replica = Replica()
+    for op, group, sel in ops:
+        getattr(replica, op)(group, sel)
+    replica.advance()
+    replica.crash_recover(0, 0)
+
+
+def watch_charges(srv) -> None:
+    """Check every save ``srv`` hands its checkpoint store: when handed,
+    its device bytes; when durable, its references and digests."""
+    store, disk = srv.checkpoint_store, srv.disk
+    real_save, real_write = store.save, disk.write
+
+    def save(state, size, callback, on_error=None, segment=None,
+             segment_size=0):
+        handed = []
+
+        def write(nbytes, on_done, on_failed=None):
+            handed.append(nbytes)
+            return real_write(nbytes, on_done, on_failed)
+
+        values = {k: srv.store.get_entry(k).value for k in state["store"]}
+
+        def turned_durable() -> None:
+            learned = sum(len(node.chosen) for node in srv.groups)
+            callback()
+            retired = learned - sum(len(node.chosen) for node in srv.groups)
+            assert retired == segment["digests"]
+            for key, e in state["store"].items():
+                held = e.group >= 0 and srv._ckpt_held.get(
+                    e.group, e.version & ((1 << 48) - 1))
+                by_ref = (not e.complete and values[key] is not None
+                          and bool(held) and held.share is values[key])
+                assert (e.value is HELD) == by_ref, key
+
+        disk.write = write
+        try:
+            nbytes = real_save(state, size, turned_durable, on_error,
+                               segment, segment_size)
+        finally:
+            del disk.write
+        assert handed == [nbytes] == [saved_size(state, segment)]
+        return nbytes
+
+    store.save = save
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(OPS), st.integers(0, GROUPS - 1),
+              st.integers(0, 1 << 16)),
+    min_size=5, max_size=60))
+# Keys written again: the second checkpoint retires instances 0 and 1,
+# pays their digests and holds the rest of the store by reference.
+@example(script(*["accept"] * 7, "run", *["learn"] * 7, "checkpoint",
+                "accept", "run", "learn", "checkpoint", "crash_recover"))
+# A rotten share: the store entry takes the learner record's corrupted
+# copy, not the acceptor record's, so it is no reference and is charged.
+@example(script("accept", "run", "learn", "checkpoint", "rot", "checkpoint",
+                "crash_recover"))
+def test_device_bytes_equal_the_size_recomputed_from_the_saved_content(ops):
+    replica = Replica()
+    watch_charges(replica.srv)
     for op, group, sel in ops:
         getattr(replica, op)(group, sel)
     replica.advance()

@@ -1,11 +1,13 @@
-"""A checkpoint costs what changed since the last one.
+"""A checkpoint costs what changed since the last one, once.
 
 Server-level checks of the append-only instance segment: what a
-checkpoint hands to the device is defined by the segment's own content,
-the footprint reported is the whole checkpoint, a checkpoint allocates
-and charges nothing per instance it already holds, a failed device
-write does not wedge the checkpointer, and the durable records are
-immutable (which is what makes the identity scan exact).
+checkpoint hands to the device is defined by its own content, the
+footprint reported is the whole checkpoint, a share is written about
+once (a segment skips what its own save retires, and the state part
+holds by reference the shares the checkpoint already holds), a
+checkpoint allocates and charges nothing per instance it already holds,
+a failed device write does not wedge the checkpointer, and the durable
+records are immutable (which is what makes the identity scan exact).
 """
 
 import gc
@@ -15,7 +17,7 @@ import pytest
 from repro.check import check_bounded_wal, check_cluster
 from repro.core import Accept, Ballot, ChosenRecord
 from repro.kvstore.shard import instance_of
-from repro.storage import CheckpointStore
+from repro.storage import HELD, CheckpointStore, HeldRecords
 from repro.storage.wal import RECORD_HEADER_BYTES
 from repro.workload import ClosedLoopDriver, small_write
 
@@ -42,9 +44,9 @@ def checkpoint(srv) -> bool:
 
 
 def record_segments(monkeypatch) -> dict:
-    """Store name -> a copy of every segment handed to the device, as
-    written: a durable segment keeps only the records that its own and
-    later checkpoints have not retired since."""
+    """Store name -> every save handed to the device, as written: its
+    state part and a copy of its segment (a durable segment keeps only
+    the records that later checkpoints have not retired since)."""
     written: dict = {}
     real_save = CheckpointStore.save
 
@@ -52,15 +54,46 @@ def record_segments(monkeypatch) -> dict:
              segment_size=0):
         if segment is not None:
             written.setdefault(self.name, []).append({
+                "state": payload,
                 "groups": [(dict(acc), dict(chosen))
                            for acc, chosen in segment["groups"]],
                 "applied_ops": segment["applied_ops"],
+                "digests": segment["digests"],
             })
         return real_save(self, payload, size, callback, on_error, segment,
                          segment_size)
 
     monkeypatch.setattr(CheckpointStore, "save", save)
     return written
+
+
+def saved_size(state: dict, segment: dict) -> int:
+    """Device bytes of one save, from its content alone: per state-part
+    store entry its size, or 16 B if held by reference; per segment
+    record 16 B plus an acceptor record's share; 8 B per dedup key and
+    per retired learner record's digest; two frame headers."""
+    size = 2 * RECORD_HEADER_BYTES
+    size += sum(16 if e.value is HELD else e.size
+                for e in state["store"].values())
+    size += 8 * (len(segment["applied_ops"]) + segment["digests"])
+    for acc, chosen in segment["groups"]:
+        size += sum(16 + st.share.size for st in acc.values())
+        size += 16 * len(chosen)
+    return size
+
+
+def share_bytes_written(saves) -> tuple[int, int]:
+    """(share bytes the saves wrote, bytes of the distinct shares among
+    them): every acceptor record's share in a segment, and every
+    incomplete entry a state part did not hold by reference."""
+    written, distinct = 0, {}
+    for save in saves:
+        shares = [st.share for acc, _ in save["groups"] for st in acc.values()]
+        shares += [e.value for e in save["state"]["store"].values()
+                   if not e.complete and e.value not in (None, HELD)]
+        written += sum(sh.size for sh in shares)
+        distinct.update((id(sh), sh.size) for sh in shares)
+    return written, sum(distinct.values())
 
 
 class TestContentDefinedCharge:
@@ -83,15 +116,23 @@ class TestContentDefinedCharge:
             assert checkpoint(srv)
             monkeypatch.setattr(srv.disk, "write", real_write)
             (nbytes,) = handed                      # one device write
-            segment = written[srv.checkpoint_store.name][-1]
-            expect = srv.store.stored_bytes() + 2 * RECORD_HEADER_BYTES
-            expect += 8 * len(segment["applied_ops"])
-            for acc, chosen in segment["groups"]:
-                for st in acc.values():
-                    expect += 16 + st.share.size
-                expect += 16 * len(chosen)
-            assert nbytes == expect
-            assert any(acc for acc, _ in segment["groups"])  # not vacuous
+            save = written[srv.checkpoint_store.name][-1]
+            assert nbytes == saved_size(save["state"], save)
+            assert any(acc for acc, _ in save["groups"])  # not vacuous
+            # An entry is held by reference exactly when the checkpoint
+            # now holds the acceptor record whose share it stores.
+            refs = 0
+            for key, e in save["state"]["store"].items():
+                held = e.group >= 0 and srv._ckpt_held.get(
+                    e.group, instance_of(e.version))
+                by_ref = (not e.complete and bool(held)
+                          and held.share is srv.store.get_entry(key).value)
+                assert (e.value is HELD) == by_ref, key
+                refs += by_ref
+            assert refs
+        # From the second save on, each one retires what the keys'
+        # later writes left unnamed, and pays a digest per learner record.
+        assert save["digests"]
 
     def test_a_segment_holds_only_what_changed(self):
         c = make(interval=0.0)
@@ -121,18 +162,16 @@ class TestContentDefinedCharge:
         load(c, until=5.0)
         for srv in c.servers:
             fp = srv.durable_footprint()
-            # Every share the checkpoint was handed, retired since or not.
-            shares = sum(
-                st.share.size
-                for segment in written[srv.checkpoint_store.name]
-                for acc, _ in segment["groups"]
-                for st in acc.values())
+            saves = written[srv.checkpoint_store.name]
             segments = srv.checkpoint_store.segments
             assert len(segments) > 5
-            assert fp["checkpoint_bytes"] >= shares
-            assert shares > 4 * max(seg.size for seg in segments)
-            # Every share was written once, not once per interval.
-            assert fp["checkpoint_bytes_written"] < 1.5 * fp["checkpoint_bytes"]
+            # The footprint is every segment, not the last one.
+            assert fp["checkpoint_bytes"] > 4 * max(seg.size for seg in segments)
+            # Every share was written about once: not again by the state
+            # part, nor once per interval. (The state part's complete
+            # values are rewritten per interval: ROADMAP item 5(b).)
+            shares, distinct = share_bytes_written(saves)
+            assert distinct <= shares <= 1.05 * distinct
         assert sum(s.durable_footprint()["checkpoint_bytes_written"]
                    for s in c.servers) == c.metrics.counter("ckpt.bytes").value
 
@@ -169,6 +208,13 @@ class TestCheckpointAllocatesWhatChanged:
             gc.enable()
         return allocated, srv.disk.bytes_written - written
 
+    @staticmethod
+    def assert_bytes_are_what_survives(small_bytes: int, large_bytes: int):
+        """100 writes over 8 keys since the last checkpoint leave 8 keys'
+        shares (1000 B each) to write; the other 92 writes' records are
+        retired by the same save and cost 8 B of digest each."""
+        assert 8_000 < large_bytes == small_bytes < 12_000
+
     def test_objects_and_bytes_do_not_grow_with_history(self):
         small, small_bytes = self.checkpoint_after(1_000)
         large, large_bytes = self.checkpoint_after(4_000)
@@ -176,8 +222,21 @@ class TestCheckpointAllocatesWhatChanged:
         # nothing per instance the checkpoint already holds.
         assert small < 100
         assert large <= small + 10
-        # 100 shares of 1000 B + metadata, whatever came before.
-        assert 100_000 < large_bytes == small_bytes < 120_000
+        self.assert_bytes_are_what_survives(small_bytes, large_bytes)
+
+    def test_segment_without_the_retirement_filter_fails_the_bound(
+            self, monkeypatch):
+        """Teeth: a segment built without its own save's retirement (the
+        filter in ``HeldRecords.changed`` reverted) carries all 100
+        writes' shares, which the bound above must reject."""
+        real = HeldRecords.changed
+        monkeypatch.setattr(
+            HeldRecords, "changed",
+            lambda self, group, floor, *live: real(self, group, (0, ()), *live))
+        _, nbytes = self.checkpoint_after(1_000)
+        assert nbytes > 100_000
+        with pytest.raises(AssertionError):
+            self.assert_bytes_are_what_survives(nbytes, nbytes)
 
 
 class TestWriteErrorDoesNotWedgeTheCheckpointer:
@@ -256,3 +315,36 @@ class TestDurableRecordsAreImmutable:
         srv.crash()
         srv.recover()
         assert srv.groups[0].acceptor.state.instances[inst] is live
+
+
+class TestStatePartHoldsSharesByReference:
+    def test_recovery_puts_the_held_share_back(self):
+        c = make()
+        load(c, until=3.0)
+        srv = c.servers[1]
+        assert checkpoint(srv)      # nothing written since it was taken
+        refs = {key for key, e in
+                srv.checkpoint_store.current.payload["store"].items()
+                if e.value is HELD}
+        assert refs
+        before = {key: srv.store.get_entry(key).value for key in refs}
+        srv.crash()
+        srv.recover()
+        for key in refs:
+            assert srv.store.get_entry(key).value is before[key]
+
+    def test_a_reference_to_a_record_no_segment_holds_raises(self):
+        """Teeth: drop from the durable segments the acceptor record a
+        by-reference entry names; recovery must refuse, not install a
+        store entry without its share."""
+        c = make()
+        load(c, until=3.0)
+        srv = c.servers[1]
+        store = srv.checkpoint_store.current.payload["store"]
+        e = next(e for e in store.values() if e.value is HELD)
+        inst = instance_of(e.version)
+        for segment in srv.checkpoint_store.segments:
+            segment.payload["groups"][e.group][0].pop(inst, None)
+        srv.crash()
+        with pytest.raises(LookupError, match="no segment holds"):
+            srv.recover()

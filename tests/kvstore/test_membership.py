@@ -327,7 +327,7 @@ class TestSelfHealingIntegration:
         c.net.heal("cut")
         c.run(until=14.0)
         assert all(s.view_epoch == 0 for s in c.servers)
-        assert sum(len(s.eviction_events) for s in c.servers) == 0
+        assert sum(len(s.repair.eviction_events) for s in c.servers) == 0
 
     def test_full_perma_crash_lifecycle(self):
         """Wipe -> auto-evict -> spare provisioned -> rebuild ->
@@ -341,12 +341,12 @@ class TestSelfHealingIntegration:
         c.wipe_server(4)
         c.run(until=12.0)
         # Evicted: the survivors run the shrunk view.
-        assert sum(len(s.eviction_events) for s in c.servers) == 1
+        assert sum(len(s.repair.eviction_events) for s in c.servers) == 1
         assert all(s.member_ids == {0, 1, 2, 3} for s in c.servers[:4])
         c.rejoin_server(4)
         c.run(until=25.0)
         # Re-admitted after rebuild: back to the full 5-member view.
-        assert sum(len(s.replacement_events) for s in c.servers) == 1
+        assert sum(len(s.repair.replacement_events) for s in c.servers) == 1
         for s in c.servers:
             assert s.view_epoch == 2
             assert s.member_ids == {0, 1, 2, 3, 4}
@@ -458,4 +458,4 @@ class TestSelfHealingIntegration:
         # The cut member kept its seat; only real membership changes
         # (none) may have happened.
         assert victim.node_id in (c.leader() or victim).member_ids
-        assert sum(len(s.eviction_events) for s in c.servers) == 0
+        assert sum(len(s.repair.eviction_events) for s in c.servers) == 0

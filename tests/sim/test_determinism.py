@@ -44,12 +44,16 @@ def run_cluster(seed, num_clients=4, **kw):
     return write_summary(drive_cluster(seed, num_clients, **kw))
 
 
-@pytest.fixture(scope="module")
-def baseline():
-    """``run_cluster(17)``, run once for the tests that compare some
-    *other* run against it. That the run repeats at all is what
-    ``test_full_cluster_run_identical`` checks, with two fresh runs."""
-    return run_cluster(17)
+#: The batched spec the golden ``test_batched_cluster_run`` pins.
+BATCHED = {"batch_max_commands": 4, "batch_linger": 0.0005}
+
+
+@pytest.fixture
+def baseline(cluster_run):
+    """``run_cluster(17)``, run once per session (``tests/conftest.py``)
+    for the tests that compare some *other* run against it. That the run
+    repeats at all is what ``test_full_cluster_run_identical`` checks."""
+    return cluster_run(17)
 
 
 class TestDeterminism:
@@ -71,8 +75,11 @@ class TestDeterminism:
         assert trace(5) == trace(5)
         assert trace(5) != trace(6)
 
-    def test_full_cluster_run_identical(self):
-        assert run_cluster(17) == run_cluster(17)
+    def test_full_cluster_run_identical(self, baseline):
+        """The one deliberate in-process repeat: a fresh run equals the
+        session's shared one, whatever ran in between (process-wide
+        state such as ``core/value.py::_value_seq`` must not leak)."""
+        assert run_cluster(17) == baseline
 
     def test_different_seeds_differ(self, baseline):
         assert baseline != run_cluster(18)
@@ -84,13 +91,14 @@ class TestDeterminism:
         provably dormant at batch size 1."""
         assert run_cluster(17, batch_max_commands=1) == baseline
 
-    def test_batched_run_is_deterministic(self, baseline):
-        a = run_cluster(17, batch_max_commands=4, batch_linger=0.0005)
-        b = run_cluster(17, batch_max_commands=4, batch_linger=0.0005)
-        assert a == b
-        # ... and batching genuinely changes the schedule (fewer
-        # messages per command), so this is not a vacuous equality.
-        assert a != baseline
+    def test_batched_run_is_deterministic(self, baseline, cluster_run):
+        """Across processes, ``test_golden_runs.py::
+        test_batched_cluster_run`` pins this run's digest (the same
+        shared run). Here: batching genuinely changes the schedule
+        (fewer messages per command), so that pin is not vacuous."""
+        batched = cluster_run(17, **BATCHED)
+        assert batched != baseline
+        assert batched[3] < baseline[3]
 
     def test_failover_timeline_deterministic(self):
         from repro.bench import Setup, measure_failover
