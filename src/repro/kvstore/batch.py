@@ -20,6 +20,9 @@ rejected. Decoding is all-or-nothing: :func:`decode_frame` validates the
 entire frame before returning, so a corrupt batch is never partially
 applied.
 
+:class:`Batcher` holds the pending batches and closes them by count,
+bytes or linger; the server proposes what it closes.
+
 Two representations exist because values are dual-mode (§ concrete vs
 modeled): :class:`FramedCommand` carries real payload bytes and travels
 inside ``Value.data``; :class:`BatchItem` carries sizes only and rides
@@ -33,7 +36,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 MAGIC = b"\xb5\x01"
 
@@ -185,3 +188,88 @@ def frame_size(items: Iterable[BatchItem]) -> int:
     for item in items:
         size += entry_size(item.key, item.client, item.size)
     return size
+
+
+@dataclass(slots=True)
+class Parked:
+    """One admitted command waiting in a pending batch: what the frame
+    needs of it, and its two replies — ``finish`` once its batch is
+    applied, ``respond`` (the raw responder) on the failure paths."""
+
+    op: str
+    key: str
+    size: int
+    data: bytes | None
+    client: str
+    op_id: int
+    finish: Callable[[], None]
+    respond: Callable
+
+
+class Batcher:
+    """The leader's pending batches, one per group, and the rules that
+    close them: at ``max_commands`` commands, when the frame would reach
+    ``max_bytes``, or ``linger`` seconds on ``clock`` (anything with
+    ``call_after``) after the first command — whichever comes first.
+    ``close(group, entries)`` gets each closed batch, its commands in
+    arrival order, and owns what follows: proposing it, or failing it.
+
+    A batch of one closes inside ``add`` without arming a timer, so at
+    ``max_commands=1`` each command is proposed as it arrives.
+    ``linger=0`` still coalesces the commands of one instant: the close
+    is a zero-delay event behind them. The frame size is a running sum
+    of :func:`entry_size`, kept while the count cap has not closed the
+    batch, so sizing n commands is n steps, not n²/2.
+    """
+
+    __slots__ = ("_clock", "_max_commands", "_max_bytes", "_linger",
+                 "_close", "_pending", "_bytes", "_timers")
+
+    def __init__(self, clock, max_commands: int, max_bytes: int,
+                 linger: float, close) -> None:
+        self._clock = clock
+        self._max_commands = max_commands
+        self._max_bytes = max_bytes
+        self._linger = linger
+        self._close = close
+        self._pending: dict[int, list] = {}
+        self._bytes: dict[int, int] = {}
+        self._timers: dict[int, object] = {}
+
+    def add(self, group: int, entry: Parked) -> None:
+        """Park ``entry`` in ``group``'s batch; close the batch if it
+        is full, else make sure its linger timer runs."""
+        pending = self._pending.get(group)
+        if pending is None:
+            pending = self._pending[group] = []
+        pending.append(entry)
+        if len(pending) >= self._max_commands:
+            self._close_group(group)
+            return
+        size = self._bytes[group] = self._bytes.get(
+            group, FRAME_OVERHEAD
+        ) + entry_size(entry.key, entry.client, entry.size)
+        if size >= self._max_bytes:
+            self._close_group(group)
+        elif group not in self._timers:
+            self._timers[group] = self._clock.call_after(
+                self._linger, lambda: self._close_group(group))
+
+    def flush(self) -> list:
+        """Drop every pending batch and cancel its timer; returns the
+        parked commands, group by group in the order they arrived."""
+        for timer in self._timers.values():
+            timer.cancel()
+        self._timers.clear()
+        self._bytes.clear()
+        pending, self._pending = self._pending, {}
+        return [e for entries in pending.values() for e in entries]
+
+    def _close_group(self, group: int) -> None:
+        timer = self._timers.pop(group, None)
+        if timer is not None:
+            timer.cancel()
+        self._bytes.pop(group, None)
+        entries = self._pending.pop(group, None)
+        if entries:
+            self._close(group, entries)

@@ -10,6 +10,9 @@ never what they mean.
 
 from __future__ import annotations
 
+from itertools import count
+
+from repro.check import check_cluster
 from repro.core import classic_paxos, rs_paxos
 from repro.kvstore import BatchItem, build_cluster, frame_size
 from repro.net import LinkSpec
@@ -241,6 +244,37 @@ def test_inflight_budget_scales_with_batch_size():
     c1 = make(1, clients=1, max_inflight_proposals=8)
     for s in c1.servers:
         assert s.admission.budget == 8
+
+
+def test_group_pipeline_cap_sheds_batched_writes():
+    """``max_group_pipeline`` holds under batching: with one proposal
+    per group in flight, 16 closed-loop clients on one group are shed
+    Busy, and every write the cluster acknowledged is applied."""
+    c = make(4, clients=16, groups=1, max_group_pipeline=1)
+    acked: dict[str, int] = {}
+    stop = c.sim.now + 1.0
+
+    def loop(cl, i: int, seq) -> None:
+        if c.sim.now >= stop:
+            return
+        n = next(seq)
+        key, size = f"p{i}-{n}", 64 + n
+
+        def done(ok: bool) -> None:
+            if ok:
+                acked[key] = size
+            loop(cl, i, seq)
+
+        cl.put(key, size, on_done=done)
+
+    for i, cl in enumerate(c.clients):
+        c.sim.call_soon(lambda cl=cl, i=i: loop(cl, i, count()))
+    c.run(until=stop + 1.0)
+    assert c.metrics.counter("shard.group_shed").value > 0
+    assert len(acked) > 100
+    leader = c.leader()
+    assert {k: leader.store.get(k).size for k in acked} == acked
+    assert check_cluster(c.servers, rs_paxos(5, 1)) == []
 
 
 # -- the Busy.retry_after EWMA fix ----------------------------------------

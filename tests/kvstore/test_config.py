@@ -16,9 +16,7 @@ from repro.kvstore import KVServer, ServerConfig, build_cluster
 
 
 @pytest.mark.parametrize("knobs,named", [
-    # silently ignored before: the cap is never consulted when batching
-    ({"max_group_pipeline": 4, "batch_max_commands": 8},
-     ("max_group_pipeline", "batch_max_commands")),
+    # silently ignored before
     ({"rebalance_interval": 0.5}, ("rebalance_interval", "dynamic_shards")),
     # clamped by max(...) before
     ({"batch_max_commands": 0}, ("batch_max_commands",)),
@@ -51,6 +49,8 @@ def test_legal_combinations_still_build():
                  max_group_pipeline=4)
     ServerConfig(batch_max_commands=32, batch_linger=0.0,
                  max_queued_requests=0)
+    # The per-group cap is checked on every write, batched or not.
+    ServerConfig(max_group_pipeline=4, batch_max_commands=8)
 
 
 def test_shard_ranges_need_dynamic_shards():

@@ -90,6 +90,25 @@ class TestSplitMigration:
         assert got == {f"m{i}": (True, 900 + i) for i in range(6)}
         assert check_cluster(c.servers, rs_paxos(5, 1)) == []
 
+    @pytest.mark.parametrize("knobs", [
+        {}, {"batch_max_commands": 4, "batch_linger": 0.0005},
+    ], ids=["single", "batched"])
+    def test_writes_in_the_copy_window_are_fenced(self, knobs):
+        """Writes 10 ms apart land inside the copy window: batched or
+        not, each one routed to the new owner mirrors a fence into the
+        old owner's log, and none vanishes or double-applies."""
+        c = make(num_groups=3, **knobs)
+        _, t = put_all(c, [(f"m{i}", 200 + i) for i in range(6)], 1.0)
+        assert c.leader().force_split("m")
+        done, t = put_all(c, [(f"m{i}", 900 + i) for i in range(6)], t, 0.01)
+        c.run(until=t + 4.0)
+        t += 4.0
+        assert done.count(True) == 6
+        assert sum(s.fence_writes for s in c.servers) >= 1
+        got, t = read_all(c, [f"m{i}" for i in range(6)], t)
+        assert got == {f"m{i}": (True, 900 + i) for i in range(6)}
+        assert check_cluster(c.servers, rs_paxos(5, 1)) == []
+
     def test_merge_returns_group_to_spare_pool(self):
         c = make(num_groups=3)
         pairs = [(f"{ch}1", 64) for ch in "acmz"]

@@ -84,13 +84,6 @@ class TestDeterminism:
     def test_different_seeds_differ(self, baseline):
         assert baseline != run_cluster(18)
 
-    def test_batching_off_is_bit_for_bit_the_old_pipeline(self, baseline):
-        """``batch_max_commands=1`` must not merely be equivalent — it
-        must reproduce the unbatched run *exactly*: same metrics, same
-        latency samples, same message count. The batching layer is
-        provably dormant at batch size 1."""
-        assert run_cluster(17, batch_max_commands=1) == baseline
-
     def test_batched_run_is_deterministic(self, baseline, cluster_run):
         """Across processes, ``test_golden_runs.py::
         test_batched_cluster_run`` pins this run's digest (the same
