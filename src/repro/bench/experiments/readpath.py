@@ -163,12 +163,12 @@ def _degraded_latency_phase(quick: bool) -> list[str]:
         while srv.inject_bit_rot(rot_rng):
             pass
 
-    degraded_before = cluster.servers[1].degraded_reads
+    degraded_before = cluster.servers[1].reads.degraded_reads
     degraded_lat: list[float] = []
     for key in _read_keys(cluster, client, rot_keys, "follower", "P2",
                           degraded_lat):
         problems.append(f"phase1: degraded read of {key!r} failed")
-    degraded_served = cluster.servers[1].degraded_reads - degraded_before
+    degraded_served = cluster.servers[1].reads.degraded_reads - degraded_before
     if degraded_served < per_set:
         problems.append(
             f"phase1: only {degraded_served}/{per_set} reads took the "
@@ -240,8 +240,10 @@ def _run_repair_ladder(rtt_select: bool, rounds: int) -> list[float]:
     warmup = 5
     cluster = build_cluster(
         rs_paxos(7, 2), num_clients=1, num_groups=2, link=LAN, seed=23,
-        scrub_interval=0.0, hedge_fetches=False, rtt_select=rtt_select,
+        scrub_interval=0.0,
     )
+    for srv in cluster.servers:
+        srv.fetch.hedge, srv.fetch.rtt_select = False, rtt_select
     sim = cluster.sim
     cluster.start()
     sim.run(until=1.0)

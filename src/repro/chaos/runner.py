@@ -549,11 +549,11 @@ class ChaosRunner:
             step_downs=sum(s.step_downs for s in cluster.servers),
             reads_attempted=reads_attempted,
             reads_ok=reads_ok,
-            follower_reads=sum(s.follower_reads for s in cluster.servers),
+            follower_reads=sum(s.reads.follower_reads for s in cluster.servers),
             read_index_rounds=sum(
-                s.read_index_rounds for s in cluster.servers
+                s.reads.read_index_rounds for s in cluster.servers
             ),
-            degraded_reads=sum(s.degraded_reads for s in cluster.servers),
+            degraded_reads=sum(s.reads.degraded_reads for s in cluster.servers),
             read_retry_causes=read_retry_causes,
             rtt_estimates=rtt_estimates,
             evictions=sum(

@@ -5,7 +5,9 @@ Public API:
 - :func:`build_cluster` / :class:`Cluster` — assemble a full simulated
   deployment (§6.1 presets).
 - :class:`KVServer` — replica server: Paxos groups, local store, leader
-  leases, fast/consistent/recovery reads, crash recovery, election.
+  leases, crash recovery, election.
+- :class:`ReadPath` — the four read modes, the election read barrier and
+  the recovery read's second-hit rule.
 - :class:`ServerConfig` — every server tunable, validated and frozen.
 - :class:`Admission` — the DRR admission pipeline the server drives.
 - :class:`ShareFetch` — source ranking and the one ranked, hedged share
@@ -65,6 +67,7 @@ from .messages import (
     WrongShard,
 )
 from .membership import AccrualFailureDetector, RepairController
+from .reads import ReadPath
 from .rebuild import Rebuild
 from .server import KVServer
 from .sharefetch import ShareFetch
@@ -102,6 +105,7 @@ __all__ = [
     "PlacementGaps",
     "ProbeSpare",
     "PutOk",
+    "ReadPath",
     "Rebuild",
     "Redirect",
     "RepairController",

@@ -20,8 +20,9 @@ rejected. Decoding is all-or-nothing: :func:`decode_frame` validates the
 entire frame before returning, so a corrupt batch is never partially
 applied.
 
-:class:`Batcher` holds the pending batches and closes them by count,
-bytes or linger; the server proposes what it closes.
+:func:`payload_for_key` reads one key's payload back out of a decoded
+value. :class:`Batcher` holds the pending batches and closes them by
+count, bytes or linger; the server proposes what it closes.
 
 Two representations exist because values are dual-mode (§ concrete vs
 modeled): :class:`FramedCommand` carries real payload bytes and travels
@@ -37,6 +38,8 @@ import struct
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+from .messages import Command
 
 MAGIC = b"\xb5\x01"
 
@@ -188,6 +191,42 @@ def frame_size(items: Iterable[BatchItem]) -> int:
     for item in items:
         size += entry_size(item.key, item.client, item.size)
     return size
+
+
+def is_batch(meta) -> bool:
+    """Is ``meta`` a batch command's metadata?"""
+    return isinstance(meta, Command) and meta.op == "batch"
+
+
+def frame_payloads(raw, items) -> list:
+    """Per-item payloads of batch frame ``raw``: all None in modeled
+    mode (``raw`` is None) or when the frame fails validation."""
+    if raw is not None:
+        try:
+            cmds = decode_frame(raw)
+        except FrameError:
+            cmds = ()
+        if len(cmds) == len(items):
+            return [c.data for c in cmds]
+    return [None] * len(items)
+
+
+def payload_for_key(meta, data, size: int, key: str):
+    """(data, size) that ``key`` holds once a value with this ``meta``,
+    ``data`` and ``size`` applies: the value itself for a plain put; for
+    a batch, the last framed write to the key (frame order is apply
+    order)."""
+    if not is_batch(meta):
+        return data, size
+    arg = meta.arg
+    items = arg.items if isinstance(arg, BatchMeta) else ()
+    out, out_size = None, 0
+    for item, item_data in zip(items, frame_payloads(data, items)):
+        if item.key == key and item.op == "put":
+            out, out_size = item_data, item.size
+        elif item.key == key and item.op == "delete":
+            out, out_size = None, 0
+    return out, out_size
 
 
 @dataclass(slots=True)

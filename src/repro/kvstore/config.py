@@ -59,14 +59,6 @@ class ServerConfig:
     # Persist applied state + acceptor metadata, then truncate the WAL.
     checkpoint_interval: float = 0.0
 
-    # -- share/catch-up source selection ----------------------------------
-    # Hedge a fetch to the next-fastest peer when the slowest
-    # outstanding one overruns its adaptive RTO (gray-failure tolerance).
-    hedge_fetches: bool = True
-    # Rank source peers by RTT estimate × outstanding fetches; ``False``
-    # (the readpath gate's baseline) draws them in seeded-random order.
-    rtt_select: bool = True
-
     # -- self-healing membership (§4.6, §6.1) -----------------------------
     # Evict members the accrual detector holds suspect past the grace.
     auto_reconfigure: bool = False

@@ -99,7 +99,7 @@ class _Gather:
             return
         while len(self.outstanding) < need and self.next < len(self.hosts):
             self.issue(hedge=False)
-        if self.sf._hedge:
+        if self.sf.hedge:
             self.arm_hedge()
 
     def issue(self, hedge: bool) -> None:
@@ -157,16 +157,17 @@ class ShareFetch:
     returning something with ``cancel()``; ``peers`` the other hosts'
     names; ``request`` / ``cancel_request`` / ``rto`` / ``peer_stats``
     an RPC endpoint's bound methods; ``alive()`` whether the owner is
-    up; ``hedge`` / ``rtt_select`` are ``ServerConfig.hedge_fetches`` /
-    ``.rtt_select``, and ``rng`` (a numpy Generator) orders the sources
-    when ``rtt_select`` is off.
+    up; ``rng`` (a numpy Generator) orders the sources when
+    ``rtt_select`` is off. ``hedge`` and ``rtt_select`` are on; the
+    readpath gate's phase-3 baseline and tests switch them off on a
+    built server (``srv.fetch.rtt_select = False``).
     """
 
     def __init__(
         self, clock, peers: Sequence[str], *,
         request: Callable[..., int], cancel_request: Callable[[int], None],
         rto: Callable[[str, float], float], peer_stats: Callable[[str], Any],
-        alive: Callable[[], bool], hedge: bool, rtt_select: bool, rng,
+        alive: Callable[[], bool], rng,
     ):
         self._clock = clock
         self._peers = tuple(peers)
@@ -175,8 +176,11 @@ class ShareFetch:
         self._rto = rto
         self._peer_stats = peer_stats
         self._alive = alive
-        self._hedge = hedge
-        self._rtt_select = rtt_select
+        # Hedge a fetch to the next-ranked peer when the slowest
+        # outstanding one overruns its adaptive RTO.
+        self.hedge = True
+        # Rank by RTT estimate x outstanding fetches; off: seeded-random.
+        self.rtt_select = True
         self._rng = rng
         self.load: dict[str, int] = {}  # fetches in flight per peer
         # Bumped by reset(): whatever an earlier gather still has coming
@@ -199,7 +203,7 @@ class ShareFetch:
         ``rtt_select`` off (the readpath gate's measured baseline):
         seeded-random order, no RTT, no load signal.
         """
-        if not self._rtt_select:
+        if not self.rtt_select:
             order = list(self._peers)
             self._rng.shuffle(order)
             return order

@@ -57,7 +57,7 @@ class TestPutGet:
                    on_done=lambda ok, size: results.append((ok, size)))
         c.run(until=6.0)
         assert results == [(True, 500)]
-        assert c.leader().consistent_reads == 1
+        assert c.leader().reads.consistent_reads == 1
 
     def test_delete_hides_key(self):
         c = make()

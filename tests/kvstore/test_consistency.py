@@ -32,9 +32,9 @@ class TestSnapshotReads:
         for n, complete in ((1, False), (2, True), (3, True)):
             assert read_bytes(c, "snap", mode="snapshot",
                               server=follower.name) == payload
-            assert follower.snapshot_reads == n
+            assert follower.reads.snapshot_reads == n
             assert follower.store.get("snap").complete is complete
-        assert follower.recovery_reads == 2
+        assert follower.reads.recovery_reads == 2
 
     def test_snapshot_read_sees_stale_but_valid_state(self):
         c = make()

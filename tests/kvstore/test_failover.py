@@ -50,7 +50,7 @@ class TestLeaderFailover:
         c.clients[0].get("precious", on_done=lambda ok, size: results.append((ok, size)))
         c.run(until=20.0)
         assert results == [(True, 3000)]
-        assert c.leader().recovery_reads >= 1
+        assert c.leader().reads.recovery_reads >= 1
 
     def test_recovery_read_decodes_real_bytes(self):
         """The first read serves the decoded bytes and leaves the entry
@@ -67,11 +67,11 @@ class TestLeaderFailover:
         assert read_bytes(c, "real") == payload
         assert not leader.store.get("real").complete
         assert read_bytes(c, "real") == payload
-        assert leader.recovery_reads == 2
+        assert leader.reads.recovery_reads == 2
         entry = leader.store.get("real")
         assert entry.complete and entry.value == payload
         assert read_bytes(c, "real") == payload
-        assert leader.recovery_reads == 2
+        assert leader.reads.recovery_reads == 2
 
     def test_paxos_failover_needs_no_recovery_read(self):
         """Under classic Paxos every follower holds the full value, so
@@ -85,7 +85,7 @@ class TestLeaderFailover:
         c.clients[0].get("full", on_done=lambda ok, size: results.append((ok, size)))
         c.run(until=20.0)
         assert results == [(True, 2000)]
-        assert c.leader().recovery_reads == 0
+        assert c.leader().reads.recovery_reads == 0
 
     def test_second_failover(self):
         """Fig. 8 scenario: kill the leader, then kill its successor.

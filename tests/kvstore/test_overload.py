@@ -124,7 +124,11 @@ class TestHedgedFetches:
     KEYS = 5
 
     def _read_tail(self, hedge: bool):
-        c = make(hedge_fetches=hedge, seed=9)
+        c = build_cluster(rs_paxos(5, 1), seed=9)
+        for srv in c.servers:
+            srv.fetch.hedge = hedge
+        c.start()
+        c.run(until=1.0)
         client = c.clients[0]
         writes = []
         for i in range(self.KEYS):
@@ -162,7 +166,7 @@ class TestHedgedFetches:
         read(0)
         c.run(until=c.sim.now + 120.0)
         assert len(latencies) == self.KEYS
-        assert reader.recovery_reads >= self.KEYS
+        assert reader.reads.recovery_reads >= self.KEYS
         return latencies, reader.fetch.hedge_wins
 
     def test_hedging_cuts_read_tail_under_slow_node(self):

@@ -87,7 +87,7 @@ def test_reading_each_value_once_keeps_no_decoded_copy():
     finally:
         tracemalloc.stop()
     read = sum(len(v) for v in values.values())
-    assert leader.recovery_reads == len(values)
+    assert leader.reads.recovery_reads == len(values)
     assert growth <= 0.25 * read, (growth, read)
     assert not any(leader.store.get(k).complete for k in values)
 
@@ -111,7 +111,7 @@ def test_crash_makes_the_next_read_a_first_touch():
     c.run(until=c.sim.now + 3.0)
     assert read_bytes(c, "snap", mode="snapshot", server=follower.name) \
         == payload
-    assert follower.snapshot_reads == 2
+    assert follower.reads.snapshot_reads == 2
     assert not follower.store.get("snap").complete
     assert read_bytes(c, "snap", mode="snapshot", server=follower.name) \
         == payload

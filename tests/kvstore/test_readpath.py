@@ -7,9 +7,11 @@ from repro.kvstore import build_cluster
 from repro.kvstore.shard import instance_of
 
 
-def make(seed=7, **kw):
+def make(seed=7, hedge=True, rtt_select=True, **kw):
     c = build_cluster(rs_paxos(5, 1), seed=seed, num_groups=2,
                       client_timeout=1.0, scrub_interval=0.0, **kw)
+    for srv in c.servers:
+        srv.fetch.hedge, srv.fetch.rtt_select = hedge, rtt_select
     c.start()
     c.run(until=1.0)
     return c
@@ -38,20 +40,20 @@ class TestFollowerReads:
         follower, leader = c.servers[1], c.servers[0]
         ok, size = get(c, "k", server=follower.name)
         assert ok and size == 321
-        assert follower.follower_reads == 1
-        assert follower.read_index_rounds == 1
-        assert leader.read_index_served == 1
+        assert follower.reads.follower_reads == 1
+        assert follower.reads.read_index_rounds == 1
+        assert leader.reads.read_index_served == 1
         assert c.metrics.counter("read.follower").value == 1
 
     def test_leader_serves_follower_mode_as_fast_read(self):
         c = make()
         put(c, "k", 222)
         leader = c.servers[0]
-        before = leader.fast_reads
+        before = leader.reads.fast_reads
         ok, size = get(c, "k", server=leader.name)
         assert ok and size == 222
-        assert leader.fast_reads == before + 1
-        assert leader.follower_reads == 0
+        assert leader.reads.fast_reads == before + 1
+        assert leader.reads.follower_reads == 0
 
     def test_untargeted_follower_reads_rotate_servers(self):
         c = make()
@@ -59,7 +61,7 @@ class TestFollowerReads:
         for _ in range(len(c.servers)):
             ok, _size = get(c, "k")  # no fixed server: rotates
             assert ok
-        served = sum(s.follower_reads for s in c.servers)
+        served = sum(s.reads.follower_reads for s in c.servers)
         assert served >= len(c.servers) - 1  # all non-leader targets
 
     def test_read_index_refused_while_leaderless(self):
@@ -88,7 +90,7 @@ class TestDegradedReads:
         self.rot_everything(c, follower)
         ok, size = get(c, "k", server=follower.name)
         assert ok and size == 456
-        assert follower.degraded_reads == 1
+        assert follower.reads.degraded_reads == 1
         assert c.metrics.counter("read.degraded").value == 1
 
     def test_survives_two_rotten_servers(self):
@@ -99,14 +101,14 @@ class TestDegradedReads:
         self.rot_everything(c, c.servers[1], c.servers[2])
         ok, size = get(c, "k", server=c.servers[1].name)
         assert ok and size == 789
-        assert c.servers[1].degraded_reads == 1
+        assert c.servers[1].reads.degraded_reads == 1
 
     def test_clean_share_read_is_not_degraded(self):
         c = make()
         put(c, "k", 100)
         ok, _size = get(c, "k", server=c.servers[1].name)
         assert ok
-        assert c.servers[1].degraded_reads == 0
+        assert c.servers[1].reads.degraded_reads == 0
 
 
 class TestSourceSelection:
@@ -157,7 +159,7 @@ class TestRepairAccounting:
         # peers and nobody else (it used to widen after every usable
         # reply: 5 fetches served at X = 3, 3 of them counted), so
         # ``scrub.repair_bytes`` is what crossed the wire for it.
-        c = make(hedge_fetches=False)
+        c = make(hedge=False)
         srv, x, fragment = c.servers[2], 3, 1000
         rng = c.sim.rng.stream("test.readpath.ladder")
         served = c.metrics.counter("scrub.fetches_served")

@@ -70,9 +70,10 @@ class Rig:
         self.fetch = ShareFetch(
             self.clock, PEERS, request=self.request,
             cancel_request=self.cancelled.append, rto=self.rto,
-            peer_stats=self.peer_stats, alive=lambda: self.up, hedge=hedge,
-            rtt_select=rtt_select, rng=np.random.default_rng(seed),
+            peer_stats=self.peer_stats, alive=lambda: self.up,
+            rng=np.random.default_rng(seed),
         )
+        self.fetch.hedge, self.fetch.rtt_select = hedge, rtt_select
         # The client of one gather: needs ``want`` usable replies.
         self.want = 2
         self.got: list[tuple] = []
