@@ -242,16 +242,18 @@ class PreVoteReply:
 @dataclass(frozen=True, slots=True)
 class ReadIndex:
     """Follower -> leader: "what must I have applied before serving a
-    linearizable local read of ``group``?"
+    linearizable local read of ``key``?"
 
-    One round, zero proposals. The leader answers only while its lease
-    is valid *and* its apply cursor has passed its election read
-    barrier — the same two conditions that gate its own fast reads —
-    so the returned frontier covers every write any leader could have
-    acknowledged before the reply was sent.
+    One round, zero proposals. The leader answers for the groups *its*
+    shard map says the key depends on (``ReadPath.wait_groups``), and
+    only while its lease is valid *and* its apply cursor has passed its
+    election read barrier in each — the conditions that gate its own
+    fast reads — so the returned frontier covers every write any leader
+    could have acknowledged before the reply was sent, whatever map the
+    follower holds.
     """
 
-    group: int
+    key: str
 
     @property
     def wire_bytes(self) -> int:
@@ -260,14 +262,13 @@ class ReadIndex:
 
 @dataclass(frozen=True, slots=True)
 class ReadIndexReply:
-    """``index`` is the leader's applied frontier for the group (the
-    highest instance it has applied); the follower serves its read once
-    its own apply cursor passes it. ``ok=False`` means the responder
-    cannot vouch (not the leader, lease expired, or mid-election) and
-    the follower must retry."""
+    """``frontier`` is ``((group, index), ...)``: for each group the
+    read waits on, the highest instance the leader has applied; the
+    follower serves its read once its own apply cursor passes every
+    one. ``ok=False`` means the responder cannot vouch (not the leader,
+    lease expired, or mid-election) and the follower must retry."""
 
-    group: int
-    index: int = -1
+    frontier: tuple[tuple[int, int], ...] = ()
     ok: bool = False
 
     @property

@@ -16,6 +16,8 @@ import pytest
 from repro.check import check_cluster, check_shard_coverage
 from repro.core import classic_paxos, rs_paxos
 from repro.kvstore import build_cluster
+from repro.rpc import Batch, Reply, Request
+from repro.rpc.mux import ChannelMsg
 
 
 def make(config=None, **kw):
@@ -149,6 +151,96 @@ class TestSplitMigration:
         assert done.count(True) == 3
         got, _ = read_all(c, [k for k, _ in pairs], t)
         assert got == {k: (True, sz) for k, sz in pairs}
+
+
+class TestReadsAfterAStaleMap:
+    """A replica that missed a split (deaf to the config group and the
+    split's destination) must not serve the pre-split value once the
+    leader has acked an overwrite: a read waits for every group the
+    leader's map says the key depends on, not only the group the
+    replica's own map names. Failing or timing out is allowed."""
+
+    def split_while_deaf(self, host):
+        """``m`` written at 100 B, then split into a spare group while
+        ``host`` hears nothing of the config group or that spare, then
+        ``m`` overwritten at 200 B. Returns the cluster and a switch
+        that restores ``host``'s hearing."""
+        c = build_cluster(rs_paxos(5, 1), seed=3, num_clients=2,
+                          num_groups=3, dynamic_shards=True,
+                          client_timeout=1.0)
+        c.start()
+        c.run(until=1.0)
+        done = []
+        c.clients[0].put("m", 100, on_done=done.append)
+        c.run(until=1.5)
+        ldr = c.leader()
+        dst = ldr.shard_map.spare_groups()[0]
+        cut, deaf = {ldr.cfg_group, dst}, [True]
+        send = c.net.send
+
+        def channels(payload):
+            found, todo = set(), [payload]
+            while todo:
+                body = todo.pop()
+                if isinstance(body, (Request, Reply)):
+                    todo.append(body.body)
+                elif isinstance(body, Batch):
+                    todo.extend(body.items)
+                elif isinstance(body, ChannelMsg):
+                    found.add(body.key)
+            return found
+
+        def lossy(src, to, payload, size, *rest, **kw):
+            if deaf and to == host and channels(payload) & cut:
+                return None
+            return send(src, to, payload, size, *rest, **kw)
+
+        c.net.send = lossy
+        assert ldr.force_split("k", dst)
+        c.run(until=5.0)
+        c.clients[0].put("m", 200, on_done=done.append)
+        c.run(until=5.5)
+        assert done == [True, True]
+        return c, deaf.clear
+
+    def test_stale_follower_never_serves_the_old_value(self):
+        c, hear = self.split_while_deaf("P3")
+        got = []
+
+        def read() -> None:
+            c.clients[1].get("m", mode="follower", server="P3",
+                             on_done=lambda ok, size: got.append((ok, size)))
+
+        c.sim.call_at(6.0, read)
+        c.run(until=6.5)
+        hear()
+        done = []
+        c.clients[0].put("m", 300, on_done=done.append)
+        c.sim.call_at(9.0, read)
+        c.run(until=12.0)
+        assert done == [True] and c.servers[2].reads.read_index_rounds > 0
+        # The reads wait instead: P3 hears of the two groups again only
+        # at their next decisions.
+        assert (True, 100) not in got
+
+    @pytest.mark.parametrize("mode", ["fast", "consistent"])
+    def test_stale_new_leader_never_serves_the_old_value(self, mode):
+        c, hear = self.split_while_deaf("P2")
+        c.run(until=6.0)
+        c.servers[0].crash()
+        hear()
+        got = []
+
+        def poll() -> None:
+            if c.sim.now < 9.5:
+                c.clients[1].get("m", mode, server="P2", on_done=lambda
+                                 ok, size: got.append((ok, size)))
+                c.sim.call_after(0.0005, poll)
+
+        c.sim.call_at(8.0, poll)
+        c.run(until=10.5)
+        assert c.leader() is c.servers[1]
+        assert (True, 200) in got and (True, 100) not in got
 
 
 # -- metamorphic: trace equivalence across shard layouts -----------------
