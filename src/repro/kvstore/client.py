@@ -5,7 +5,12 @@ last saw (the paper's clients "gather the information that which
 replica is the leader ... and save this information in its local
 cache") and follows :class:`~repro.kvstore.messages.Redirect` hints.
 Requests that time out rotate to the next server, so clients ride
-through leader failures (Fig. 8).
+through leader failures (Fig. 8): a leader-directed operation that
+times out at server T drops the cached leader and walks the server
+list from the one after T, wrapping, so T is tried last, not first. A
+crashed leader therefore costs one client timeout, not two. Pinned
+(``server=``) and rotating follower reads keep their own targets, and
+a Redirect that names T again is still followed.
 """
 
 from __future__ import annotations
@@ -340,8 +345,13 @@ class _Op:
             self._retry()
 
     def _on_timeout(self) -> None:
-        # Server may be down: drop the cache and rotate.
+        # Server may be down: drop the cache and walk on from the server
+        # after it, so the one that just timed out is tried last, not
+        # first (a crashed leader would otherwise cost a second timeout).
         self._note_retry("timeout")
         if self.leader_directed:
-            self.client.leader_cache = None
+            client = self.client
+            client.leader_cache = None
+            if self.target in client.servers:
+                self.next_server = client.servers.index(self.target) + 1
         self.attempt()

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.core import rs_paxos
+from repro.core import LeaseConfig, rs_paxos
 from repro.kvstore import KVClient, build_cluster
+from repro.kvstore.messages import ClientPut
 
 
-def make(**kw):
-    c = build_cluster(rs_paxos(5, 1), seed=9, num_groups=2,
+def make(config=None, **kw):
+    c = build_cluster(config or rs_paxos(5, 1), seed=9, num_groups=2,
                       client_timeout=kw.pop("client_timeout", 1.0), **kw)
     c.start()
     c.run(until=1.0)
@@ -37,6 +38,51 @@ class TestRedirects:
         client.put("after-death", 64, on_done=lambda o: ok.append(o))
         c.run(until=25.0)
         assert ok == [True]
+
+    # A lease shorter than the client timeout: the successor leads
+    # before the first timeout fires, so one timeout is all it costs.
+    SHORT_LEASE = LeaseConfig(duration=0.5, max_drift=0.05,
+                              heartbeat_interval=0.125)
+
+    def crash_and_put(self, f, down):
+        """Crash ``down`` while the client caches servers[0], then put;
+        returns the put's targets in order and its ``(ok, latency)``."""
+        c = make(config=rs_paxos(5, f), lease_config=self.SHORT_LEASE)
+        client = c.clients[0]
+        client.put("seed", 10, on_done=lambda ok: None)
+        c.run(until=3.0)
+        assert client.leader_cache == c.servers[0].name
+        targets = []
+        request = client.endpoint.request
+
+        def spy(dest, msg, *args, **kw):
+            if isinstance(msg, ClientPut) and msg.key == "after-death":
+                targets.append(dest)
+            return request(dest, msg, *args, **kw)
+
+        client.endpoint.request = spy
+        for i in down:
+            c.crash_server(i)
+        start, done = c.sim.now, []
+        client.put("after-death", 64,
+                   on_done=lambda ok: done.append((ok, c.sim.now - start)))
+        c.run(until=20.0)
+        (outcome,) = done
+        return c, targets, outcome
+
+    def test_timeout_skips_the_server_that_timed_out(self):
+        c, targets, (ok, took) = self.crash_and_put(1, [0])
+        p1, p2 = c.servers[0].name, c.servers[1].name
+        assert targets[:2] == [p1, p2]
+        assert all(a != b for a, b in zip(targets, targets[1:]))
+        # One client timeout plus the election window, not two timeouts.
+        assert ok
+        assert took < c.clients[0].timeout + self.SHORT_LEASE.follower_timeout
+
+    def test_walk_passes_every_dead_server_once(self):
+        c, targets, (ok, _) = self.crash_and_put(2, [0, 1])
+        assert targets == [s.name for s in c.servers[:3]]
+        assert ok
 
     def test_retry_budget_exhausts_with_all_servers_down(self):
         c = make()

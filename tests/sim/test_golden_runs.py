@@ -398,7 +398,15 @@ class TestGoldenRuns:
         §5): checkpoint bytes written fell 20-21 MB → 0.77-1.40 MB per
         server, and the smaller device writes let WAL flushes through
         sooner (2,826 client ops instead of 2,820, all ok; the same
-        checkpoint counts)."""
+        checkpoint counts). Re-pinned (from ``5b3862db14d8afbb0b42a56e``)
+        when a client whose request timed out began to walk on from the
+        server after the one that timed out: the lease (2 s) is as long
+        as the client timeout, so at the first timeout the followers
+        still hold the crashed leader's lease and redirect back to it,
+        and each of the four in-flight ops pays the same two timeouts
+        as before, a redirect hop later (longest op 4.003 → 4.035 s;
+        2,800 client ops instead of 2,826, all ok; the same checkpoint
+        counts)."""
         c, victim, history = checkpointed_failover(17)
         saves = [s.checkpoint_store.saves for s in c.servers]
         assert victim.checkpoint_store.saves < min(
@@ -410,14 +418,23 @@ class TestGoldenRuns:
         footprints = [sorted(s.durable_footprint().items())
                       for s in c.servers]
         assert digest((history, footprints, saves)) == \
-            "5b3862db14d8afbb0b42a56e"
+            "064f02df83d057bc41c77b9f"
 
     def test_hedged_recovery_reads_cluster_run(self):
         """The one cluster golden that fills the share gatherer: hedges
         issued and won, degraded decodes, a ranked list exhausted and
         cycled. Digest computed on the commit before the gatherer left
         ``KVServer`` (PR 21), with the scrubber off so that moving
-        scrub repair onto the same component cannot touch it."""
+        scrub repair onto the same component cannot touch it.
+        Re-pinned (from ``06ac1b18bacbc2c5ffad9098``) when a client whose
+        request timed out began to walk on from the server after the one
+        that timed out: reads that time out at ``P2`` while ``P4`` and
+        ``P5`` are down go to ``P3``, which redirects them straight back,
+        where they used to walk on into the two dead servers (a 1 s
+        timeout each). More retries reach ``P2`` and start gathers there
+        (``P2`` recovery reads 33 → 39, hedges issued 29 → 35, the same
+        6 won; 1,329 → 1,477 messages), and the longest read falls
+        7.751 → 7.546 s; every op is ok."""
         c, history = hedged_recovery_reads(17)
         counters = [(s.reads.recovery_reads, s.reads.degraded_reads,
                      s.fetch.hedges_issued, s.fetch.hedge_wins)
@@ -429,14 +446,19 @@ class TestGoldenRuns:
             op["ok"] and op["response"] > 16.0 for op in late)
         assert all(op["ok"] for op in history)
         assert digest((history, counters, c.net.messages_sent)) == \
-            "06ac1b18bacbc2c5ffad9098"
+            "68996d4fed51120432e87111"
 
     def test_read_modes_cluster_run(self):
         """The one cluster golden that drives every read mode and the
         election read barrier. Digests the history, every server's
         read counters, the clients' retry causes and the refusals.
         Digest computed on the commit before the read path left
-        ``KVServer``."""
+        ``KVServer``. Re-pinned (from ``349d0b49a0eeab884f7d03e8``) when
+        a client whose request timed out began to walk on from the
+        server after the one that timed out: ops that time out at the
+        crashed ``P1`` retry at ``P2`` instead of ``P1`` again (longest
+        op 3.328 → 3.234 s, ``not_leader`` retries 199 → 200, 2,595 →
+        2,605 messages); as many ops, all ok, and as many refusals."""
         c, history, refusals, kept = read_modes(17)
         p1, p2, p3 = c.servers[:3]
         assert c.leader() is p2
@@ -455,7 +477,7 @@ class TestGoldenRuns:
                        [sorted(cl.read_retry_causes.items())
                         for cl in c.clients],
                        sorted(refusals.items()), c.net.messages_sent)) == \
-            "349d0b49a0eeab884f7d03e8"
+            "ca2e2872bd4dc19dd9a5cfc1"
 
     def test_lossy_duplicating_jittered_network(self):
         seen = lossy_duplex_deliveries(5)
@@ -464,9 +486,9 @@ class TestGoldenRuns:
         assert digest(seen) == "f2d4604cea9937467fad3780"
 
     @pytest.mark.parametrize("spec,seed,want", [
-        (TINY, 9, "d05f0dd20223026475071fbc"),
-        (STORAGE_HEAVY, 8, "14a95e86a9b51a9faf79d4ef"),
-        (WIPE_HEAVY, 0, "69cbc05201519c956a425191"),
+        (TINY, 9, "3437d4cb72811bbbcac0b2a8"),
+        (STORAGE_HEAVY, 8, "70d10b001baf7cab9a7819ba"),
+        (WIPE_HEAVY, 0, "63a5399c9f3fd436af863cab"),
     ], ids=["mixed", "storage-heavy", "wipe-heavy"])
     def test_chaos_episode(self, monkeypatch, spec, seed, want):
         """Episodes checkpoint every second and digest the result's
@@ -525,7 +547,20 @@ class TestGoldenRuns:
         of the old fields only the checkpoint bytes moved. Stored /
         written: ``mixed`` 22,117 / 25,798 → 8,903 / 11,928,
         ``storage-heavy`` 22,201 / 25,823 → 9,214 / 12,052,
-        ``wipe-heavy`` 222,159 / 275,495 → 118,635 / 150,601."""
+        ``wipe-heavy`` 222,159 / 275,495 → 118,635 / 150,601.
+
+        All three were re-pinned again (were ``d05f0dd20223026475071fbc``,
+        ``14a95e86a9b51a9faf79d4ef`` and ``69cbc05201519c956a425191``)
+        when a client whose request timed out began to walk on from the
+        server after the one that timed out, instead of from the first
+        server in its list. The faults re-time the clients, so the op
+        counts move; every verdict is unchanged. ``mixed``: 146 → 148
+        ops (120 → 122 ok), read timeouts 31 → 27, ops over 0.9 s 7 → 4.
+        ``storage-heavy``: 132 → 131 ops (126 → 125 ok), read timeouts
+        7 → 11, read availability 0.986 → 0.973, shares repaired 1 → 2.
+        ``wipe-heavy``: 1,266 → 1,310 ops (1,261 → 1,306 ok), read
+        timeouts 70 → 67, read availability 0.9919 → 0.9937, rebuild
+        bytes 3,417 → 4,006, hedges issued / won 11 / 10 → 21 / 18."""
         result, history = chaos_history(monkeypatch, spec, seed)
         assert result.ok
         assert len(history) > 100
