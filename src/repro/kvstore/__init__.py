@@ -64,6 +64,7 @@ from .messages import (
     SnapshotChunk,
     SnapshotEntry,
     SpareStatus,
+    WhoLeads,
     WrongShard,
 )
 from .membership import AccrualFailureDetector, RepairController
@@ -117,6 +118,7 @@ __all__ = [
     "SnapshotChunk",
     "SnapshotEntry",
     "SpareStatus",
+    "WhoLeads",
     "WrongShard",
     "build_cluster",
     "decode_frame",

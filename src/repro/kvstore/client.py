@@ -11,6 +11,16 @@ list from the one after T, wrapping, so T is tried last, not first. A
 crashed leader therefore costs one client timeout, not two. Pinned
 (``server=``) and rotating follower reads keep their own targets, and
 a Redirect that names T again is still followed.
+
+A leader-directed operation need not wait out the whole timeout,
+though. Once it has gone unanswered at T for the endpoint's RTO
+toward T, the client suspects T and asks the server after T in its
+list who leads (:class:`~repro.kvstore.messages.WhoLeads`), again at
+2·RTO, 4·RTO, ... up to the client timeout. Suspicion is per client:
+one probe per step, however many operations wait at T. If the answer
+names S ≠ T, every operation waiting at T past its RTO is cancelled
+there and re-sent to S; any reply from T ends the suspicion, and the
+client timeout still backs every operation.
 """
 
 from __future__ import annotations
@@ -28,12 +38,17 @@ from .messages import (
     ClientGet,
     ClientPut,
     GetOk,
+    KV_META,
     NotFound,
     NotReady,
     PutOk,
     Redirect,
+    WhoLeads,
     WrongShard,
 )
+
+_WHO_LEADS = WhoLeads()
+
 
 class KVClient:
     """A logical client issuing KV operations over the simulated net.
@@ -87,6 +102,13 @@ class KVClient:
         self.busy_count = 0
         self.busy_wait_total = 0.0
         self.busy_wait_max = 0.0
+        # Suspicion-probe telemetry: WhoLeads probes sent, and operations
+        # moved off a suspected server because a peer named another
+        # leader.
+        self.probes_sent = 0
+        self.ops_rerouted = 0
+        # Server name -> its open suspicion (at most one per server).
+        self._suspicions: dict[str, _Suspicion] = {}
         # Read-side retry causes: *why* reads waited, not just how
         # long — availability gates assert on these. Counted per retry
         # trigger, not per operation.
@@ -194,7 +216,8 @@ class _Op:
 
     __slots__ = ("client", "msg", "ok_type", "on_done", "op",
                  "fixed_target", "rotate", "leader_directed", "start", "hid",
-                 "attempts_left", "retries", "next_server", "target")
+                 "attempts_left", "retries", "next_server", "target",
+                 "req_id")
 
     def __init__(
         self, client: KVClient, msg, ok_type: type, on_done, op: str,
@@ -218,6 +241,7 @@ class _Op:
         # used while no leader is cached.
         self.next_server = 0
         self.target = ""
+        self.req_id = -1  # the request of the current attempt
         self.hid = None
         if client.history is not None:
             self.hid = client.history.invoke(client.name, op, msg, self.start)
@@ -279,14 +303,38 @@ class _Op:
         self.target = self._pick_target()
         msg = self.msg
         client = self.client
-        client.endpoint.request(
+        self.req_id = client.endpoint.request(
             self.target, msg, msg.wire_bytes,
             on_reply=self._on_reply, timeout=client.timeout,
             retries=0, on_timeout=self._on_timeout,
+            on_suspect=self._on_suspect if self.leader_directed else None,
         )
+
+    def _on_suspect(self) -> None:
+        """Unanswered at the target for its RTO: join (or open) the
+        client's suspicion of it."""
+        client = self.client
+        server = self.target
+        suspicion = client._suspicions.get(server)
+        if suspicion is None:
+            servers = client.servers
+            peer = servers[
+                (servers.index(server) + 1 if server in servers else 0)
+                % len(servers)
+            ]
+            if peer == server:
+                return  # nobody to ask
+            suspicion = client._suspicions[server] = _Suspicion(
+                client, server, peer
+            )
+        suspicion.add(self)
 
     def _on_reply(self, reply) -> None:
         client = self.client
+        if client._suspicions:
+            suspicion = client._suspicions.get(self.target)
+            if suspicion is not None:
+                suspicion.end()  # the suspect answered: it is alive
         mv = getattr(reply, "map_version", 0)
         if mv > client.map_version:
             client.map_version = mv
@@ -351,7 +399,97 @@ class _Op:
         self._note_retry("timeout")
         if self.leader_directed:
             client = self.client
+            suspicion = client._suspicions.get(self.target)
+            if suspicion is not None:
+                suspicion.drop(self)
             client.leader_cache = None
             if self.target in client.servers:
                 self.next_server = client.servers.index(self.target) + 1
         self.attempt()
+
+
+class _Suspicion:
+    """The client's suspicion of one server: the leader-directed
+    operations that have waited there past its RTO, and the probes that
+    ask ``peer`` (the retry walk's next server) who leads.
+
+    Probes go out when the first operation joins — RTO after it was
+    sent — and then RTO, 2·RTO, ... later, so at RTO·2^k after that
+    send, until the next one would pass the client timeout. An
+    operation that joins after the schedule ran out starts it again.
+    Cancelling ``timer`` (or letting it fire) drops its callback, so the
+    object is freed by reference counting once it leaves
+    ``client._suspicions``.
+    """
+
+    __slots__ = ("client", "server", "peer", "ops", "elapsed", "timer",
+                 "probe_id")
+
+    def __init__(self, client: KVClient, server: str, peer: str):
+        self.client = client
+        self.server = server
+        self.peer = peer
+        self.ops: dict[_Op, None] = {}  # insertion-ordered set
+        self.elapsed = 0.0   # since the probed-for operation was sent
+        self.timer = None
+        self.probe_id: int | None = None
+
+    def add(self, op: _Op) -> None:
+        self.ops[op] = None
+        if self.timer is None:
+            client = self.client
+            self.elapsed = client.endpoint.rto(self.server, client.timeout)
+            self.probe()
+
+    def drop(self, op: _Op) -> None:
+        """``op`` timed out at the server: it waits there no more."""
+        self.ops.pop(op, None)
+        if not self.ops:
+            self.end()
+
+    def probe(self) -> None:
+        client = self.client
+        endpoint = client.endpoint
+        if self.probe_id is not None:
+            endpoint.cancel_request(self.probe_id)  # superseded
+        client.probes_sent += 1
+        self.probe_id = endpoint.request(
+            self.peer, _WHO_LEADS, KV_META, on_reply=self._on_answer,
+            timeout=client.timeout, retries=0,
+        )
+        if 2 * self.elapsed <= client.timeout:
+            self.timer = client.sim.call_after(self.elapsed, self.probe)
+            self.elapsed *= 2
+        else:
+            self.timer = None
+
+    def _on_answer(self, reply: Redirect) -> None:
+        # Only the open suspicion's latest probe can answer: ending it
+        # or sending the next probe cancels the one before.
+        self.probe_id = None
+        client = self.client
+        leader = reply.leader_hint
+        if leader is None or leader == self.server:
+            return  # the peer knows no other leader: keep waiting
+        # A peer says S leads: move every operation waiting here to S.
+        # Cancelling the request here first keeps exactly-once to the
+        # op_id dedup, as on the timeout path.
+        client.leader_cache = leader
+        ops = list(self.ops)
+        self.end()
+        client.ops_rerouted += len(ops)
+        endpoint = client.endpoint
+        for op in ops:
+            endpoint.cancel_request(op.req_id)
+            client.sim.call_after(client._retry_delay(0), op.attempt)
+
+    def end(self) -> None:
+        client = self.client
+        del client._suspicions[self.server]
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        if self.probe_id is not None:
+            client.endpoint.cancel_request(self.probe_id)
+            self.probe_id = None
+        self.ops.clear()

@@ -75,6 +75,17 @@ class ClientDelete:
         return KV_META + len(self.key)
 
 
+@dataclass(frozen=True, slots=True)
+class WhoLeads:
+    """Which server leads? A client that suspects the server it is
+    waiting on asks a peer; the answer is a :class:`Redirect` naming
+    the leader (a leader names itself). A down server says nothing."""
+
+    @property
+    def wire_bytes(self) -> int:
+        return KV_META
+
+
 # ---------------------------------------------------------------------------
 # Server -> client replies
 # ---------------------------------------------------------------------------

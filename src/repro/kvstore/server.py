@@ -84,6 +84,7 @@ from .messages import (
     ShareReply,
     SnapshotChunk,
     SpareStatus,
+    WhoLeads,
     WrongShard,
 )
 from .membership import AccrualFailureDetector, RepairController
@@ -375,6 +376,7 @@ class KVServer:
         self.endpoint.on_request_async(ClientPut, self._on_put)
         self.endpoint.on_request_async(ClientGet, self._on_get)
         self.endpoint.on_request_async(ClientDelete, self._on_delete)
+        self.endpoint.on_request(WhoLeads, self._on_who_leads)
         # Server-server.
         self.endpoint.on(Heartbeat, self._on_heartbeat)
         self.endpoint.on(HeartbeatAck, self._on_heartbeat_ack)
@@ -1109,11 +1111,24 @@ class KVServer:
                 _reply(respond, NotReady())
                 return False
             return True
-        hint = None
-        if self.current_leader is not None:
-            hint = self.peers.get(self.current_leader)
-        _reply(respond, Redirect(hint))
+        _reply(respond, Redirect(self._leader_hint()))
         return False
+
+    def _leader_hint(self) -> str | None:
+        """The leader's host name as this server knows it, if any."""
+        if self.is_leader_server:
+            return self.name
+        if self.current_leader is None:
+            return None
+        return self.peers.get(self.current_leader)
+
+    def _on_who_leads(self, msg: WhoLeads, src: str):
+        """A client's suspicion probe: name the leader, this server
+        included. A down server says nothing."""
+        if not self.up:
+            return None
+        reply = Redirect(self._leader_hint())
+        return reply, reply.wire_bytes
 
     # -- admission control (overload protection) -----------------------
 

@@ -86,6 +86,9 @@ class _PendingRequest:
     timeout: float
     retries_left: int  # -1 means unbounded
     adaptive: bool = False
+    # Fires once, at the destination's RTO, if no reply came by then;
+    # None once fired, or when the first timer was armed without it.
+    on_suspect: Callable[[], None] | None = None
     timer: Event | None = None
     done: bool = False
     transmits: int = 0
@@ -316,6 +319,7 @@ class RpcEndpoint:
         retries: int = -1,
         on_timeout: Callable[[], None] | None = None,
         adaptive: bool = False,
+        on_suspect: Callable[[], None] | None = None,
     ) -> int:
         """Send ``body`` to ``dst``; invoke ``on_reply(reply_body)`` once.
 
@@ -332,13 +336,20 @@ class RpcEndpoint:
         fallback until a sample exists), and each retransmission doubles
         the interval up to ``rto_ceil`` (Karn's exponential backoff).
 
+        ``on_suspect``, if given, fires once when the first transmit has
+        gone unanswered for ``rto(dst)``: the request's own timer is
+        armed for that moment and then re-armed for the unchanged
+        deadline, so no second timer exists. Before the first RTT
+        sample toward ``dst``, or when the RTO is not shorter than the
+        timeout, it never fires.
+
         Returns the request id (usable with :meth:`cancel_request`).
         """
         req_id = next(self._request_ids)
         pending = _PendingRequest(
             endpoint=self, req_id=req_id, dst=dst, body=body, size=size,
             on_reply=on_reply, on_timeout=on_timeout, timeout=timeout,
-            retries_left=retries, adaptive=adaptive,
+            retries_left=retries, adaptive=adaptive, on_suspect=on_suspect,
         )
         self._pending[req_id] = pending
         self.requests_sent += 1
@@ -356,23 +367,38 @@ class RpcEndpoint:
         if pending.done:
             return
         now = self.sim.now
+        delay = pending.cur_timeout
         if pending.transmits == 0:
             pending.first_tx = now
-            pending.cur_timeout = pending.timeout
-            if pending.adaptive:  # rto(dst, timeout), read not re-derived
+            delay = pending.cur_timeout = pending.timeout
+            if pending.adaptive or pending.on_suspect is not None:
+                # rto(dst, timeout), read not re-derived
                 st = self._peer_stats.get(pending.dst)
-                if st is not None and st.samples:
-                    pending.cur_timeout = st.rto
+                rto = st.rto if st is not None and st.samples else delay
+                if pending.adaptive:
+                    delay = pending.cur_timeout = rto
+                if rto < delay:
+                    delay = rto  # the suspicion point comes first
+                else:
+                    pending.on_suspect = None
         pending.transmits += 1
         pending.last_tx = now
         self.net.send(self.name, pending.dst,
                       Request(pending.req_id, pending.body), pending.size)
-        pending.timer = self.sim.call_at(
-            now + pending.cur_timeout, pending.on_timer
-        )
+        pending.timer = self.sim.call_at(now + delay, pending.on_timer)
 
     def _on_request_timer(self, pending: _PendingRequest) -> None:
         if pending.done:  # set by every path that retires a request
+            return
+        on_suspect = pending.on_suspect
+        if on_suspect is not None:
+            # The suspicion point, not the deadline: re-arm for the
+            # deadline first, so the callback may cancel the request.
+            pending.on_suspect = None
+            pending.timer = self.sim.call_at(
+                pending.last_tx + pending.cur_timeout, pending.on_timer
+            )
+            on_suspect()
             return
         if pending.retries_left == 0:
             # Finalize *before* the continuation runs: a reply that

@@ -291,26 +291,27 @@ class TestTeeth:
 
 class TestOpenFreeChoice:
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1(a)")
-    def test_forgotten_votes_wipe_heavy_seed_130(self):
+    def test_forgotten_votes_wipe_heavy_seed_515(self):
         """A new leader free-chooses over a value that may be chosen.
 
-        rs-paxos ``--wipe-heavy`` episode 130 wipes P1, the first leader,
-        while a write quorum holds the shares of a value it proposed at
-        instance 73 of one group. The next leader's read quorum shows
-        two of them, fewer than X = 3 (P1's went with its disk), and it
-        decides ``noop.73``; P1's accept round then completes, and a
-        replica that learned the no-op (and has since retired it)
-        raises. The parent of the log-retirement change fails the same
-        episode with a no-op free-chosen over a value too (instance 67).
+        rs-paxos ``--wipe-heavy`` episode 515 wipes P1, the first leader,
+        at 1.22 s while a write quorum holds the shares of a value it
+        proposed at instance 34 of one group. The next leader's read
+        quorum shows fewer than X = 3 of them (P1's went with its disk),
+        and it decides ``noop.34``; P1's accept round then completes,
+        and a replica that learned the no-op raises.
 
-        This replaced episode 4 of the full spec with the decode caches
-        patched out (``KVServer._cache_decoded`` returning None), which
-        that change re-timed away: under the same patch, full-spec seeds
-        0–650 and wipe-heavy seeds 0–150 found no other free choice. An
-        XPASS without a fix means the episode was re-timed away again:
-        search for a new seed and keep the marker."""
+        This replaced episode 130, which told the same story at
+        instance 73 until clients began to ask a peer who leads once an
+        op waits past its RTO: that re-timed it away (of wipe-heavy
+        seeds 0–120 and 400–520 under that change, only 515 decides a
+        no-op over a value; 114 and 425 fail ``decodability``, ROADMAP
+        item 2). Episode 130 had itself replaced episode 4 of the full spec
+        with the decode caches patched out. An XPASS without a fix means
+        the episode was re-timed away again: search for a new seed and
+        keep the marker."""
         result, _ = ChaosRunner(protocol="rs-paxos", spec=_wipe_heavy_spec(
-            short=False), bundle_dir=None).run_episode(130)
+            short=False), bundle_dir=None).run_episode(515)
         assert result.ok, result.violations
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import LeaseConfig, rs_paxos
 from repro.kvstore import KVClient, build_cluster
-from repro.kvstore.messages import ClientPut
+from repro.kvstore.messages import ClientPut, WhoLeads
 
 
 def make(config=None, **kw):
@@ -105,6 +105,91 @@ class TestRedirects:
         c.run(until=10.0)
         assert ok == [True]
         assert client.leader_cache == c.servers[0].name
+
+
+class TestSuspicionProbe:
+    """A leader-directed op unanswered for the RTO makes the client ask
+    the next server who leads (DESIGN.md "Client retry walk")."""
+
+    def cached_p1(self):
+        """A short-lease cluster whose client caches P1 and has measured
+        it; returns the cluster, the client, and the spied requests
+        ``(t, dst, msg)`` from here on."""
+        c = make(lease_config=TestRedirects.SHORT_LEASE)
+        client = c.clients[0]
+        client.put("seed", 10, on_done=lambda ok: None)
+        c.run(until=3.0)
+        assert client.leader_cache == c.servers[0].name
+        assert client.endpoint.peer_rtt(c.servers[0].name) is not None
+        sent = []
+        request = client.endpoint.request
+
+        def spy(dest, msg, *args, **kw):
+            sent.append((c.sim.now, dest, msg))
+            return request(dest, msg, *args, **kw)
+
+        client.endpoint.request = spy
+        return c, client, sent
+
+    def test_stale_cache_after_the_successor_leads(self):
+        c, client, sent = self.cached_p1()
+        c.crash_server(0)
+        c.run(until=5.0)
+        assert c.leader() is c.servers[1]   # P2 leads; client caches P1
+        start, done = c.sim.now, []
+        client.put("k", 64, on_done=lambda ok: done.append(
+            (ok, c.sim.now - start)))
+        c.run(until=7.0)
+        ((ok, took),) = done
+        assert ok and took < client.timeout / 10
+        assert client.endpoint.requests_timed_out == 0
+        assert [(d, type(m).__name__) for _, d, m in sent] == [
+            ("P1", "ClientPut"), ("P2", "WhoLeads"), ("P2", "ClientPut")]
+        assert (client.probes_sent, client.ops_rerouted) == (1, 1)
+        assert client.leader_cache == "P2"
+
+    def test_slow_but_alive_leader_keeps_its_op(self):
+        c, client, sent = self.cached_p1()
+        p1 = c.servers[0]
+        at_p1 = []
+
+        def slow(msg, src, respond):
+            at_p1.append(msg.key)
+            c.sim.call_after(0.3, lambda: p1._on_put(msg, src, respond))
+
+        p1.endpoint.on_request_async(ClientPut, slow)
+        done = []
+        client.put("k", 64, on_done=done.append)
+        c.run(until=5.0)
+        assert done == [True]
+        assert at_p1 == ["k"]               # one request, never re-sent
+        assert client.probes_sent >= 1 and client.ops_rerouted == 0
+        assert all(d == "P2" for _, d, m in sent if isinstance(m, WhoLeads))
+        assert client.endpoint.requests_timed_out == 0
+        assert client.endpoint.stale_replies_dropped == 0  # none cancelled
+        assert not client._suspicions       # P1's reply ended it
+
+    def test_many_ops_at_a_dead_server_share_the_probes(self):
+        c, client, sent = self.cached_p1()
+        c.crash_server(0)
+        done = []
+        for i in range(10):
+            client.put(f"k{i}", 64, on_done=done.append)
+        c.run(until=5.0)
+        assert done == [True] * 10
+        probes = [t for t, _, m in sent if isinstance(m, WhoLeads)]
+        # One probe per backoff step, not one per op: the gaps double.
+        gaps = [b - a for a, b in zip(probes, probes[1:])]
+        assert len(probes) >= 3
+        assert all(b == pytest.approx(2 * a) for a, b in zip(gaps, gaps[1:]))
+        # Every op moved to P2 on the one answer that named it.
+        assert client.ops_rerouted == 10
+        moved = [t for t, d, m in sent
+                 if isinstance(m, ClientPut) and d == "P2"]
+        assert len(moved) == 10
+        assert max(moved) - min(moved) < client.retry_backoff
+        assert min(moved) > probes[-1]
+        assert client.endpoint.requests_timed_out == 0
 
 
 class TestMetrics:

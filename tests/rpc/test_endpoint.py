@@ -180,6 +180,86 @@ class TestLateReplies:
         assert eps["A"].stale_replies_dropped == 1
 
 
+class TestSuspicion:
+    """``on_suspect`` rides the request's own timer: once at the RTO,
+    then the unchanged deadline."""
+
+    def slow_b(self, delay):
+        """A and B with one round trip measured (rto = the 20 ms floor
+        on this 1 ms link), then B answering Pings ``delay`` late."""
+        sim, net, eps = make_endpoints()
+        eps["B"].on_request(Pong, lambda msg, src: Pong())
+        eps["A"].request("B", Pong(), size=0, on_reply=lambda r: None)
+        sim.run()
+        assert eps["A"].rto("B", 1.0) == pytest.approx(0.02)
+
+        def slow(msg, src, respond):
+            sim.call_after(delay, lambda: respond(Pong(msg.n), 0))
+
+        eps["B"].on_request_async(Ping, slow)
+        return sim, eps
+
+    def ask(self, sim, eps, dst="B", timeout=0.5):
+        seen = []
+        start = sim.now
+        eps["A"].request(
+            dst, Ping(), size=0, timeout=timeout, retries=0,
+            on_reply=lambda r: seen.append(("reply", sim.now - start)),
+            on_timeout=lambda: seen.append(("timeout", sim.now - start)),
+            on_suspect=lambda: seen.append(("suspect", sim.now - start)),
+        )
+        return seen
+
+    def test_fires_once_at_the_rto_and_keeps_the_deadline(self):
+        sim, eps = self.slow_b(10.0)
+        seen = self.ask(sim, eps)
+        events = sim.events_processed
+        sim.run(until=sim.now + 5.0)
+        assert [k for k, _ in seen] == ["suspect", "timeout"]
+        assert seen[0][1] == pytest.approx(0.02)
+        assert seen[1][1] == pytest.approx(0.5)
+        assert eps["A"].requests_timed_out == 1
+        # Two timer firings on one request timer, no second timer.
+        assert sim.events_processed - events == 2 + 2  # + request hop
+
+    def test_reply_before_the_rto_never_suspects(self):
+        sim, eps = self.slow_b(0.005)
+        seen = self.ask(sim, eps)
+        sim.run(until=sim.now + 5.0)
+        assert [k for k, _ in seen] == ["reply"]
+
+    def test_reply_after_the_rto_still_lands(self):
+        sim, eps = self.slow_b(0.1)
+        seen = self.ask(sim, eps)
+        sim.run(until=sim.now + 5.0)
+        assert [k for k, _ in seen] == ["suspect", "reply"]
+
+    def test_no_rtt_sample_no_suspicion(self):
+        sim, net, eps = make_endpoints(names=("A", "B", "C"))
+        seen = self.ask(sim, eps, dst="C")  # C never answered anything
+        sim.run(until=5.0)
+        assert seen == [("timeout", pytest.approx(0.5))]
+
+    def test_rto_not_below_the_timeout_never_suspects(self):
+        sim, eps = self.slow_b(10.0)
+        seen = self.ask(sim, eps, timeout=0.02)
+        sim.run(until=sim.now + 5.0)
+        assert seen == [("timeout", pytest.approx(0.02))]
+
+    def test_suspect_may_cancel_its_request(self):
+        sim, eps = self.slow_b(0.1)
+        seen = []
+        rid = eps["A"].request(
+            "B", Ping(), size=0, timeout=0.5, retries=0,
+            on_reply=lambda r: seen.append("reply"),
+            on_timeout=lambda: seen.append("timeout"),
+            on_suspect=lambda: eps["A"].cancel_request(rid),
+        )
+        sim.run(until=sim.now + 5.0)
+        assert seen == []
+        assert eps["A"].stale_replies_dropped == 1
+
+
 class TestAdaptiveTimeouts:
     def test_peer_stats_empty_before_any_sample(self):
         sim, net, eps = make_endpoints()

@@ -338,18 +338,27 @@ class TestGoldenRuns:
         timers armed and cancelled, so the event heap is compacted many
         times over. Digest computed on the commit before compaction
         existed, re-pinned when a batch of one became the plain command
-        (2,835 of 6,581 batches closed with one command)."""
+        (2,835 of 6,581 batches closed with one command). Re-pinned
+        (from ``9100d0a3e9889066e5cfe1ae``) when a client began to ask a
+        peer who leads once an op waits past its RTO: 122 probes went
+        out, every one answered by naming the leader the op waited at,
+        so no op moved; only the message count changed (91,850 →
+        92,094, two per probe); every write and latency is the same."""
         got = run_cluster(17, num_clients=64, batch_max_commands=32,
                           batch_linger=0.0005)
         assert got[1] > 5000                          # writes committed
-        assert digest(got) == "9100d0a3e9889066e5cfe1ae"
+        assert digest(got) == "0bb18c5a483a1919a192c82c"
 
     def test_queueing_and_shedding_cluster_run(self):
         """16 clients of two tenants (weights 3:1) against a pipeline of
         2 and per-tenant queues of 4: the one golden where the DRR
         queues fill and requests are shed (every other run here stays
         inside its admission budget). Digest computed on the commit
-        before admission left ``KVServer`` (PR 15)."""
+        before admission left ``KVServer``. Re-pinned (from
+        ``c66ada6c36691637b020a5a6``) when a client began to ask a peer
+        who leads once an op waits past its RTO: 5 probes, each naming
+        the leader, so no op moved; only the message count changed
+        (36,071 → 36,081); every write, latency and shed is the same."""
         c = drive_cluster(17, num_clients=16, max_inflight_proposals=2,
                           max_queued_requests=4, tenant_weights={"a": 3.0},
                           client_tenants=["a", "b"] * 8)
@@ -357,7 +366,7 @@ class TestGoldenRuns:
         # A request is shed only when its tenant's queue is at its
         # bound, so shedding implies the queues filled.
         assert sum(n for per in shed for _, n in per) > 100
-        assert digest((write_summary(c), shed)) == "c66ada6c36691637b020a5a6"
+        assert digest((write_summary(c), shed)) == "dc0aa43ce528becf2c5c36d9"
 
     @pytest.mark.parametrize("kw,want", [
         ({}, "9710e065b90e7605f06e9f0a"),
@@ -406,7 +415,14 @@ class TestGoldenRuns:
         and each of the four in-flight ops pays the same two timeouts
         as before, a redirect hop later (longest op 4.003 → 4.035 s;
         2,800 client ops instead of 2,826, all ok; the same checkpoint
-        counts)."""
+        counts). Re-pinned (from ``064f02df83d057bc41c77b9f``) when a
+        client began to ask a peer who leads once an op waits past its
+        RTO: after its first timeout each in-flight op is redirected
+        back to the crashed leader, and there the probe learns of the
+        successor as soon as it is elected, instead of a second client
+        timeout (client timeouts 8 → 4, 52 probes, 4 ops moved; longest
+        op 4.035 → 2.718 s). The clients resume sooner: 4,672 client ops
+        instead of 2,800, all ok; the same checkpoint counts)."""
         c, victim, history = checkpointed_failover(17)
         saves = [s.checkpoint_store.saves for s in c.servers]
         assert victim.checkpoint_store.saves < min(
@@ -418,7 +434,7 @@ class TestGoldenRuns:
         footprints = [sorted(s.durable_footprint().items())
                       for s in c.servers]
         assert digest((history, footprints, saves)) == \
-            "064f02df83d057bc41c77b9f"
+            "2dae984f7043a77b1d8cc3a0"
 
     def test_hedged_recovery_reads_cluster_run(self):
         """The one cluster golden that fills the share gatherer: hedges
@@ -434,7 +450,13 @@ class TestGoldenRuns:
         timeout each). More retries reach ``P2`` and start gathers there
         (``P2`` recovery reads 33 → 39, hedges issued 29 → 35, the same
         6 won; 1,329 → 1,477 messages), and the longest read falls
-        7.751 → 7.546 s; every op is ok."""
+        7.751 → 7.546 s; every op is ok. Re-pinned (from
+        ``68996d4fed51120432e87111``) when a client began to ask a peer
+        who leads once an op waits past its RTO: reads waiting on
+        ``P2``'s gathers send 138 probes to ``P3``, which names ``P2``
+        every time, so no read moves (1,477 → 1,753 messages; the
+        longest read 7.5459 → 7.5458 s as the probes re-time the NICs;
+        every read counter the same)."""
         c, history = hedged_recovery_reads(17)
         counters = [(s.reads.recovery_reads, s.reads.degraded_reads,
                      s.fetch.hedges_issued, s.fetch.hedge_wins)
@@ -446,7 +468,7 @@ class TestGoldenRuns:
             op["ok"] and op["response"] > 16.0 for op in late)
         assert all(op["ok"] for op in history)
         assert digest((history, counters, c.net.messages_sent)) == \
-            "68996d4fed51120432e87111"
+            "46b972c1adb6af1e63deeb3d"
 
     def test_read_modes_cluster_run(self):
         """The one cluster golden that drives every read mode and the
@@ -458,7 +480,13 @@ class TestGoldenRuns:
         server after the one that timed out: ops that time out at the
         crashed ``P1`` retry at ``P2`` instead of ``P1`` again (longest
         op 3.328 → 3.234 s, ``not_leader`` retries 199 → 200, 2,595 →
-        2,605 messages); as many ops, all ok, and as many refusals."""
+        2,605 messages); as many ops, all ok, and as many refusals.
+        Re-pinned (from ``ca2e2872bd4dc19dd9a5cfc1``) when a client
+        began to ask a peer who leads once an op waits past its RTO: 13
+        probes, none naming another leader, so no op moved; they re-time
+        the run slightly (2,605 → 2,633 messages, one more ``NotReady``
+        refusal and ``not_ready`` retry, longest op 3.2342 → 3.2343 s);
+        the same 203 ops, all ok."""
         c, history, refusals, kept = read_modes(17)
         p1, p2, p3 = c.servers[:3]
         assert c.leader() is p2
@@ -477,7 +505,7 @@ class TestGoldenRuns:
                        [sorted(cl.read_retry_causes.items())
                         for cl in c.clients],
                        sorted(refusals.items()), c.net.messages_sent)) == \
-            "ca2e2872bd4dc19dd9a5cfc1"
+            "06995b37793e62ff64867367"
 
     def test_lossy_duplicating_jittered_network(self):
         seen = lossy_duplex_deliveries(5)
@@ -486,9 +514,9 @@ class TestGoldenRuns:
         assert digest(seen) == "f2d4604cea9937467fad3780"
 
     @pytest.mark.parametrize("spec,seed,want", [
-        (TINY, 9, "3437d4cb72811bbbcac0b2a8"),
-        (STORAGE_HEAVY, 8, "70d10b001baf7cab9a7819ba"),
-        (WIPE_HEAVY, 0, "63a5399c9f3fd436af863cab"),
+        (TINY, 9, "e911d27d041a212bc7093ce7"),
+        (STORAGE_HEAVY, 8, "33cf760ff3bb58b82f648c98"),
+        (WIPE_HEAVY, 0, "d804971806958af054107d46"),
     ], ids=["mixed", "storage-heavy", "wipe-heavy"])
     def test_chaos_episode(self, monkeypatch, spec, seed, want):
         """Episodes checkpoint every second and digest the result's
@@ -560,7 +588,20 @@ class TestGoldenRuns:
         7 → 11, read availability 0.986 → 0.973, shares repaired 1 → 2.
         ``wipe-heavy``: 1,266 → 1,310 ops (1,261 → 1,306 ok), read
         timeouts 70 → 67, read availability 0.9919 → 0.9937, rebuild
-        bytes 3,417 → 4,006, hedges issued / won 11 / 10 → 21 / 18."""
+        bytes 3,417 → 4,006, hedges issued / won 11 / 10 → 21 / 18.
+
+        All three were re-pinned again (were ``3437d4cb72811bbbcac0b2a8``,
+        ``70d10b001baf7cab9a7819ba`` and ``63a5399c9f3fd436af863cab``)
+        when a client began to ask a peer who leads once an op waits
+        past its RTO, and to move every op waiting at the suspect when
+        the answer names another server. Every verdict is unchanged.
+        ``mixed``: 84 probes, 20 ops moved, client timeouts 81 → 75,
+        longest op 1.500 → 1.387 s; the same 148 ops (122 → 121 ok).
+        ``storage-heavy``: 56 probes, 5 ops moved, client timeouts
+        27 → 24, 131 → 141 ops (125 → 135 ok), ops over 0.9 s 4 → 0.
+        ``wipe-heavy``: 24 probes, 1 op moved, client timeouts 71 → 74,
+        1,310 → 1,259 ops (1,306 → 1,254 ok), snapshot transfers 5 → 4,
+        read availability 0.9937 → 0.9919."""
         result, history = chaos_history(monkeypatch, spec, seed)
         assert result.ok
         assert len(history) > 100
