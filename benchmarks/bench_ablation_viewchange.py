@@ -74,7 +74,7 @@ def _run_view_change(num_values, value_size, seed=0):
     leader = cluster.leader()
     leader.reconfigure_remove(4)
     cluster.run(until=cluster.sim.now + 10.0)
-    assert leader.view_changes_completed == 1
+    assert leader.reconfig.view_changes_completed == 1
     return {
         "wire_bytes": cluster.net.total_bytes_sent() - bytes_before,
         "sim_seconds": cluster.sim.now - t0 - 10.0 + 10.0,

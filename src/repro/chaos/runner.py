@@ -569,9 +569,10 @@ class ChaosRunner:
             shard_splits=sum(s.splits_started for s in cluster.servers),
             shard_merges=sum(s.merges_started for s in cluster.servers),
             migrations_completed=max(
-                s.migrations_completed for s in cluster.servers
+                s.reconfig.migrations_completed for s in cluster.servers
             ),
-            copies_proposed=sum(s.copies_proposed for s in cluster.servers),
+            copies_proposed=sum(
+                s.reconfig.copies_proposed for s in cluster.servers),
             fence_writes=sum(s.fence_writes for s in cluster.servers),
             wrong_shard_replies=sum(
                 s.wrong_shard_replies for s in cluster.servers

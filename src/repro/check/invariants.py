@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.value import value_digest
+from ..kvstore.batch import meta_of
 from ..kvstore.messages import Command
 
 
@@ -54,14 +55,6 @@ def check_config_safety(config) -> list[Violation]:
             f"shares to lose a chosen value",
         )]
     return []
-
-
-def _meta_of(rec):
-    if rec.value is not None:
-        return rec.value.meta
-    if rec.share is not None:
-        return rec.share.meta
-    return None
 
 
 def _learned(node):
@@ -157,7 +150,7 @@ def _live_put_instances(srvs, group: int) -> dict[int, str]:
     enc_of: dict[int, tuple[str, int]] = {}  # instance -> (key, version)
     for srv in srvs:
         for inst, rec in srv.groups[group].chosen.items():
-            meta = _meta_of(rec)
+            meta = meta_of(rec)
             if _is_live_put(meta):
                 instances.setdefault(inst, rec.value_id)
                 enc_of.setdefault(inst, (meta.key, (meta.mapv << 48) | inst))
@@ -348,9 +341,14 @@ def check_single_lease(servers) -> list[Violation]:
     return []
 
 
+def _quorums(config) -> tuple[int, int, int, int]:
+    return (config.n, config.q_r, config.q_w, config.x)
+
+
 def check_view_convergence(servers) -> list[Violation]:
-    """Every settled replica agrees on the membership view, and the
-    current view's members alone can reconstruct every chosen put.
+    """Every settled replica agrees on the membership view, every one of
+    its groups runs that view, and the current view's members alone can
+    reconstruct every chosen put.
 
     Run after heal + settle, like decodability. Two classes of server
     are exempt from the agreement check: those still mid-rebuild (the
@@ -359,7 +357,13 @@ def check_view_convergence(servers) -> list[Violation]:
     view and retires — its own id leaves its member set — so it cannot
     be expected to track later epochs until re-admission).
 
-    The second half is the self-healing PR's durability argument: after
+    A view change is a chosen instance per group (§4.6), so a leader
+    that dies between groups can leave a replica whose server-level
+    view moved on while one of its groups still runs the old quorums
+    and coding — and would not survive the next failure. Each group's
+    ``(N, Q_R, Q_W, X)`` and peer set must therefore equal its server's.
+
+    The last half is the self-healing PR's durability argument: after
     an eviction shrinks θ(X, N), the *remaining members* alone must
     still hold >= X clean shares (or a full copy) of every chosen put —
     i.e. the placement-confirmation barrier (§4.6 optimization 2)
@@ -378,12 +382,19 @@ def check_view_convergence(servers) -> list[Violation]:
         return violations
     views: dict[tuple, list[str]] = {}
     for srv in settled:
-        key = (
-            srv.view_epoch,
-            tuple(sorted(srv.member_ids)),
-            (srv.config.n, srv.config.q_r, srv.config.q_w, srv.config.x),
-        )
+        members = tuple(sorted(srv.member_ids))
+        quorums = _quorums(srv.config)
+        key = (srv.view_epoch, members, quorums)
         views.setdefault(key, []).append(srv.name)
+        for g, node in enumerate(srv.groups):
+            runs = (_quorums(node.config), tuple(sorted(node.peers)))
+            if runs != (quorums, members):
+                violations.append(Violation(
+                    "view-convergence",
+                    f"{srv.name} group {g} runs (N,Qr,Qw,X)={runs[0]} over "
+                    f"{list(runs[1])}, but its view (epoch "
+                    f"{srv.view_epoch}) is {quorums} over {list(members)}",
+                ))
     if len(views) > 1:
         desc = "; ".join(
             f"epoch={epoch} members={list(members)} "

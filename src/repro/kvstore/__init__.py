@@ -13,6 +13,7 @@ Public API:
 - :class:`ShareFetch` — source ranking and the one ranked, hedged share
   gather behind recovery reads, rebuild serving and scrub repair.
 - :class:`Rebuild` — catch-up, snapshot transfer and the rebuild finish line.
+- :class:`Reconfig` — the one driver of view changes and shard migrations.
 - :class:`AppliedOps` — the exactly-once table (applied client op
   identities, as bits) the server consults before applying a command.
 - :class:`KVClient` — leader-caching client with redirect handling.
@@ -70,6 +71,7 @@ from .messages import (
 from .membership import AccrualFailureDetector, RepairController
 from .reads import ReadPath
 from .rebuild import Rebuild
+from .reconfig import Reconfig
 from .server import KVServer
 from .sharefetch import ShareFetch
 from .shard import ShardMap, encode_version, era_of, instance_of
@@ -108,6 +110,7 @@ __all__ = [
     "PutOk",
     "ReadPath",
     "Rebuild",
+    "Reconfig",
     "Redirect",
     "RepairController",
     "ServerConfig",

@@ -198,6 +198,28 @@ def is_batch(meta) -> bool:
     return isinstance(meta, Command) and meta.op == "batch"
 
 
+def meta_of(rec):
+    """The command metadata a chosen record carries (its value's, else
+    its share's), or None for a record that names its value only."""
+    if rec.value is not None:
+        return rec.value.meta
+    if rec.share is not None:
+        return rec.share.meta
+    return None
+
+
+def put_keys_of(meta) -> tuple[str, ...]:
+    """Keys a decision wrote — drives placement confirmation and the
+    scrubber's store-mirror bookkeeping, batch-aware."""
+    if not isinstance(meta, Command):
+        return ()
+    if meta.op == "put" or (meta.op == "copy" and meta.arg != "tombstone"):
+        return (meta.key,)
+    if is_batch(meta) and isinstance(meta.arg, BatchMeta):
+        return tuple(i.key for i in meta.arg.items if i.op == "put")
+    return ()
+
+
 def frame_payloads(raw, items) -> list:
     """Per-item payloads of batch frame ``raw``: all None in modeled
     mode (``raw`` is None) or when the frame fails validation."""

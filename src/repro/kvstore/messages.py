@@ -423,13 +423,14 @@ class SnapshotChunk:
     retry spanning the rebuild cannot double-apply),
     ``max_ballot`` (the server's ballot high-water mark, so the
     rebuilt node's acceptor floor can be raised past every ballot it
-    might have promised before losing its disk) and the donor's current
-    membership view (``view_epoch`` / ``view_members`` /
-    ``view_config``) — the view-change instances themselves live in the
-    compacted prefix the snapshot replaces, so the joiner must adopt
-    the view they produced or it would resurrect the static bootstrap
-    membership. The joiner holds them and adopts them after the last
-    page.
+    might have promised before losing its disk) and ``view``, the
+    :class:`NewView` the donor's group applied — the view-change
+    instances themselves live in the compacted prefix the snapshot
+    replaces, so the joiner must adopt the view they produced or it
+    would resurrect the static bootstrap membership. The group's, not
+    the donor server's: a leader that died between groups leaves them
+    on different views until its successor finishes the change. The
+    joiner holds them and adopts them after the last page.
     """
 
     group: int
@@ -439,9 +440,7 @@ class SnapshotChunk:
     floor: int = 0
     applied_ops: AppliedDelta = field(default_factory=AppliedDelta)
     max_ballot: Any = None
-    view_epoch: int = 0
-    view_members: tuple = ()
-    view_config: Any = None
+    view: Any = None
     # Donor's shard map (dynamic sharding): shard-map commands write no
     # KV state, so a joiner whose config-group log was compacted away
     # would otherwise resurrect the bootstrap routing map. None in
@@ -546,11 +545,10 @@ class NewView:
 
 @dataclass(frozen=True, slots=True)
 class ConfirmPlacement:
-    """Leader -> survivor: report chosen put-instances below ``upto``
-    for which you hold no coded share (optimization 2's confirmation)."""
+    """Leader -> survivor: report which of these chosen put-instances
+    you hold no coded share of (optimization 2's confirmation)."""
 
     group: int
-    upto: int
     instances: tuple[int, ...]  # the instances that must be held
 
     @property

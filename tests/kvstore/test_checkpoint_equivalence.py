@@ -243,7 +243,7 @@ class Replica:
              if r.share is None and i in self.decided[g]], sel)
         if inst is not None:
             _, value = self.decided[g][inst]
-            self.srv._on_install_share(
+            self.srv.reconfig.on_install_share(
                 InstallShare(g, inst, value.value_id,
                              self.my_share(g, value), value.meta), "P0")
 

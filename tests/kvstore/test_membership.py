@@ -366,10 +366,10 @@ class TestSelfHealingIntegration:
         leader = c.leader()
         idx = c.servers.index(leader)
 
-        def crash_instead(members, new_config):
+        def crash_instead(run, target):
             c.crash_server(idx)
 
-        leader._propose_view_change = crash_instead
+        leader.reconfig._commit_view = crash_instead
         c.crash_server(4)
         c.run(until=3.0)
         leader.reconfigure_remove(4)
@@ -423,7 +423,7 @@ class TestSelfHealingIntegration:
 
     def test_drain_budget_abort(self):
         """A wedged in-flight proposal must not fence writes forever:
-        the drain gives up after DRAIN_BUDGET polls and the change
+        the drain gives up after VIEW_POLLS polls and the change
         aborts, counted in view_changes_aborted."""
         c = make(seed=25)
         c.run(until=2.0)
@@ -432,8 +432,8 @@ class TestSelfHealingIntegration:
         leader.groups[0]._inflight[999] = Value("wedge", 0, None)
         leader.reconfigure_remove(4)
         c.run(until=4.0)
-        assert leader.view_changes_aborted == 1
-        assert leader._view_changing is False
+        assert leader.reconfig.view_changes_aborted == 1
+        assert leader.reconfig.view_changing is False
         assert all(s.view_epoch == 0 for s in c.servers)
 
     def test_fresh_leader_does_not_evict_unmet_peer(self):

@@ -77,8 +77,8 @@ class TestWireBytes:
         )
 
     def test_placement_messages_scale_with_instance_count(self):
-        many = ConfirmPlacement(0, 100, tuple(range(50))).wire_bytes
-        few = ConfirmPlacement(0, 100, (1,)).wire_bytes
+        many = ConfirmPlacement(0, tuple(range(50))).wire_bytes
+        few = ConfirmPlacement(0, (1,)).wire_bytes
         assert many > few
         assert PlacementGaps(0, tuple(range(10))).wire_bytes > \
                PlacementGaps(0, ()).wire_bytes

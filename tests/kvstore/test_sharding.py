@@ -68,7 +68,7 @@ class TestSplitMigration:
         ldr = c.leader()
         assert ldr.shard_map.migrating is None  # copy committed
         assert ldr.shard_map.version > v0
-        assert ldr.migrations_completed >= 1
+        assert ldr.reconfig.migrations_completed >= 1
         # Routing actually moved: upper range owned by a different group.
         assert ldr.shard_map.group_of("z9") != ldr.shard_map.group_of("a0")
 
