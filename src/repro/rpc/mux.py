@@ -30,8 +30,8 @@ class Channel:
 
     Implements the subset of the :class:`RpcEndpoint` API the protocol
     layer uses (``name``, ``on``, ``on_request_async``, ``send``,
-    ``request``), so a :class:`~repro.core.PaxosNode` can be constructed
-    over a channel exactly as over a bare endpoint.
+    ``request``, ``cancel_request``), so a :class:`~repro.core.PaxosNode`
+    can be constructed over a channel exactly as over a bare endpoint.
     """
 
     def __init__(self, mux: "ChannelMux", key: Hashable):
@@ -73,6 +73,9 @@ class Channel:
             retries=retries, on_timeout=on_timeout,
             adaptive=adaptive,
         )
+
+    def cancel_request(self, req_id: int) -> None:
+        self._mux.endpoint.cancel_request(req_id)
 
     def peer_stats(self, dst: str):
         """Latency snapshot for ``dst`` (shared across all channels —
