@@ -12,7 +12,8 @@ Public API:
 - :class:`CheckpointStore`, :class:`CheckpointRecord` — atomic durable
   state checkpoints, the WAL's compaction partner; :class:`HeldRecords`
   indexes the records their segments hold, :data:`HELD` marks a
-  state-part share held by reference to one, and :func:`retirable`
+  state-part store entry held by reference to the vote that rebuilds
+  it, and :func:`retirable`
   names what a retirement floor drops.
 """
 

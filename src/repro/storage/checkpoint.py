@@ -154,7 +154,7 @@ class CheckpointStore:
 
 #: The value of a state-part store entry that the checkpoint holds by
 #: reference: the share of the acceptor record its segments hold for the
-#: entry's (group, instance), which recovery puts back in its place.
+#: entry's (group, instance), from which recovery rebuilds the entry.
 HELD = object()
 
 
@@ -192,8 +192,8 @@ class HeldRecords:
     the trimmed segments is the merge of the full ones minus what was
     dropped.
     :meth:`get` looks one held record up; with it :meth:`refer` and
-    :meth:`resolved` let a state part hold a share by reference to the
-    record that carries it (:data:`HELD`).
+    :meth:`resolved` let a state part hold a store entry by reference
+    to the vote that rebuilds it (:data:`HELD`).
     """
 
     def __init__(self, groups: int, width: int):
@@ -211,38 +211,67 @@ class HeldRecords:
              and (inst >= below or inst in keep)}
             for where, records in zip(self._where[group], live))
 
-    def get(self, group: int, instance: int):
-        """The record held for ``instance`` in the first map of
-        ``group`` (a KV server's acceptor records), or None."""
-        seg = self._where[group][0].get(instance)
+    def get(self, group: int, instance: int, which: int = 0):
+        """The record held for ``instance`` in map ``which`` of
+        ``group`` (a KV server's: 0 the acceptor records, 1 the learner
+        records), or None."""
+        seg = self._where[group][which].get(instance)
         return None if seg is None else seg[instance]
 
     def refer(self, entries, segment_groups, instance) -> int:
         """Modeled bytes of a state part's store ``entries``, each made a
-        reference where it can be: an incomplete entry whose share *is*
-        the share of the acceptor record (map 0) held for its (group,
-        ``instance(version)``) once ``segment_groups`` is held costs
-        16 B and keeps :data:`HELD` for a value. Every other entry —
-        complete, a tombstone, a share with no vote held for it — costs
-        its size."""
+        reference where it can be. A checkpoint persists this replica's
+        share, never a value it can rebuild from its own vote: an entry
+        costs 16 B and keeps :data:`HELD` for a value when the
+        checkpoint, once ``segment_groups`` is held, holds the acceptor
+        record (map 0) at its (group, ``instance(version)``) and
+
+        - the entry is incomplete and its share *is* that record's; or
+        - the entry is complete and not a tombstone, the record's share
+          is clean, and a learner record (map 1) is held at the same
+          instance for the same value id: the vote is this replica's
+          share of the value the entry holds.
+
+        Every other entry — a tombstone, no vote held, a vote for a
+        losing value, a rotten vote — costs its size."""
         size = 0
         for e in entries:
-            if not e.complete and e.group >= 0 and e.value is not None:
-                inst = instance(e.version)
-                rec = segment_groups[e.group][0].get(inst)
-                if rec is None:
-                    rec = self.get(e.group, inst)
-                if rec is not None and rec.share is e.value:
-                    e.value, size = HELD, size + 16
-                    continue
-            size += e.size
+            if e.group >= 0 and not e.tombstone and self._rebuilds(
+                    segment_groups, e, instance(e.version)):
+                e.value, size = HELD, size + 16
+            else:
+                size += e.size
         return size
 
-    def resolved(self, entries: dict, instance) -> dict:
-        """``entries`` with each :data:`HELD` value put back: the share
-        of the acceptor record held for the entry's (group,
-        ``instance(version)``). A reference to a record no segment holds
-        raises: that checkpoint cannot be installed."""
+    def _rebuilds(self, segment_groups, e, inst: int) -> bool:
+        """Does the vote held at ``inst`` of ``e.group``, once
+        ``segment_groups`` is held, rebuild store entry ``e``?"""
+        vote = self._held(segment_groups, e.group, inst, 0)
+        if vote is None:
+            return False
+        if not e.complete:
+            return e.value is not None and vote.share is e.value
+        learned = self._held(segment_groups, e.group, inst, 1)
+        return (learned is not None and not vote.share.corrupt
+                and vote.share.value_id == learned.value_id)
+
+    def _held(self, segment_groups, group: int, instance: int, which: int):
+        """The record map ``which`` of ``group`` holds for ``instance``
+        once ``segment_groups`` is held: the new segment's, else ours."""
+        rec = segment_groups[group][which].get(instance)
+        return rec if rec is not None else self.get(group, instance, which)
+
+    def resolved(self, entries: dict, instance, payload) -> dict:
+        """``entries`` with each :data:`HELD` value put back from the
+        share of the acceptor record held for the entry's (group,
+        ``instance(version)``): what applying that vote rebuilds on a
+        replica that holds no decoded value, as WAL-tail replay of it
+        would. An incomplete entry gets the share back. A complete one
+        comes back incomplete, holding the share, under θ(X > 1); under
+        θ(1, N) the share is the full copy, and the entry comes back
+        complete with ``payload(share, key)`` — the ``(data, size)`` the
+        key holds once that value applies. A reference to a record no
+        segment holds raises: that checkpoint cannot be installed."""
         out = dict(entries)
         for key, e in entries.items():
             if e.value is HELD:
@@ -252,7 +281,15 @@ class HeldRecords:
                         f"checkpoint entry {key!r} refers to group "
                         f"{e.group} instance {instance(e.version)}, "
                         f"which no segment holds")
-                out[key] = replace(e, value=rec.share)
+                share = rec.share
+                if not e.complete:
+                    out[key] = replace(e, value=share)
+                elif share.config.x > 1:
+                    out[key] = replace(e, value=share, size=share.size,
+                                       complete=False)
+                else:
+                    data, size = payload(share, key)
+                    out[key] = replace(e, value=data, size=size)
         return out
 
     def hold(self, segment_groups, floors=None) -> None:

@@ -16,14 +16,21 @@ A checkpoint that turns durable also retires the records below its
 floor whose instance its store names as no key's version. The
 reference applies that rule itself, as a dictcomp over its full copy
 (``retired``), so trimmed segments must recover what full ones recover
-once the same rule has run over them.
+once the same rule has run over them. A checkpoint persists this
+replica's share, never a full value it can rebuild from its own held
+vote, so the reference also recovers such a complete store entry as
+what that vote rebuilds (``rebuilt_from_votes``): an incomplete entry
+holding the share, as WAL-tail replay of the vote would.
 
 The same interleavings also check the charge: every checkpoint hands
 the device the bytes its saved content defines (``saved_size``), holds
-by reference exactly the store entries whose share the checkpoint then
-holds in an acceptor record, and pays one digest per learner record its
-retirement drops.
+by reference exactly the store entries its held votes rebuild
+(``by_reference``: a share the checkpoint then holds in an acceptor
+record, or a complete value whose clean held vote names the learned
+value), and pays one digest per learner record its retirement drops.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -41,7 +48,7 @@ from repro.kvstore import build_cluster
 from repro.kvstore.messages import Command, InstallShare
 from repro.storage import HELD
 
-from .test_checkpoint_segments import saved_size
+from .test_checkpoint_segments import by_reference, saved_size
 
 ME = 2          # the replica under test
 GROUPS = 2
@@ -108,6 +115,31 @@ def retired(blob) -> dict:
         snap["chosen"] = {i: r for i, r in snap["chosen"].items()
                           if i >= floor or i in keep}
         snap["retired_below"] = floor
+    return blob
+
+
+def rebuilt_from_votes(blob) -> dict:
+    """The store of a full copy that turned durable, each complete entry
+    the copy's own vote rebuilds recovered as what it rebuilds: an
+    acceptor record with a clean share at the entry's (group, instance)
+    and a learner record of the same value make it an incomplete entry
+    holding that share (θ(X > 1); under θ(1, N) the share is the full
+    copy)."""
+    mask = (1 << 48) - 1    # a store version's Paxos-instance bits
+    for key, e in blob["store"].items():
+        if not e.complete or e.tombstone or e.group < 0:
+            continue
+        snap = blob["groups"][e.group]
+        vote = snap["acceptor"].instances.get(e.version & mask)
+        learned = snap["chosen"].get(e.version & mask)
+        if (vote is None or learned is None or vote.share.corrupt
+                or vote.share.value_id != learned.value_id):
+            continue
+        share = vote.share
+        blob["store"][key] = (
+            replace(e, value=share, size=share.size, complete=False)
+            if share.config.x > 1
+            else replace(e, value=share.data, size=share.value_size))
     return blob
 
 
@@ -287,7 +319,7 @@ class Replica:
         blob = reference_export(self.srv)
 
         def durable() -> None:
-            self.durable_blob = retired(blob)
+            self.durable_blob = rebuilt_from_votes(retired(blob))
 
         if self.srv.checkpoint_now(on_done=durable):
             self.advance()
@@ -401,10 +433,7 @@ def watch_charges(srv) -> None:
             retired = learned - sum(len(node.chosen) for node in srv.groups)
             assert retired == segment["digests"]
             for key, e in state["store"].items():
-                held = e.group >= 0 and srv._ckpt_held.get(
-                    e.group, e.version & ((1 << 48) - 1))
-                by_ref = (not e.complete and values[key] is not None
-                          and bool(held) and held.share is values[key])
+                by_ref = by_reference(srv._ckpt_held, e, values[key])
                 assert (e.value is HELD) == by_ref, key
 
         disk.write = write

@@ -2,9 +2,10 @@
 
 Server-level checks of the append-only instance segment: what a
 checkpoint hands to the device is defined by its own content, the
-footprint reported is the whole checkpoint, a share is written about
-once (a segment skips what its own save retires, and the state part
-holds by reference the shares the checkpoint already holds), a
+footprint reported is the whole checkpoint, a value byte is written
+about once (a segment skips what its own save retires, and the state
+part holds by reference every store entry the checkpoint's own votes
+rebuild — a follower's share and the leader's full value alike), a
 checkpoint allocates and charges nothing per instance it already holds,
 a failed device write does not wedge the checkpointer, and the durable
 records are immutable (which is what makes the identity scan exact).
@@ -15,12 +16,20 @@ import gc
 import pytest
 
 from repro.check import check_bounded_wal, check_cluster
-from repro.core import Accept, Ballot, ChosenRecord
+from repro.core import (
+    Accept, Ballot, ChosenRecord, Value, classic_paxos, encode_value, rs_paxos,
+)
+from repro.kvstore import build_cluster
+from repro.kvstore.batch import BatchItem, BatchMeta, FramedCommand, encode_frame
+from repro.kvstore.messages import Command
+from repro.kvstore.server import _full_copy
 from repro.kvstore.shard import instance_of
 from repro.storage import HELD, CheckpointStore, HeldRecords
+from repro.storage.memkv import StoredValue
 from repro.storage.wal import RECORD_HEADER_BYTES
 from repro.workload import ClosedLoopDriver, small_write
 
+from .test_read_retention import read_all
 from .test_rebuild import make, pump
 
 
@@ -83,24 +92,53 @@ def saved_size(state: dict, segment: dict) -> int:
 
 
 def share_bytes_written(saves) -> tuple[int, int]:
-    """(share bytes the saves wrote, bytes of the distinct shares among
-    them): every acceptor record's share in a segment, and every
-    incomplete entry a state part did not hold by reference."""
+    """(value bytes the saves wrote, bytes of the distinct values among
+    them): every acceptor record's share in a segment, and every store
+    entry a state part did not hold by reference — a share, or a
+    complete value (one per key and version)."""
     written, distinct = 0, {}
     for save in saves:
-        shares = [st.share for acc, _ in save["groups"] for st in acc.values()]
-        shares += [e.value for e in save["state"]["store"].values()
-                   if not e.complete and e.value not in (None, HELD)]
-        written += sum(sh.size for sh in shares)
-        distinct.update((id(sh), sh.size) for sh in shares)
+        parts = [(id(st.share), st.share.size)
+                 for acc, _ in save["groups"] for st in acc.values()]
+        for key, e in save["state"]["store"].items():
+            if e.value is HELD or e.tombstone:
+                continue
+            if e.complete:
+                parts.append(((key, e.version), e.size))
+            elif e.value is not None:
+                parts.append((id(e.value), e.value.size))
+        written += sum(size for _, size in parts)
+        distinct.update(parts)
     return written, sum(distinct.values())
 
 
+def by_reference(held: HeldRecords, e, live) -> bool:
+    """The charge rule: is saved store entry ``e``, whose live value is
+    ``live``, a reference once the checkpoint holds ``held``? An
+    incomplete entry is when its share is the held vote's; a complete
+    one when a clean held vote and a held learner record name the same
+    value."""
+    if e.group < 0 or e.tombstone:
+        return False
+    inst = instance_of(e.version)
+    vote = held.get(e.group, inst)
+    if vote is None:
+        return False
+    if not e.complete:
+        return live is not None and vote.share is live
+    learned = held.get(e.group, inst, 1)
+    return (learned is not None and not vote.share.corrupt
+            and vote.share.value_id == learned.value_id)
+
+
 class TestContentDefinedCharge:
+    @pytest.mark.parametrize("leader", [False, True],
+                             ids=["follower", "leader"])
     def test_device_bytes_equal_the_size_recomputed_from_the_content(
-            self, monkeypatch):
+            self, monkeypatch, leader):
         c = make(interval=0.0)          # checkpoints only when asked
-        srv = c.servers[2]
+        srv = c.leader() if leader else c.servers[2]
+        assert srv.is_leader_server == leader
         written = record_segments(monkeypatch)
         handed = []
         real_write = srv.disk.write
@@ -120,14 +158,14 @@ class TestContentDefinedCharge:
             assert nbytes == saved_size(save["state"], save)
             assert any(acc for acc, _ in save["groups"])  # not vacuous
             # An entry is held by reference exactly when the checkpoint
-            # now holds the acceptor record whose share it stores.
+            # now holds the vote that rebuilds it: the leader's complete
+            # values as well as a follower's shares.
             refs = 0
             for key, e in save["state"]["store"].items():
-                held = e.group >= 0 and srv._ckpt_held.get(
-                    e.group, instance_of(e.version))
-                by_ref = (not e.complete and bool(held)
-                          and held.share is srv.store.get_entry(key).value)
+                by_ref = by_reference(srv._ckpt_held, e,
+                                      srv.store.get_entry(key).value)
                 assert (e.value is HELD) == by_ref, key
+                assert e.complete == leader, key
                 refs += by_ref
             assert refs
         # From the second save on, each one retires what the keys'
@@ -167,9 +205,8 @@ class TestContentDefinedCharge:
             assert len(segments) > 5
             # The footprint is every segment, not the last one.
             assert fp["checkpoint_bytes"] > 4 * max(seg.size for seg in segments)
-            # Every share was written about once: not again by the state
-            # part, nor once per interval. (The state part's complete
-            # values are rewritten per interval: ROADMAP item 5(b).)
+            # Every share and every complete value was written about
+            # once: not again by the state part, nor once per interval.
             shares, distinct = share_bytes_written(saves)
             assert distinct <= shares <= 1.05 * distinct
         assert sum(s.durable_footprint()["checkpoint_bytes_written"]
@@ -333,6 +370,35 @@ class TestStatePartHoldsSharesByReference:
         for key in refs:
             assert srv.store.get_entry(key).value is before[key]
 
+    def test_a_recovered_leader_decodes_what_it_held_whole(self):
+        """The leader's checkpoint holds its complete values by
+        reference to its own votes; recovered and elected again, it
+        holds shares, and reads every key back byte for byte by
+        decoding."""
+        c = build_cluster(rs_paxos(5, 1), seed=11, num_groups=2)
+        c.start()
+        c.run(until=1.0)
+        values = {f"k{i}": bytes([i]) * 700 + bytes(range(256)) * (i + 1)
+                  for i in range(8)}
+        for key, data in values.items():
+            c.clients[0].put(key, len(data), data=data)
+        c.run(until=2.0)
+        leader = c.leader()
+        assert all(leader.store.get(key).complete for key in values)
+        assert checkpoint(leader)
+        store = leader.checkpoint_store.current.payload["store"]
+        assert all(store[key].value is HELD for key in values)
+        leader.crash()
+        c.run(until=c.sim.now + 0.1)
+        leader.recover()
+        leader._start_election()    # before a successor's vacancy check
+        c.run(until=c.sim.now + 3.0)
+        assert c.leader() is leader
+        assert not any(leader.store.get(key).complete for key in values)
+        got = read_all(c, list(values))
+        assert sorted(got) == sorted(values.values())
+        assert leader.reads.recovery_reads == len(values)
+
     def test_a_reference_to_a_record_no_segment_holds_raises(self):
         """Teeth: drop from the durable segments the acceptor record a
         by-reference entry names; recovery must refuse, not install a
@@ -348,3 +414,98 @@ class TestStatePartHoldsSharesByReference:
         srv.crash()
         with pytest.raises(LookupError, match="no segment holds"):
             srv.recover()
+
+
+class TestChargeRule:
+    """``HeldRecords.refer`` / ``resolved`` on one held vote: a store
+    entry the vote rebuilds is a 16 B reference, every other one costs
+    its size, and recovery rebuilds what applying the vote rebuilds."""
+
+    DATA = bytes(range(250)) * 12           # 3,000 B
+
+    def held(self, config, value, corrupt=False, learned=None):
+        """Records holding this replica's (index 2) vote for ``value``
+        at instance 7 of group 0, and a learner record naming
+        ``learned`` (default: the same value)."""
+        share = encode_value(value, config.coding, (0, 1, 2, 3, 4))[2]
+        if corrupt:
+            share = share.corrupted()
+        held = HeldRecords(1, 2)
+        chosen = ChosenRecord(learned or value.value_id, Ballot(1, 0))
+        held.hold([({7: Accept(7, Ballot(1, 0), share)}, {7: chosen})])
+        return held, share
+
+    def entry(self, value):
+        return StoredValue(value.data, value.size, True, 7, group=0)
+
+    def charge(self, held, value):
+        """(bytes refer charges, the entry as saved) for the leader's
+        complete entry of ``value``."""
+        e = self.entry(value)
+        return held.refer([e], [({}, {})], instance_of), e
+
+    def value(self, meta=None, data=DATA):
+        return Value("v7", len(data), data, meta=meta)
+
+    @pytest.mark.parametrize("case", ["rotten", "losing", "no-vote"])
+    def test_a_vote_that_cannot_rebuild_the_value_costs_its_size(self, case):
+        value = self.value()
+        if case == "no-vote":
+            held = HeldRecords(1, 2)
+        else:
+            held, _ = self.held(rs_paxos(5, 1), value,
+                                corrupt=case == "rotten",
+                                learned="v8" if case == "losing" else None)
+        size, e = self.charge(held, value)
+        assert size == 3000 and e.value is value.data
+
+    def test_a_tombstone_costs_its_size(self):
+        held, _ = self.held(rs_paxos(5, 1), self.value())
+        e = StoredValue(None, 0, True, 7, tombstone=True, group=0)
+        assert held.refer([e], [({}, {})], instance_of) == 0
+        assert e.value is None
+
+    def test_coded_vote_recovers_a_share(self):
+        """θ(3, 5): the leader's complete entry comes back as what a
+        follower holds, an incomplete entry holding the share."""
+        value = self.value()
+        held, share = self.held(rs_paxos(5, 1), value)
+        size, e = self.charge(held, value)
+        assert size == 16 and e.value is HELD
+        (back,) = held.resolved({"k": e}, instance_of, _full_copy).values()
+        assert back.value is share and not back.complete
+        assert (back.size, back.version, back.group) == (1000, 7, 0)
+
+    def test_full_copy_vote_recovers_the_bytes(self):
+        """θ(1, 5): the share is the full copy, so the entry comes back
+        complete, byte for byte."""
+        value = self.value()
+        held, _ = self.held(classic_paxos(5), value)
+        size, e = self.charge(held, value)
+        assert size == 16 and e.value is HELD
+        (back,) = held.resolved({"k": e}, instance_of, _full_copy).values()
+        assert back.complete and back.value == self.DATA
+        assert back.size == 3000
+
+    def test_full_copy_batch_vote_recovers_the_key_payload(self):
+        """θ(1, 5), a batch: the key gets its own payload back, not the
+        frame."""
+        cmds = [FramedCommand("put", "k", b"x" * 40, "C", 1),
+                FramedCommand("put", "j", b"y" * 60, "C", 2)]
+        meta = Command("batch", "", BatchMeta(tuple(
+            BatchItem(c.op, c.key, len(c.data), c.client, c.op_id)
+            for c in cmds)))
+        value = self.value(meta, encode_frame(cmds))
+        held, _ = self.held(classic_paxos(5), value)
+        e = StoredValue(b"y" * 60, 60, True, 7, group=0)
+        assert held.refer([e], [({}, {})], instance_of) == 16
+        back = held.resolved({"j": e}, instance_of, _full_copy)["j"]
+        assert back.complete and (back.value, back.size) == (b"y" * 60, 60)
+
+    def test_a_reference_whose_record_is_gone_raises(self):
+        value = self.value()
+        held, _ = self.held(rs_paxos(5, 1), value)
+        _, e = self.charge(held, value)
+        held.hold([({}, {})], [(8, ())])        # retires instance 7
+        with pytest.raises(LookupError, match="no segment holds"):
+            held.resolved({"k": e}, instance_of, _full_copy)
