@@ -19,10 +19,16 @@ from repro.chaos import (
     ScheduleSpec,
     generate_schedule,
 )
-from repro.core import QuorumSystem, UnsafeProtocolConfig
+from repro.core import (
+    ConsistencyViolation, QuorumSystem, UnsafeProtocolConfig, rs_paxos,
+)
+from repro.core.messages import Accept, Commit
 from repro.erasure import CodingConfig
+from repro.kvstore import build_cluster
 from repro.bench.experiments.chaos import _wipe_heavy_spec
 from repro.sim import Simulator
+
+from ..kvstore.test_rebuild import carried
 
 SERVERS = [f"S{i}" for i in range(5)]
 
@@ -290,36 +296,52 @@ class TestTeeth:
 
 
 class TestOpenFreeChoice:
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1(a)")
-    def test_forgotten_votes_wipe_heavy_seed_1190(self):
+    @pytest.mark.xfail(strict=True, raises=(AssertionError,
+                                            ConsistencyViolation),
+                       reason="ROADMAP item 1(a)")
+    def test_forgotten_votes_let_a_leader_free_choose(self, monkeypatch):
         """A new leader free-chooses over a value that is chosen.
 
-        rs-paxos ``--wipe-heavy`` episode 1190: P1 leads from the start,
-        and at 7.94 s its value at instance 222 of group 2 is chosen by
-        P1, P2, P3 and P5 (P4 accepts it at 8.05 s). P2 is wiped at
-        12.09 s and P1 at 15.36 s, and both rebuild group 2 from
-        snapshots whose floor, 119, lies below 222: neither holds a vote
-        there nor fences it. At 19.25 s P3 wins the election on the
-        promises of P3, P1, P2 and P4, which carry two shares of the
-        value, fewer than X = 3. The scan calls it unrecoverable, P3
-        decides ``noop.222`` over it (and ``noop.263`` over another
-        chosen value the same way), and a replica that learned the
-        value raises.
+        P1's value at instance 1 is chosen by P1, P2, P3 and P5: P4
+        never gets its Accept, and neither P3 nor P4 its Commit. P1 and
+        P2 are wiped and rejoin: their catch-up learns decisions but
+        holds no vote, so only P3 and P5 still vote for the value. P3,
+        next in ring order and never told the value was chosen, wins
+        on a quorum that carries those two shares, fewer than X = 3.
+        The scan calls the value unrecoverable and P3 decides
+        ``noop.1`` over it; P5, which learned the value, raises.
 
-        Episode 515 told the same story at instance 34 until an
-        endpoint began to park its retransmissions to a silent peer
-        behind one probe; 1247 took over (instance 127), and re-arming
-        the parked requests at the peer's RTO re-timed both away. Of
-        wipe-heavy seeds 0–1599 under that rule, 1190 is the one that
-        decides a no-op over a chosen value; 130 fails ``unique-choice``
-        with a value over a retired one. Before them: 130, which a
-        client's suspicion probe re-timed away, and episode 4 of the
-        full spec with the decode caches patched out. An XPASS without
-        a fix means the episode was re-timed away again: search for a
-        new seed and keep the marker."""
-        result, _ = ChaosRunner(protocol="rs-paxos", spec=_wipe_heavy_spec(
-            short=False), bundle_dir=None).run_episode(1190)
-        assert result.ok, result.violations
+        Chaos episodes told the same story until a follower began to
+        fetch an instance a missed Commit left its cursor on (rs-paxos
+        ``--wipe-heavy`` 1190, and before it 1247, 515 and 130): of
+        wipe-heavy seeds 0–6399 under that rule none decides a no-op
+        over a chosen value, so the reproducer is this script."""
+        c = build_cluster(rs_paxos(5, 1), seed=1, num_groups=1)
+        c.start()
+        c.run(until=1.0)
+        c.clients[0].put("k0", 3000)
+        c.run(until=1.5)
+        p1, _, p3, p4, p5 = c.servers
+        target, send = p1.groups[0].next_instance, c.net.send
+
+        def dropping(src, dst, payload, size):
+            lost = {p3.name: Commit, p4.name: (Accept, Commit)}.get(dst, ())
+            if not any(isinstance(m, lost) and m.instance == target
+                       for m in carried(payload)):
+                send(src, dst, payload, size)
+
+        monkeypatch.setattr(c.net, "send", dropping)
+        c.clients[0].put("k1", 3000)
+        c.run(until=2.0)
+        chosen = p5.groups[0].chosen[target].value_id
+        c.wipe_server(0)
+        c.wipe_server(1)
+        c.run(until=2.5)
+        c.rejoin_server(0)
+        c.rejoin_server(1)
+        c.run(until=12.0)
+        assert c.leader() is p3
+        assert p3.groups[0].chosen[target].value_id == chosen
 
 
 class TestReproBundle:
