@@ -189,9 +189,14 @@ class PaxosNode:
     # ------------------------------------------------------------------
 
     def crash(self) -> None:
-        """Lose all volatile state. Durable state stays in the WAL."""
+        """Lose all volatile state. Durable state stays in the WAL.
+        The host's endpoint retires every request this node has out, so
+        no reply of a round begun before the crash reaches it."""
         self._down = True
         self.wal.crash()
+        if self._commit_timer is not None:
+            self._commit_timer.cancel()
+            self._commit_timer = None
         self.acceptor = Acceptor(self.node_id)
         self.chosen.clear()
         self.retired_digests = array("Q")  # the checkpoint keeps the old
@@ -392,6 +397,7 @@ class PaxosNode:
 
         def on_reply(acceptor_id: int, reply) -> None:
             nonlocal finished
+            # A node retired mid-prepare must not take the lead.
             if finished or self._down:
                 return
             if isinstance(reply, Nack):
@@ -528,7 +534,7 @@ class PaxosNode:
         state = {"resolved": False}
 
         def on_reply(acceptor_id: int, reply) -> None:
-            if state["resolved"] or self._down:
+            if state["resolved"]:
                 return
             if isinstance(reply, Nack):
                 state["resolved"] = True
@@ -602,8 +608,6 @@ class PaxosNode:
         )
 
         def on_reply(reply) -> None:
-            if self._down:
-                return
             if isinstance(reply, Nack):
                 self._preempted(reply.promised)
                 return
@@ -650,7 +654,7 @@ class PaxosNode:
     def _flush_commits(self) -> None:
         self._commit_timer = None
         commits, self._pending_commits = self._pending_commits, []
-        if not commits or self._down:
+        if not commits or self._down:  # retired since the round decided
             return
         payload = commits[0] if len(commits) == 1 else Batch(items=list(commits))
         size = META_BYTES * len(commits)

@@ -28,8 +28,8 @@ class ReadPath:
     """The read modes, the election read barrier and the second-hit rule.
 
     ``clock`` has ``now``; ``cfg_group`` is the config group's index
-    under dynamic sharding, else None. The callables: ``up()``; ``leader_guard(
-    respond)`` (False: it already answered, or the server is down);
+    under dynamic sharding, else None. The callables: ``leader_guard(
+    respond)`` (False: it already answered);
     ``lease_ready()`` (leader, lease held, neither electing nor changing
     view); ``leader_host()`` (where a read-index round goes: None when
     no other server is known to lead); ``shard_map()``; ``cursor(g)``,
@@ -45,7 +45,7 @@ class ReadPath:
     def __init__(
         self, clock, store, metrics, num_groups: int,
         cfg_group: int | None, *,
-        up: Callable[[], bool], leader_guard: Callable[..., bool],
+        leader_guard: Callable[..., bool],
         lease_ready: Callable[[], bool], leader_host: Callable[[], str | None],
         shard_map: Callable, cursor: Callable[[int], int],
         after_apply: Callable, request: Callable, admit: Callable,
@@ -56,7 +56,6 @@ class ReadPath:
         self._store = store
         self._metrics = metrics
         self._cfg_group = cfg_group
-        self._up = up
         self._leader_guard = leader_guard
         self._lease_ready = lease_ready
         self._leader_host = leader_host
@@ -159,12 +158,9 @@ class ReadPath:
         self._serve(key, start, respond)
 
     def _mark(self, key: str, start: float, respond) -> None:
-        def serve() -> None:
-            if self._up():
-                self._serve(key, start, respond)
-
         self._park(self._shard_map().group_of(key),
-                   Parked("read", key, 0, None, "", 0, serve, respond))
+                   Parked("read", key, 0, None, "", 0,
+                          lambda: self._serve(key, start, respond), respond))
 
     def _follower(self, msg, start: float, respond) -> None:
         """Read-index: serve once the local cursor passes the frontier
@@ -179,14 +175,11 @@ class ReadPath:
         req = ReadIndex(key=msg.key)
 
         def serve() -> None:
-            if self._up():
-                self.follower_reads += 1
-                self._metrics.counter("read.follower").inc(1)
-                self._serve(msg.key, start, respond)
+            self.follower_reads += 1
+            self._metrics.counter("read.follower").inc(1)
+            self._serve(msg.key, start, respond)
 
         def on_reply(reply) -> None:
-            if not self._up():
-                return
             if not isinstance(reply, ReadIndexReply) or not reply.ok:
                 # The leader cannot vouch (deposed, lease expired,
                 # mid-election): the client retries; waiting here would
@@ -203,20 +196,14 @@ class ReadPath:
             for group, index in reply.frontier:
                 self._after_apply(group, index, passed)
 
-        def on_timeout() -> None:
-            if self._up():
-                _reply(respond, NotReady())
-
         self._request(host, req, req.wire_bytes, on_reply=on_reply,
                       timeout=0.5, retries=1, adaptive=True,
-                      on_timeout=on_timeout)
+                      on_timeout=lambda: _reply(respond, NotReady()))
 
     def on_read_index(self, msg, src: str, respond) -> None:
         """The leader's side: vouch for the applied frontier only under
         the fast-read conditions, or a deposed-but-unaware leader could
         anchor a follower read behind the true frontier."""
-        if not self._up():
-            return
         groups = self.wait_groups(msg.key)
         if not self._ready(groups):
             _reply(respond, ReadIndexReply(ok=False))

@@ -53,8 +53,11 @@ class Rebuild:
 
     ``clock`` has ``now`` and ``call_after(delay, fn)`` returning
     something with ``cancel()``; ``sources`` has ShareFetch's
-    ``ranked()`` / ``started(host)`` / ``finished(host)``; ``alive()``
-    says whether the owner is up. The owner's state: ``cursor(group)``,
+    ``ranked()`` / ``started(host)`` / ``finished(host)``. A crash of the
+    owner is :meth:`reset` here and the endpoint's own reset, which
+    retires every request asked here: no reply or timeout of the
+    previous incarnation reaches this component. The owner's state:
+    ``cursor(group)``,
     its apply cursor, and ``unknown(group, instance)``, true while it
     does not know the instance's command: no record, or one that names
     its value but holds neither it nor a share. The owner's
@@ -66,7 +69,7 @@ class Rebuild:
 
     def __init__(
         self, clock, *, sources, request: Callable[..., int],
-        alive: Callable[[], bool], cursor: Callable[[int], int],
+        cursor: Callable[[int], int],
         unknown: Callable[[int, int], bool],
         install_entries: Callable[[CatchUpReply], None],
         install_page: Callable[[SnapshotChunk], None],
@@ -77,7 +80,6 @@ class Rebuild:
         self._clock = clock
         self._sources = sources
         self._request = request
-        self._alive = alive
         self._cursor = cursor
         self._unknown = unknown
         self._install_entries = install_entries
@@ -89,43 +91,43 @@ class Rebuild:
         self.pending: set[int] = set()  # groups the owner observes in
         self.streaming: dict[int, str] = {}  # group -> snapshot donor
         self._first: dict[int, SnapshotChunk] = {}  # its first page
-        self._polling: set[tuple[int, int]] = set()  # missing values
-        self._tick = None
+        # Every timer armed here, by what it is for: "tick", a missing
+        # value's poll (group, instance), a stalled transfer's restart
+        # (group). reset() cancels them all.
+        self._timers: dict = {}
 
     def reset(self) -> None:
         """The owner crashed: its transfers, polls and tick are gone.
         ``pending`` survives: a replica that crashed mid-rebuild is
         still amnesiac and must come back an observer until its rebuild
         completes."""
-        self._polling.clear()
+        for timer in self._timers.values():
+            timer.cancel()
+        self._timers.clear()
         self.streaming.clear()
         self._first.clear()
-        if self._tick is not None:
-            self._tick.cancel()
-            self._tick = None
 
     def begin(self, groups: int) -> None:
         """The owner is up again: ask for every group's missed
         decisions, and again every ``TICK`` while a rebuild is pending
         (the first round can be lost wholesale to a partition)."""
         if self.pending:
-            self._tick = self._clock.call_after(TICK, self._retick)
+            self._timers["tick"] = self._clock.call_after(TICK, self._retick)
         for group in range(groups):
             self.catch_up(group)
 
     def _retick(self) -> None:
-        if not self._alive() or not self.pending:
-            self._tick = None
+        if not self.pending:
+            del self._timers["tick"]
             return
         for group in sorted(self.pending):
             if group not in self.streaming:
                 self.catch_up(group)
-        self._tick = self._clock.call_after(TICK, self._retick)
+        self._timers["tick"] = self._clock.call_after(TICK, self._retick)
 
     def catch_up(self, group: int) -> None:
         """Pull ``group``'s decisions from the apply cursor on."""
-        if self._alive():
-            self._fan_out(group, self._cursor(group))
+        self._fan_out(group, self._cursor(group))
 
     def missing(self, group: int, instance: int,
                 source: str | None = None) -> None:
@@ -137,26 +139,24 @@ class Rebuild:
         silently diverge this replica — ``source`` first, if given: a
         peer known to hold it (the promiser that named the floor)."""
         key = (group, instance)
-        if not self._alive() or key in self._polling:
-            return
-        self._polling.add(key)
-        self._clock.call_after(MISSING_DEFER,
-                               lambda: self._poll(group, instance, source))
+        if key not in self._timers:
+            self._timers[key] = self._clock.call_after(
+                MISSING_DEFER, lambda: self._poll(group, instance, source))
 
     def _poll(self, group: int, instance: int,
               source: str | None = None) -> None:
-        # Over once the value arrived, once the cursor is past the
-        # instance (a snapshot covered it), or when the owner went down.
-        if (not self._alive() or instance < self._cursor(group)
-                or not self._unknown(group, instance)):
-            self._polling.discard((group, instance))
+        # Over once the value arrived, or once the cursor is past the
+        # instance (a snapshot covered it).
+        key = (group, instance)
+        if instance < self._cursor(group) or not self._unknown(group, instance):
+            del self._timers[key]
             return
         # Again until a peer supplies it: a round may race a partition,
         # or every peer reached may hold it commit-only too. Each poll
         # re-ranks, so a dead best-ranked source stops being first pick.
         self._fan_out(group, instance, source)
-        self._clock.call_after(MISSING_REPOLL,
-                               lambda: self._poll(group, instance, source))
+        self._timers[key] = self._clock.call_after(
+            MISSING_REPOLL, lambda: self._poll(group, instance, source))
 
     def _fan_out(self, group: int, start: int,
                  first: str | None = None) -> None:
@@ -171,7 +171,7 @@ class Rebuild:
         hosts = iter(ranked)
 
         def issue_one() -> None:
-            host = next(hosts, None) if self._alive() else None
+            host = next(hosts, None)
             if host is None:
                 return
             self._sources.started(host)
@@ -204,7 +204,7 @@ class Rebuild:
 
     def on_catch_up(self, reply, host: str) -> None:
         """A catch-up page arrived from ``host``."""
-        if not self._alive() or not isinstance(reply, CatchUpReply):
+        if not isinstance(reply, CatchUpReply):
             return
         group = reply.group
         if reply.floor > self._cursor(group):
@@ -242,52 +242,52 @@ class Rebuild:
         self.streaming[group] = host
         self._count("rebuild.snapshot_transfers", 1)
         self._trace(f"snapshot fetch g{group} from {host} (peer floor={floor})")
-        self._fetch_page(group, host, "", None)
+        self._fetch_page(group, host, "")
 
-    def _fetch_page(self, group: int, host: str, cursor: str, first) -> None:
-        if not self._alive() or self.streaming.get(group) != host:
-            return
+    def _fetch_page(self, group: int, host: str, cursor: str) -> None:
         req = FetchSnapshot(group=group, cursor=cursor)
         self._request(
             host, req, req.wire_bytes,
-            on_reply=lambda reply: self.on_page(reply, host, first),
+            on_reply=lambda reply: self.on_page(reply, host),
             timeout=SNAPSHOT_TIMEOUT, retries=RETRIES, adaptive=True,
             on_timeout=lambda: self._stalled(group, host),
         )
 
     def _stalled(self, group: int, host: str) -> None:
-        if not self._alive() or self.streaming.get(group) != host:
+        if self.streaming.get(group) != host:
             return
         # The donor died or became unreachable mid-stream. Start over
         # shortly: any peer's floor reply starts a new transfer, and
-        # installing a page is idempotent.
+        # installing a page is idempotent. One restart per group is
+        # pending at a time: it asks for the group from the cursor on.
         del self.streaming[group]
         self._first.pop(group, None)
-        self._clock.call_after(STALL_PAUSE, lambda: self.catch_up(group))
+        if group not in self._timers:
+            self._timers[group] = self._clock.call_after(
+                STALL_PAUSE, lambda: self._restart(group))
 
-    def on_page(self, reply, host: str, first=None) -> None:
-        """A snapshot page arrived from ``host``. ``first`` is the first
-        page this transfer held when the page was asked for."""
-        if not self._alive() or not isinstance(reply, SnapshotChunk):
+    def _restart(self, group: int) -> None:
+        del self._timers[group]
+        self.catch_up(group)
+
+    def on_page(self, reply, host: str) -> None:
+        """A snapshot page arrived from ``host``."""
+        if not isinstance(reply, SnapshotChunk):
             return
         group = reply.group
         if self.streaming.get(group) != host:
             return  # stale page (the transfer restarted elsewhere)
         if reply.first:
-            first = self._first[group] = reply
-        elif self._first.get(group) is not first:
-            # A later page of a transfer begun before a crash (RPCs
-            # outlive one): its entries may predate the floor now held.
-            return
+            self._first[group] = reply
         self._count("rebuild.snapshot_bytes", reply.wire_bytes)
         self._install_page(reply)
         if reply.next_cursor is not None:
-            self._fetch_page(group, host, reply.next_cursor, first)
+            self._fetch_page(group, host, reply.next_cursor)
             return
         # Last page: adopt what the first page said the state represents.
         # Later pages may hold entries newer than its floor; the catch-up
         # from the floor re-applies them idempotently.
-        del self._first[group]
+        first = self._first.pop(group)
         self._adopt(first)
         del self.streaming[group]
         self._trace(f"snapshot installed g{group} (floor={first.floor})")
@@ -333,8 +333,8 @@ def catch_up_page(msg: CatchUp, floor: int, chosen: dict,
 
 
 def snapshot_page(msg: FetchSnapshot, pinned: list, first: dict,
-                  share_for: Callable, send: Callable[[SnapshotChunk], None],
-                  alive: Callable[[], bool]) -> None:
+                  share_for: Callable,
+                  send: Callable[[SnapshotChunk], None]) -> None:
     """Build one snapshot page for ``msg`` and ``send`` it.
 
     ``pinned`` is the (key, store entry) pairs past ``msg.cursor`` in
@@ -342,9 +342,9 @@ def snapshot_page(msg: FetchSnapshot, pinned: list, first: dict,
     metadata as ``SnapshotChunk`` fields on the first page, else empty.
     The page ends once it holds ``msg.max_bytes``. ``share_for(entry,
     cont)`` calls ``cont(share, meta, value_id, value_size)`` at once or
-    after a share gather; an empty ``value_id`` leaves the entry out.
-    Once ``alive()`` is false nothing is sent: the requester times out
-    and starts over elsewhere.
+    after a share gather; an empty ``value_id`` leaves the entry out. A
+    crash of the donor ends the gather and its continuation, so nothing
+    is sent: the requester times out and starts over elsewhere.
     """
     entries: list[SnapshotEntry] = []
     size = 0
@@ -357,7 +357,7 @@ def snapshot_page(msg: FetchSnapshot, pinned: list, first: dict,
     def step(i: int) -> None:
         # Trampolined, not recursive: share_for usually answers at
         # once, and a page can span thousands of small keys.
-        while alive():
+        while True:
             if i >= len(pinned) or size >= msg.max_bytes:
                 send(SnapshotChunk(
                     group=msg.group, entries=tuple(entries),

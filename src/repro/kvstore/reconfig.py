@@ -85,7 +85,6 @@ class ReconfigHost(Protocol):
     store: Any
     shard_map: Any
     compact_floor: list[int]
-    up: bool
     is_leader_server: bool
 
     def leadership_ballot(self) -> Any: ...
@@ -150,7 +149,7 @@ class Reconfig:
 
     def _live(self, run: _Run) -> bool:
         host = self._host
-        if (self._runs.get(run.plan) is not run or not host.up
+        if (self._runs.get(run.plan) is not run
                 or not host.is_leader_server):
             return False
         return run.plan == VIEW or (
@@ -209,7 +208,7 @@ class Reconfig:
         host = self._host
         target = self.newest()
         lagging = self._lagging(target)
-        if host.up and host.is_leader_server and lagging and (
+        if host.is_leader_server and lagging and (
                 not self.view_changing):
             host.trace(f"view change: resume epoch {target.epoch} in "
                        + ", ".join(f"g{g}" for g in lagging))
@@ -280,7 +279,7 @@ class Reconfig:
     def _fill_gaps(self, group: int, member: int, reply, done) -> None:
         """Send ``member`` its re-coded share of each instance it lacks."""
         host = self._host
-        if not host.up or not isinstance(reply, PlacementGaps) or (
+        if not isinstance(reply, PlacementGaps) or (
                 not reply.missing):
             done()
             return
@@ -345,8 +344,6 @@ class Reconfig:
     def on_confirm_placement(self, msg: ConfirmPlacement, src: str,
                              respond) -> None:
         host = self._host
-        if not host.up:
-            return
         node = host.groups[msg.group]
         # Pre-floor instances are subsumed by our checkpoint: never gaps.
         missing = tuple(inst for inst in msg.instances
@@ -375,8 +372,6 @@ class Reconfig:
 
     def on_install_share(self, msg: InstallShare, src: str) -> None:
         host = self._host
-        if not host.up:
-            return
         node = host.groups[msg.group]
         rec = node.chosen.get(msg.instance)
         if rec is not None and rec.value_id == msg.value_id and rec.share is None:
@@ -405,7 +400,7 @@ class Reconfig:
         are era-guarded), so a successor takes over where one stopped."""
         host = self._host
         mig = host.shard_map.migrating
-        if (not host.up or not host.is_leader_server or mig is None
+        if (not host.is_leader_server or mig is None
                 or MIGRATION in self._runs):
             return
         run = self._runs[MIGRATION] = _Run(MIGRATION, host.shard_map.version)
@@ -423,7 +418,7 @@ class Reconfig:
                    lambda: self._abort_migration(run, MIGRATION_RETRY))
 
     def _abort_migration(self, run: _Run, retry: float = 0.0) -> None:
-        if self._end(run) and retry > 0 and self._host.up:
+        if self._end(run) and retry > 0:
             self._host.sim.call_after(retry, self.resume_migration)
 
     def migration_committed(self) -> None:

@@ -185,40 +185,20 @@ class KVServer:
             self.groups.append(node)
 
         self.up = True
-        self.is_leader_server = False
         # Node 0 elects itself at start(); a recovering server knows
         # no leader until it hears one.
         self.current_leader: int | None = 0
-        self._electing = False
-        # Pending background timers by job name (see _arm_background);
-        # crash() cancels whatever is in here.
-        self._timers: dict[str, object] = {}
-        # Group -> its apply cursor at the previous monitor tick
-        # (_poll_stalled_cursors).
-        self._cursor_seen: dict[int, int] = {}
-        # Lease safety state (§4.3 done right under partitions):
-        # followers only honor heartbeats at or above this ballot, and
-        # the leader only treats its lease as renewed once a heartbeat
-        # round is acked by enough followers to guarantee overlap with
-        # any future electing read quorum.
-        self._hb_floor: Ballot = NULL_BALLOT
+        self._reset_volatile()
+        # Heartbeat rounds and pre-vote rounds are numbered across
+        # crashes, so a late answer never matches a newer round.
         self._hb_seq = 0
-        self._hb_rounds: dict[int, tuple[float, set[int]]] = {}
-        # Pre-vote (partial-partition tolerance): a vacancy-timeout
-        # candidate first asks whether the leader looks dead to a read
-        # quorum, and only bumps a real ballot once Q_R members
-        # (including itself) concur. Grants are stateless opinions, so
-        # a one-way-deaf follower probing forever cannot depose a
-        # healthy leader. ``_pre_vote_state`` is (round_id, grants).
         self._pre_vote_round = 0
-        self._pre_vote_state: tuple[int, set[int]] | None = None
         # Check-quorum: a leader whose lease stays expired past this
         # grace (it cannot hear a renewal quorum) demotes itself instead
         # of limping on — the cluster's other side may already be
         # electing, and a deaf leader serving stale lease reads is the
         # failure mode the lease math exists to prevent.
         self.check_quorum_grace = 2 * cfg.lease_config.heartbeat_interval
-        self._lease_lost_since: float | None = None
         # Election-churn accounting (cumulative across crashes, like
         # requests_shed): real ballot-bump elections started here, wins
         # that made this server leader, and demotions of any cause.
@@ -231,9 +211,6 @@ class KVServer:
         # clients may issue many concurrent ops whose retries commit out
         # of id order.
         self.applied = AppliedOps()
-        # Client responses parked until the decided instance is applied
-        # locally (read-your-writes: PutOk must imply visibility).
-        self._apply_waiters: dict[tuple[int, int], list[Callable[[], None]]] = {}
         # Admission control: policy and state live in the Admission
         # component; the server drives it (admit / release via the slot
         # / flush / retry_after). ``max_inflight_proposals`` bounds
@@ -253,7 +230,7 @@ class KVServer:
             request=self.endpoint.request,
             cancel_request=self.endpoint.cancel_request,
             rto=self.endpoint.rto, peer_stats=self.endpoint.peer_stats,
-            alive=lambda: self.up, rng=sim.rng.stream(f"{name}.select"),
+            rng=sim.rng.stream(f"{name}.select"),
         )
 
         # Catch-up and replica rebuild (wipe + rejoin): the Rebuild
@@ -261,7 +238,6 @@ class KVServer:
         # server installs what arrives (DESIGN.md §4).
         self.rebuild = Rebuild(
             sim, sources=self.fetch, request=self.endpoint.request,
-            alive=lambda: self.up,
             cursor=lambda group: self.groups[group].apply_cursor,
             unknown=self._unknown,
             install_entries=self._install_entries,
@@ -287,7 +263,7 @@ class KVServer:
         # component; the server answers for leadership, log and store.
         self.reads = ReadPath(
             sim, self.store, self.metrics, len(self.groups), self.cfg_group,
-            up=lambda: self.up, leader_guard=self._leader_guard,
+            leader_guard=self._leader_guard,
             lease_ready=lambda: (
                 self.is_leader_server and not self._electing
                 and not self.reconfig.view_changing
@@ -306,12 +282,6 @@ class KVServer:
             cache=lambda g, i, v: self._cache_decoded(self.groups[g], i, v),
         )
 
-        # Background scrubber (disabled when scrub_interval == 0): each
-        # pass re-verifies WAL record checksums and repairs corrupt
-        # coded shares from peers via the RS decoder. ``_scrubbing``
-        # holds the (group, instance) pairs with a repair in flight.
-        self._scrubbing: set[tuple[int, int]] = set()
-
         # Checkpointing + WAL compaction (disabled when
         # checkpoint_interval == 0): periodically persist the applied KV
         # state + acceptor metadata atomically, then truncate the WAL
@@ -325,22 +295,12 @@ class KVServer:
         # advance only when a save turns durable.
         self.checkpoint_store = CheckpointStore(sim, self.disk, f"{name}.ckpt")
         self._reset_held()
-        self._ckpt_inflight = False
         self.last_checkpoint_at: float | None = None
         self.compact_floor: list[int] = [0] * len(self.groups)
 
-        # Dynamic sharding: the leader-resident rebalancer.
-        # ``max_group_pipeline`` caps how many proposals one data group
-        # may have in flight (0 = uncapped, the original behaviour) — it
-        # is what makes a hot shard *leader-bound* in a measurable,
-        # per-group way so splitting it demonstrably helps.
-        # ``_group_load`` counts admitted mutations per group in the
-        # current rebalance window; ``_load_ewma`` smooths them across
-        # windows; ``_key_freq`` holds bounded per-key write counts used
-        # to pick a weighted-median split boundary.
-        self._group_load: list[float] = [0.0] * len(self.groups)
-        self._load_ewma: list[float] = [0.0] * len(self.groups)
-        self._key_freq: dict[str, int] = {}
+        # Dynamic sharding: the leader-resident rebalancer (its load
+        # windows are volatile, see _reset_volatile). ``_key_freq_cap``
+        # bounds the per-key write counts kept for a split boundary.
         self._key_freq_cap = 512
         self.splits_started = 0
         self.merges_started = 0
@@ -354,9 +314,6 @@ class KVServer:
         # survivable"); ``auto_heal`` additionally closes the loop —
         # probe the evicted slot for a rebuilt spare and re-admit it
         # via reconfigure_add, restoring full redundancy.
-        self._last_ack: dict[int, float] = {}
-        self._last_pre_vote_seen: float | None = None
-        self._last_view_sync = float("-inf")
         self.detector = AccrualFailureDetector(
             heartbeat_interval=cfg.lease_config.heartbeat_interval,
         )
@@ -438,44 +395,70 @@ class KVServer:
         self._arm_background()
 
     def crash(self) -> None:
-        """Fail-stop: volatile state gone, host unreachable."""
+        """Fail-stop: the host is unreachable and everything it started
+        ends with it (DESIGN.md §4 "The crash rule"). Each component
+        forgets its volatile state and cancels its own timers; the
+        endpoint retires every request in flight, so no reply, timeout
+        or suspicion of this incarnation ever runs a continuation. What
+        no component owns is reset by _reset_volatile."""
         self.up = False
         self.net.crash_host(self.name)
-        for node in self.groups:
-            node.crash()
-        self.checkpoint_store.crash()
-        self.store.clear()
+        for reset in (
+            self.endpoint.reset, *(node.crash for node in self.groups),
+            self.checkpoint_store.crash, self.store.clear,
+            self.reconfig.reset, self.detector.reset, self.repair.reset,
+            self.applied.reset, self.reads.reset, self.fetch.reset,
+            self.rebuild.reset, self.admission.flush, self.batcher.flush,
+            *(timer.cancel for timer in self._timers.values()),
+        ):
+            reset()
+        self._reset_volatile()
+
+    def _reset_volatile(self) -> None:
+        """The server's own volatile state, as a new server has it and
+        a crash leaves it. ``shard_map`` is not here on purpose: applied
+        map versions were chosen by a quorum, so the in-memory map is
+        correct cluster state even if the local WAL tail was lost;
+        replay and catch-up re-apply older versions as no-ops."""
         self.is_leader_server = False
         self._electing = False
-        self.reconfig.reset()
-        self._last_ack.clear()
-        self.detector.reset()
-        self.repair.reset()
-        self._last_pre_vote_seen = None
+        # Pending timers by job name (_arm_background, _monitor).
+        self._timers: dict[str, object] = {}
+        # Group -> its apply cursor at the previous monitor tick
+        # (_poll_stalled_cursors).
+        self._cursor_seen: dict[int, int] = {}
+        # Lease safety state (§4.3 done right under partitions):
+        # followers only honor heartbeats at or above this ballot, and
+        # the leader only treats its lease as renewed once a heartbeat
+        # round is acked by enough followers to guarantee overlap with
+        # any future electing read quorum.
+        self._hb_floor: Ballot = NULL_BALLOT
+        self._hb_rounds: dict[int, tuple[float, set[int]]] = {}
+        # Pre-vote (partial-partition tolerance): a vacancy-timeout
+        # candidate first asks whether the leader looks dead to a read
+        # quorum, and only bumps a real ballot once Q_R members
+        # (including itself) concur. Grants are stateless opinions, so
+        # a one-way-deaf follower probing forever cannot depose a
+        # healthy leader. ``_pre_vote_state`` is (round_id, grants).
+        self._pre_vote_state: tuple[int, set[int]] | None = None
+        self._lease_lost_since: float | None = None
+        # Failure detection inputs (_on_heartbeat_ack, _on_pre_vote) and
+        # the last view sync a heartbeat triggered.
+        self._last_ack: dict[int, float] = {}
+        self._last_pre_vote_seen: float | None = None
         self._last_view_sync = float("-inf")
-        self._hb_floor = NULL_BALLOT
-        self._hb_rounds.clear()
-        self._pre_vote_state = None
-        self._lease_lost_since = None
-        self._cursor_seen.clear()
-        self.applied.reset()
-        self.reads.reset()
-        self._apply_waiters.clear()
-        self._scrubbing.clear()
-        self.fetch.reset()
-        self.rebuild.reset()
+        # Client responses parked until the decided instance is applied
+        # locally (read-your-writes: PutOk must imply visibility).
+        self._apply_waiters: dict[tuple[int, int], list[Callable[[], None]]] = {}
+        # The (group, instance) pairs with a scrub repair in flight.
+        self._scrubbing: set[tuple[int, int]] = set()
         self._ckpt_inflight = False
-        self._flush_admissions()
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
-        # NOTE: ``shard_map`` survives a crash on purpose — applied map
-        # versions were chosen by a quorum, so the in-memory map is
-        # correct cluster state even if the local WAL tail was lost;
-        # replay and catch-up re-apply older versions as no-ops.
-        self._group_load = [0.0] * len(self.groups)
-        self._load_ewma = [0.0] * len(self.groups)
-        self._key_freq.clear()
+        # Rebalancer windows: admitted mutations per group in the
+        # current window, their EWMA across windows, and bounded per-key
+        # write counts for a weighted-median split boundary.
+        self._group_load: list[float] = [0.0] * len(self.groups)
+        self._load_ewma: list[float] = [0.0] * len(self.groups)
+        self._key_freq: dict[str, int] = {}
 
     def wipe(self) -> None:
         """Catastrophic failure: the host goes down AND its disk is lost
@@ -556,8 +539,6 @@ class KVServer:
         """Run ``job`` every ``interval`` seconds while up, the first
         time after ``first``."""
         def tick() -> None:
-            if not self.up:
-                return
             job()
             self._timers[name] = self.sim.call_after(interval, tick)
 
@@ -580,7 +561,7 @@ class KVServer:
             # the next replica usually wins uncontested (§4.5).
             last = self.current_leader if self.current_leader is not None else 0
             rank = (self.node_id - last - 1) % len(self.peers)
-            self.sim.call_after(
+            self._timers["elect"] = self.sim.call_after(
                 rank * self.cfg.lease_config.heartbeat_interval * 0.5,
                 self._maybe_elect,
             )
@@ -605,7 +586,7 @@ class KVServer:
             seen[g] = cursor
 
     def _maybe_elect(self) -> None:
-        if not self.up or self.is_leader_server:
+        if self.is_leader_server:
             return
         if self.rebuilding:
             # Still amnesiac: our ballot counter may have reset, so a
@@ -658,8 +639,6 @@ class KVServer:
         self.sim.call_after(self.cfg.rpc_timeout, timed_out)
 
     def _on_pre_vote(self, msg: PreVote, src: str) -> None:
-        if not self.up:
-            return
         if msg.candidate_id in self.member_ids:
             # A member's vacancy timer lapsed — someone cannot hear the
             # leader. If that is us, connectivity is messy enough that
@@ -683,7 +662,7 @@ class KVServer:
         self.endpoint.send(src, reply, reply.wire_bytes)
 
     def _on_pre_vote_reply(self, msg: PreVoteReply, src: str) -> None:
-        if not self.up or self._pre_vote_state is None:
+        if self._pre_vote_state is None:
             return
         rid, grants = self._pre_vote_state
         if msg.round != rid or not msg.granted:
@@ -734,8 +713,6 @@ class KVServer:
         self.trace("election start")
 
         def one_done(ok: bool) -> None:
-            if not self.up:
-                return
             if not ok:
                 pending["failed"] = True
             pending["n"] -= 1
@@ -848,7 +825,7 @@ class KVServer:
     def _probe_spare(self, nid: int, cb) -> None:
         """Ask the replacement candidate for slot ``nid`` whether it is
         up and fully rebuilt; ``cb(None)`` on silence (still down)."""
-        if not self.up or nid not in self.peers:
+        if nid not in self.peers:
             cb(None)
             return
         req = ProbeSpare(sender_id=self.node_id)
@@ -862,15 +839,11 @@ class KVServer:
         )
 
     def _on_probe_spare(self, msg: ProbeSpare, src: str, respond) -> None:
-        if not self.up:
-            return
         _reply(respond, SpareStatus(node_id=self.node_id,
                                     rebuilt=not self.rebuilding,
                                     view_epoch=self.view_epoch))
 
     def _on_heartbeat(self, msg: Heartbeat, src: str) -> None:
-        if not self.up:
-            return
         if msg.ballot is not None and msg.ballot < self._hb_floor:
             # A deposed leader's heartbeat: acking it would extend a
             # lease we already helped invalidate. Stay silent; it steps
@@ -903,8 +876,6 @@ class KVServer:
                     self.rebuild.catch_up(g)
 
     def _on_heartbeat_ack(self, msg: HeartbeatAck, src: str) -> None:
-        if not self.up:
-            return
         self._last_ack[msg.follower_id] = self.sim.now
         self.detector.heard(msg.follower_id, self.sim.now)
         round_ = self._hb_rounds.get(msg.seq)
@@ -1125,8 +1096,6 @@ class KVServer:
 
     def _leader_guard(self, respond) -> bool:
         """Common not-the-leader handling; True if the caller may proceed."""
-        if not self.up:
-            return False
         if self.is_leader_server:
             if self._electing or self.reconfig.view_changing:
                 _reply(respond, NotReady())
@@ -1145,9 +1114,7 @@ class KVServer:
 
     def _on_who_leads(self, msg: WhoLeads, src: str):
         """A client's suspicion probe: name the leader, this server
-        included. A down server says nothing."""
-        if not self.up:
-            return None
+        included."""
         reply = Redirect(self._leader_hint())
         return reply, reply.wire_bytes
 
@@ -1169,18 +1136,16 @@ class KVServer:
         _reply(respond, Busy(retry_after=self.admission.retry_after(tenant)))
 
     def _flush_admissions(self) -> None:
-        """Reset the admission pipeline on crash or loss of leadership.
+        """Reset the admission pipeline on loss of leadership (a crash
+        flushes both components without answering).
 
         Queued requests would otherwise wait on proposals this server
-        can no longer drive; answer them NotReady (when still up — a
-        crashed host just goes silent) so clients re-resolve the leader.
-        Pending (not yet proposed) batches are failed the same way: the
-        batch was never an instance, so none of its commands may be
-        acked — atomicity on step-down and crash."""
+        can no longer drive; answer them NotReady so clients re-resolve
+        the leader. Pending (not yet proposed) batches are failed the
+        same way: the batch was never an instance, so none of its
+        commands may be acked — atomicity on step-down."""
         queued = self.admission.flush()
         parked = self.batcher.flush()
-        if not self.up:
-            return
         _refuse(parked)
         for respond in queued:
             _reply(respond, NotReady())
@@ -1190,8 +1155,6 @@ class KVServer:
         and propose it. Every command is released together: all of them
         on decide+apply (each with its own reply), or none (the whole
         batch fails NotReady if leadership is already gone)."""
-        if not self.up:
-            return
         if not self.is_leader_server or self.reconfig.view_changing:
             _refuse(entries)
             return
@@ -1216,9 +1179,6 @@ class KVServer:
             value = self._batch_value(entries, mapv)
 
         def decided(instance: int, v: Value) -> None:
-            if not self.up:
-                return
-
             def release_all() -> None:
                 for e in entries:
                     e.finish()
@@ -1306,8 +1266,6 @@ class KVServer:
         self._account_write(group, msg.key)
 
         def reply_now() -> None:
-            if not self.up:
-                return
             if start is not None:
                 self.metrics.latency("write").record(self.sim.now - start)
                 self.metrics.throughput("write").record(self.sim.now, msg.size)
@@ -1320,7 +1278,7 @@ class KVServer:
             ))
 
     def _on_get(self, msg: ClientGet, src: str, respond) -> None:
-        if self.up and not self._map_stale(msg, respond):
+        if not self._map_stale(msg, respond):
             self.reads.get(msg, respond)
 
     def _gather_shares(self, group: int, instance: int, value_id: str,
@@ -1367,8 +1325,6 @@ class KVServer:
         )
 
     def _on_fetch_share(self, msg: FetchShare, src: str, respond) -> None:
-        if not self.up:
-            return
         node = self.groups[msg.group]
         share = node.acceptor.accepted_share(msg.instance)
         if share is not None and (share.value_id != msg.value_id or share.corrupt):
@@ -1714,8 +1670,6 @@ class KVServer:
             store.values(), segment["groups"], instance_of)
 
         def durable() -> None:
-            if not self.up:
-                return
             self._ckpt_inflight = False
             self._hold_segment(segment, floors)
             self.last_checkpoint_at = self.sim.now
@@ -1864,15 +1818,18 @@ class KVServer:
         ``value_id`` gathered around ``seed`` — or with None at once if
         ``value_id`` is None, or once a 3.0 s watchdog fires: one
         unreconstructible value must not stall a snapshot page or a
-        migration."""
+        migration. The watchdog is one of ``_timers``, so a crash ends
+        it with the gather."""
         fired = []
+        key = f"give-up {id(fired)}"
 
         def once(value) -> None:
             if not fired:
                 fired.append(True)
+                self._timers.pop(key).cancel()
                 cont(value)
 
-        self.sim.call_after(3.0, lambda: once(None))
+        self._timers[key] = self.sim.call_after(3.0, lambda: once(None))
         if rec is not None:
             self.with_value(group, instance, rec, lambda rec: once(rec.value))
         elif value_id is None:
@@ -2002,8 +1959,6 @@ class KVServer:
         return next((nid for nid, h in self.peers.items() if h == host), None)
 
     def _on_catch_up(self, msg: CatchUp, src: str, respond) -> None:
-        if not self.up:
-            return
         node = self.groups[msg.group]
         src_id = self._node_of(src)
         _reply(respond, catch_up_page(
@@ -2019,8 +1974,6 @@ class KVServer:
         whole-state transfer. Everything the page claims is read now,
         before any gather: its entries and, on the first page, the floor
         and the rest of the transfer's metadata (DESIGN.md §5)."""
-        if not self.up:
-            return
         group, src_id = msg.group, self._node_of(src)
         node = self.groups[group]
         pinned = [
@@ -2041,7 +1994,7 @@ class KVServer:
         snapshot_page(
             msg, pinned, first,
             lambda entry, cont: self._share_for_peer(group, entry, src_id, cont),
-            send, lambda: self.up,
+            send,
         )
 
     def _share_for_peer(self, group: int, entry, src_id, cont) -> None:
@@ -2297,7 +2250,7 @@ class KVServer:
         the weighted median of the hottest range) into a spare group.
         Leader-only; True when the prepare ShardCmd was proposed."""
         if (
-            not self.up or not self.cfg.dynamic_shards
+            not self.cfg.dynamic_shards
             or not self.is_leader_server
             or not self.shard_map.is_range_map
             or self.shard_map.migrating is not None
@@ -2331,7 +2284,7 @@ class KVServer:
         neighbour; the emptied group returns to the spare pool.
         Leader-only; True when the prepare ShardCmd was proposed."""
         if (
-            not self.up or not self.cfg.dynamic_shards
+            not self.cfg.dynamic_shards
             or not self.is_leader_server
             or not self.shard_map.is_range_map
             or self.shard_map.migrating is not None

@@ -31,14 +31,13 @@ class _Gather:
     allocation rule); the two lambdas a fetch is sent with point here
     and nothing here points back at them."""
 
-    __slots__ = ("sf", "gen", "body", "size", "missing", "offer", "on_done",
+    __slots__ = ("sf", "body", "size", "missing", "offer", "on_done",
                  "on_exhausted", "timeout", "retries", "hosts", "next",
-                 "outstanding", "hedge_timer")
+                 "outstanding", "hedge_timer", "cycle_timer")
 
     def __init__(self, sf: "ShareFetch", body, size, missing, offer, on_done,
                  on_exhausted, timeout, retries):
         self.sf = sf
-        self.gen = sf._gen
         self.body = body
         self.size = size
         self.missing = missing
@@ -51,19 +50,16 @@ class _Gather:
         self.next = 0  # cursor into hosts
         self.outstanding: dict[str, int] = {}  # host -> request id
         self.hedge_timer = None
-
-    def live(self) -> bool:
-        """May a timer of this gather still act? (Its hedge timer is
-        cancelled by ``stop``; no cycle timer is pending then.)"""
-        return self.gen == self.sf._gen and self.sf._alive()
+        self.cycle_timer = None
 
     def settle(self, host: str) -> bool:
-        """Retire the fetch toward ``host``; False if that is all."""
-        sf = self.sf
-        if self.gen != sf._gen or self.outstanding.pop(host, None) is None:
-            return False  # retired by reset() (not our load), or cancelled
-        sf.finished(host)
-        return sf._alive()
+        """Retire the fetch toward ``host``; False if ``stop`` already
+        did (a cancelled request's endpoint never calls back, but a
+        caller's own recorded one may)."""
+        if self.outstanding.pop(host, None) is None:
+            return False
+        self.sf.finished(host)
+        return True
 
     def replied(self, host: str, hedge: bool, sent: float, reply) -> None:
         if not self.settle(host):
@@ -95,7 +91,8 @@ class _Gather:
                 self.stop()
                 self.on_exhausted()
             else:
-                self.sf._clock.call_after(CYCLE_PAUSE, self.cycle)
+                self.cycle_timer = self.sf._clock.call_after(CYCLE_PAUSE,
+                                                             self.cycle)
             return
         while len(self.outstanding) < need and self.next < len(self.hosts):
             self.issue(hedge=False)
@@ -129,21 +126,22 @@ class _Gather:
 
     def fire_hedge(self) -> None:
         self.hedge_timer = None
-        if self.live():
-            if self.next < len(self.hosts) and self.missing():
-                self.issue(hedge=True)
-            self.arm_hedge()
+        if self.next < len(self.hosts) and self.missing():
+            self.issue(hedge=True)
+        self.arm_hedge()
 
     def cycle(self) -> None:
-        if self.live():
-            self.next = 0
-            self.replenish()
+        self.cycle_timer = None
+        self.next = 0
+        self.replenish()
 
     def stop(self) -> None:
         """Over, one way or the other: nothing of this gather stays
         armed, in flight or counted as load."""
-        if self.hedge_timer is not None:
-            self.hedge_timer.cancel()
+        self.sf._gathers.discard(self)
+        for timer in (self.hedge_timer, self.cycle_timer):
+            if timer is not None:
+                timer.cancel()
         for host, rid in self.outstanding.items():
             self.sf._cancel_request(rid)
             self.sf.finished(host)
@@ -156,9 +154,8 @@ class ShareFetch:
     ``clock`` is anything with ``now`` and ``call_after(delay, fn)``
     returning something with ``cancel()``; ``peers`` the other hosts'
     names; ``request`` / ``cancel_request`` / ``rto`` / ``peer_stats``
-    an RPC endpoint's bound methods; ``alive()`` whether the owner is
-    up; ``rng`` (a numpy Generator) orders the sources when
-    ``rtt_select`` is off. ``hedge`` and ``rtt_select`` are on; the
+    an RPC endpoint's bound methods; ``rng`` (a numpy Generator) orders
+    the sources when ``rtt_select`` is off. ``hedge`` and ``rtt_select`` are on; the
     readpath gate's phase-3 baseline and tests switch them off on a
     built server (``srv.fetch.rtt_select = False``).
     """
@@ -167,7 +164,7 @@ class ShareFetch:
         self, clock, peers: Sequence[str], *,
         request: Callable[..., int], cancel_request: Callable[[int], None],
         rto: Callable[[str, float], float], peer_stats: Callable[[str], Any],
-        alive: Callable[[], bool], rng,
+        rng,
     ):
         self._clock = clock
         self._peers = tuple(peers)
@@ -175,7 +172,6 @@ class ShareFetch:
         self._cancel_request = cancel_request
         self._rto = rto
         self._peer_stats = peer_stats
-        self._alive = alive
         # Hedge a fetch to the next-ranked peer when the slowest
         # outstanding one overruns its adaptive RTO.
         self.hedge = True
@@ -183,9 +179,7 @@ class ShareFetch:
         self.rtt_select = True
         self._rng = rng
         self.load: dict[str, int] = {}  # fetches in flight per peer
-        # Bumped by reset(): whatever an earlier gather still has coming
-        # — a late reply, its hedge or cycle timer — finds it stale.
-        self._gen = 0
+        self._gathers: set[_Gather] = set()  # not yet stopped
         # Cumulative across resets (a crash does not forget them).
         self.hedges_issued = 0
         self.hedge_wins = 0
@@ -257,13 +251,14 @@ class ShareFetch:
         g = _Gather(self, body, size, missing, offer, on_done, on_exhausted,
                     timeout, retries)
         if missing():
+            self._gathers.add(g)
             g.replenish()
         else:
             on_done()
 
     def reset(self) -> None:
-        """The owner crashed: forget the load and retire every gather
-        in flight — their requests may still be answered or time out,
-        and nothing comes of it."""
-        self._gen += 1
+        """The owner crashed: stop every gather in flight — its timers
+        cancelled, its requests retired — and forget the load."""
+        for g in list(self._gathers):
+            g.stop()
         self.load.clear()

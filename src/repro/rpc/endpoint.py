@@ -412,6 +412,28 @@ class RpcEndpoint:
             else:
                 del self._silent[pending.dst]
 
+    def reset(self) -> None:
+        """The host crashed: what it asked dies with it, as a TCP
+        connection does (§5). Every pending request is retired without
+        a callback — no ``on_reply``, ``on_timeout`` or ``on_suspect``
+        ever fires for it, and its reply, should one still arrive, is
+        counted in ``stale_replies_dropped`` — and the silent-peer
+        table, unsent batches and RTT estimates, all volatile, are
+        gone. Handlers and counters survive, the request-id counter
+        too: a reply to a request of the previous incarnation must
+        never match one of the next."""
+        for pending in self._pending.values():
+            pending.done = True
+            if pending.timer is not None:
+                pending.timer.cancel()
+        self._pending.clear()
+        self._silent.clear()
+        for timer in self._batch_timers.values():
+            timer.cancel()
+        self._batch_timers.clear()
+        self._batches.clear()
+        self._peer_stats.clear()
+
     def _transmit(self, pending: _PendingRequest) -> None:
         if pending.done:
             return

@@ -52,7 +52,6 @@ class Rig:
         self.clock = Clock()
         self.store = LocalStore()
         self.metrics = MetricSet()
-        self.up = True
         self.leader = True
         self.lease = True
         self.host = None
@@ -68,7 +67,7 @@ class Rig:
         self.cached: list = []
         self.reads = ReadPath(
             self.clock, self.store, self.metrics, 1, cfg_group,
-            up=lambda: self.up, leader_guard=self.guard,
+            leader_guard=self.guard,
             lease_ready=lambda: self.lease, leader_host=lambda: self.host,
             shard_map=lambda: self.map, cursor=lambda g: self.cursor,
             after_apply=lambda g, i, cb: self.parked.append((g, i, cb)),
@@ -190,15 +189,6 @@ def test_read_index_parks_until_the_cursor_passes_then_serves():
     assert isinstance(rig.replies[-1], GetOk)
     assert rig.reads.follower_reads == 1
     assert rig.metrics.counter("read.follower").value == 1
-
-
-def test_a_crashed_follower_drops_the_reply():
-    rig = Rig()
-    req = follower_round(rig)
-    rig.up = False
-    req.on_reply(ReadIndexReply(((0, 9),), ok=True))
-    req.on_timeout()
-    assert rig.replies == [] and rig.parked == []
 
 
 @pytest.mark.parametrize("lease,cursor,ok", [

@@ -15,7 +15,7 @@ from repro.core import rs_paxos
 from repro.core.messages import Commit
 from repro.kvstore import build_cluster
 from repro.kvstore.messages import (
-    CatchUp, CatchUpReply, FetchSnapshot, SnapshotChunk,
+    CatchUp, CatchUpReply, FetchSnapshot,
 )
 from repro.kvstore.shard import instance_of
 from repro.rpc import Batch
@@ -304,22 +304,26 @@ class TestSnapshotFloor:
         assert floor == pages[0].floor
 
     def test_page_of_a_transfer_begun_before_a_crash_is_dropped(self):
-        # RPCs outlive a crash, so a page requested by the previous
-        # incarnation can arrive beside the new transfer's: it is not
-        # bound to the first page now held and must not end the
-        # transfer under that page's floor.
+        # The crash retires the page request with every other request of
+        # its incarnation (DESIGN.md §4 "The crash rule"): the donor's
+        # answer reaches the recovered server as a stale reply, and is
+        # never installed beside what the next incarnation asks for.
         c = make()
         srv = c.servers[3]
-        old = SnapshotChunk(group=0, first=True, floor=5)
         # A peer's floor above our cursor starts a transfer from it.
         srv.rebuild.on_catch_up(CatchUpReply(group=0, floor=10**6), "P1")
         assert srv.rebuild.streaming == {0: "P1"}
-        srv.rebuild.on_page(
-            SnapshotChunk(group=0, first=True, floor=9, next_cursor="k"), "P1")
-        before = srv.groups[0].apply_cursor
-        srv.rebuild.on_page(SnapshotChunk(group=0), "P1", old)
-        assert srv.rebuild.streaming == {0: "P1"}
-        assert srv.groups[0].apply_cursor == before
+        stale = srv.endpoint.stale_replies_dropped
+        paged = srv.metrics.counter("rebuild.snapshot_bytes").value
+        srv.crash()
+        srv.recover()                       # before P1's page arrives
+        for _ in range(100_000):
+            if srv.endpoint.stale_replies_dropped > stale:
+                break
+            c.sim.step()
+        assert srv.endpoint.stale_replies_dropped == stale + 1
+        assert srv.metrics.counter("rebuild.snapshot_bytes").value == paged
+        assert srv.rebuild.streaming == {}
 
     def test_rejoin_under_write_load_leaves_every_replica_agreeing(self):
         """End to end, and the teeth of ``check_store_agreement``: a

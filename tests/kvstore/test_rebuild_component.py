@@ -4,9 +4,8 @@ recorded owner callbacks, no cluster, no simulator.
 What a rebuild does end to end (wipe, rejoin, snapshot transfer under
 load, the observer gate) is in ``test_rebuild.py`` and the wipe-heavy
 golden; these pin the component's own rules — the ranked catch-up
-fan-out, paging, a stalled donor, a crash mid-transfer, pages bound to
-their transfer's first page, ``reset`` and the finish line — and the
-donor side's page builders.
+fan-out, paging, a stalled donor, a crash mid-transfer, ``reset`` and
+the finish line — and the donor side's page builders.
 """
 
 from types import SimpleNamespace
@@ -32,7 +31,6 @@ class Rig:
 
     def __init__(self, groups=2):
         self.clock = Clock()
-        self.up = True
         self.sent: list[SimpleNamespace] = []
         self.load: dict[str, int] = {}
         self.cursor = [0] * groups
@@ -45,7 +43,7 @@ class Rig:
         self.traces: list[str] = []
         self.rebuild = Rebuild(
             self.clock, sources=self, request=self.request,
-            alive=lambda: self.up, cursor=self.cursor.__getitem__,
+            cursor=self.cursor.__getitem__,
             unknown=lambda g, i: (g, i) in self.holes,
             install_entries=self.entries.append,
             install_page=self.pages.append, adopt=self.adopt,
@@ -115,14 +113,6 @@ def test_catch_up_pages_follow_next_from_on_the_same_host():
     assert len(rig.asked()) == 3
 
 
-def test_nothing_is_asked_or_installed_while_down():
-    rig = Rig()
-    rig.up = False
-    rig.rebuild.catch_up(0)
-    rig.rebuild.on_catch_up(CatchUpReply(group=0), "P1")
-    assert rig.sent == [] and rig.entries == []
-
-
 def start_transfer(rig, host="P1", floor=40):
     """A catch-up reply whose floor is above the cursor starts a
     snapshot transfer from that peer."""
@@ -186,29 +176,14 @@ def test_crash_mid_transfer_drops_the_old_incarnations_pages():
     rig.last(FetchSnapshot).on_reply(
         SnapshotChunk(group=0, first=True, floor=40, next_cursor="k"))
     before_crash = rig.last(FetchSnapshot)
-    rig.up = False
     rig.rebuild.reset()
     assert rig.rebuild.streaming == {}
     assert rig.rebuild.pending == {0, 1}        # still amnesiac
     assert rig.clock.pending() == []            # the tick is cancelled
-    rig.up = True
-    # The page asked for before the crash arrives (RPCs outlive one).
+    # The endpoint's reset retires the page request too; were its reply
+    # delivered anyway, it would belong to no transfer.
     before_crash.on_reply(SnapshotChunk(group=0))
     assert rig.adopted == [] and len(rig.pages) == 1
-
-
-def test_a_page_bound_to_a_stale_first_page_is_dropped():
-    rig = Rig()
-    start_transfer(rig, "P1")
-    stale = SnapshotChunk(group=0, first=True, floor=5)
-    held = SnapshotChunk(group=0, first=True, floor=9, next_cursor="k")
-    rig.rebuild.on_page(held, "P1")
-    rig.rebuild.on_page(SnapshotChunk(group=0), "P1", stale)
-    assert rig.rebuild.streaming == {0: "P1"}
-    assert rig.adopted == [] and rig.pages == [held]
-    # The page bound to the held first page finishes the transfer.
-    rig.rebuild.on_page(SnapshotChunk(group=0), "P1", held)
-    assert rig.adopted == [held] and rig.cursor[0] == 9
 
 
 def test_a_page_from_another_host_is_dropped():
@@ -336,14 +311,14 @@ def test_snapshot_page_budget_and_cursor():
 
     msg = FetchSnapshot(group=0, max_bytes=2 * (KV_META + 1 + 100))
     snapshot_page(msg, pinned, {"first": True, "floor": 9}, share_for,
-                  sent.append, lambda: True)
+                  sent.append)
     (page,) = sent
     assert [e.key for e in page.entries] == ["a", "b", "c"]
     assert page.entries[1].tombstone and page.next_cursor == "c"
     assert page.first and page.floor == 9
     sent.clear()
     snapshot_page(FetchSnapshot(group=0, cursor="c"), pinned[3:], {},
-                  share_for, sent.append, lambda: True)
+                  share_for, sent.append)
     (page,) = sent
     assert [e.key for e in page.entries] == ["d"]
     assert page.next_cursor is None and not page.first
@@ -360,20 +335,12 @@ def test_snapshot_page_resumes_after_a_gather_and_skips_unknown_values():
         else:
             cont(None, None, "" if e.version == 3 else "v1", 0)
 
-    up = [True]
     snapshot_page(FetchSnapshot(group=0), pinned, {}, share_for,
-                  sent.append, lambda: up[0])
+                  sent.append)
     assert sent == [] and len(waiting) == 1
     waiting.pop()(None, None, "v2", 0)
     (page,) = sent
     assert [e.key for e in page.entries] == ["a", "b"]  # c names no value
-    # A donor that crashed while gathering sends nothing.
-    sent.clear()
-    snapshot_page(FetchSnapshot(group=0), pinned, {}, share_for,
-                  sent.append, lambda: up[0])
-    up[0] = False
-    waiting.pop()(None, None, "v2", 0)
-    assert sent == []
 
 
 def test_missing_value_poll_stops_once_the_cursor_passed_it():

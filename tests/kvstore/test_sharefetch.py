@@ -64,13 +64,12 @@ class Rig:
     def __init__(self, rtt=None, hedge=True, rtt_select=True, seed=0):
         self.clock = Clock()
         self.rtt = dict(rtt or {})
-        self.up = True
         self.sent: list[SimpleNamespace] = []
         self.cancelled: list[int] = []
         self.fetch = ShareFetch(
             self.clock, PEERS, request=self.request,
             cancel_request=self.cancelled.append, rto=self.rto,
-            peer_stats=self.peer_stats, alive=lambda: self.up,
+            peer_stats=self.peer_stats,
             rng=np.random.default_rng(seed),
         )
         self.fetch.hedge, self.fetch.rtt_select = hedge, rtt_select
@@ -232,17 +231,6 @@ class TestFanOut:
         assert rig.asked() == ["P1", "P2", "P4"]
         rig.timeout("P4")
         assert rig.asked() == ["P1", "P2", "P4", "P5"]
-
-    def test_not_alive_settles_the_fetch_and_goes_no_further(self):
-        rig = Rig(rtt=FAST)
-        rig.gather(want=2)
-        rig.up = False
-        rig.reply("P1")
-        rig.timeout("P2")
-        assert rig.fetch.load == {} and rig.got == []
-        assert rig.asked() == ["P1", "P2"]
-        rig.clock.advance(1.0)                     # the hedge timer fires
-        assert rig.asked() == ["P1", "P2"] and rig.clock.pending() == []
 
 
 class TestHedging:

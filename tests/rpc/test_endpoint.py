@@ -261,6 +261,96 @@ class TestSuspicion:
         assert eps["A"].stale_replies_dropped == 1
 
 
+class TestReset:
+    """``reset`` is the host's crash: every request it has out is
+    retired without a callback, its volatile tables are emptied, and a
+    reply to the previous incarnation never matches the next one."""
+
+    def crashed_with_work_out(self):
+        """A with one RTT sample toward B, then, all unanswered at the
+        reset: a bounded request (``on_timeout``), an unbounded adaptive
+        one, and one that would suspect B at its RTO. B holds every
+        ``respond`` it is handed, in ``held``."""
+        sim, net, eps = make_endpoints()
+        eps["B"].on_request(Pong, lambda msg, src: Pong())
+        eps["A"].request("B", Pong(), size=0, on_reply=lambda r: None)
+        sim.run()
+        held = []
+        eps["B"].on_request_async(
+            Ping, lambda msg, src, respond: held.append(respond))
+        fired = []
+        for kw in (dict(retries=2, on_timeout=lambda: fired.append("timeout")),
+                   dict(retries=-1, adaptive=True),
+                   dict(retries=0, on_suspect=lambda: fired.append("suspect"))):
+            eps["A"].request("B", Ping(), size=0, timeout=0.5,
+                             on_reply=lambda r: fired.append("reply"), **kw)
+        sim.run(until=sim.now + 0.005)
+        assert len(held) == 3 and fired == []
+        eps["A"].reset()
+        return sim, net, eps, held, fired
+
+    def test_no_callback_fires_after_a_reset(self):
+        sim, net, eps, held, fired = self.crashed_with_work_out()
+        sent = net.messages_sent
+        for respond in held:
+            respond(Pong(), 0)
+        sim.run(until=sim.now + 10.0)
+        assert fired == []
+        assert net.messages_sent == sent + 3       # the replies, no resend
+        assert eps["A"].stale_replies_dropped == 3
+        assert sim.pending() == 0
+
+    def test_silent_table_batches_and_rtt_estimates_are_emptied(self):
+        sim, net, eps = make_endpoints(batch_window=0.01)
+        eps["B"].on_request(Pong, lambda msg, src: Pong())
+        eps["A"].request("B", Pong(), size=0, on_reply=lambda r: None)
+        sim.run()
+        net.crash_host("B")
+        for _ in range(2):
+            eps["A"].request("B", Ping(), size=0, on_reply=lambda r: None,
+                             timeout=0.05, adaptive=True)
+        sim.run(until=sim.now + 0.5)
+        eps["A"].send("B", Ping(), size=10)
+        assert eps["A"]._silent and eps["A"]._batches
+        assert eps["A"].peer_rtt("B") is not None
+        eps["A"].reset()
+        assert eps["A"]._silent == {} and eps["A"]._pending == {}
+        assert eps["A"]._batches == {} and eps["A"]._batch_timers == {}
+        assert eps["A"].rtt_table() == {}
+        assert eps["A"].peer_stats("B").samples == 0
+        assert eps["A"].rto("B", 0.7) == 0.7       # back to the fallback
+        assert sim.pending() == 0
+
+    def test_a_pre_crash_reply_never_matches_a_new_request(self):
+        sim, net, eps, held, fired = self.crashed_with_work_out()
+        got = []
+        old_ids = {0, 1, 2, 3}  # the RTT sample's request and the three
+        rid = eps["A"].request("B", Ping(), size=0, timeout=5.0,
+                               on_reply=got.append)
+        assert rid not in old_ids
+        sim.run(until=sim.now + 0.005)
+        for respond in held[:3]:
+            respond(Pong(1), 0)                    # the previous incarnation's
+        sim.run(until=sim.now + 0.005)
+        assert got == [] and eps["A"].stale_replies_dropped == 3
+        held[3](Pong(2), 0)                        # the new request's
+        sim.run(until=sim.now + 0.005)
+        assert got == [Pong(2)] and fired == []
+
+    def test_handlers_and_counters_survive(self):
+        sim, net, eps = make_endpoints()
+        got = []
+        eps["A"].on(Pong, lambda msg, src: got.append(msg))
+        eps["A"].on_request(Ping, lambda msg, src: Pong(msg.n))
+        eps["A"].request("B", Ping(), size=0, on_reply=lambda r: None)
+        eps["A"].reset()
+        assert eps["A"].requests_sent == 1
+        eps["B"].send("A", Pong(3), size=0)
+        eps["B"].request("A", Ping(4), size=0, on_reply=got.append)
+        sim.run(until=1.0)
+        assert got == [Pong(3), Pong(4)]
+
+
 class TestSilentPeer:
     """While a destination is silent, one unbounded request to it (the
     probe) retransmits and the rest are parked: no transmission, no

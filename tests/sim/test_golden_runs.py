@@ -484,7 +484,15 @@ class TestGoldenRuns:
         1,175,396); the followers' footprints are unchanged. The smaller
         device writes re-time 137 responses by under 0.003 ms; the same
         4,687 client ops, all ok, the same messages and checkpoint
-        counts."""
+        counts. Re-pinned (from ``ce22b13347dd3b984be0c492``) when a
+        crash began to end everything its host started (DESIGN.md §4
+        "The crash rule"): the victim's 15 Accepts in flight at its
+        crash are no longer retransmitted once it is back, and it
+        measures its peers' RTTs afresh. The re-timed run ends at 4,695
+        client ops instead of 4,687, all ok (47,922 → 47,974 messages,
+        longest op 2.71808 → 2.71815 s); the same checkpoint counts
+        (the victim writes 699,712 → 743,212 checkpoint bytes, ``P2``
+        986,816 → 889,599)."""
         c, victim, history = checkpointed_failover(17)
         saves = [s.checkpoint_store.saves for s in c.servers]
         assert victim.checkpoint_store.saves < min(
@@ -496,7 +504,7 @@ class TestGoldenRuns:
         footprints = [sorted(s.durable_footprint().items())
                       for s in c.servers]
         assert digest((history, footprints, saves)) == \
-            "ce22b13347dd3b984be0c492"
+            "56831669c6293f5f7b878549"
 
     def test_hedged_recovery_reads_cluster_run(self):
         """The one cluster golden that fills the share gatherer: hedges
@@ -580,7 +588,17 @@ class TestGoldenRuns:
         0.5 s until ``P2`` re-drives them (2,633 → 2,819 messages, one
         more ``NotReady`` refusal and ``not_ready`` retry, 84 responses
         move by under 0.1 ms); the same 203 ops, all ok, and the same
-        read counters."""
+        read counters. Re-pinned (from ``1d23d30444492e6cf7fbd4b5``)
+        when a crash began to end everything its host started
+        (DESIGN.md §4 "The crash rule"): before, the recovered ``P1``
+        finished two of its ten pre-crash Accept rounds (group 0
+        instance 35, group 1 instance 40) at its pre-crash ballot at
+        2.2228 s — no follower had promised a higher one before
+        ``P2``'s election — and their Commits left the followers polling
+        for 34 and 39. Those rounds now end with the crash: 2,819 →
+        2,625 messages, one fewer ``NotReady`` refusal and
+        ``not_ready`` retry, 84 responses move by under 0.1 ms; the
+        same 203 ops, all ok, and the same read counters."""
         c, history, refusals, kept = read_modes(17)
         p1, p2, p3 = c.servers[:3]
         assert c.leader() is p2
@@ -599,7 +617,7 @@ class TestGoldenRuns:
                        [sorted(cl.read_retry_causes.items())
                         for cl in c.clients],
                        sorted(refusals.items()), c.net.messages_sent)) == \
-            "1d23d30444492e6cf7fbd4b5"
+            "c0c427626348c8f40bd6dfdf"
 
     def test_lossy_duplicating_jittered_network(self):
         seen = lossy_duplex_deliveries(5)
@@ -630,14 +648,20 @@ class TestGoldenRuns:
         Accept retransmissions 2,675 → 2,735 (45,735 → 45,736
         messages); the same views and times to full redundancy, and
         4,815 ops instead of 4,821, all ok (longest op 2.528 →
-        2.548 s)."""
+        2.548 s). Re-pinned (from ``b2141887e91e07441fd8a016``) when a
+        crash began to end everything its host started (DESIGN.md §4
+        "The crash rule"): the killed leader's 5 Accepts in flight are
+        retired with it and each killed member forgets its RTT
+        estimates. 45,736 → 45,725 messages; the same views, times to
+        full redundancy and 4,815 ops, all ok, 2,477 of them re-timed
+        by under 3.3 ms."""
         problems, ttrs, history, views, messages = selfheal_ladder(
             monkeypatch)
         assert problems == [] and len(ttrs) == 3
         assert sum(len(ev) for ev, _, _, _ in views) == 3
         assert sum(len(re) for _, re, _, _ in views) == 3
         assert digest((problems, ttrs, history, views, messages)) == \
-            "b2141887e91e07441fd8a016"
+            "83e445b27fa3ea7082d49258"
 
     def test_migration_chaos_episode(self, monkeypatch):
         """Seed 0 of the shards gate's migration safety ladder: the
@@ -671,16 +695,23 @@ class TestGoldenRuns:
         leader's complete values by reference to its own votes:
         checkpoint bytes 47,959 → 47,321 (written 58,415 → 53,185); the
         smaller device writes re-time 96 of the same 649 ops by under
-        0.07 ms, and every other field of the result is unchanged."""
+        0.07 ms, and every other field of the result is unchanged.
+        Re-pinned (from ``fcadee3701a436815d94e745``) when a crash began
+        to end everything its host started (DESIGN.md §4 "The crash
+        rule"): the crashed ``P2`` had no request in flight, but its two
+        RTT estimates are volatile now and restart empty, which re-ranks
+        its fetch sources: the same 7 migrations, 647 ops instead of
+        649 (644 ok instead of 646), hedges issued / won 6 / 5 → 15 /
+        14, one fence write → none; read availability 1.0 both."""
         result, history = chaos_history(monkeypatch, SAFETY_SPEC, 0)
         assert result.ok and result.migrations_completed == 7
         assert digest((result.to_jsonable(), history)) == \
-            "fcadee3701a436815d94e745"
+            "3e6582ca0738cbd6883558fb"
 
     @pytest.mark.parametrize("spec,seed,want", [
-        (TINY, 9, "e371664076305b6983a2cd1f"),
-        (STORAGE_HEAVY, 8, "367f2f1c2d9a7853c0296a5a"),
-        (WIPE_HEAVY, 0, "b86971f3dcfdbc38516c22e9"),
+        (TINY, 9, "305daed3dd8dac7f07dcc38c"),
+        (STORAGE_HEAVY, 8, "cd643b33228431c90fb0f706"),
+        (WIPE_HEAVY, 0, "f61a2434a58d0e9c0734c316"),
     ], ids=["mixed", "storage-heavy", "wipe-heavy"])
     def test_chaos_episode(self, monkeypatch, spec, seed, want):
         """Episodes checkpoint every second and digest the result's
@@ -837,7 +868,27 @@ class TestGoldenRuns:
         rule). Each client history is identical; only the checkpoint
         bytes moved. Stored / written: ``mixed`` 10,121 / 13,154 →
         9,945 / 12,167, ``storage-heavy`` 9,842 / 12,829 → 9,599 /
-        11,873, ``wipe-heavy`` 121,445 / 155,352 → 120,590 / 140,500."""
+        11,873, ``wipe-heavy`` 121,445 / 155,352 → 120,590 / 140,500.
+
+        All three were re-pinned again (were
+        ``e371664076305b6983a2cd1f``, ``367f2f1c2d9a7853c0296a5a`` and
+        ``b86971f3dcfdbc38516c22e9``) when a crash began to end
+        everything its host started (DESIGN.md §4 "The crash rule": the
+        endpoint retires every request in flight and forgets its RTT
+        estimates). Every verdict is unchanged. ``mixed``: before, the
+        recovered ``P1`` decided instances 45, 32 and 47 at its
+        pre-crash ballot between 5.016 and 5.179 s; its 30 Accepts in
+        flight at the crash now end with it. The same 149 ops, two
+        responses under 0.5 ms apart, snapshot transfers 4 → 3,
+        checkpoint bytes 9,945 / 12,167 → 9,302 / 11,569.
+        ``storage-heavy``: ``P1``'s 7 Accepts in flight are retired and
+        its RTT table restarts empty; the client history is identical,
+        checkpoint bytes 9,599 / 11,873 → 9,583 / 11,857. ``wipe-heavy``:
+        the wiped ``P2`` had no request in flight; its three RTT
+        estimates restart empty and re-rank its fetch sources: 1,864 →
+        1,869 ops, all ok, snapshot transfers 9 → 10, hedges issued /
+        won 40 / 37 → 37 / 34, checkpoint bytes 120,590 / 140,500 →
+        121,599 / 141,946."""
         result, history = chaos_history(monkeypatch, spec, seed)
         assert result.ok
         assert len(history) > 100
