@@ -92,6 +92,13 @@ class Lease:
         if self._last_renewal is None or t_local > self._last_renewal:
             self._last_renewal = t_local
 
+    @property
+    def renewed_at(self) -> float | None:
+        """The local instant of the last renewal (None if invalidated):
+        the same value at two reads means the lease still lapses at the
+        same instant."""
+        return self._last_renewal
+
     def held_by_leader(self) -> bool:
         """Leader-side check guarding fast reads."""
         if self._last_renewal is None:

@@ -71,6 +71,21 @@ class TestLease:
         assert not lease.held_by_leader()
         assert lease.vacant_for_follower()
 
+    def test_renewed_at_names_the_renewal_a_lapse_counts_from(self):
+        # Unchanged between two reads means no renewal came in between:
+        # what a deferred pre-vote answer checks at the lapse.
+        sim, lease = self.make(offset=0.01)
+        assert lease.renewed_at is None
+        self.advance(sim, 1.0)
+        lease.renew()
+        assert lease.renewed_at == pytest.approx(1.01)
+        self.advance(sim, 1.5)
+        assert lease.renewed_at == pytest.approx(1.01)
+        lease.renew()
+        assert lease.renewed_at == pytest.approx(1.51)
+        lease.invalidate()
+        assert lease.renewed_at is None
+
     def test_fast_read_hold_boundary_at_plus_half_drift(self):
         # A clock pinned at the +δ/2 extreme (the worst fast clock
         # build_cluster ever draws) measures the hold window locally:

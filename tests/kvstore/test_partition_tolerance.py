@@ -8,6 +8,8 @@ rank-staggered timers, a deposed leader's stale heartbeat, a rebuilding
 observer — must resolve to exactly one leader.
 """
 
+import pytest
+
 from repro.core import Ballot, classic_paxos, rs_paxos
 from repro.kvstore import build_cluster
 from repro.kvstore.messages import Heartbeat, PreVote, PreVoteReply
@@ -70,6 +72,94 @@ class TestPreVoteStickiness:
         c = make()
         follower = c.servers[2]
         assert not follower.lease.vacant_for_follower()
+
+
+class TestElectionDeadline:
+    @pytest.mark.parametrize("eighth", range(8))
+    def test_successor_elects_when_its_lease_lapses(self, eighth):
+        """The leader crashes at one of eight instants spread over a
+        heartbeat period. Its successor begins the election (its first
+        pre-vote) Δ + δ after the last heartbeat it heard, not at the
+        first monitor tick after that (§4.3: the lease is all that
+        stands between a crash and the next leader)."""
+        c = make()
+        lease = c.servers[0].cfg.lease_config
+        heard, began = {}, []
+        for srv in c.servers[1:]:
+            def renew(srv=srv, renew=srv.lease.renew):
+                heard[srv.name] = c.sim.now
+                renew()
+
+            def begin(srv=srv, begin=srv._begin_pre_vote):
+                began.append((c.sim.now, heard[srv.name]))
+                begin()
+
+            srv.lease.renew = renew
+            srv._begin_pre_vote = begin
+        c.run(until=3.0 + eighth * lease.heartbeat_interval / 8)
+        c.crash_server(0)
+        c.run(until=c.sim.now + lease.follower_timeout + 1.0)
+        begun, last_heard = began[0]
+        assert lease.follower_timeout - 1e-9 <= begun - last_heard \
+            <= lease.follower_timeout + 1e-3
+        assert c.leader() is c.servers[1]
+
+
+class TestPreVoteDeferral:
+    """A voter whose own wait ends within the candidate's round answers
+    when it ends instead of refusing (defer, don't drop), with the
+    verdict it holds then. The voter ``P3`` stops hearing the live
+    leader ``P1`` at 1.0 s, so its lease runs down; pre-votes are handed
+    to it directly, and only its replies to them are kept."""
+
+    ROUND = 10_000  # no real pre-vote round gets this far
+
+    def deaf_voter(self):
+        c = make()
+        voter = c.servers[2]
+        c.net.sever(c.servers[0].name, voter.name, token="deaf")
+        replies = []
+        send = voter.endpoint.send
+
+        def keep(dst, body, size):
+            if isinstance(body, PreVoteReply) and body.round == self.ROUND:
+                replies.append((c.sim.now, body.granted))
+            send(dst, body, size)
+
+        voter.endpoint.send = keep
+        lapse = c.sim.now + voter.lease.remaining_follower_wait()
+        return c, voter, replies, lapse
+
+    def probe(self, c, voter, at):
+        c.run(until=at)
+        voter._on_pre_vote(PreVote(candidate_id=1, round=self.ROUND), "P2")
+
+    def test_a_wait_within_the_round_is_granted_when_it_lapses(self):
+        c, voter, replies, lapse = self.deaf_voter()
+        wait = voter.cfg.rpc_timeout / 2
+        self.probe(c, voter, lapse - wait)
+        assert replies == []
+        c.run(until=lapse + 0.01)
+        ((t, granted),) = replies
+        assert granted and abs(t - lapse) < 1e-9
+
+    def test_a_heartbeat_heard_in_between_refuses(self):
+        c, voter, replies, lapse = self.deaf_voter()
+        self.probe(c, voter, lapse - voter.cfg.rpc_timeout / 2)
+        leader = c.servers[0]
+        voter._on_heartbeat(Heartbeat(
+            leader_id=leader.node_id, seq=leader._hb_seq,
+            ballot=leader.leadership_ballot(),
+            view_epoch=leader.view_epoch), leader.name)
+        c.run(until=lapse + 0.01)
+        ((t, granted),) = replies
+        assert not granted and abs(t - lapse) < 1e-9
+
+    def test_a_wait_of_a_whole_round_is_refused_at_once(self):
+        c, voter, replies, lapse = self.deaf_voter()
+        at = lapse - 1.5 * voter.cfg.rpc_timeout
+        self.probe(c, voter, at)
+        assert replies == [(at, False)]
 
 
 class TestCheckQuorum:

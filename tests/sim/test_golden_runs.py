@@ -265,7 +265,7 @@ def read_modes(seed: int):
     follower ``P3``, then twelve concurrent consistent reads that batch.
     Writes are in flight when ``P1`` crashes at 2.0 s; it is back at
     2.2 s, no longer leader, and refuses ``P3``'s read-index rounds
-    until ``P2`` wins at 4.5 s. Reads sent to ``P2`` in the 3 ms after
+    until ``P2`` wins at 4.05 s. Reads sent to ``P2`` in the 3 ms after
     it wins are refused: its apply cursor has not yet passed its
     election read barrier. Last, ``P2`` reads ``k7`` twice: the first
     decode keeps nothing, the second keeps the value.
@@ -334,7 +334,7 @@ def read_modes(seed: int):
         c.sim.call_at(2.0 + 0.1 * n, lambda cl=cl: cl.get(
             "k5", mode="follower", server=p3.name))
         c.sim.call_at(2.0 + 0.1 * n, lambda cl=cl: cl.get("k6"))
-    for n, t in enumerate((4.5032, 4.5038, 4.5044, 4.505)):
+    for n, t in enumerate((4.0534, 4.054, 4.0546, 4.0552)):
         cl = c.clients[n % 3]
         c.sim.call_at(t, lambda cl=cl: cl.get("k6", server=p2.name))
         c.sim.call_at(t, lambda cl=cl: cl.get(
@@ -492,7 +492,14 @@ class TestGoldenRuns:
         client ops instead of 4,687, all ok (47,922 → 47,974 messages,
         longest op 2.71808 → 2.71815 s); the same checkpoint counts
         (the victim writes 699,712 → 743,212 checkpoint bytes, ``P2``
-        986,816 → 889,599)."""
+        986,816 → 889,599). Re-pinned (from
+        ``56831669c6293f5f7b878549``) when a follower began to elect the
+        instant its lease lapses instead of at the next monitor tick
+        (DESIGN.md §4 "Periodic jobs"): ``P2`` wins at 4.554 s instead
+        of 5.004, so the clients resume 0.45 s sooner: 5,469 client ops
+        instead of 4,695, all ok (longest op 2.718 → 2.133 s, 47,974 →
+        56,284 messages); the same checkpoint counts, and every
+        footprint's checkpoint bytes move with the extra writes."""
         c, victim, history = checkpointed_failover(17)
         saves = [s.checkpoint_store.saves for s in c.servers]
         assert victim.checkpoint_store.saves < min(
@@ -504,7 +511,7 @@ class TestGoldenRuns:
         footprints = [sorted(s.durable_footprint().items())
                       for s in c.servers]
         assert digest((history, footprints, saves)) == \
-            "56831669c6293f5f7b878549"
+            "8e205579f8f999ea769a305c"
 
     def test_hedged_recovery_reads_cluster_run(self):
         """The one cluster golden that fills the share gatherer: hedges
@@ -536,7 +543,13 @@ class TestGoldenRuns:
         finished prepare began to cancel its outstanding Prepares: no
         Prepare is retransmitted (4 → 0, 1,751 → 1,745 messages), and
         three responses move by under 0.001 ms; every read counter is
-        unchanged."""
+        unchanged. Re-pinned (from ``732089d32b5560c81009f988``) when a
+        follower began to elect the instant its lease lapses instead of
+        at the next monitor tick: ``P2`` wins at 4.553 s instead of
+        5.003, before the scripted reads that fill its gatherer, so the
+        same 51 reads, all ok, with every read counter unchanged; the
+        earlier election re-times the run (1,745 → 1,752 messages,
+        longest read 7.5458 → 7.5459 s)."""
         c, history = hedged_recovery_reads(17)
         counters = [(s.reads.recovery_reads, s.reads.degraded_reads,
                      s.fetch.hedges_issued, s.fetch.hedge_wins)
@@ -548,7 +561,7 @@ class TestGoldenRuns:
             op["ok"] and op["response"] > 16.0 for op in late)
         assert all(op["ok"] for op in history)
         assert digest((history, counters, c.net.messages_sent)) == \
-            "732089d32b5560c81009f988"
+            "15e924e972b1f5900cc44014"
 
     def test_read_modes_cluster_run(self):
         """The one cluster golden that drives every read mode and the
@@ -598,7 +611,17 @@ class TestGoldenRuns:
         for 34 and 39. Those rounds now end with the crash: 2,819 →
         2,625 messages, one fewer ``NotReady`` refusal and
         ``not_ready`` retry, 84 responses move by under 0.1 ms; the
-        same 203 ops, all ok, and the same read counters."""
+        same 203 ops, all ok, and the same read counters. Re-pinned
+        (from ``c0c427626348c8f40bd6dfdf``) when a follower began to
+        elect the instant its lease lapses instead of at the next
+        monitor tick: ``P2`` heard ``P1``'s last heartbeat at 2.0001 s
+        and wins at 4.053 s instead of 4.503, so the four scripted reads
+        to ``P2`` that land before its election read barrier moved with
+        it, 0.4498 s earlier (4.5032-4.505 → 4.0534-4.0552 s). The
+        leaderless window is 0.45 s shorter: 2,625 → 2,397 messages,
+        244 → 179 refusals, ``not_leader`` retries 200 → 148 and
+        ``not_ready`` 127 → 94, longest op 3.234 → 2.544 s; the same
+        203 ops, all ok, and the same read counters."""
         c, history, refusals, kept = read_modes(17)
         p1, p2, p3 = c.servers[:3]
         assert c.leader() is p2
@@ -607,7 +630,7 @@ class TestGoldenRuns:
         by = collections.Counter((src, kind) for src, kind, _ in refusals)
         assert by[("P1", "ReadIndexReply")] > 0      # deposed, not leader
         assert by[("P2", "ReadIndexReply")] > 0      # before its barrier
-        assert any(src == "P2" and kind == "NotReady" and 4.5 < t < 4.51
+        assert any(src == "P2" and kind == "NotReady" and 4.05 < t < 4.06
                    for src, kind, t in refusals)     # fast read refused
         counters = [tuple(getattr(s.reads, n) for n in READ_COUNTERS)
                     for s in c.servers]
@@ -617,7 +640,7 @@ class TestGoldenRuns:
                        [sorted(cl.read_retry_causes.items())
                         for cl in c.clients],
                        sorted(refusals.items()), c.net.messages_sent)) == \
-            "c0c427626348c8f40bd6dfdf"
+            "fb7a604e3801ffd1c79e7746"
 
     def test_lossy_duplicating_jittered_network(self):
         seen = lossy_duplex_deliveries(5)
@@ -654,14 +677,26 @@ class TestGoldenRuns:
         retired with it and each killed member forgets its RTT
         estimates. 45,736 → 45,725 messages; the same views, times to
         full redundancy and 4,815 ops, all ok, 2,477 of them re-timed
-        by under 3.3 ms."""
+        by under 3.3 ms. Re-pinned (from ``83e445b27fa3ea7082d49258``)
+        when a follower began to elect the instant its lease lapses
+        instead of at the next monitor tick: after the leader ``P1`` is
+        killed at 19 s, ``P2`` wins at 21.053 s instead of 21.503 and
+        evicts ``P1`` at 27.0 s instead of 27.5, so its 1 s spare probes
+        fall on whole seconds: the one at 28.0 s, the instant the spare
+        is back, finds it still rebuilding, the next sees it rebuilt at
+        29.0 s instead of 28.5, and it is re-admitted at 30.0 s instead
+        of 29.5. That cycle's
+        time to full redundancy reads 11.25 s instead of 10.75 (the
+        other two, and the median, 10.75 as before); the same views,
+        4,861 ops instead of 4,815, all ok (45,725 → 45,917 messages,
+        longest op 2.548 → 2.127 s)."""
         problems, ttrs, history, views, messages = selfheal_ladder(
             monkeypatch)
         assert problems == [] and len(ttrs) == 3
         assert sum(len(ev) for ev, _, _, _ in views) == 3
         assert sum(len(re) for _, re, _, _ in views) == 3
         assert digest((problems, ttrs, history, views, messages)) == \
-            "83e445b27fa3ea7082d49258"
+            "3f236309d9210ad56ba5a6ff"
 
     def test_migration_chaos_episode(self, monkeypatch):
         """Seed 0 of the shards gate's migration safety ladder: the
@@ -709,9 +744,9 @@ class TestGoldenRuns:
             "3e6582ca0738cbd6883558fb"
 
     @pytest.mark.parametrize("spec,seed,want", [
-        (TINY, 9, "305daed3dd8dac7f07dcc38c"),
-        (STORAGE_HEAVY, 8, "cd643b33228431c90fb0f706"),
-        (WIPE_HEAVY, 0, "f61a2434a58d0e9c0734c316"),
+        (TINY, 9, "7c6c1d8fe33438a3cf90adc9"),
+        (STORAGE_HEAVY, 8, "08f9977b6caed17549a17a2a"),
+        (WIPE_HEAVY, 0, "88ea42487e1a59bb4f24f686"),
     ], ids=["mixed", "storage-heavy", "wipe-heavy"])
     def test_chaos_episode(self, monkeypatch, spec, seed, want):
         """Episodes checkpoint every second and digest the result's
@@ -888,7 +923,31 @@ class TestGoldenRuns:
         estimates restart empty and re-rank its fetch sources: 1,864 →
         1,869 ops, all ok, snapshot transfers 9 → 10, hedges issued /
         won 40 / 37 → 37 / 34, checkpoint bytes 120,590 / 140,500 →
-        121,599 / 141,946."""
+        121,599 / 141,946.
+
+        All three were re-pinned again (were
+        ``305daed3dd8dac7f07dcc38c``, ``cd643b33228431c90fb0f706`` and
+        ``f61a2434a58d0e9c0734c316``) when a follower began to elect the
+        instant its lease lapses instead of at the next monitor tick,
+        and a pre-vote voter whose own wait ends within the round began
+        to answer when it ends instead of refusing (DESIGN.md §4). Every
+        verdict is unchanged. ``mixed``: ``P2`` wins at 5.053 s instead
+        of 5.503; the same 149 ops, 137 ok instead of 123, read
+        availability 0.859 → 0.923, snapshot transfers 3 → 4,
+        checkpoint bytes 9,302 / 11,569 → 11,273 / 13,397.
+        ``storage-heavy``: the partition that keeps every candidate
+        short of a quorum heals at 4.650 s, and the first pre-vote after
+        it is ``P3``'s at 4.75 s (its vacancy retries now start at its
+        lapse, 3.80 s) instead of ``P5``'s at the same instant, so
+        ``P3`` leads from 4.755 s instead of ``P5``: 143 ops instead of
+        141 (137 ok instead of 135), hedges issued / won 6 / 5 → 3 / 3,
+        checkpoint bytes 9,583 / 11,857 → 9,539 / 11,659.
+        ``wipe-heavy``: ``P3``, cut off from 1.64 to 4.64 s, pre-votes
+        at its lapse (3.80 s) and again at 4.75 s instead of once at
+        4.25 s, each refused; the same 1,869 ops, all ok, re-timed
+        (longest 0.521 → 0.501 s), snapshot transfers 10 → 9, hedges
+        issued / won 37 / 34 → 35 / 30, checkpoint bytes 121,599 /
+        141,946 → 120,949 / 140,731."""
         result, history = chaos_history(monkeypatch, spec, seed)
         assert result.ok
         assert len(history) > 100
