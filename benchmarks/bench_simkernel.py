@@ -149,7 +149,7 @@ def test_cluster_write_op_rate(once, benchmark):
 
 
 def checkpoint_export_cost(history: int, new: int = 100, rounds: int = 3):
-    """(median wall µs of ``checkpoint_now``, bytes it hands to
+    """(median wall µs of ``Checkpointer.save``, bytes it hands to
     ``Disk.write``) on one server that has committed ``history`` 3 KB
     writes (plus ``new`` per further round), ``new`` of them since its
     previous checkpoint."""
@@ -174,14 +174,14 @@ def checkpoint_export_cost(history: int, new: int = 100, rounds: int = 3):
         sim.run(until=sim.now + 0.1)        # commits reach the followers
 
     write(history - new)
-    assert srv.checkpoint_now()
+    assert srv.checkpointer.save()
     micros, nbytes = [], []
     for _ in range(rounds):
         sim.run(until=sim.now + 1.0)        # previous checkpoint durable
         write(new)
         written = srv.disk.bytes_written
         t0 = time.perf_counter()
-        assert srv.checkpoint_now()
+        assert srv.checkpointer.save()
         micros.append((time.perf_counter() - t0) * 1e6)
         nbytes.append(srv.disk.bytes_written - written)
     return statistics.median(micros), nbytes[0]

@@ -155,7 +155,7 @@ def _permanent_failure_ladder() -> tuple[list[str], list[float]]:
         cycle["kill_t"], cycle["restored_at"] = kill_t, None
         cluster.wipe_server(victim)
         sim.call_after(PROVISION_DELAY,
-                       lambda v=victim: cluster.rejoin_server(v))
+                       lambda v=victim: cluster.recover_server(v))
         deadline = (KILL_TIMES[i + 1] if i + 1 < len(KILL_TIMES)
                     else horizon)
         sim.run(until=deadline)

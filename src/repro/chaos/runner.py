@@ -368,7 +368,7 @@ class ChaosRunner:
             elif kind == "rejoin":
                 srv = by_host[arg]
                 if not srv.up:
-                    srv.rejoin()
+                    srv.recover()
             elif kind == "slow-disk":
                 host, factor = arg
                 by_host[host].disk.slowdown = factor
@@ -408,7 +408,7 @@ class ChaosRunner:
             elif kind == "provision-spare":
                 srv = by_host[arg]
                 if not srv.up:
-                    srv.rejoin()
+                    srv.recover()
             elif kind == "shard-split":
                 shard_op("force_split")
             elif kind == "shard-merge":

@@ -160,7 +160,7 @@ def _live_put_instances(srvs, group: int) -> dict[int, str]:
             version = srv.store.get_entry(key).version
             if version > latest.get(key, -1):
                 latest[key] = version
-    floor = max((srv.compact_floor[group] for srv in srvs), default=0)
+    floor = max((srv.groups[group].retired_below for srv in srvs), default=0)
     return {
         inst: vid for inst, vid in instances.items()
         if inst >= floor
@@ -266,18 +266,18 @@ def check_bounded_wal(servers) -> list[Violation]:
         # Cadence: give freshly (re)started servers slack — recovery,
         # catch-up and the staggered first checkpoint all precede the
         # first save.
+        last = srv.checkpointer.last_at
         if srv.sim.now > 4 * interval:
-            if srv.last_checkpoint_at is None:
+            if last is None:
                 violations.append(Violation(
                     "bounded-wal",
                     f"{srv.name} never completed a checkpoint "
                     f"(interval={interval}, now={srv.sim.now:.2f})",
                 ))
-            elif srv.sim.now - srv.last_checkpoint_at > 4 * interval:
+            elif srv.sim.now - last > 4 * interval:
                 violations.append(Violation(
                     "bounded-wal",
-                    f"{srv.name} last checkpoint at "
-                    f"{srv.last_checkpoint_at:.2f} is stale "
+                    f"{srv.name} last checkpoint at {last:.2f} is stale "
                     f"(now={srv.sim.now:.2f}, interval={interval})",
                 ))
     return violations

@@ -59,10 +59,6 @@ class Cluster:
         """Crash a server AND destroy its disk (WAL + checkpoint)."""
         self.servers[idx].wipe()
 
-    def rejoin_server(self, idx: int) -> None:
-        """Bring a wiped server back; it rebuilds via snapshot transfer."""
-        self.servers[idx].rejoin()
-
     def run(self, until: float) -> None:
         self.sim.run(until=until)
 

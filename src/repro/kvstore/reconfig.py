@@ -71,7 +71,7 @@ def config_for(config, n: int):
 
 class ReconfigHost(Protocol):
     """What the driver needs of its server: the Paxos groups and what it
-    applied from them (``store``, ``shard_map``, ``compact_floor``), its
+    applied from them (``store``, ``shard_map``), its
     clock (``sim``) and RPC ``endpoint``, and the actions only it can
     take."""
 
@@ -84,7 +84,6 @@ class ReconfigHost(Protocol):
     cfg_group: int | None
     store: Any
     shard_map: Any
-    compact_floor: list[int]
     is_leader_server: bool
 
     def leadership_ballot(self) -> Any: ...
@@ -263,7 +262,7 @@ class Reconfig:
             # versions may no longer have enough live shares to gather.
             need = tuple(
                 inst for inst, rec in sorted(node.chosen.items())
-                if inst >= host.compact_floor[g] and put_keys_of(meta_of(rec))
+                if inst >= node.retired_below and put_keys_of(meta_of(rec))
             )
             req = ConfirmPlacement(group=g, instances=need)
             for m in survivors:
@@ -347,7 +346,7 @@ class Reconfig:
         node = host.groups[msg.group]
         # Pre-floor instances are subsumed by our checkpoint: never gaps.
         missing = tuple(inst for inst in msg.instances
-                        if inst >= host.compact_floor[msg.group]
+                        if inst >= node.retired_below
                         and not self._hold_fetchable(node, inst))
         reply = PlacementGaps(group=msg.group, missing=missing)
         respond(reply, reply.wire_bytes)

@@ -10,20 +10,11 @@ Public API:
 - :class:`LocalStore`, :class:`StoredValue` — the per-replica local KV
   map (LevelDB stand-in) with incomplete-value tags (§4.4).
 - :class:`CheckpointStore`, :class:`CheckpointRecord` — atomic durable
-  state checkpoints, the WAL's compaction partner; :class:`HeldRecords`
-  indexes the records their segments hold, :data:`HELD` marks a
-  state-part store entry held by reference to the vote that rebuilds
-  it, and :func:`retirable`
+  state checkpoints, the WAL's compaction partner; :func:`retirable`
   names what a retirement floor drops.
 """
 
-from .checkpoint import (
-    HELD,
-    CheckpointRecord,
-    CheckpointStore,
-    HeldRecords,
-    retirable,
-)
+from .checkpoint import CheckpointRecord, CheckpointStore, retirable
 from .disk import HDD, SSD, Disk, DiskSpec
 from .memkv import LocalStore, StoredValue
 from .wal import (
@@ -35,10 +26,8 @@ from .wal import (
 )
 
 __all__ = [
-    "HELD",
     "CheckpointRecord",
     "CheckpointStore",
-    "HeldRecords",
     "Disk",
     "DiskSpec",
     "HDD",

@@ -337,8 +337,8 @@ class TestOpenFreeChoice:
         c.wipe_server(0)
         c.wipe_server(1)
         c.run(until=2.5)
-        c.rejoin_server(0)
-        c.rejoin_server(1)
+        c.recover_server(0)
+        c.recover_server(1)
         c.run(until=12.0)
         assert c.leader() is p3
         assert p3.groups[0].chosen[target].value_id == chosen

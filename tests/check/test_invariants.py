@@ -1,8 +1,9 @@
 """Unit tests for the replicated-state invariant probes.
 
 The probes only touch a narrow attribute surface (``srv.up``,
-``srv.name``, ``srv.compact_floor``, ``srv.groups[g].chosen`` /
-``.retired_digests`` / ``.acceptor``), so lightweight fakes keep these tests at unit scale;
+``srv.name``, ``srv.groups[g].chosen`` / ``.retired_below`` /
+``.retired_digests`` / ``.acceptor``, ``srv.checkpointer.last_at``), so
+lightweight fakes keep these tests at unit scale;
 whole-system coverage comes from the chaos suite. The probes read that
 surface as plain attributes, never with a default, so a fake must carry
 every attribute a probe reads: a missing one fails loudly here instead
@@ -50,9 +51,8 @@ def server(name, chosen, accepted=None, up=True, retired=None):
     digests = [value_digest(retired[i]) if i in retired else 0
                for i in range(max(retired, default=-1) + 1)]
     node = SimpleNamespace(chosen=chosen, acceptor=acceptor,
-                           retired_digests=digests)
-    return SimpleNamespace(name=name, up=up, groups=[node], compact_floor=[0],
-                           store=LocalStore())
+                           retired_below=0, retired_digests=digests)
+    return SimpleNamespace(name=name, up=up, groups=[node], store=LocalStore())
 
 
 class TestConfigSafety:
@@ -160,7 +160,8 @@ def wal_server(
     return SimpleNamespace(
         name=name, up=up, wal=wal,
         cfg=SimpleNamespace(checkpoint_interval=interval),
-        last_checkpoint_at=last_ckpt, sim=SimpleNamespace(now=now),
+        checkpointer=SimpleNamespace(last_at=last_ckpt),
+        sim=SimpleNamespace(now=now),
     )
 
 

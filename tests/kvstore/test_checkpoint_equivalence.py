@@ -46,7 +46,7 @@ from repro.core import (
 from repro.core.messages import Accept, Commit
 from repro.kvstore import build_cluster
 from repro.kvstore.messages import Command, InstallShare
-from repro.storage import HELD
+from repro.kvstore.checkpointer import HELD
 
 from .test_checkpoint_segments import by_reference, saved_size
 
@@ -162,7 +162,6 @@ def reference_recover(srv, blob) -> None:
         srv.applied.reset()
         for ident in blob["applied_ops"]:
             srv.applied.add(*ident)
-        srv.compact_floor = list(blob["group_floors"])
     for node in srv.groups:
         node.recover()
 
@@ -179,7 +178,7 @@ def recovered_state(srv):
         set(srv.applied),
         {k: (v.value, v.size, v.complete, v.version, v.tombstone, v.group)
          for k, v in srv.store.export_state().items()},
-        list(srv.compact_floor),
+        [node.retired_below for node in srv.groups],
     )
 
 
@@ -321,22 +320,22 @@ class Replica:
         def durable() -> None:
             self.durable_blob = rebuilt_from_votes(retired(blob))
 
-        if self.srv.checkpoint_now(on_done=durable):
+        if self.srv.checkpointer.save(on_done=durable):
             self.advance()
 
     def checkpoint_eio(self, g, sel):
         self.advance()  # drain the WAL: the failing write is the save
         self.srv.disk.inject_write_errors(1)
         saves = self.srv.checkpoint_store.saves
-        if self.srv.checkpoint_now(on_done=lambda: 1 / 0):
+        if self.srv.checkpointer.save(on_done=lambda: 1 / 0):
             self.advance()
             assert self.srv.checkpoint_store.saves == saves
-            assert not self.srv._ckpt_inflight
+            assert not self.srv.checkpointer.inflight
         else:
             self.srv.disk._eio_pending = 0
 
     def crash_mid_save(self, g, sel):
-        self.srv.checkpoint_now(on_done=lambda: 1 / 0)
+        self.srv.checkpointer.save(on_done=lambda: 1 / 0)
         self.crash_recover(g, sel)
 
     def crash_recover(self, g, sel):
@@ -368,7 +367,7 @@ class Replica:
         srv.wipe()
         self.durable_blob = None
         self.accepted = [{} for _ in range(GROUPS)]
-        srv.rejoin()
+        srv.recover()
         assert all(not n.acceptor.state.instances and not n.chosen
                    for n in srv.groups)
         for group in range(GROUPS):
@@ -433,7 +432,7 @@ def watch_charges(srv) -> None:
             retired = learned - sum(len(node.chosen) for node in srv.groups)
             assert retired == segment["digests"]
             for key, e in state["store"].items():
-                by_ref = by_reference(srv._ckpt_held, e, values[key])
+                by_ref = by_reference(srv.checkpointer.held, e, values[key])
                 assert (e.value is HELD) == by_ref, key
 
         disk.write = write

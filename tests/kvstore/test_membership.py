@@ -343,7 +343,7 @@ class TestSelfHealingIntegration:
         # Evicted: the survivors run the shrunk view.
         assert sum(len(s.repair.eviction_events) for s in c.servers) == 1
         assert all(s.member_ids == {0, 1, 2, 3} for s in c.servers[:4])
-        c.rejoin_server(4)
+        c.recover_server(4)
         c.run(until=25.0)
         # Re-admitted after rebuild: back to the full 5-member view.
         assert sum(len(s.repair.replacement_events) for s in c.servers) == 1

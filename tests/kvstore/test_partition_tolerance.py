@@ -248,7 +248,7 @@ class TestElectionEdgeCases:
         c = make(checkpoint_interval=1.0)
         c.wipe_server(2)
         c.run(until=3.0)
-        c.rejoin_server(2)
+        c.recover_server(2)
         observer = c.servers[2]
         # Keep it an observer artificially and kill the leader so its
         # vacancy timer genuinely lapses.

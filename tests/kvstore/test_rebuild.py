@@ -71,7 +71,7 @@ class TestCheckpointCadence:
         c.run(until=6.0)
         assert all(results) and len(results) == 60
         for srv in c.servers:
-            assert srv.last_checkpoint_at is not None
+            assert srv.checkpointer.last_at is not None
             assert srv.wal.compaction_floor > 0
             assert srv.wal.records_compacted > 0
             # The live log is only the tail since the last checkpoint.
@@ -116,7 +116,7 @@ class TestCheckpointCadence:
         pump(c, [("a", SIZE)])
         c.run(until=4.0)
         for srv in c.servers:
-            assert srv.last_checkpoint_at is None
+            assert srv.checkpointer.last_at is None
             assert srv.wal.compaction_floor == 0
         assert check_bounded_wal(c.servers) == []  # probe is a no-op
 
@@ -133,7 +133,7 @@ class TestWipeRejoin:
         late = pump(c, [(f"new{i}", SIZE) for i in range(4)])
         c.run(until=5.0)
         assert all(late) and len(late) == 4
-        c.rejoin_server(3)
+        c.recover_server(3)
         c.run(until=10.0)
 
         srv = c.servers[3]
@@ -163,7 +163,7 @@ class TestWipeRejoin:
         assert all(results)
         c.wipe_server(3)
         c.run(until=4.0)
-        c.rejoin_server(3)
+        c.recover_server(3)
         c.run(until=8.0)
         assert not c.servers[3].rebuilding
         c.crash_server(4)
@@ -182,7 +182,7 @@ class TestWipeRejoin:
         assert all(results)
         c.wipe_server(2)
         c.run(until=4.0)
-        c.rejoin_server(2)
+        c.recover_server(2)
         c.run(until=8.0)
         srv = c.servers[2]
         assert srv.up and not srv.rebuilding
@@ -205,7 +205,7 @@ class TestRebuildTraffic:
 
         c.wipe_server(3)
         c.run(until=6.0)
-        c.rejoin_server(3)
+        c.recover_server(3)
         c.run(until=10.0)
         assert not c.servers[3].rebuilding
 
@@ -351,7 +351,7 @@ class TestSnapshotFloor:
         c.wipe_server(3)
         c.run(until=2.0)
         c.net.set_nic_slowdown(c.servers[0].name, 20.0)
-        c.rejoin_server(3)
+        c.recover_server(3)
         c.run(until=3.5)
         writing[0] = False
         c.net.set_nic_slowdown(c.servers[0].name, 1.0)
@@ -380,7 +380,7 @@ class TestMissingValuePoll:
         node = srv.groups[0]
         inst = min(node.chosen)
         assert inst < node.apply_cursor
-        assert all(s.compact_floor[0] > inst for s in c.servers)
+        assert all(s.groups[0].retired_below > inst for s in c.servers)
         node.chosen[inst] = node.chosen[inst]._replace(value=None, share=None)
         polls = []
         send = c.net.send

@@ -36,6 +36,7 @@ class Node:
         self.chosen: dict = {}
         self.next_instance = 0
         self.apply_cursor = 0
+        self.retired_below = 0
         self.votes: dict = {}
         self.acceptor = SimpleNamespace(
             accepted_share=self.votes.get,
@@ -56,7 +57,6 @@ class Host:
         self.cfg_group = groups - 1
         self.store = store or LocalStore()
         self.shard_map = shard_map or ShardMap(groups)
-        self.compact_floor = [0] * groups
         self.up = True
         self.is_leader_server = True
         self.requests: list[SimpleNamespace] = []
@@ -313,5 +313,5 @@ class TestSurvivorSide:
 
     def test_instances_below_the_compaction_floor_are_never_gaps(self):
         host = Host(groups=1)
-        host.compact_floor = [10]
+        host.groups[0].retired_below = 10
         assert self.confirm(host, 4, 12) == (12,)

@@ -13,9 +13,9 @@ hold for that to be safe and worth it:
   replica that retired an instance with one that learned it, across a
   crash too.
 - *Memory at rest follows the keys, not the history.* With checkpoints
-  on, the records a replica holds (live, in ``_ckpt_held`` and in the
-  segments) after N writes and after 4N differ by at most the keyspace
-  plus one interval's writes.
+  on, the records a replica holds (live, in ``checkpointer.held`` and in
+  the segments) after N writes and after 4N differ by at most the
+  keyspace plus one interval's writes.
 """
 
 import pytest
@@ -134,11 +134,11 @@ class TestRetiredInstancesStayCompared:
 
 
 def held_records(srv) -> int:
-    """Acceptor, learner, ``_ckpt_held`` and segment records of ``srv``."""
+    """Acceptor, learner, held and segment records of ``srv``."""
     live = sum(len(n.acceptor.state.instances) + len(n.chosen)
                for n in srv.groups)
     held = sum(len(m) for g in range(len(srv.groups))
-               for m in srv._ckpt_held.records(g))
+               for m in srv.checkpointer.held.records(g))
     segments = sum(len(acc) + len(chosen)
                    for seg in srv.checkpoint_store.segments
                    for acc, chosen in seg.payload["groups"])

@@ -505,8 +505,8 @@ class TestGoldenRuns:
         assert victim.checkpoint_store.saves < min(
             s.checkpoint_store.saves for s in c.servers if s is not victim)
         assert c.metrics.counter("rebuild.snapshot_transfers").value >= 1
-        assert all(s.compact_floor == [n.apply_cursor for n in s.groups]
-                   for s in c.servers)        # victim caught up, all level
+        assert all(n.retired_below == n.apply_cursor
+                   for s in c.servers for n in s.groups)        # victim caught up, all level
         assert check_cluster(c.servers, c.servers[0].config) == []
         footprints = [sorted(s.durable_footprint().items())
                       for s in c.servers]
