@@ -160,7 +160,7 @@ def _degraded_latency_phase(quick: bool) -> list[str]:
     # P2 *and* on P3, leaving exactly X=3 clean copies (P1, P4, P5).
     rot_rng = sim.rng.stream("readpath.rot")
     for srv in (cluster.servers[1], cluster.servers[2]):
-        while srv.inject_bit_rot(rot_rng):
+        while srv.scrubber.rot(rot_rng):
             pass
 
     degraded_before = cluster.servers[1].reads.degraded_reads
@@ -263,9 +263,9 @@ def _run_repair_ladder(rtt_select: bool, rounds: int) -> list[float]:
     hist = cluster.metrics.histogram("scrub.repair_latency")
 
     def repair_round() -> None:
-        if not srv.inject_bit_rot(rot_rng):
+        if not srv.scrubber.rot(rot_rng):
             return
-        srv.scrub_now()
+        srv.scrubber.scrub()
         sim.run(until=sim.now + 0.5)
 
     for _ in range(warmup):

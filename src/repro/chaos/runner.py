@@ -381,11 +381,9 @@ class ChaosRunner:
                 by_host[host].wal.arm_torn_write(frac)
                 by_host[host].crash()
             elif kind == "bit-rot":
-                by_host[arg].inject_bit_rot(rot_rng)
+                by_host[arg].scrubber.rot(rot_rng)
             elif kind == "scrub":
-                srv = by_host[arg]
-                if srv.up:
-                    srv.scrub_now()
+                by_host[arg].scrubber.scrub()
             elif kind == "overload":
                 d, factor = arg
                 workload_ctl["burst"](d, factor)

@@ -127,14 +127,6 @@ class CodedShare:
             self.data, self.meta, self.members, corrupt=True, size=self.size,
         )
 
-    def repaired(self, data: bytes | memoryview | None = None) -> "CodedShare":
-        """A checksum-clean replacement for this share (scrub repair)."""
-        return CodedShare(
-            self.value_id, self.index, self.config, self.value_size,
-            data if data is not None else self.data,
-            self.meta, self.members, corrupt=False, size=self.size,
-        )
-
 
 def encode_value(
     value: Value,

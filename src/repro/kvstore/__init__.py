@@ -15,6 +15,7 @@ Public API:
 - :class:`Rebuild` — catch-up, snapshot transfer and the rebuild finish line.
 - :class:`Reconfig` — the one driver of view changes and shard migrations.
 - :class:`Checkpointer` — a server's checkpoints and what they hold.
+- :class:`Scrubber` — bit rot, scrub passes and share repair.
 - :class:`AppliedOps` — the exactly-once table (applied client op
   identities, as bits) the server consults before applying a command.
 - :class:`KVClient` — leader-caching client with redirect handling.
@@ -74,6 +75,7 @@ from .membership import AccrualFailureDetector, RepairController
 from .reads import ReadPath
 from .rebuild import Rebuild
 from .reconfig import Reconfig
+from .scrubber import Scrubber
 from .server import KVServer
 from .sharefetch import ShareFetch
 from .shard import ShardMap, encode_version, era_of, instance_of
@@ -116,6 +118,7 @@ __all__ = [
     "Reconfig",
     "Redirect",
     "RepairController",
+    "Scrubber",
     "ServerConfig",
     "ShardCmd",
     "ShardMap",

@@ -45,7 +45,6 @@ from .batch import (
     is_batch,
     meta_of,
     payload_for_key,
-    put_keys_of,
 )
 from .checkpointer import Checkpointer
 from .config import ServerConfig
@@ -83,6 +82,7 @@ from .membership import AccrualFailureDetector, RepairController
 from .reads import ReadPath
 from .rebuild import Rebuild, catch_up_page, snapshot_page
 from .reconfig import Reconfig
+from .scrubber import Scrubber
 from .sharefetch import ShareFetch
 from .shard import ShardMap, encode_version, era_of, instance_of
 
@@ -210,7 +210,7 @@ class KVServer:
         # Share fetching: source ranking, per-peer in-flight load and
         # the one ranked, hedged gather policy live in the ShareFetch
         # component; the server gives it its endpoint's methods and is
-        # the client of its gathers (_gather_shares, _repair_share).
+        # the client of its gathers (_gather_shares, the scrubber's repairs).
         self.fetch = ShareFetch(
             sim, [h for nid, h in sorted(peers.items()) if nid != node_id],
             request=self.endpoint.request,
@@ -271,6 +271,8 @@ class KVServer:
         # Checkpoints and WAL compaction (off when checkpoint_interval
         # is 0): kvstore/checkpointer.py.
         self.checkpointer = Checkpointer(self)
+        # Bit rot, scrub passes and share repair: kvstore/scrubber.py.
+        self.scrubber = Scrubber(self)
 
         # Dynamic sharding: the leader-resident rebalancer (its load
         # windows are volatile, see _reset_volatile). ``_key_freq_cap``
@@ -382,7 +384,7 @@ class KVServer:
         self.net.crash_host(self.name)
         for reset in (
             self.endpoint.reset, *(node.crash for node in self.groups),
-            self.checkpointer.crash, self.store.clear,
+            self.checkpointer.crash, self.scrubber.crash, self.store.clear,
             self.reconfig.reset, self.detector.reset, self.repair.reset,
             self.applied.reset, self.reads.reset, self.fetch.reset,
             self.rebuild.reset, self.admission.flush, self.batcher.flush,
@@ -428,8 +430,6 @@ class KVServer:
         # Client responses parked until the decided instance is applied
         # locally (read-your-writes: PutOk must imply visibility).
         self._apply_waiters: dict[tuple[int, int], list[Callable[[], None]]] = {}
-        # The (group, instance) pairs with a scrub repair in flight.
-        self._scrubbing: set[tuple[int, int]] = set()
         # Rebalancer windows: admitted mutations per group in the
         # current window, their EWMA across windows, and bounded per-key
         # write counts for a weighted-median split boundary.
@@ -493,7 +493,7 @@ class KVServer:
         for name, interval, first, job in (
             ("monitor", beat, beat, self._monitor),
             ("scrub", cfg.scrub_interval,
-             cfg.scrub_interval * (1.0 + 0.1 * stagger), self.scrub_now),
+             cfg.scrub_interval * (1.0 + 0.1 * stagger), self.scrubber.scrub),
             ("checkpoint", cfg.checkpoint_interval,
              cfg.checkpoint_interval * (1.0 + 0.07 * stagger),
              self.checkpointer.save),
@@ -1363,264 +1363,6 @@ class KVServer:
         if msg.reason == "scrub":
             self.metrics.counter("scrub.fetches_served").inc(1)
         _reply(respond, ShareReply(share))
-
-    # ------------------------------------------------------------------
-    # background scrubber: detect and repair rotten coded shares
-    # ------------------------------------------------------------------
-
-    def inject_bit_rot(self, rng) -> bool:
-        """Silently rot one durably stored coded share on this server.
-
-        Picks a random durable accept record, invalidates its stored
-        checksum (the WAL bytes decayed in place), and mirrors the
-        damage into the in-memory acceptor/learner/store copies — they
-        are cached views of the same durable bytes. ``rng`` is a numpy
-        Generator (a named simulator substream, for determinism).
-        Returns False when the server holds no accept records to rot.
-        """
-        candidates = [  # retained votes only: a retired one is gone
-            rec for rec in self.wal.durable
-            if rec.valid and isinstance(rec.payload, Accept)
-            and not self.groups[rec.tag].retired(rec.payload.instance)
-        ]
-        if candidates:
-            rec = candidates[int(rng.integers(len(candidates)))]
-            self.wal.corrupt_record(rec.lsn)
-            vote = rec.payload
-            self._mark_share_corrupt(rec.tag, vote.instance, vote.share.value_id)
-            self.metrics.counter("scrub.rot_injected").inc(1)
-            self.trace(f"bit-rot g{rec.tag} inst={vote.instance} "
-                       f"lsn={rec.lsn}", "scrub")
-            return True
-        # Every accept record may already be compacted into the
-        # checkpoint; media decay does not care which file the bytes
-        # live in, so rot a checkpoint-resident share instead.
-        mem = [
-            (g, inst, st.share)
-            for g, node in enumerate(self.groups)
-            for inst, st in sorted(node.acceptor.state.instances.items())
-            if not st.share.corrupt
-        ]
-        if not mem:
-            return False
-        group, instance, share = mem[int(rng.integers(len(mem)))]
-        self._mark_share_corrupt(group, instance, share.value_id)
-        self.metrics.counter("scrub.rot_injected").inc(1)
-        self.trace(f"bit-rot g{group} inst={instance} (checkpointed)",
-                   "scrub")
-        return True
-
-    def _mark_share_corrupt(self, group: int, instance: int, value_id: str) -> None:
-        """Flag every in-memory copy of a rotten stored share."""
-        node = self.groups[group]
-        st = node.acceptor.state.instances.get(instance)
-        if (
-            st is not None
-            and st.share.value_id == value_id
-            and not st.share.corrupt
-        ):
-            node.acceptor.state.instances[instance] = Accept(
-                instance, st.ballot, st.share.corrupted())
-        rec = node.chosen.get(instance)
-        if (
-            rec is not None
-            and rec.value_id == value_id
-            and rec.share is not None
-            and not rec.share.corrupt
-        ):
-            rec = node.chosen[instance] = rec._replace(
-                share=rec.share.corrupted())
-            for entry in self._entries_at(group, instance, rec.share.meta):
-                if not entry.complete and isinstance(entry.value, CodedShare):
-                    entry.value = rec.share
-
-    def _entries_at(self, group: int, instance: int, meta) -> list:
-        """The store entries of the keys ``meta`` put that still name
-        ``instance`` of ``group`` as their version."""
-        return [e for e in map(self.store.get, put_keys_of(meta))
-                if e is not None and instance_of(e.version) == instance
-                and e.group in (-1, group)]
-
-    def _retirable(self, group: int, instance: int, meta) -> bool:
-        """Has a checkpoint retired ``instance``, or will the next one?
-        Below the floor, a put no key's stored version names any more."""
-        return self.groups[group].retired(instance) or (
-            bool(put_keys_of(meta))
-            and instance < self.groups[group].retired_below
-            and not self._entries_at(group, instance, meta))
-
-    def scrub_now(self) -> None:
-        """One scrub pass: verify every durable record's checksum and
-        start a repair for each corrupt coded share found — in the WAL
-        and (post-compaction) in checkpoint-resident acceptor state."""
-        if not self.up:
-            return
-        self.metrics.counter("scrub.passes").inc(1)
-        wal_backed = {
-            (rec.tag, rec.payload.instance) for rec in self.wal.durable
-            if isinstance(rec.payload, Accept)
-        }
-        for rec in self.wal.verify():
-            vote = rec.payload
-            if not isinstance(vote, Accept):
-                continue  # promise records carry no repairable payload
-            key = (rec.tag, vote.instance)
-            if key in self._scrubbing:
-                continue
-            self._scrubbing.add(key)
-            self.metrics.counter("scrub.corrupt_found").inc(1)
-            # The in-memory mirrors must agree before repair fetches
-            # start, or we might serve the rotten copy meanwhile.
-            self._mark_share_corrupt(rec.tag, vote.instance, vote.share.value_id)
-            self._repair_share(rec.tag, rec.lsn, vote)
-        # Shares whose WAL record was compacted away live only in memory
-        # and the checkpoint; they have no LSN to rewrite but a repair
-        # still restores the copies the next checkpoint will persist.
-        for g, node in enumerate(self.groups):
-            for inst, st in sorted(node.acceptor.state.instances.items()):
-                if not st.share.corrupt:
-                    continue
-                key = (g, inst)
-                if key in self._scrubbing or key in wal_backed:
-                    continue
-                rec_ = node.chosen.get(inst)
-                if rec_ is not None and rec_.value_id != st.share.value_id:
-                    continue  # losing vote, already quarantined in place
-                self._scrubbing.add(key)
-                self.metrics.counter("scrub.corrupt_found").inc(1)
-                self._repair_share(g, None, st)
-
-    def _repair_share(self, group: int, lsn: int | None, vote: Accept) -> None:
-        """Reconstruct a checksum-valid replacement for the rotten share
-        of ``vote``.
-
-        Cheapest path first: a locally held full value re-encodes the
-        fragment with zero network traffic. Otherwise gather clean
-        shares (or a peer-re-coded fragment for our index) via
-        FetchShare and RS-decode; all fetched share bytes are counted
-        as repair traffic. If the cluster cannot currently supply
-        enough clean shares the repair is deferred — the record stays
-        corrupt and the next scrub pass retries. ``lsn`` is None for
-        shares whose WAL record was already compacted away (only the
-        in-memory/checkpoint copies need fixing).
-        """
-        node = self.groups[group]
-        instance, share = vote.instance, vote.share
-        value_id = share.value_id
-        coding = share.config
-        my_index = share.index
-        key = (group, instance)
-        rec = node.chosen.get(instance)
-        if (rec is not None and rec.value_id != value_id
-                or self._retirable(group, instance, share.meta)):
-            # Rotten vote for a *losing* proposal, or one a checkpoint
-            # retires: no future scan needs this share (a later proposal
-            # of value_id would contradict the decision; none drives
-            # below a floor, and no store names it for a read).
-            # Its bytes may be globally unreconstructible — quarantine:
-            # rewrite the record checksum-valid with the share durably
-            # flagged corrupt, preserving the vote metadata.
-            if lsn is not None:
-                self.wal.rewrite_record(
-                    lsn, Accept(instance, vote.ballot, share.corrupted()),
-                    share.size,
-                )
-            self._scrubbing.discard(key)
-            self.metrics.counter("scrub.quarantined").inc(1)
-            return
-        if rec is not None and rec.value_id == value_id and rec.value is not None:
-            fixed = encode_one_share(rec.value, coding, my_index, share.members)
-            self._install_repaired(
-                group, lsn, Accept(instance, vote.ballot, fixed), 0)
-            return
-
-        # Otherwise gather as a read does (ShareFetch.gather), with a
-        # background job's patience: two retransmissions per fetch, and
-        # an exhausted list defers to the next pass. Each usable fetch's
-        # latency lands in ``scrub.fetch_latency``; the whole gather,
-        # waits for stragglers included, in ``scrub.repair_latency`` —
-        # what the readpath gate compares against random selection.
-        gathered: dict[int, CodedShare] = {}
-        started = self.sim.now
-
-        def offer(reply, host: str, elapsed: float) -> bool:
-            s = reply.share if isinstance(reply, ShareReply) else None
-            if (
-                s is None or s.corrupt or s.value_id != value_id
-                or s.config != coding
-            ):
-                return False
-            self.metrics.histogram("scrub.fetch_latency").record(elapsed)
-            gathered[s.index] = s
-            return True
-
-        def missing() -> int:
-            if my_index in gathered:
-                return 0  # a peer re-coded our exact fragment: install it
-            return max(0, coding.x - len(gathered))
-
-        def install() -> None:
-            fixed = gathered.get(my_index)
-            if fixed is None:
-                value = node.decode_from_shares(list(gathered.values()))
-                fixed = encode_one_share(value, coding, my_index, share.members)
-            self.metrics.histogram("scrub.repair_latency").record(
-                self.sim.now - started
-            )
-            self._install_repaired(
-                group, lsn, Accept(instance, vote.ballot, fixed),
-                sum(s.size for s in gathered.values()),
-            )
-
-        def defer() -> None:
-            # Too many rotten/missing copies right now. Leave the record
-            # corrupt; a later pass retries once peers recover or repair
-            # their own copies.
-            self._scrubbing.discard(key)
-            self.metrics.counter("scrub.deferred").inc(1)
-
-        req = FetchShare(
-            group=group, instance=instance, value_id=value_id, reason="scrub"
-        )
-        self.fetch.gather(
-            req, req.wire_bytes, missing=missing, offer=offer,
-            on_done=install, on_exhausted=defer, timeout=0.5, retries=2,
-        )
-
-    def _install_repaired(
-        self,
-        group: int,
-        lsn: int | None,
-        repaired: Accept,
-        repair_bytes: int,
-    ) -> None:
-        """Write the reconstructed share back: WAL record rewritten in
-        place with ``repaired`` — the rotten vote's instance and ballot
-        around the clean share (checksum recomputed, one device write) —
-        and in-memory acceptor/learner/store copies replaced.
-        With ``lsn`` None (record already compacted) only the in-memory
-        copies are fixed; the next checkpoint persists them. Only ever
-        runs while up: a crash retires the gather that would call it."""
-        node = self.groups[group]
-        instance, fixed = repaired.instance, repaired.share
-        if lsn is not None:
-            self.wal.rewrite_record(lsn, repaired, fixed.size)
-        st = node.acceptor.state.instances.get(instance)
-        if st is not None and st.share.value_id == fixed.value_id:
-            node.acceptor.state.instances[instance] = Accept(
-                instance, st.ballot, fixed)
-        rec = node.chosen.get(instance)
-        if rec is not None and rec.value_id == fixed.value_id:
-            if rec.share is None or rec.share.corrupt:
-                node.chosen[instance] = rec._replace(share=fixed)
-            for entry in self._entries_at(group, instance, fixed.meta):
-                if not entry.complete:
-                    entry.value, entry.size = fixed, fixed.size
-        self._scrubbing.discard((group, instance))
-        self.metrics.counter("scrub.repaired").inc(1)
-        self.metrics.counter("scrub.repair_bytes").inc(repair_bytes)
-        self.trace(f"repaired g{group} inst={instance} lsn={lsn} "
-                   f"({repair_bytes}B fetched)", "scrub")
 
     # ------------------------------------------------------------------
     # checkpointing + WAL compaction: kvstore/checkpointer.py

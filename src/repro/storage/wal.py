@@ -28,7 +28,7 @@ that clean picture:
   payload marked corrupt instead of truncating: for an accept record
   that means the acceptor still knows it voted, in which group, and for
   which value, but the coded share bytes are garbage until the scrubber
-  repairs them from peers (see ``KVServer.scrub_now``).
+  repairs them from peers (see ``kvstore.scrubber.Scrubber.scrub``).
 
 A payload is the protocol message the acceptor acted on — the
 ``Prepare`` it promised or the ``Accept`` it granted — and the same
@@ -453,13 +453,7 @@ class WriteAheadLog:
         their payload — the scrubber's work list."""
         return [rec for rec in self.durable if not rec.valid]
 
-    def rewrite_record(
-        self,
-        lsn: int,
-        payload: Any,
-        size: int,
-        callback: Callable[[], None] | None = None,
-    ) -> bool:
+    def rewrite_record(self, lsn: int, payload: Any, size: int) -> bool:
         """In-place sector rewrite of record ``lsn`` (scrub repair).
 
         Replaces the payload (the tag stays), recomputes the checksum,
@@ -469,9 +463,7 @@ class WriteAheadLog:
         for rec in self.durable:
             if rec.lsn == lsn:
                 rec.rewrite(payload, size)
-                self.disk.write(
-                    size + RECORD_HEADER_BYTES, callback or (lambda: None)
-                )
+                self.disk.write(size + RECORD_HEADER_BYTES, lambda: None)
                 return True
         return False
 

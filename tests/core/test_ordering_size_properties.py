@@ -81,7 +81,7 @@ class TestCodedShareSizeIsStoredNotStale:
         shares.append(encode_one_share(value, cfg, cfg.n - 1, members))
         shares.append(CodedShare("v", 0, cfg, nbytes))
         for s in list(shares):
-            shares += [s.corrupted(), s.repaired(), replace(s, corrupt=True),
+            shares += [s.corrupted(), replace(s, corrupt=True),
                        replace(s, index=0), replace(s, members=None)]
         assert {s.size for s in shares} == {want}
 
@@ -93,8 +93,7 @@ class TestCodedShareSizeIsStoredNotStale:
         shares = encode_value(value, cfg)
         shares.append(encode_one_share(value, cfg, 0))
         for s in list(shares):
-            shares += [s.corrupted(), s.repaired(), s.repaired(s.data),
-                       replace(s, corrupt=True)]
+            shares += [s.corrupted(), replace(s, corrupt=True)]
         assert {s.size for s in shares} == {want}
         # Parity is ``size`` bytes; an original holds what the value has
         # in its row, the tail's zero padding implicit.

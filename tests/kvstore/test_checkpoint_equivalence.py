@@ -289,12 +289,12 @@ class Replica:
             node._advance_apply()
 
     def rot(self, g, sel):
-        self.srv.inject_bit_rot(np.random.default_rng(sel))
+        self.srv.scrubber.rot(np.random.default_rng(sel))
 
     def scrub(self, g, sel):
         """Repairs locally where the value is cached; the rest fan out
         to peers that never answer."""
-        self.srv.scrub_now()
+        self.srv.scrubber.scrub()
 
     def repair(self, g, sel):
         """A peer-sourced repair completes."""
@@ -310,7 +310,7 @@ class Replica:
              if r.tag == g and isinstance(r.payload, Accept)
              and r.payload.instance == inst),
             None)
-        self.srv._install_repaired(
+        self.srv.scrubber.install(
             g, lsn, Accept(inst, Ballot(round_, 0), self.my_share(g, value)),
             0)
 

@@ -80,7 +80,7 @@ class TestDegradedReads:
     def rot_everything(self, c, *servers):
         rng = c.sim.rng.stream("test.readpath.rot")
         for srv in servers:
-            while srv.inject_bit_rot(rng):
+            while srv.scrubber.rot(rng):
                 pass
 
     def test_rotten_local_share_decodes_from_peers(self):
@@ -144,7 +144,7 @@ class TestSourceSelection:
         put(c, "k", 100)
         follower = c.servers[1]
         rng = c.sim.rng.stream("test.readpath.rot")
-        while follower.inject_bit_rot(rng):
+        while follower.scrubber.rot(rng):
             pass
         ok, _size = get(c, "k", server=follower.name)
         assert ok
@@ -167,8 +167,8 @@ class TestRepairAccounting:
         for n in range(1, 6):
             put(c, f"k{n}", x * fragment)
             before = served.value, counted.value
-            assert srv.inject_bit_rot(rng)
-            srv.scrub_now()
+            assert srv.scrubber.rot(rng)
+            srv.scrubber.scrub()
             c.run(until=c.sim.now + 0.5)
             assert c.metrics.counter("scrub.repaired").value == n
             assert served.value - before[0] == x

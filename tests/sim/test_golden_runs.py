@@ -234,7 +234,7 @@ def hedged_recovery_reads(seed: int):
     each(6.5, reads((0, 1, 2)))
     c.run(until=7.5)
     rng = c.sim.rng.stream("golden.rot")
-    while p3.inject_bit_rot(rng):
+    while p3.scrubber.rot(rng):
         pass
     each(7.5, reads((3, 4), mode="follower", server=p3.name))
     c.run(until=8.5)
