@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..workload import (
     ClosedLoopDriver,
     WorkloadSpec,
@@ -160,11 +158,6 @@ class FailoverTimeline:
     times: tuple[float, ...]
     mbps: tuple[float, ...]
     crash_times: tuple[float, ...]
-
-    def throughput_at(self, t: float) -> float:
-        idx = int(np.searchsorted(np.asarray(self.times), t))
-        idx = min(idx, len(self.mbps) - 1)
-        return self.mbps[idx]
 
     def outage_windows(self, threshold_frac: float = 0.05) -> int:
         """Number of sample windows with throughput ~ zero."""

@@ -46,10 +46,6 @@ class OpRecord:
     observed_nothing: bool = False  # completed read that saw NotFound
 
     @property
-    def is_write(self) -> bool:
-        return self.op in ("put", "delete")
-
-    @property
     def completed(self) -> bool:
         return self.ok is not None
 

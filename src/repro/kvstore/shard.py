@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
-from typing import Iterator
 
 #: Bits of a store version reserved for the Paxos instance; the shard
 #: map era occupies the bits above. 48 bits ≫ any simulated log length.
@@ -282,10 +281,6 @@ class ShardMap:
             wire["num_groups"], version=wire["version"],
             ranges=wire["ranges"], migrating=wire["migrating"],
         )
-
-    def iter_ranges(self) -> Iterator[tuple[str, str | None, int]]:
-        if self.ranges is not None:
-            yield from self.ranges
 
     def _key(self) -> tuple:
         return (self.num_groups, self.version, self.ranges, self.migrating)

@@ -201,9 +201,6 @@ class Network:
             self._nic_slowdown[name] = factor
         self.tracer.emit(self.sim.now, "net", f"nic-slowdown {name} x{factor}")
 
-    def nic_slowdown(self, name: str) -> float:
-        return self._nic_slowdown.get(name, 1.0)
-
     def set_impairment(self, loss_prob: float, dup_prob: float = 0.0) -> None:
         """Degrade (or restore, with zeros) every link at once.
 

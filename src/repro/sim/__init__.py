@@ -12,7 +12,7 @@ Public API:
 - :class:`Tracer` — structured event trace for tests and debugging.
 """
 
-from .loop import Event, SimTimeout, SimulationError, Simulator
+from .loop import Event, SimulationError, Simulator
 from .metrics import (
     Counter,
     Gauge,
@@ -35,7 +35,6 @@ __all__ = [
     "MetricSet",
     "NULL_TRACER",
     "RngRegistry",
-    "SimTimeout",
     "SimulationError",
     "Simulator",
     "ThroughputMeter",

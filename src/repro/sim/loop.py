@@ -199,12 +199,3 @@ class Simulator:
             heap[:] = [e for e in heap if e[2].callback is not None]
             heapq.heapify(heap)
             self._dead = 0
-
-    # -- misc -----------------------------------------------------------
-
-    def timeout_error(self, msg: str) -> "SimTimeout":
-        return SimTimeout(f"t={self.now:.6f}: {msg}")
-
-
-class SimTimeout(Exception):
-    """A simulated operation exceeded its deadline."""

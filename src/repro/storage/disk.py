@@ -144,9 +144,5 @@ class Disk:
         self.bytes_read += nbytes
         return self._queue.submit(self._service_time(nbytes), callback)
 
-    @property
-    def backlog_seconds(self) -> float:
-        return self._queue.backlog
-
     def utilization(self, since: float = 0.0) -> float:
         return self._queue.utilization(since)
